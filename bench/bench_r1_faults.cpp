@@ -39,14 +39,14 @@ void report_summary(benchmark::State& state, const CampaignSummary& s) {
   state.counters["max_blast_radius"] = s.max_blast_radius;
 }
 
-CampaignConfig base_config(DecoderKind decoder, GraphFamily family, int n, int trials) {
+CampaignConfig base_config(PipelineId decoder, GraphFamily family, int n, int trials) {
   CampaignConfig cfg;
   cfg.decoder = decoder;
   cfg.family = family;
   cfg.n = n;
   cfg.trials = trials;
   cfg.seed = 7;
-  if (decoder == DecoderKind::kSubexpLcl) cfg.subexp.x = 60;
+  if (decoder == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
   return cfg;
 }
 
@@ -89,10 +89,10 @@ const char* layer_name(Layer layer) {
 }
 
 void BM_FaultDetection(benchmark::State& state) {
-  const auto decoder = static_cast<DecoderKind>(state.range(0));
+  const auto decoder = static_cast<PipelineId>(state.range(0));
   const auto layer = static_cast<Layer>(state.range(1));
   auto cfg = base_config(decoder, GraphFamily::kCycle, 200, 20);
-  if (decoder == DecoderKind::kSubexpLcl) cfg.n = 128;
+  if (decoder == PipelineId::kSubexpLcl) cfg.n = 128;
   cfg.plan = plan_for(layer);
 
   CampaignSummary s;
@@ -100,36 +100,36 @@ void BM_FaultDetection(benchmark::State& state) {
     s = run_fault_campaign(cfg);
   }
   report_summary(state, s);
-  state.SetLabel(std::string(to_string(decoder)) + " / " + layer_name(layer) + " faults");
+  state.SetLabel(std::string(pipeline(decoder).name()) + " / " + layer_name(layer) + " faults");
 }
 
 // --- blast radius vs n ----------------------------------------------------
 
 void BM_BlastRadiusCycle(benchmark::State& state) {
-  const auto decoder = static_cast<DecoderKind>(state.range(0));
+  const auto decoder = static_cast<PipelineId>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   auto cfg = base_config(decoder, GraphFamily::kCycle, n, 10);
   // x is the §4 feasibility knob: the phase-code path budget y grows with
   // x, and the number of phase colors grows with n, so x must scale up
   // alongside n for the encode to exist at all.
-  if (decoder == DecoderKind::kSubexpLcl) cfg.subexp.x = n >= 512 ? 150 : 60;
+  if (decoder == PipelineId::kSubexpLcl) cfg.subexp.x = n >= 512 ? 150 : 60;
 
   CampaignSummary s;
   for (auto _ : state) {
     s = run_fault_campaign(cfg);
   }
   report_summary(state, s);
-  state.SetLabel(std::string(to_string(decoder)) + " cycle: blast radius must not grow with n");
+  state.SetLabel(std::string(pipeline(decoder).name()) + " cycle: blast radius must not grow with n");
 }
 
 void BM_BlastRadiusGrid(benchmark::State& state) {
-  const auto decoder = static_cast<DecoderKind>(state.range(0));
+  const auto decoder = static_cast<PipelineId>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   auto cfg = base_config(decoder, GraphFamily::kGrid, n, 10);
   // Splitting substitutes a torus (it needs even degrees); its exact-solver
   // repair over degree-4 edge-labeled regions is the expensive case, so it
   // runs with a reduced backtracking budget — exhaustion flags, never lies.
-  if (decoder == DecoderKind::kSplitting) {
+  if (decoder == PipelineId::kSplitting) {
     cfg.trials = 3;
     cfg.policy.solver_budget = 100'000;
   }
@@ -139,11 +139,12 @@ void BM_BlastRadiusGrid(benchmark::State& state) {
     s = run_fault_campaign(cfg);
   }
   report_summary(state, s);
-  state.SetLabel(std::string(to_string(decoder)) + " grid: blast radius must not grow with n");
+  state.SetLabel(std::string(pipeline(decoder).name()) + " grid: blast radius must not grow with n");
 }
 
 void DetectionArgs(benchmark::internal::Benchmark* b) {
-  for (const auto decoder : all_decoders()) {
+  for (const Pipeline* p : pipelines()) {
+    const PipelineId decoder = p->id();
     for (const auto layer :
          {Layer::kAdviceOnly, Layer::kGraphOnly, Layer::kEngineOnly, Layer::kMixed}) {
       b->Args({static_cast<long>(decoder), static_cast<long>(layer)});
@@ -152,20 +153,22 @@ void DetectionArgs(benchmark::internal::Benchmark* b) {
 }
 
 void CycleArgs(benchmark::internal::Benchmark* b) {
-  for (const auto decoder : all_decoders()) {
-    if (decoder == DecoderKind::kDeltaColoring) continue;  // global parity; see header
-    const int base = decoder == DecoderKind::kSubexpLcl ? 128 : 200;
+  for (const Pipeline* p : pipelines()) {
+    const PipelineId decoder = p->id();
+    if (decoder == PipelineId::kDeltaColoring) continue;  // global parity; see header
+    const int base = decoder == PipelineId::kSubexpLcl ? 128 : 200;
     b->Args({static_cast<long>(decoder), base});
     b->Args({static_cast<long>(decoder), 4 * base});
   }
 }
 
 void GridArgs(benchmark::internal::Benchmark* b) {
-  for (const auto decoder : all_decoders()) {
-    if (decoder == DecoderKind::kSubexpLcl) continue;  // §4 clusters want cycle-scale x
+  for (const Pipeline* p : pipelines()) {
+    const PipelineId decoder = p->id();
+    if (decoder == PipelineId::kSubexpLcl) continue;  // §4 clusters want cycle-scale x
     // Splitting's exact-solver repair makes big tori minutes-per-trial;
     // 64 -> 256 still quadruples n (blast radius stays put regardless).
-    const int base = decoder == DecoderKind::kSplitting ? 64 : 256;
+    const int base = decoder == PipelineId::kSplitting ? 64 : 256;
     b->Args({static_cast<long>(decoder), base});
     b->Args({static_cast<long>(decoder), 4 * base});
   }

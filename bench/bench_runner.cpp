@@ -19,6 +19,7 @@
 #include "lcl/problems.hpp"
 #include "local/gather.hpp"
 #include "obs/export.hpp"
+#include "obs/json_mini.hpp"
 #include "obs/profile.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/timeline.hpp"
@@ -103,8 +104,8 @@ Case pipeline_case(PipelineId id, int n, int batch, PipelineConfig cfg = {}, std
 /// Fault-campaign case: the campaign's own parallel trial runner is the
 /// measured axis; the digest folds in every per-trial report, so thread
 /// count provably cannot perturb a single aggregate or report byte.
-Case campaign_case(faults::DecoderKind decoder, faults::GraphFamily family, int n, int trials) {
-  std::string name = std::string("campaign/") + faults::to_string(decoder) + "/" +
+Case campaign_case(PipelineId decoder, faults::GraphFamily family, int n, int trials) {
+  std::string name = std::string("campaign/") + pipeline(decoder).name() + "/" +
                      faults::to_string(family) + "/n=" + std::to_string(n);
   auto run = [decoder, family, n, trials](int threads) {
     faults::CampaignConfig cc;
@@ -113,7 +114,7 @@ Case campaign_case(faults::DecoderKind decoder, faults::GraphFamily family, int 
     cc.n = n;
     cc.trials = trials;
     cc.threads = threads;
-    if (decoder == faults::DecoderKind::kSubexpLcl) cc.subexp.x = 60;
+    if (decoder == PipelineId::kSubexpLcl) cc.subexp.x = 60;
     const auto s = faults::run_fault_campaign(cc);
     CaseRun r;
     r.n = s.n;
@@ -285,8 +286,8 @@ std::vector<Case> suite_cases(const std::string& suite) {
   }
   if (suite == "e9") return {proofs_case("mis", 96, 4), proofs_case("3col", 96, 4)};
   if (suite == "r1") {
-    return {campaign_case(faults::DecoderKind::kOrientation, faults::GraphFamily::kCycle, 120, 10),
-            campaign_case(faults::DecoderKind::kThreeColoring, faults::GraphFamily::kGrid, 120,
+    return {campaign_case(PipelineId::kOrientation, faults::GraphFamily::kCycle, 120, 10),
+            campaign_case(PipelineId::kThreeColoring, faults::GraphFamily::kGrid, 120,
                           10)};
   }
   if (suite == "gather") return {gather_case("grid", 400, 3), gather_case("cycle", 600, 4)};
@@ -306,7 +307,7 @@ std::vector<Case> suite_cases(const std::string& suite) {
   if (suite == "smoke") {
     return {pipeline_case(PipelineId::kOrientation, 96, 2),
             pipeline_case(PipelineId::kDecompress, 96, 2),
-            campaign_case(faults::DecoderKind::kOrientation, faults::GraphFamily::kCycle, 64, 4)};
+            campaign_case(PipelineId::kOrientation, faults::GraphFamily::kCycle, 64, 4)};
   }
   if (suite == "all") {
     std::vector<Case> all;
@@ -468,38 +469,40 @@ BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
 }
 
 std::string BenchSuiteResult::to_json() const {
+  // Every string goes through the escaper: names and sources carry
+  // user-supplied GraphSource paths.
+  const auto str = [](const std::string& v) { return "\"" + obs::jsonmini::json_escape(v) + "\""; };
   std::ostringstream os;
   os << "{\n"
      << "  \"schema_version\": " << schema_version << ",\n"
-     << "  \"git_commit\": \"" << git_commit << "\",\n"
-     << "  \"timestamp\": \"" << timestamp << "\",\n"
-     << "  \"suite\": \"" << suite << "\",\n"
+     << "  \"git_commit\": " << str(git_commit) << ",\n"
+     << "  \"timestamp\": " << str(timestamp) << ",\n"
+     << "  \"suite\": " << str(suite) << ",\n"
      << "  \"threads\": " << threads << ",\n"
      << "  \"hardware_threads\": " << hardware_threads << ",\n"
      << "  \"reps\": " << reps << ",\n"
      << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
-    os << "    {\"name\": \"" << c.name << "\", \"n\": " << c.n << ", \"m\": " << c.m
+    os << "    {\"name\": " << str(c.name) << ", \"n\": " << c.n << ", \"m\": " << c.m
        << ", \"rounds\": " << c.rounds << ", \"bits_per_node\": " << fmt(c.bits_per_node, 4)
        << ", \"total_bits\": " << c.total_bits << ", \"wall_ms_1t\": " << fmt(c.wall_ms_1, 3)
        << ", \"wall_ms\": " << fmt(c.wall_ms, 3) << ", \"speedup_vs_1\": "
        << fmt(c.speedup_vs_1, 3) << ", \"identical\": " << (c.identical ? "true" : "false")
-       << ", \"digest\": \"" << c.digest << "\", \"threads\": " << c.threads;
+       << ", \"digest\": " << str(c.digest) << ", \"threads\": " << c.threads;
     if (!c.top_phase.empty()) {
-      os << ", \"top_phase\": \"" << c.top_phase << "\"";
+      os << ", \"top_phase\": " << str(c.top_phase);
     }
     if (c.serial_fraction >= 0) {
       os << ", \"serial_fraction\": " << fmt(c.serial_fraction, 4);
     }
     if (!c.source.empty()) {
-      os << ", \"source\": \"" << c.source << "\", \"graph_digest\": \"" << c.graph_digest
-         << "\"";
+      os << ", \"source\": " << str(c.source) << ", \"graph_digest\": " << str(c.graph_digest);
     }
     if (!c.metrics.empty()) {
       os << ", \"metrics\": {";
       for (std::size_t j = 0; j < c.metrics.size(); ++j) {
-        os << "\"" << c.metrics[j].name << "\": " << c.metrics[j].value
+        os << str(c.metrics[j].name) << ": " << c.metrics[j].value
            << (j + 1 < c.metrics.size() ? ", " : "");
       }
       os << "}";

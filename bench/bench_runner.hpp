@@ -35,7 +35,7 @@ struct BenchCaseResult {
   double speedup_vs_1 = 0;  // wall_ms_1 / wall_ms
   bool identical = true;    // multi-thread outputs byte-identical to serial
   /// 64-bit splitmix fingerprint (hex) of the serial output bytes — the
-  /// machine-portable structural axis `lad diffbench` compares exactly.
+  /// machine-portable structural axis `lad diff` compares exactly.
   std::string digest;
   /// Graph provenance (schema v4), populated on source-driven cases only:
   /// the canonical GraphSource spec this case ran on, and the CSR digest
@@ -92,7 +92,7 @@ std::vector<std::string> bench_suite_names();
 /// `with_metrics` enables telemetry and attributes per-case counter
 /// snapshots (of the serial run) to each case — the `lad bench --trace`
 /// path. `reps` > 1 runs one discarded warmup then takes the min wall time
-/// over `reps` timed runs per case (the stable-axis timing `lad diffbench`
+/// over `reps` timed runs per case (the stable-axis timing `lad diff`
 /// gates on). Throws on unknown suite names (callers validate via
 /// bench_suite_names()).
 BenchSuiteResult run_bench_suite(const std::string& suite, int threads,

@@ -8,8 +8,12 @@
 
 #include "faults/guarded_pipeline.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "local/engine.hpp"
+#include "obs/export.hpp"
+#include "obs/stopwatch.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/version.hpp"
 #include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 
@@ -44,8 +48,8 @@ GridDims grid_dims(int n) {
 
 }  // namespace
 
-Graph build_campaign_graph(DecoderKind decoder, GraphFamily& family, int n) {
-  if (decoder == DecoderKind::kSplitting && family == GraphFamily::kGrid) {
+Graph build_campaign_graph(PipelineId decoder, GraphFamily& family, int n) {
+  if (decoder == PipelineId::kSplitting && family == GraphFamily::kGrid) {
     family = GraphFamily::kTorus;  // splitting needs even degrees
   }
   switch (family) {
@@ -159,18 +163,60 @@ EchoResult run_verification_echo(const Graph& g, const std::vector<std::string>&
   return res;
 }
 
-const char* to_string(DecoderKind kind) { return pipeline(kind).name(); }
+obs::RunReport observe_run(const Pipeline& p, const Graph& g, const std::string& source,
+                           const PipelineConfig& cfg, const std::vector<int>& thread_counts,
+                           int reps) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::RunReport report;
+  report.reps = reps;
+  report.git_commit = obs::kGitCommit;
+  report.timestamp = obs::iso8601_utc_now();
+  for (const int threads : thread_counts) {
+    ThreadPool pool(threads);
+    PipelineAdvice adv;
+    PipelineOutput out;
+    std::vector<std::string> digests;
+    bool ok = false;
+    bool echo_clean = false;
+    const auto pass = [&] {
+      adv = p.encode(g, cfg);
+      out = p.decode(g, adv, cfg);
+      ok = p.verify(g, out, cfg);
+      digests = p.node_digests(g, out);
+      echo_clean = run_verification_echo(g, digests, /*echo_rounds=*/3, /*faults=*/nullptr,
+                                         threads > 1 ? &pool : nullptr)
+                       .unverified_nodes.empty();
+    };
+    // The warmup absorbs page-cache, allocator, and frequency-governor
+    // effects; every timed rep resets the instruments, so it leaves no
+    // trace in the record.
+    for (int w = 0; w < obs::profile_warmup_runs(reps); ++w) pass();
+    double best_ms = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      obs::reset_instruments();
+      const obs::Stopwatch sw;
+      pass();
+      const double ms = sw.ms();
+      if (rep == 0 || ms < best_ms) best_ms = ms;
+    }
 
-std::optional<DecoderKind> parse_decoder(std::string_view name) {
-  if (const Pipeline* p = find_pipeline(name)) return p->id();
-  return std::nullopt;
-}
-
-std::vector<DecoderKind> all_decoders() {
-  std::vector<DecoderKind> kinds;
-  kinds.reserve(pipelines().size());
-  for (const Pipeline* p : pipelines()) kinds.push_back(p->id());
-  return kinds;
+    obs::RunDeterministic slice;
+    slice.pipeline = p.name();
+    slice.source = source;
+    slice.graph_digest = graph_digest_hex(g);
+    slice.n = g.n();
+    slice.m = g.m();
+    slice.seed = cfg.seed;
+    slice.decode_rounds = out.rounds;
+    slice.verify_ok = ok && echo_clean;
+    slice.output_digest = obs::fingerprint_hex(digests);
+    slice.advice_bits = adv.stats(g.n()).total_bits;
+    obs::RunMeasured row = obs::capture_instruments(threads, best_ms, slice);
+    report.add_run(slice, std::move(row));
+  }
+  obs::set_enabled(was_enabled);
+  return report;
 }
 
 const char* to_string(GraphFamily family) {
@@ -206,7 +252,7 @@ FaultPlan default_mixed_plan() {
 
 std::string CampaignSummary::to_string() const {
   std::ostringstream os;
-  os << "CampaignSummary{decoder=" << lad::faults::to_string(decoder)
+  os << "CampaignSummary{decoder=" << pipeline(decoder).name()
      << " family=" << lad::faults::to_string(family) << " n=" << n << " m=" << m
      << " trials=" << trials << "\n"
      << "  faults_injected=" << faults_injected << " degraded=" << trials_degraded

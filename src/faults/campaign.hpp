@@ -29,6 +29,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/robust.hpp"
 #include "graph/graph.hpp"
+#include "obs/profile.hpp"
 
 namespace lad {
 class EngineFaultModel;  // local/engine.hpp
@@ -36,16 +37,6 @@ class ThreadPool;        // util/thread_pool.hpp
 }
 
 namespace lad::faults {
-
-/// The campaign's decoder selector IS the pipeline registry id now — the
-/// per-decoder encode/decode/digest switches this file used to carry all
-/// live behind core/pipeline.hpp + faults/guarded_pipeline.hpp. The alias
-/// (same enumerator names) keeps every existing DecoderKind user compiling.
-using DecoderKind = ::lad::PipelineId;
-
-const char* to_string(DecoderKind kind);
-std::optional<DecoderKind> parse_decoder(std::string_view name);
-std::vector<DecoderKind> all_decoders();
 
 enum class GraphFamily { kCycle, kGrid, kTorus };
 
@@ -57,7 +48,8 @@ std::optional<GraphFamily> parse_family(std::string_view name);
 FaultPlan default_mixed_plan();
 
 struct CampaignConfig {
-  DecoderKind decoder = DecoderKind::kOrientation;
+  /// The pipeline under attack (registry id, core/pipeline.hpp).
+  PipelineId decoder = PipelineId::kOrientation;
   GraphFamily family = GraphFamily::kCycle;
   int n = 400;       // target node count (rounded to the family's grid)
   int trials = 100;
@@ -76,7 +68,7 @@ struct CampaignConfig {
 };
 
 struct CampaignSummary {
-  DecoderKind decoder = DecoderKind::kOrientation;
+  PipelineId decoder = PipelineId::kOrientation;
   /// Family actually used (splitting substitutes torus for grid: it needs
   /// even degrees).
   GraphFamily family = GraphFamily::kCycle;
@@ -118,10 +110,10 @@ struct CampaignSummary {
 CampaignSummary run_fault_campaign(const CampaignConfig& config);
 
 /// The family instance a campaign uses for (decoder, family, n) — exposed
-/// so `lad trace` exercises the exact graphs the campaigns exercise.
+/// so benchmarks exercise the exact graphs the campaigns exercise.
 /// `family` is passed by reference because splitting substitutes torus for
 /// grid (it needs even degrees).
-Graph build_campaign_graph(DecoderKind decoder, GraphFamily& family, int n);
+Graph build_campaign_graph(PipelineId decoder, GraphFamily& family, int n);
 
 /// Outcome of a distributed verification echo (digest broadcast +
 /// cross-round comparison; see campaign.cpp's EchoVerify).
@@ -142,13 +134,26 @@ struct EchoResult {
 /// Runs the verification echo on g: every node broadcasts its digest for
 /// `echo_rounds` rounds and certifies only if every neighbor copy arrived
 /// intact. `faults` optionally subjects the echo to an engine fault model.
-/// This is the campaign's engine-fault stage and `lad trace`'s source of
-/// genuine message/bit traffic for the decode-side metrics. `pool`
-/// optionally fans the echo's compute phase over a thread pool (byte-
-/// identical results per the §8 contract; `lad profile` uses this to
-/// exercise real multi-threaded engine traffic).
+/// This is the campaign's engine-fault stage and the observed run's source
+/// of genuine message/bit traffic (the decoders themselves do not push
+/// bytes through the engine). `pool` optionally fans the echo's compute
+/// phase over a thread pool (byte-identical results per the §8 contract).
 EchoResult run_verification_echo(const Graph& g, const std::vector<std::string>& digests,
                                  int echo_rounds, const EngineFaultModel* faults = nullptr,
                                  ThreadPool* pool = nullptr);
+
+/// One observed run (DESIGN.md §13), the single driver behind `lad
+/// profile` and tests/test_profile.cpp. Telemetry is on for its duration.
+/// Per listed thread count: profile_warmup_runs(reps) discarded passes,
+/// then `reps` timed passes of encode -> decode -> verify -> node_digests
+/// -> 3-round verification echo (pooled when the count is > 1), each after
+/// obs::reset_instruments(). total_ms is the min over reps; the record is
+/// read from the last rep. The instruments are left holding the last rep
+/// at the last count, so exports taken afterwards describe that rep.
+/// Throws std::runtime_error if the deterministic slice diverges across
+/// thread counts (a §8 violation).
+obs::RunReport observe_run(const Pipeline& p, const Graph& g, const std::string& source,
+                           const PipelineConfig& cfg, const std::vector<int>& thread_counts,
+                           int reps);
 
 }  // namespace lad::faults

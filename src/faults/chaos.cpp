@@ -114,8 +114,8 @@ bool ChaosReport::pass() const {
 ChaosReport run_chaos_campaign(const ChaosConfig& config) {
   ChaosConfig cfg = config;
   if (cfg.pipelines.empty()) {
-    cfg.pipelines = {DecoderKind::kOrientation, DecoderKind::kThreeColoring,
-                     DecoderKind::kSubexpLcl};
+    cfg.pipelines = {PipelineId::kOrientation, PipelineId::kThreeColoring,
+                     PipelineId::kSubexpLcl};
   }
   if (cfg.families.empty()) {
     cfg.families = {GraphFamily::kCycle, GraphFamily::kGrid, GraphFamily::kTorus};
@@ -130,7 +130,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
   report.seed = cfg.seed;
 
   int cell_index = 0;
-  for (const DecoderKind decoder : cfg.pipelines) {
+  for (const PipelineId decoder : cfg.pipelines) {
     for (const GraphFamily family : cfg.families) {
       for (const std::string& model : cfg.models) {
         for (const int rate : cfg.rate_percents) {
@@ -152,7 +152,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
             cc.plan = scale_plan(plan, rate);
             cc.policy = policy;
             cc.threads = cfg.threads;
-            if (decoder == DecoderKind::kSubexpLcl) cc.subexp.x = 60;
+            if (decoder == PipelineId::kSubexpLcl) cc.subexp.x = 60;
 
             ChaosCell cell;
             cell.decoder = decoder;
@@ -173,7 +173,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
             // (message volumes, fault/repair bursts) survives the failure.
             if (!cell.ok()) {
               std::ostringstream why;
-              why << "chaos cell failed: " << lad::faults::to_string(cell.decoder) << "/"
+              why << "chaos cell failed: " << pipeline(cell.decoder).name() << "/"
                   << lad::faults::to_string(cell.family) << "/" << cell.model << "/rate="
                   << cell.rate_percent << "/" << cell.policy;
               LAD_TM(obs::FlightRecorder::instance().dump(std::cerr, why.str()));
@@ -210,7 +210,7 @@ std::string ChaosReport::to_markdown() const {
         "| budget_x | deadline_x | blast |\n"
      << "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n";
   for (const ChaosCell& c : cells) {
-    os << "| " << lad::faults::to_string(c.decoder) << " | "
+    os << "| " << pipeline(c.decoder).name() << " | "
        << lad::faults::to_string(c.family) << " | " << c.model << " | " << c.rate_percent
        << " | " << c.policy << " | " << c.summary.faults_injected << " | "
        << c.summary.trials_output_valid << "/" << c.summary.trials << " | "
@@ -235,7 +235,7 @@ std::string ChaosReport::to_json() const {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ChaosCell& c = cells[i];
     os << "    {\n"
-       << "      \"pipeline\": \"" << lad::faults::to_string(c.decoder) << "\",\n"
+       << "      \"pipeline\": \"" << pipeline(c.decoder).name() << "\",\n"
        << "      \"family\": \"" << lad::faults::to_string(c.family) << "\",\n"
        << "      \"model\": \"" << c.model << "\",\n"
        << "      \"rate_percent\": " << c.rate_percent << ",\n"

@@ -53,7 +53,7 @@ bool chaos_repair_policy(const std::string& name, robust::RepairPolicy& out);
 FaultPlan scale_plan(FaultPlan plan, int rate_percent);
 
 struct ChaosConfig {
-  std::vector<DecoderKind> pipelines;   // default: orientation,
+  std::vector<PipelineId> pipelines;   // default: orientation,
                                         // three_coloring, subexp_lcl
   std::vector<GraphFamily> families;    // default: cycle, grid, torus
   std::vector<std::string> models;      // default: all named models
@@ -70,7 +70,7 @@ struct ChaosConfig {
 /// One matrix cell: its coordinates plus the campaign outcome and the
 /// DegradeStatus buckets summed over the cell's trials.
 struct ChaosCell {
-  DecoderKind decoder = DecoderKind::kOrientation;
+  PipelineId decoder = PipelineId::kOrientation;
   GraphFamily family = GraphFamily::kCycle;  // family actually used
   std::string model;
   int rate_percent = 100;

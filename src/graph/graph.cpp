@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <numeric>
 #include <unordered_map>
 
 #include "util/thread_pool.hpp"
@@ -285,12 +284,6 @@ std::optional<int> Graph::find_index(NodeId id) const {
   return by_id_ix_[static_cast<std::size_t>(it - sorted_ids_.begin())];
 }
 
-int Graph::index_of(NodeId id) const {
-  const auto ix = find_index(id);
-  LAD_CHECK_MSG(ix.has_value(), "no node with ID " << id);
-  return *ix;
-}
-
 int Graph::edge_between(int u, int v) const {
   if (degree(u) > degree(v)) std::swap(u, v);
   const auto nb = neighbors(u);
@@ -307,12 +300,6 @@ int Graph::port_of(int v, int u) const {
     if (nb[p] == u) return static_cast<int>(p);
   }
   return -1;
-}
-
-std::vector<int> Graph::all_nodes() const {
-  std::vector<int> v(static_cast<std::size_t>(n()));
-  std::iota(v.begin(), v.end(), 0);
-  return v;
 }
 
 Graph make_graph(const std::vector<NodeId>& ids,

@@ -34,10 +34,9 @@ using NodeId = std::int64_t;
 
 class Graph {
  public:
-  /// Allocation-free view of the dense node indices [0, n): the replacement
-  /// for the old allocate-a-vector-per-call `all_nodes()` (a 10⁷-entry
-  /// std::vector<int> per call is real money). Random-access, so it drops
-  /// into range-for, std algorithms, and vector construction alike.
+  /// Allocation-free view of the dense node indices [0, n) (a 10⁷-entry
+  /// std::vector<int> per call would be real money). Random-access, so it
+  /// drops into range-for, std algorithms, and vector construction alike.
   class NodeRange {
    public:
     class iterator {
@@ -170,13 +169,6 @@ class Graph {
   /// Binary search over the sorted ID index: O(log n), no hashing.
   std::optional<int> find_index(NodeId id) const;
 
-  /// Deprecated shim for find_index: throws ContractViolation if absent.
-  /// Prefer `find_index` — one lookup, explicit absence.
-  int index_of(NodeId id) const;
-
-  /// Deprecated shim for find_index().has_value().
-  bool has_id(NodeId id) const { return find_index(id).has_value(); }
-
   /// Endpoints of edge e, with endpoint_u(e) < endpoint_v(e) as indices.
   int edge_u(int e) const {
     LAD_ASSERT(e >= 0 && e < m());
@@ -208,10 +200,6 @@ class Graph {
   /// Node indices ordered by ascending LOCAL identifier — the sorted ID
   /// index itself, exposed: "iterate nodes in ID order" costs nothing.
   std::span<const int> nodes_by_id() const { return by_id_ix_; }
-
-  /// Deprecated shim: materializes nodes() into a vector. Prefer the
-  /// nodes() view; this allocates n ints per call.
-  std::vector<int> all_nodes() const;
 
   // Raw contiguous CSR views for serialization and digesting (graph/io.*).
   std::span<const NodeId> raw_ids() const { return ids_; }

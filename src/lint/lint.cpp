@@ -31,7 +31,7 @@ std::string json_escape(const std::string& s) {
 
 // ---------------------------------------------------------------------------
 // Baseline document: the same hand-rolled JSON subset discipline as
-// obs/benchdiff.cpp — we parse exactly what our own writer emits and reject
+// obs/diff.cpp — we parse exactly what our own writer emits and reject
 // everything else loudly.
 
 struct BaselineEntry {

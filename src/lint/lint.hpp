@@ -1,7 +1,7 @@
 // `lad lint` driver: source collection, pragma suppression, baseline diff,
 // and report rendering (DESIGN.md §10).
 //
-// The flow mirrors the bench-regression sentinel (obs/benchdiff.hpp): a
+// The flow mirrors the bench-regression sentinel (obs/diff.hpp): a
 // deterministic analysis produces a machine-readable document, a checked-in
 // baseline grandfathers known findings, and the exit code is the contract
 // CI gates on:

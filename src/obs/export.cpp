@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -46,7 +45,7 @@ std::string TraceRecorder::to_chrome_json() const {
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
        << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
   }
-  // Flight-recorder counter lanes (ph "C", DESIGN.md §14): one sample per
+  // Flight-recorder counter lanes (ph "C", DESIGN.md §13): one sample per
   // recorded engine round, so Perfetto renders round-by-round message /
   // byte / barrier-wait series alongside the span lanes.
   for (const RoundSample& s : FlightRecorder::instance().samples()) {
@@ -82,9 +81,6 @@ std::string TraceRecorder::to_jsonl() const {
   }
   return os.str();
 }
-
-std::string to_chrome_trace_json(const TraceRecorder& rec) { return rec.to_chrome_json(); }
-std::string to_events_jsonl(const TraceRecorder& rec) { return rec.to_jsonl(); }
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry exports
@@ -123,46 +119,6 @@ std::string MetricsRegistry::to_prometheus() const {
     }
   }
   return os.str();
-}
-
-std::string MetricsRegistry::to_table(bool skip_zero) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::ostringstream os;
-  std::size_t width = 0;
-  for (const auto& e : entries_) width = std::max(width, e->name.size() + 6);
-  char line[256];
-  for (const auto& e : entries_) {
-    switch (e->kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge: {
-        const long long v = e->kind == MetricKind::kCounter ? e->counter->value()
-                                                            : e->gauge->value();
-        if (skip_zero && v == 0) break;
-        std::snprintf(line, sizeof(line), "  %-*s %12lld%s\n", static_cast<int>(width),
-                      e->name.c_str(), v, e->thread_variant ? "  [thread-variant]" : "");
-        os << line;
-        break;
-      }
-      case MetricKind::kHistogram: {
-        const long long count = e->histogram->count();
-        if (skip_zero && count == 0) break;
-        const long long sum = e->histogram->sum();
-        const double avg = count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
-                                     : 0.0;
-        std::snprintf(line, sizeof(line), "  %-*s count=%lld sum=%lld avg=%.2f%s\n",
-                      static_cast<int>(width), e->name.c_str(), count, sum, avg,
-                      e->thread_variant ? "  [thread-variant]" : "");
-        os << line;
-        break;
-      }
-    }
-  }
-  return os.str();
-}
-
-std::string to_prometheus_text(const MetricsRegistry& reg) { return reg.to_prometheus(); }
-std::string to_summary_table(const MetricsRegistry& reg, bool skip_zero) {
-  return reg.to_table(skip_zero);
 }
 
 std::string iso8601_utc_now() {

@@ -9,7 +9,6 @@
 //     HELP/TYPE headers; histograms use cumulative le buckets. All values
 //     are integers, so the rendering is byte-deterministic for a fixed
 //     metric state.
-//   * Human summary table — what `lad trace` prints.
 //
 // Everything here renders a point-in-time view; record first, export after
 // parallel work has joined (the pool barrier orders the buffer writes).
@@ -20,14 +19,6 @@
 #include "obs/telemetry.hpp"
 
 namespace lad::obs {
-
-std::string to_chrome_trace_json(const TraceRecorder& rec);
-std::string to_events_jsonl(const TraceRecorder& rec);
-std::string to_prometheus_text(const MetricsRegistry& reg);
-
-/// Aligned `metric value` lines; histograms render count/sum/avg.
-/// `skip_zero` drops zero-valued scalars (default: compact output).
-std::string to_summary_table(const MetricsRegistry& reg, bool skip_zero = true);
 
 /// Current UTC wall time as "YYYY-MM-DDTHH:MM:SSZ" (bench JSON stamps).
 std::string iso8601_utc_now();

@@ -3,7 +3,7 @@
 // Anything else is a hard parse error — this reads our own artifacts
 // (bench JSON, profile JSON), so leniency would only mask writer bugs.
 //
-// Shared by obs/benchdiff.cpp and obs/profile.cpp; header-only so the
+// Shared by obs/diff.cpp and obs/profile.cpp; header-only so the
 // parser stays a single definition with zero link-time surface.
 #pragma once
 

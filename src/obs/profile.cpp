@@ -1,12 +1,12 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/json_mini.hpp"
+#include "obs/timeline.hpp"
 
 namespace lad::obs {
 namespace {
@@ -57,6 +57,49 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+const char* bool_text(bool b) { return b ? "true" : "false"; }
+
+// One-line renderings of the deterministic rows: what the exact-field
+// comparator sees, so a finding names every column that moved.
+std::string row_text(const PhaseAlloc& p) {
+  return p.phase + ": " + std::to_string(p.allocs) + " allocs / " +
+         std::to_string(p.alloc_bytes) + " B";
+}
+
+std::string row_text(const RoundDelta& r) {
+  return "round " + std::to_string(r.round) + ": messages " + std::to_string(r.messages) +
+         ", bytes " + std::to_string(r.bytes) + ", faults " + std::to_string(r.faults) +
+         ", repairs " + std::to_string(r.repairs) + ", allocs " + std::to_string(r.allocs) +
+         "/" + std::to_string(r.alloc_bytes) + " B";
+}
+
+/// Every field of the deterministic slice through the exact comparator.
+void diff_slices(DiffResult& res, const RunDeterministic& b, const RunDeterministic& c) {
+  res.exact("", "pipeline", b.pipeline, c.pipeline);
+  res.exact("", "source", b.source, c.source);
+  res.exact("", "graph_digest", b.graph_digest, c.graph_digest);
+  res.exact("", "n", b.n, c.n);
+  res.exact("", "m", b.m, c.m);
+  res.exact("", "seed", std::to_string(b.seed), std::to_string(c.seed));
+  res.exact("", "decode_rounds", b.decode_rounds, c.decode_rounds);
+  res.exact("", "verify_ok", bool_text(b.verify_ok), bool_text(c.verify_ok));
+  res.exact("", "output_digest", b.output_digest, c.output_digest);
+  res.exact("", "advice_bits", b.advice_bits, c.advice_bits);
+  res.exact("", "engine_messages", b.engine_messages, c.engine_messages);
+  res.exact("", "engine_message_bits", b.engine_message_bits, c.engine_message_bits);
+  res.exact("", "phases", static_cast<long long>(b.phases.size()),
+            static_cast<long long>(c.phases.size()));
+  for (std::size_t i = 0; i < std::min(b.phases.size(), c.phases.size()); ++i) {
+    res.exact("", "phases." + b.phases[i].phase, row_text(b.phases[i]), row_text(c.phases[i]));
+  }
+  res.exact("", "rounds", static_cast<long long>(b.rounds.size()),
+            static_cast<long long>(c.rounds.size()));
+  for (std::size_t i = 0; i < std::min(b.rounds.size(), c.rounds.size()); ++i) {
+    res.exact("", "rounds[" + std::to_string(b.rounds[i].round) + "]", row_text(b.rounds[i]),
+              row_text(c.rounds[i]));
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& phase_taxonomy() {
@@ -83,67 +126,6 @@ std::string phase_of_span(const std::string& span_name) {
     return "verify";
   }
   return "other";
-}
-
-// ---------------------------------------------------------------------------
-// PoolAccounting
-
-struct PoolAccounting::SlotCell {
-  int tid = -1;
-  std::atomic<long long> busy_us{0};
-  std::atomic<long long> chunks{0};
-};
-
-PoolAccounting& PoolAccounting::instance() {
-  static PoolAccounting acc;
-  return acc;
-}
-
-PoolAccounting::SlotCell& PoolAccounting::local_slot() {
-  thread_local std::shared_ptr<SlotCell> cell;
-  if (!cell) {
-    cell = std::make_shared<SlotCell>();
-    cell->tid = TraceRecorder::instance().current_tid();
-    std::lock_guard<std::mutex> lk(mu_);
-    cells_.push_back(cell);
-  }
-  return *cell;
-}
-
-void PoolAccounting::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& c : cells_) {
-    c->busy_us.store(0, std::memory_order_relaxed);
-    c->chunks.store(0, std::memory_order_relaxed);
-  }
-}
-
-void PoolAccounting::record_chunk(std::uint64_t dur_us) {
-  SlotCell& c = local_slot();
-  c.busy_us.fetch_add(static_cast<long long>(dur_us), std::memory_order_relaxed);
-  c.chunks.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<PoolAccounting::Slot> PoolAccounting::slots() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Slot> out;
-  for (const auto& c : cells_) {
-    const long long chunks = c->chunks.load(std::memory_order_relaxed);
-    if (chunks == 0) continue;
-    out.push_back({c->tid, c->busy_us.load(std::memory_order_relaxed), chunks});
-  }
-  std::sort(out.begin(), out.end(), [](const Slot& a, const Slot& b) { return a.tid < b.tid; });
-  return out;
-}
-
-ChunkTimer::ChunkTimer() {
-  if (!enabled()) return;
-  active_ = true;
-  begin_us_ = trace_now_us();
-}
-
-ChunkTimer::~ChunkTimer() {
-  if (active_) PoolAccounting::instance().record_chunk(trace_now_us() - begin_us_);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,105 +179,6 @@ std::string top_phase_from_trace() {
   return best_us > 0 ? best : std::string{};
 }
 
-// ---------------------------------------------------------------------------
-// Report assembly
-
-ProfileReport build_profile_report(
-    const ProfileIdentity& id, const std::vector<PhaseAlloc>& phase_allocs,
-    const std::vector<std::pair<int, std::vector<TraceEvent>>>& events_by_thread,
-    const std::vector<PoolAccounting::Slot>& pool_slots,
-    const std::vector<std::pair<int, std::string>>& thread_names, int threads, int reps,
-    double total_ms) {
-  ProfileReport rep;
-  rep.id = id;
-  rep.phase_allocs = phase_allocs;
-  rep.threads = threads;
-  rep.reps = reps;
-  rep.total_ms = total_ms;
-
-  const auto cells = self_times_by_cell(events_by_thread);
-  long long total_self_us = 0;
-  for (const auto& [key, acc] : cells) total_self_us += acc.self_us;
-
-  std::map<std::string, CellAccum> by_phase;
-  for (const auto& [key, acc] : cells) {
-    CellAccum& p = by_phase[key.first];
-    p.self_us += acc.self_us;
-    p.spans += acc.spans;
-    rep.cells.push_back({key.first, key.second, us_to_ms(acc.self_us), acc.spans});
-  }
-  std::sort(rep.cells.begin(), rep.cells.end(), [](const ProfileCell& a, const ProfileCell& b) {
-    if (a.self_ms != b.self_ms) return a.self_ms > b.self_ms;
-    if (a.phase != b.phase) return phase_rank(a.phase) < phase_rank(b.phase);
-    return a.tid < b.tid;
-  });
-
-  for (const std::string& phase : phase_taxonomy()) {
-    const auto it = by_phase.find(phase);
-    if (it == by_phase.end()) continue;
-    const double pct = total_self_us > 0
-                           ? 100.0 * static_cast<double>(it->second.self_us) /
-                                 static_cast<double>(total_self_us)
-                           : 0.0;
-    rep.phases.push_back({phase, us_to_ms(it->second.self_us), pct, it->second.spans});
-  }
-  std::sort(rep.phases.begin(), rep.phases.end(), [](const PhaseTime& a, const PhaseTime& b) {
-    if (a.self_ms != b.self_ms) return a.self_ms > b.self_ms;
-    return phase_rank(a.phase) < phase_rank(b.phase);
-  });
-
-  // Thread rows: one per pool slot plus any traced-but-chunkless thread.
-  long long total_chunks = 0;
-  for (const auto& s : pool_slots) total_chunks += s.chunks;
-  const long long workers = static_cast<long long>(pool_slots.size());
-  const long long fair_share = workers > 0 ? (total_chunks + workers - 1) / workers : 0;
-  const auto name_of = [&thread_names](int tid) -> std::string {
-    for (const auto& [t, n] : thread_names) {
-      if (t == tid) return n;
-    }
-    return {};
-  };
-  std::vector<int> tids;
-  for (const auto& s : pool_slots) tids.push_back(s.tid);
-  for (const auto& [tid, events] : events_by_thread) {
-    (void)events;
-    if (std::find(tids.begin(), tids.end(), tid) == tids.end()) tids.push_back(tid);
-  }
-  std::sort(tids.begin(), tids.end());
-  for (const int tid : tids) {
-    ProfileThread row;
-    row.tid = tid;
-    row.name = name_of(tid);
-    for (const auto& s : pool_slots) {
-      if (s.tid != tid) continue;
-      row.busy_ms = us_to_ms(s.busy_us);
-      row.chunks = s.chunks;
-      row.steal = std::max(0LL, s.chunks - fair_share);
-    }
-    row.idle_ms = std::max(0.0, total_ms - row.busy_ms);
-    rep.thread_rows.push_back(row);
-  }
-
-  // Imbalance: max busy / mean busy across workers that executed chunks.
-  if (workers >= 2) {
-    long long max_busy = 0;
-    long long sum_busy = 0;
-    for (const auto& s : pool_slots) {
-      max_busy = std::max(max_busy, s.busy_us);
-      sum_busy += s.busy_us;
-    }
-    const double mean = static_cast<double>(sum_busy) / static_cast<double>(workers);
-    rep.imbalance = mean > 0 ? static_cast<double>(max_busy) / mean : 1.0;
-  }
-
-  for (const auto& [tid, events] : events_by_thread) {
-    (void)tid;
-    rep.trace_events += static_cast<long long>(events.size());
-  }
-  rep.trace_dropped = TraceRecorder::instance().dropped();
-  return rep;
-}
-
 std::string fingerprint_hex(const std::vector<std::string>& parts) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (const std::string& p : parts) {
@@ -310,29 +193,191 @@ std::string fingerprint_hex(const std::vector<std::string>& parts) {
 }
 
 // ---------------------------------------------------------------------------
+// Reading the instruments
+
+void reset_instruments() {
+  MetricsRegistry::instance().reset();
+  TraceRecorder::instance().clear();
+  WaitAccounting::instance().reset();
+  FlightRecorder::instance().clear();
+}
+
+RunMeasured capture_instruments(int threads, double total_ms, RunDeterministic& slice) {
+  slice.engine_messages = core().engine_messages.value();
+  slice.engine_message_bits = core().engine_message_bits.value();
+  // Allocation totals per phase: the two counting hooks are pinned to the
+  // phase whose buffers they count; the other phases report zero.
+  slice.phases.clear();
+  for (const std::string& phase : phase_taxonomy()) {
+    PhaseAlloc row{phase, 0, 0};
+    if (phase == "gather") {
+      row.allocs = core().alloc_gather.value();
+      row.alloc_bytes = core().alloc_gather_bytes.value();
+    } else if (phase == "message-exchange") {
+      row.allocs = core().alloc_msgbuf.value();
+      row.alloc_bytes = core().alloc_msgbuf_bytes.value();
+    }
+    slice.phases.push_back(row);
+  }
+
+  RunMeasured run;
+  run.threads = threads;
+  run.total_ms = total_ms;
+  slice.rounds.clear();
+  for (const RoundSample& s : FlightRecorder::instance().samples()) {
+    slice.rounds.push_back({s.round, s.messages, s.bytes, s.faults, s.repairs, s.allocs,
+                            s.alloc_bytes});
+    run.rounds.push_back({s.round, s.wall_ms, s.dispatch_us, s.queue_us, s.wait_us,
+                          s.max_wait_us, s.workers, s.imbalance, s.critical_tid});
+  }
+  run.flight_dropped = FlightRecorder::instance().dropped();
+
+  const TraceRecorder& rec = TraceRecorder::instance();
+  const auto events_by_thread = rec.events_by_thread();
+  const auto cells = self_times_by_cell(events_by_thread);
+  long long total_self_us = 0;
+  std::map<std::string, CellAccum> by_phase;
+  for (const auto& [key, acc] : cells) {
+    total_self_us += acc.self_us;
+    CellAccum& p = by_phase[key.first];
+    p.self_us += acc.self_us;
+    p.spans += acc.spans;
+    run.cells.push_back({key.first, key.second, us_to_ms(acc.self_us), acc.spans});
+  }
+  std::sort(run.cells.begin(), run.cells.end(), [](const CostCell& a, const CostCell& b) {
+    if (a.self_ms != b.self_ms) return a.self_ms > b.self_ms;
+    if (a.phase != b.phase) return phase_rank(a.phase) < phase_rank(b.phase);
+    return a.tid < b.tid;
+  });
+  for (const auto& [phase, acc] : by_phase) {
+    const double pct = total_self_us > 0 ? 100.0 * static_cast<double>(acc.self_us) /
+                                               static_cast<double>(total_self_us)
+                                         : 0.0;
+    run.phases.push_back({phase, us_to_ms(acc.self_us), pct, acc.spans});
+  }
+  std::sort(run.phases.begin(), run.phases.end(), [](const PhaseTime& a, const PhaseTime& b) {
+    if (a.self_ms != b.self_ms) return a.self_ms > b.self_ms;
+    return phase_rank(a.phase) < phase_rank(b.phase);
+  });
+  const SerialSplit split = serial_split_from_trace();
+  run.serial_ms = split.serial_ms;
+  run.compute_ms = split.compute_ms;
+  run.serial_fraction = split.serial_fraction;
+
+  // Thread rows: one per worker of the chunk ledger plus any traced thread.
+  const auto slots = WaitAccounting::instance().slots();
+  long long total_chunks = 0;
+  long long max_busy = 0;
+  long long sum_busy = 0;
+  for (const auto& s : slots) {
+    total_chunks += s.chunks;
+    max_busy = std::max(max_busy, s.busy_us);
+    sum_busy += s.busy_us;
+  }
+  const auto workers = static_cast<long long>(slots.size());
+  const long long fair_share = workers > 0 ? (total_chunks + workers - 1) / workers : 0;
+  std::vector<int> tids;
+  for (const auto& s : slots) tids.push_back(s.tid);
+  for (const auto& [tid, events] : events_by_thread) {
+    run.trace_events += static_cast<long long>(events.size());
+    if (std::find(tids.begin(), tids.end(), tid) == tids.end()) tids.push_back(tid);
+  }
+  std::sort(tids.begin(), tids.end());
+  const auto names = rec.thread_names();
+  for (const int tid : tids) {
+    ThreadRow row;
+    row.tid = tid;
+    for (const auto& [t, name] : names) {
+      if (t == tid) row.name = name;
+    }
+    for (const auto& s : slots) {
+      if (s.tid != tid) continue;
+      row.busy_ms = us_to_ms(s.busy_us);
+      row.chunks = s.chunks;
+      row.steal = std::max(0LL, s.chunks - fair_share);
+    }
+    row.idle_ms = std::max(0.0, total_ms - row.busy_ms);
+    run.thread_rows.push_back(row);
+  }
+  // Imbalance: max busy / mean busy across workers that executed chunks.
+  if (workers >= 2 && sum_busy > 0) {
+    run.imbalance = static_cast<double>(max_busy) * static_cast<double>(workers) /
+                    static_cast<double>(sum_busy);
+  }
+  run.trace_dropped = rec.dropped();
+  return run;
+}
+
+// ---------------------------------------------------------------------------
+// Record assembly
+
+void RunReport::add_run(const RunDeterministic& slice, RunMeasured row) {
+  if (runs.empty()) {
+    det = slice;
+  } else {
+    // §8 contract: the deterministic slice agrees exactly across thread
+    // counts. A divergence is a determinism bug, not noise.
+    DiffResult d;
+    diff_slices(d, det, slice);
+    if (!d.findings.empty()) {
+      throw std::runtime_error("deterministic slice diverged between " +
+                               std::to_string(runs.front().threads) + "t and " +
+                               std::to_string(row.threads) + "t runs: " +
+                               d.findings.front().field + ": " + d.findings.front().detail);
+    }
+  }
+  const auto at = std::upper_bound(
+      runs.begin(), runs.end(), row.threads,
+      [](int threads, const RunMeasured& r) { return threads < r.threads; });
+  runs.insert(at, std::move(row));
+
+  // The Amdahl serial fraction is measured where it is well-defined: the
+  // 1-thread row (all self-time on one thread). Fall back to the smallest
+  // thread count when no 1-thread row was requested.
+  const auto one = std::find_if(runs.begin(), runs.end(),
+                                [](const RunMeasured& r) { return r.threads == 1; });
+  const double s1 = (one != runs.end() ? *one : runs.front()).serial_fraction;
+  const double t1_ms = one != runs.end() ? one->total_ms : 0.0;
+  for (RunMeasured& r : runs) {
+    r.predicted_max_speedup = amdahl_speedup(s1, r.threads);
+    r.measured_speedup = t1_ms > 0 && r.total_ms > 0 ? t1_ms / r.total_ms : 0.0;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // JSON
 
-std::string ProfileReport::deterministic_json() const {
+std::string RunReport::deterministic_json() const {
   std::ostringstream os;
   os << "{\n";
-  os << "    \"profile_schema_version\": " << kProfileSchemaVersion << ",\n";
-  os << "    \"pipeline\": \"" << json_escape(id.pipeline) << "\",\n";
-  os << "    \"source\": \"" << json_escape(id.source) << "\",\n";
-  os << "    \"graph_digest\": \"" << json_escape(id.graph_digest) << "\",\n";
-  os << "    \"n\": " << id.n << ",\n";
-  os << "    \"m\": " << id.m << ",\n";
-  os << "    \"seed\": " << id.seed << ",\n";
-  os << "    \"decode_rounds\": " << id.decode_rounds << ",\n";
-  os << "    \"verify_ok\": " << (id.verify_ok ? "true" : "false") << ",\n";
-  os << "    \"output_digest\": \"" << json_escape(id.output_digest) << "\",\n";
-  os << "    \"advice_bits\": " << id.advice_bits << ",\n";
-  os << "    \"engine_messages\": " << id.engine_messages << ",\n";
-  os << "    \"engine_message_bits\": " << id.engine_message_bits << ",\n";
+  os << "    \"run_schema_version\": " << kRunSchemaVersion << ",\n";
+  os << "    \"pipeline\": \"" << json_escape(det.pipeline) << "\",\n";
+  os << "    \"source\": \"" << json_escape(det.source) << "\",\n";
+  os << "    \"graph_digest\": \"" << json_escape(det.graph_digest) << "\",\n";
+  os << "    \"n\": " << det.n << ",\n";
+  os << "    \"m\": " << det.m << ",\n";
+  os << "    \"seed\": " << det.seed << ",\n";
+  os << "    \"decode_rounds\": " << det.decode_rounds << ",\n";
+  os << "    \"verify_ok\": " << bool_text(det.verify_ok) << ",\n";
+  os << "    \"output_digest\": \"" << json_escape(det.output_digest) << "\",\n";
+  os << "    \"advice_bits\": " << det.advice_bits << ",\n";
+  os << "    \"engine_messages\": " << det.engine_messages << ",\n";
+  os << "    \"engine_message_bits\": " << det.engine_message_bits << ",\n";
   os << "    \"phases\": [\n";
-  for (std::size_t i = 0; i < phase_allocs.size(); ++i) {
-    const PhaseAlloc& p = phase_allocs[i];
+  for (std::size_t i = 0; i < det.phases.size(); ++i) {
+    const PhaseAlloc& p = det.phases[i];
     os << "      {\"phase\": \"" << json_escape(p.phase) << "\", \"allocs\": " << p.allocs
-       << ", \"alloc_bytes\": " << p.alloc_bytes << "}" << (i + 1 < phase_allocs.size() ? "," : "")
+       << ", \"alloc_bytes\": " << p.alloc_bytes << "}" << (i + 1 < det.phases.size() ? "," : "")
+       << "\n";
+  }
+  os << "    ],\n";
+  os << "    \"rounds\": [\n";
+  for (std::size_t i = 0; i < det.rounds.size(); ++i) {
+    const RoundDelta& r = det.rounds[i];
+    os << "      {\"round\": " << r.round << ", \"messages\": " << r.messages
+       << ", \"bytes\": " << r.bytes << ", \"faults\": " << r.faults
+       << ", \"repairs\": " << r.repairs << ", \"allocs\": " << r.allocs
+       << ", \"alloc_bytes\": " << r.alloc_bytes << "}" << (i + 1 < det.rounds.size() ? "," : "")
        << "\n";
   }
   os << "    ]\n";
@@ -340,44 +385,68 @@ std::string ProfileReport::deterministic_json() const {
   return os.str();
 }
 
-std::string ProfileReport::to_json() const {
+std::string RunReport::to_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"deterministic\": " << deterministic_json() << ",\n";
-  os << "  \"threads\": " << threads << ",\n";
-  os << "  \"reps\": " << reps << ",\n";
   os << "  \"git_commit\": \"" << json_escape(git_commit) << "\",\n";
   os << "  \"timestamp\": \"" << json_escape(timestamp) << "\",\n";
   os << "  \"measured\": {\n";
-  os << "    \"total_ms\": " << fmt3(total_ms) << ",\n";
-  os << "    \"imbalance\": " << fmt2(imbalance) << ",\n";
-  os << "    \"phases\": [\n";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseTime& p = phases[i];
-    os << "      {\"phase\": \"" << json_escape(p.phase) << "\", \"self_ms\": " << fmt3(p.self_ms)
-       << ", \"pct\": " << fmt1(p.pct) << ", \"spans\": " << p.spans << "}"
-       << (i + 1 < phases.size() ? "," : "") << "\n";
+  os << "    \"reps\": " << reps << ",\n";
+  os << "    \"runs\": [\n";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const RunMeasured& r = runs[i];
+    os << "      {\n";
+    os << "        \"threads\": " << r.threads << ",\n";
+    os << "        \"total_ms\": " << fmt3(r.total_ms) << ",\n";
+    os << "        \"imbalance\": " << fmt2(r.imbalance) << ",\n";
+    os << "        \"serial_ms\": " << fmt3(r.serial_ms) << ",\n";
+    os << "        \"compute_ms\": " << fmt3(r.compute_ms) << ",\n";
+    os << "        \"serial_fraction\": " << fmt3(r.serial_fraction) << ",\n";
+    os << "        \"predicted_max_speedup\": " << fmt3(r.predicted_max_speedup) << ",\n";
+    os << "        \"measured_speedup\": " << fmt3(r.measured_speedup) << ",\n";
+    os << "        \"trace_events\": " << r.trace_events << ",\n";
+    os << "        \"trace_dropped\": " << r.trace_dropped << ",\n";
+    os << "        \"flight_dropped\": " << r.flight_dropped << ",\n";
+    os << "        \"phases\": [\n";
+    for (std::size_t j = 0; j < r.phases.size(); ++j) {
+      const PhaseTime& p = r.phases[j];
+      os << "          {\"phase\": \"" << json_escape(p.phase) << "\", \"self_ms\": "
+         << fmt3(p.self_ms) << ", \"pct\": " << fmt1(p.pct) << ", \"spans\": " << p.spans << "}"
+         << (j + 1 < r.phases.size() ? "," : "") << "\n";
+    }
+    os << "        ],\n";
+    os << "        \"cells\": [\n";
+    for (std::size_t j = 0; j < r.cells.size(); ++j) {
+      const CostCell& c = r.cells[j];
+      os << "          {\"phase\": \"" << json_escape(c.phase) << "\", \"tid\": " << c.tid
+         << ", \"self_ms\": " << fmt3(c.self_ms) << ", \"spans\": " << c.spans << "}"
+         << (j + 1 < r.cells.size() ? "," : "") << "\n";
+    }
+    os << "        ],\n";
+    os << "        \"thread_rows\": [\n";
+    for (std::size_t j = 0; j < r.thread_rows.size(); ++j) {
+      const ThreadRow& t = r.thread_rows[j];
+      os << "          {\"tid\": " << t.tid << ", \"name\": \"" << json_escape(t.name)
+         << "\", \"busy_ms\": " << fmt3(t.busy_ms) << ", \"idle_ms\": " << fmt3(t.idle_ms)
+         << ", \"chunks\": " << t.chunks << ", \"steal\": " << t.steal << "}"
+         << (j + 1 < r.thread_rows.size() ? "," : "") << "\n";
+    }
+    os << "        ],\n";
+    os << "        \"rounds\": [\n";
+    for (std::size_t j = 0; j < r.rounds.size(); ++j) {
+      const RoundWait& w = r.rounds[j];
+      os << "          {\"round\": " << w.round << ", \"wall_ms\": " << fmt3(w.wall_ms)
+         << ", \"dispatch_us\": " << fmt1(w.dispatch_us) << ", \"queue_us\": "
+         << fmt1(w.queue_us) << ", \"wait_us\": " << fmt1(w.wait_us) << ", \"max_wait_us\": "
+         << fmt1(w.max_wait_us) << ", \"workers\": " << w.workers << ", \"imbalance\": "
+         << fmt3(w.imbalance) << ", \"critical_tid\": " << w.critical_tid << "}"
+         << (j + 1 < r.rounds.size() ? "," : "") << "\n";
+    }
+    os << "        ]\n";
+    os << "      }" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
-  os << "    ],\n";
-  os << "    \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ProfileCell& c = cells[i];
-    os << "      {\"phase\": \"" << json_escape(c.phase) << "\", \"tid\": " << c.tid
-       << ", \"self_ms\": " << fmt3(c.self_ms) << ", \"spans\": " << c.spans << "}"
-       << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  os << "    ],\n";
-  os << "    \"threads\": [\n";
-  for (std::size_t i = 0; i < thread_rows.size(); ++i) {
-    const ProfileThread& t = thread_rows[i];
-    os << "      {\"tid\": " << t.tid << ", \"name\": \"" << json_escape(t.name)
-       << "\", \"busy_ms\": " << fmt3(t.busy_ms) << ", \"idle_ms\": " << fmt3(t.idle_ms)
-       << ", \"chunks\": " << t.chunks << ", \"steal\": " << t.steal << "}"
-       << (i + 1 < thread_rows.size() ? "," : "") << "\n";
-  }
-  os << "    ],\n";
-  os << "    \"trace_events\": " << trace_events << ",\n";
-  os << "    \"trace_dropped\": " << trace_dropped << "\n";
+  os << "    ]\n";
   os << "  }\n";
   os << "}\n";
   return os.str();
@@ -386,245 +455,180 @@ std::string ProfileReport::to_json() const {
 // ---------------------------------------------------------------------------
 // Markdown
 
-std::string ProfileReport::to_markdown() const {
+std::string RunReport::to_markdown() const {
   std::ostringstream os;
-  os << "# PERF — profiling observatory report\n\n";
+  os << "# PERF — observed-run report\n\n";
   os << "Generated by `lad profile`; do not edit by hand. Timings are measured\n"
         "on the build machine; every other field is deterministic and must be\n"
         "byte-identical across reruns and thread counts (DESIGN.md §13).\n\n";
-  os << "- pipeline: `" << id.pipeline << "`\n";
-  os << "- source: `" << id.source << "` (n=" << id.n << ", m=" << id.m << ", digest `"
-     << id.graph_digest << "`)\n";
-  os << "- seed: " << id.seed << " · threads: " << threads << " · reps: " << reps << "\n";
-  os << "- verify: " << (id.verify_ok ? "ok" : "FAILED") << " · output digest: `"
-     << id.output_digest << "` · decode rounds: " << id.decode_rounds << "\n";
-  os << "- advice bits: " << id.advice_bits << " · engine messages: " << id.engine_messages
-     << " (" << id.engine_message_bits << " bits)\n";
-  os << "- total wall: " << fmt3(total_ms) << " ms (min of " << reps
-     << ") · imbalance: " << fmt2(imbalance) << "\n";
-  os << "- trace: " << trace_events << " events, " << trace_dropped << " dropped\n\n";
+  os << "- pipeline: `" << det.pipeline << "`\n";
+  os << "- source: `" << det.source << "` (n=" << det.n << ", m=" << det.m << ", digest `"
+     << det.graph_digest << "`)\n";
+  os << "- seed: " << det.seed << " · reps: " << reps << "\n";
+  os << "- verify: " << (det.verify_ok ? "ok" : "FAILED") << " · output digest: `"
+     << det.output_digest << "` · decode rounds: " << det.decode_rounds << "\n";
+  os << "- advice bits: " << det.advice_bits << " · engine messages: " << det.engine_messages
+     << " (" << det.engine_message_bits << " bits)\n\n";
 
-  os << "## Top time sinks\n\n";
-  const std::size_t top = std::min<std::size_t>(3, phases.size());
-  for (std::size_t i = 0; i < top; ++i) {
-    const PhaseTime& p = phases[i];
-    os << (i + 1) << ". **" << p.phase << "** — " << fmt3(p.self_ms) << " ms self ("
-       << fmt1(p.pct) << "%), " << p.spans << " spans\n";
+  os << "## Amdahl summary\n\n";
+  os << "| threads | total_ms | imbalance | serial_ms | compute_ms | serial_fraction | "
+        "predicted_max_speedup | measured_speedup |\n";
+  os << "|---:|---:|---:|---:|---:|---:|---:|---:|\n";
+  for (const RunMeasured& r : runs) {
+    os << "| " << r.threads << " | " << fmt3(r.total_ms) << " | " << fmt2(r.imbalance) << " | "
+       << fmt3(r.serial_ms) << " | " << fmt3(r.compute_ms) << " | " << fmt3(r.serial_fraction)
+       << " | " << fmt3(r.predicted_max_speedup) << " | " << fmt3(r.measured_speedup) << " |\n";
   }
-  if (top == 0) os << "(no spans recorded)\n";
-  os << "\n";
+  os << "\n## Phase allocations\n\n";
+  os << "| phase | allocs | alloc_bytes |\n";
+  os << "|---|---:|---:|\n";
+  for (const PhaseAlloc& a : det.phases) {
+    os << "| " << a.phase << " | " << a.allocs << " | " << a.alloc_bytes << " |\n";
+  }
+  os << "\n## Deterministic round series\n\n";
+  os << "| round | messages | bytes | faults | repairs | allocs | alloc_bytes |\n";
+  os << "|---:|---:|---:|---:|---:|---:|---:|\n";
+  for (const RoundDelta& r : det.rounds) {
+    os << "| " << r.round << " | " << r.messages << " | " << r.bytes << " | " << r.faults
+       << " | " << r.repairs << " | " << r.allocs << " | " << r.alloc_bytes << " |\n";
+  }
 
-  os << "## Phase totals\n\n";
-  os << "| phase | self_ms | % | spans | allocs | alloc_bytes |\n";
-  os << "|---|---:|---:|---:|---:|---:|\n";
-  const auto alloc_of = [this](const std::string& phase) -> const PhaseAlloc* {
-    for (const auto& a : phase_allocs) {
-      if (a.phase == phase) return &a;
+  for (const RunMeasured& r : runs) {
+    os << "\n## At " << r.threads << " thread" << (r.threads == 1 ? "" : "s") << "\n\n";
+    os << "- total wall: " << fmt3(r.total_ms) << " ms (min of " << reps
+       << ") · trace: " << r.trace_events << " events, " << r.trace_dropped
+       << " dropped · flight samples overwritten: " << r.flight_dropped << "\n\n";
+
+    os << "### Top time sinks\n\n";
+    const std::size_t top = std::min<std::size_t>(3, r.phases.size());
+    for (std::size_t i = 0; i < top; ++i) {
+      const PhaseTime& p = r.phases[i];
+      os << (i + 1) << ". **" << p.phase << "** — " << fmt3(p.self_ms) << " ms self ("
+         << fmt1(p.pct) << "%), " << p.spans << " spans\n";
     }
-    return nullptr;
-  };
-  for (const PhaseTime& p : phases) {
-    const PhaseAlloc* a = alloc_of(p.phase);
-    os << "| " << p.phase << " | " << fmt3(p.self_ms) << " | " << fmt1(p.pct) << " | " << p.spans
-       << " | " << (a != nullptr ? a->allocs : 0) << " | " << (a != nullptr ? a->alloc_bytes : 0)
-       << " |\n";
-  }
-  // Phases with allocations but no measured self-time still matter.
-  for (const PhaseAlloc& a : phase_allocs) {
-    const bool timed = std::any_of(phases.begin(), phases.end(),
-                                   [&a](const PhaseTime& p) { return p.phase == a.phase; });
-    if (!timed && (a.allocs != 0 || a.alloc_bytes != 0)) {
-      os << "| " << a.phase << " | 0.000 | 0.0 | 0 | " << a.allocs << " | " << a.alloc_bytes
+    if (top == 0) os << "(no spans recorded)\n";
+
+    os << "\n### Phase totals\n\n";
+    os << "| phase | self_ms | % | spans |\n";
+    os << "|---|---:|---:|---:|\n";
+    for (const PhaseTime& p : r.phases) {
+      os << "| " << p.phase << " | " << fmt3(p.self_ms) << " | " << fmt1(p.pct) << " | "
+         << p.spans << " |\n";
+    }
+
+    os << "\n### Cost centers (phase × thread)\n\n";
+    os << "| rank | phase | tid | thread | self_ms | spans |\n";
+    os << "|---:|---|---:|---|---:|---:|\n";
+    const auto name_of = [&r](int tid) -> std::string {
+      for (const auto& t : r.thread_rows) {
+        if (t.tid == tid && !t.name.empty()) return t.name;
+      }
+      return "-";
+    };
+    for (std::size_t i = 0; i < r.cells.size(); ++i) {
+      const CostCell& c = r.cells[i];
+      os << "| " << (i + 1) << " | " << c.phase << " | " << c.tid << " | " << name_of(c.tid)
+         << " | " << fmt3(c.self_ms) << " | " << c.spans << " |\n";
+    }
+
+    os << "\n### Threads\n\n";
+    os << "| tid | name | busy_ms | idle_ms | chunks | steal |\n";
+    os << "|---:|---|---:|---:|---:|---:|\n";
+    for (const ThreadRow& t : r.thread_rows) {
+      os << "| " << t.tid << " | " << (t.name.empty() ? "-" : t.name) << " | "
+         << fmt3(t.busy_ms) << " | " << fmt3(t.idle_ms) << " | " << t.chunks << " | " << t.steal
          << " |\n";
     }
-  }
-  os << "\n";
 
-  os << "## Cost centers (phase × thread)\n\n";
-  os << "| rank | phase | tid | thread | self_ms | spans |\n";
-  os << "|---:|---|---:|---|---:|---:|\n";
-  const auto name_of = [this](int tid) -> std::string {
-    for (const auto& t : thread_rows) {
-      if (t.tid == tid && !t.name.empty()) return t.name;
+    os << "\n### Measured rounds\n\n";
+    os << "| round | wall_ms | dispatch_us | queue_us | wait_us | max_wait_us | workers | "
+          "imbalance | critical_tid |\n";
+    os << "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
+    for (const RoundWait& w : r.rounds) {
+      os << "| " << w.round << " | " << fmt3(w.wall_ms) << " | " << fmt1(w.dispatch_us)
+         << " | " << fmt1(w.queue_us) << " | " << fmt1(w.wait_us) << " | "
+         << fmt1(w.max_wait_us) << " | " << w.workers << " | " << fmt3(w.imbalance) << " | "
+         << w.critical_tid << " |\n";
     }
-    return "-";
-  };
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ProfileCell& c = cells[i];
-    os << "| " << (i + 1) << " | " << c.phase << " | " << c.tid << " | " << name_of(c.tid)
-       << " | " << fmt3(c.self_ms) << " | " << c.spans << " |\n";
-  }
-  os << "\n";
-
-  os << "## Threads\n\n";
-  os << "| tid | name | busy_ms | idle_ms | chunks | steal |\n";
-  os << "|---:|---|---:|---:|---:|---:|\n";
-  for (const ProfileThread& t : thread_rows) {
-    os << "| " << t.tid << " | " << (t.name.empty() ? "-" : t.name) << " | " << fmt3(t.busy_ms)
-       << " | " << fmt3(t.idle_ms) << " | " << t.chunks << " | " << t.steal << " |\n";
   }
   return os.str();
 }
 
 // ---------------------------------------------------------------------------
-// diffprof
+// Parsing and diffing
 
-ProfDoc parse_profile_json(const std::string& text) {
-  const JsonValue root = JsonParser(text, "profile JSON").parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("profile JSON: top level is not an object");
-  }
+RunReport parse_run_json(const std::string& text) {
+  const JsonValue root = JsonParser(text, "run record").parse();
   const JsonValue* det = root.find("deterministic");
   if (det == nullptr || det->kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("profile JSON: missing \"deterministic\" object");
+    throw std::runtime_error("run record: missing \"deterministic\" object");
   }
-  ProfDoc doc;
-  doc.schema_version = static_cast<int>(num_field(*det, "profile_schema_version", true));
-  if (doc.schema_version < 1 || doc.schema_version > kProfileSchemaVersion) {
-    throw std::runtime_error("profile JSON: unsupported profile_schema_version " +
-                             std::to_string(doc.schema_version));
+  const int version = static_cast<int>(num_field(*det, "run_schema_version", true));
+  if (version < 1 || version > kRunSchemaVersion) {
+    throw std::runtime_error("run record: unsupported run_schema_version " +
+                             std::to_string(version));
   }
-  doc.pipeline = str_field(*det, "pipeline", true);
-  doc.source = str_field(*det, "source", true);
-  doc.graph_digest = str_field(*det, "graph_digest", true);
-  doc.n = static_cast<long long>(num_field(*det, "n", true));
-  doc.m = static_cast<long long>(num_field(*det, "m", true));
-  doc.seed = static_cast<long long>(num_field(*det, "seed", true));
-  doc.decode_rounds = static_cast<long long>(num_field(*det, "decode_rounds", true));
+  const auto integer = [](const JsonValue& obj, const char* key) {
+    return static_cast<long long>(num_field(obj, key, true));
+  };
+  const auto array = [](const JsonValue& obj, const char* key) -> const std::vector<JsonValue>& {
+    const JsonValue* v = obj.find(key);
+    if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
+      throw std::runtime_error(std::string("run record: missing \"") + key + "\" array");
+    }
+    return v->array;
+  };
+  RunReport rep;
+  RunDeterministic& d = rep.det;
+  d.pipeline = str_field(*det, "pipeline", true);
+  d.source = str_field(*det, "source", true);
+  d.graph_digest = str_field(*det, "graph_digest", true);
+  d.n = integer(*det, "n");
+  d.m = integer(*det, "m");
+  d.seed = static_cast<std::uint64_t>(integer(*det, "seed"));
+  d.decode_rounds = integer(*det, "decode_rounds");
   const JsonValue* ok = det->find("verify_ok");
   if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-    throw std::runtime_error("profile JSON: missing boolean \"verify_ok\"");
+    throw std::runtime_error("run record: missing boolean \"verify_ok\"");
   }
-  doc.verify_ok = ok->boolean;
-  doc.output_digest = str_field(*det, "output_digest", true);
-  doc.advice_bits = static_cast<long long>(num_field(*det, "advice_bits", true));
-  doc.engine_messages = static_cast<long long>(num_field(*det, "engine_messages", true));
-  doc.engine_message_bits = static_cast<long long>(num_field(*det, "engine_message_bits", true));
-  const JsonValue* phases = det->find("phases");
-  if (phases == nullptr || phases->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("profile JSON: missing \"phases\" array");
+  d.verify_ok = ok->boolean;
+  d.output_digest = str_field(*det, "output_digest", true);
+  d.advice_bits = integer(*det, "advice_bits");
+  d.engine_messages = integer(*det, "engine_messages");
+  d.engine_message_bits = integer(*det, "engine_message_bits");
+  for (const JsonValue& p : array(*det, "phases")) {
+    d.phases.push_back({str_field(p, "phase", true), integer(p, "allocs"),
+                        integer(p, "alloc_bytes")});
   }
-  for (const JsonValue& p : phases->array) {
-    if (p.kind != JsonValue::Kind::kObject) {
-      throw std::runtime_error("profile JSON: phase entry is not an object");
+  for (const JsonValue& r : array(*det, "rounds")) {
+    d.rounds.push_back({integer(r, "round"), integer(r, "messages"), integer(r, "bytes"),
+                        integer(r, "faults"), integer(r, "repairs"), integer(r, "allocs"),
+                        integer(r, "alloc_bytes")});
+  }
+  rep.git_commit = str_field(root, "git_commit", false);
+  rep.timestamp = str_field(root, "timestamp", false);
+  if (const JsonValue* meas = root.find("measured"); meas != nullptr) {
+    rep.reps = static_cast<int>(num_field(*meas, "reps", false, 1));
+    for (const JsonValue& r : array(*meas, "runs")) {
+      RunMeasured row;
+      row.threads = static_cast<int>(integer(r, "threads"));
+      row.total_ms = num_field(r, "total_ms", true);
+      rep.runs.push_back(std::move(row));
     }
-    PhaseAlloc row;
-    row.phase = str_field(p, "phase", true);
-    row.allocs = static_cast<long long>(num_field(p, "allocs", true));
-    row.alloc_bytes = static_cast<long long>(num_field(p, "alloc_bytes", true));
-    doc.phase_allocs.push_back(std::move(row));
   }
-  doc.threads = static_cast<int>(num_field(root, "threads", /*required=*/false, 1));
-  if (const JsonValue* meas = root.find("measured");
-      meas != nullptr && meas->kind == JsonValue::Kind::kObject) {
-    doc.total_ms = num_field(*meas, "total_ms", /*required=*/false, 0);
-  }
-  return doc;
+  return rep;
 }
 
-DiffStatus ProfDiffResult::status() const {
-  DiffStatus worst = DiffStatus::kClean;
-  for (const auto& d : diffs) {
-    if (static_cast<int>(d.severity) > static_cast<int>(worst)) worst = d.severity;
-  }
-  return worst;
-}
-
-std::string ProfDiffResult::to_text() const {
-  std::ostringstream os;
-  if (diffs.empty()) {
-    os << "diffprof: clean\n";
-    return os.str();
-  }
-  for (const auto& d : diffs) {
-    os << (d.severity == DiffStatus::kRegression ? "REGRESSION" : "MISMATCH") << " ["
-       << d.field << "]: " << d.detail << "\n";
-  }
-  os << "diffprof: " << diffs.size() << " finding(s), exit " << static_cast<int>(status())
-     << "\n";
-  return os.str();
-}
-
-std::string ProfDiffResult::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"exit\": " << static_cast<int>(status()) << ",\n  \"findings\": [\n";
-  for (std::size_t i = 0; i < diffs.size(); ++i) {
-    const auto& d = diffs[i];
-    os << "    {\"field\": \"" << json_escape(d.field) << "\", \"severity\": "
-       << (d.severity == DiffStatus::kRegression ? "\"regression\"" : "\"mismatch\"")
-       << ", \"detail\": \"" << json_escape(d.detail) << "\"}"
-       << (i + 1 < diffs.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
-}
-
-ProfDiffResult diff_profile(const ProfDoc& baseline, const ProfDoc& candidate,
-                            const BenchDiffOptions& opts) {
-  ProfDiffResult res;
-  auto mismatch = [&res](const std::string& field, const std::string& detail) {
-    res.diffs.push_back({"", field, detail, DiffStatus::kMismatch});
-  };
-  auto exact_str = [&](const char* field, const std::string& b, const std::string& c) {
-    if (b != c) mismatch(field, "baseline '" + b + "' != candidate '" + c + "'");
-  };
-  auto exact_num = [&](const char* field, long long b, long long c) {
-    if (b != c) {
-      mismatch(field, "baseline " + std::to_string(b) + " != candidate " + std::to_string(c));
+DiffResult diff_run(const RunReport& baseline, const RunReport& candidate,
+                    const DiffOptions& opts) {
+  DiffResult res;
+  diff_slices(res, baseline.det, candidate.det);
+  for (const RunMeasured& b : baseline.runs) {
+    for (const RunMeasured& c : candidate.runs) {
+      if (c.threads == b.threads) {
+        res.timing("t=" + std::to_string(b.threads), "total_ms", b.total_ms, c.total_ms, opts);
+      }
     }
-  };
-
-  exact_str("pipeline", baseline.pipeline, candidate.pipeline);
-  exact_str("source", baseline.source, candidate.source);
-  exact_str("graph_digest", baseline.graph_digest, candidate.graph_digest);
-  exact_num("n", baseline.n, candidate.n);
-  exact_num("m", baseline.m, candidate.m);
-  exact_num("seed", baseline.seed, candidate.seed);
-  exact_num("decode_rounds", baseline.decode_rounds, candidate.decode_rounds);
-  if (baseline.verify_ok != candidate.verify_ok) {
-    mismatch("verify_ok", std::string("baseline ") + (baseline.verify_ok ? "true" : "false") +
-                              " != candidate " + (candidate.verify_ok ? "true" : "false"));
-  }
-  exact_str("output_digest", baseline.output_digest, candidate.output_digest);
-  exact_num("advice_bits", baseline.advice_bits, candidate.advice_bits);
-  exact_num("engine_messages", baseline.engine_messages, candidate.engine_messages);
-  exact_num("engine_message_bits", baseline.engine_message_bits, candidate.engine_message_bits);
-
-  // Phase allocation rows: compared by phase name, both directions.
-  const auto find_phase = [](const ProfDoc& doc, const std::string& phase) -> const PhaseAlloc* {
-    for (const auto& p : doc.phase_allocs) {
-      if (p.phase == phase) return &p;
-    }
-    return nullptr;
-  };
-  for (const auto& bp : baseline.phase_allocs) {
-    const PhaseAlloc* cp = find_phase(candidate, bp.phase);
-    if (cp == nullptr) {
-      mismatch("phases", "phase '" + bp.phase + "' missing from candidate");
-      continue;
-    }
-    if (bp.allocs != cp->allocs || bp.alloc_bytes != cp->alloc_bytes) {
-      mismatch("phases." + bp.phase,
-               "allocs baseline " + std::to_string(bp.allocs) + "/" +
-                   std::to_string(bp.alloc_bytes) + "B != candidate " +
-                   std::to_string(cp->allocs) + "/" + std::to_string(cp->alloc_bytes) + "B");
-    }
-  }
-  for (const auto& cp : candidate.phase_allocs) {
-    if (find_phase(baseline, cp.phase) == nullptr) {
-      mismatch("phases", "phase '" + cp.phase + "' missing from baseline");
-    }
-  }
-
-  // Timing gate on end-to-end wall time, mirroring diff_bench's slack.
-  const double allowed =
-      baseline.total_ms + std::max(opts.tol_ms, opts.tol_rel * baseline.total_ms);
-  if (candidate.total_ms > allowed) {
-    res.diffs.push_back({"", "total_ms",
-                         "candidate " + fmt3(candidate.total_ms) + " ms exceeds baseline " +
-                             fmt3(baseline.total_ms) + " ms + tolerance (allowed " +
-                             fmt3(allowed) + " ms)",
-                         DiffStatus::kRegression});
   }
   return res;
 }

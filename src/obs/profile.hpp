@@ -1,5 +1,7 @@
-// Profiling observatory (DESIGN.md §13): deterministic phase/thread time
-// attribution on top of the §9 Span/MetricsRegistry machinery.
+// The observed-run record (DESIGN.md §13): what `lad profile` writes,
+// renders and `lad diff` grades — one record type over one observed run of
+// a pipeline, read off the §9 Span/MetricsRegistry machinery and the
+// obs/timeline.hpp instruments.
 //
 // Three ingredients, all compiled out under -DLAD_TELEMETRY=OFF:
 //
@@ -10,21 +12,21 @@
 //      its duration minus the durations of its direct children, so summing
 //      self-time over all cells reproduces total traced time exactly once.
 //      Summed across threads it is CPU time, which can exceed wall time.
-//   2. *Pool accounting.* util/thread_pool.* timestamps every chunk
-//      (LAD_TM_CHUNK_TIMER); PoolAccounting folds the per-thread busy time
-//      and chunk counts into utilization and an imbalance ratio
-//      (max busy / mean busy across pool workers).
-//   3. *Allocation accounting.* Deterministic counting hooks — not
+//   2. *Allocation accounting.* Deterministic counting hooks — not
 //      allocator interposition — around per-round message buffers
 //      (local/engine.cpp) and serialized ball gathers (local/gather.cpp).
 //      Their increment multisets are thread-count-invariant, so allocation
-//      columns are part of the report's deterministic contract.
+//      rows are part of the record's deterministic contract.
+//   3. *Per-thread-count rows.* Each listed thread count contributes one
+//      measured row: phase and phase × thread self-times, thread rows from
+//      the chunk ledger, imbalance, the Amdahl serial split and speedups,
+//      and the per-round wait series of the flight recorder.
 //
-// The report separates *deterministic structure* (identity, graph digests,
-// message/advice counts, allocation totals — byte-identical across reruns
-// and thread counts; what `lad diffprof` gates exactly) from *measured
-// timings* (self-ms, imbalance — compared only with tolerance). Same split,
-// same exit codes (0/3/4, CLI maps usage to 2) as obs/benchdiff.*.
+// The record separates *deterministic structure* (identity, allocation
+// rows, per-round deltas — byte-identical across reruns and thread counts;
+// what `lad diff` gates exactly, exit 4) from *measured timings* (compared
+// only with tolerance, exit 3). The same split and exit codes grade bench
+// documents (obs/diff.hpp).
 #pragma once
 
 #include <cstdint>
@@ -33,14 +35,15 @@
 #include <utility>
 #include <vector>
 
-#include "obs/benchdiff.hpp"  // DiffStatus, CaseDiff, BenchDiffOptions
+#include "obs/diff.hpp"
 #include "obs/telemetry.hpp"
 
 namespace lad::obs {
 
-/// Bumped whenever the profile JSON layout changes incompatibly.
-/// v1: initial format — nested "deterministic" object + "measured" object.
-inline constexpr int kProfileSchemaVersion = 1;
+/// Bumped whenever the run-record JSON layout changes incompatibly.
+/// v1: "deterministic" object (identity + allocation rows + round series)
+/// and "measured" object (one row per thread count).
+inline constexpr int kRunSchemaVersion = 1;
 
 /// The six phases, in canonical (report) order. The last entry, "other",
 /// absorbs spans outside the explicit mapping (harness scaffolding).
@@ -49,56 +52,6 @@ const std::vector<std::string>& phase_taxonomy();
 /// Maps a span name from span_name_catalog() to its phase. Unknown names
 /// fall into "other" — the taxonomy is total by construction.
 std::string phase_of_span(const std::string& span_name);
-
-// ---------------------------------------------------------------------------
-// Pool accounting
-
-/// Per-worker busy-time/chunk ledger fed by LAD_TM_CHUNK_TIMER in
-/// util/thread_pool.cpp. Slots are keyed by the TraceRecorder tid of the
-/// executing thread so profile rows line up with trace lanes. Like the
-/// trace buffers, slots persist across reset() (ids are stable per thread);
-/// reset() zeroes the accumulators.
-class PoolAccounting {
- public:
-  struct Slot {
-    int tid = -1;
-    long long busy_us = 0;
-    long long chunks = 0;
-  };
-
-  static PoolAccounting& instance();
-
-  /// Zeroes every slot's accumulators (profiling rep boundary).
-  void reset();
-
-  /// Adds one executed chunk of `dur_us` to the calling thread's slot.
-  void record_chunk(std::uint64_t dur_us);
-
-  /// Snapshot of all slots that executed at least one chunk, tid ascending.
-  std::vector<Slot> slots() const;
-
- private:
-  struct SlotCell;
-  SlotCell& local_slot();
-
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<SlotCell>> cells_;
-};
-
-/// RAII chunk timer: measures one pool chunk and folds it into
-/// PoolAccounting. Inactive while telemetry is runtime-disabled (latched at
-/// construction, like Span).
-class ChunkTimer {
- public:
-  ChunkTimer();
-  ~ChunkTimer();
-  ChunkTimer(const ChunkTimer&) = delete;
-  ChunkTimer& operator=(const ChunkTimer&) = delete;
-
- private:
-  std::uint64_t begin_us_ = 0;
-  bool active_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Self-time attribution
@@ -120,18 +73,41 @@ std::map<std::pair<std::string, int>, CellAccum> self_times_by_cell(
 /// top-phase provenance (schema v5).
 std::string top_phase_from_trace();
 
-/// Warmup discipline shared by `lad profile` and `lad timeline` (--reps K),
-/// matching `lad bench`: one discarded warmup run before the timed
-/// min-of-K loop when K > 1, none for a single-rep run. Pinned by
-/// tests/test_profile.cpp.
+/// Warmup discipline of the observed run (--reps K), matching `lad bench`:
+/// one discarded warmup run before the timed min-of-K loop when K > 1,
+/// none for a single-rep run. Pinned by tests/test_profile.cpp.
 constexpr int profile_warmup_runs(int reps) { return reps > 1 ? 1 : 0; }
 
-// ---------------------------------------------------------------------------
-// Report
+/// 16-hex order-sensitive fingerprint of a string sequence (splitmix64
+/// folding; self-contained so obs stays stdlib-only). The observed run uses
+/// it for the output digest over per-node output labels.
+std::string fingerprint_hex(const std::vector<std::string>& parts);
 
-/// Deterministic identity of one profiled run: everything here must be
-/// byte-identical across reruns and thread counts (§8 contract).
-struct ProfileIdentity {
+// ---------------------------------------------------------------------------
+// Record
+
+/// Deterministic allocation totals for one phase (taxonomy order).
+struct PhaseAlloc {
+  std::string phase;
+  long long allocs = 0;
+  long long alloc_bytes = 0;
+};
+
+/// Deterministic per-round delta row of the flight recorder.
+struct RoundDelta {
+  long long round = 0;
+  long long messages = 0;
+  long long bytes = 0;
+  long long faults = 0;
+  long long repairs = 0;
+  long long allocs = 0;
+  long long alloc_bytes = 0;
+};
+
+/// Everything that must be byte-identical across reruns and thread counts
+/// (§8 contract): the 12-field run identity, the six per-phase allocation
+/// rows, and the per-round delta series.
+struct RunDeterministic {
   std::string pipeline;
   std::string source;        // GraphSource spec, §12 grammar
   std::string graph_digest;  // 16-hex Graph::digest()
@@ -144,13 +120,8 @@ struct ProfileIdentity {
   long long advice_bits = 0;
   long long engine_messages = 0;
   long long engine_message_bits = 0;
-};
-
-/// Deterministic allocation totals for one phase (taxonomy order).
-struct PhaseAlloc {
-  std::string phase;
-  long long allocs = 0;
-  long long alloc_bytes = 0;
+  std::vector<PhaseAlloc> phases;  // taxonomy order, all six phases
+  std::vector<RoundDelta> rounds;  // round order
 };
 
 /// Measured per-phase timing row, ranked by self_ms descending.
@@ -162,7 +133,7 @@ struct PhaseTime {
 };
 
 /// Measured phase × thread cost-center cell, ranked by self_ms descending.
-struct ProfileCell {
+struct CostCell {
   std::string phase;
   int tid = 0;
   double self_ms = 0;
@@ -170,7 +141,7 @@ struct ProfileCell {
 };
 
 /// Measured per-thread utilization row (main thread + pool workers).
-struct ProfileThread {
+struct ThreadRow {
   int tid = 0;
   std::string name;  // from TraceRecorder::thread_names(); "" if unnamed
   double busy_ms = 0;
@@ -179,97 +150,79 @@ struct ProfileThread {
   long long steal = 0;  // chunks beyond an even share (static partition = 0)
 };
 
-struct ProfileReport {
-  ProfileIdentity id;
-  std::vector<PhaseAlloc> phase_allocs;  // taxonomy order, all six phases
+/// Measured per-round row: wall time and the pool's wait attribution.
+struct RoundWait {
+  long long round = 0;
+  double wall_ms = 0;
+  double dispatch_us = 0;
+  double queue_us = 0;
+  double wait_us = 0;
+  double max_wait_us = 0;
+  int workers = 0;
+  double imbalance = 1.0;
+  int critical_tid = -1;
+};
 
+/// One measured row: the last rep at one thread count.
+struct RunMeasured {
   int threads = 1;
-  int reps = 1;
   double total_ms = 0;  // min-of-reps end-to-end wall time
   double imbalance = 1.0;
+  double serial_ms = 0;
+  double compute_ms = 0;
+  double serial_fraction = 0;        // this row's own split
+  double predicted_max_speedup = 1;  // Amdahl at the 1-thread serial fraction
+  double measured_speedup = 0;       // 1-thread total_ms / this total_ms
   std::vector<PhaseTime> phases;
-  std::vector<ProfileCell> cells;
-  std::vector<ProfileThread> thread_rows;
+  std::vector<CostCell> cells;
+  std::vector<ThreadRow> thread_rows;
+  std::vector<RoundWait> rounds;
   long long trace_events = 0;
   long long trace_dropped = 0;
+  long long flight_dropped = 0;
+};
 
+struct RunReport {
+  RunDeterministic det;
+  std::vector<RunMeasured> runs;  // ascending thread count
+  int reps = 1;
   std::string git_commit;
   std::string timestamp;
+
+  /// Adds one thread count's row. The first call sets the deterministic
+  /// slice; every later one must match it exactly — a divergence is a §8
+  /// violation and throws std::runtime_error. Recomputes the Amdahl
+  /// columns of every row.
+  void add_run(const RunDeterministic& slice, RunMeasured row);
 
   /// Exactly the nested "deterministic" object of to_json(): the byte-
   /// stable slice CI diffs across thread counts.
   std::string deterministic_json() const;
   std::string to_json() const;
-  /// Ranked cost-center report with a top-3 time-sink summary (PERF page).
+  /// Amdahl summary, round series, and per-thread-count cost centers
+  /// (PERF page).
   std::string to_markdown() const;
 };
 
-/// Assembles a report from a trace snapshot + pool slots. `total_ms` is the
-/// caller-measured wall time of the profiled rep; identity and allocation
-/// fields must already be filled in `id` / `phase_allocs` by the caller
-/// (the CLI reads them from obs::core() after the run).
-ProfileReport build_profile_report(
-    const ProfileIdentity& id, const std::vector<PhaseAlloc>& phase_allocs,
-    const std::vector<std::pair<int, std::vector<TraceEvent>>>& events_by_thread,
-    const std::vector<PoolAccounting::Slot>& pool_slots,
-    const std::vector<std::pair<int, std::string>>& thread_names, int threads, int reps,
-    double total_ms);
+/// Zeroes every instrument the record reads (a rep boundary): metrics,
+/// trace buffers, the chunk ledger, and the flight recorder.
+void reset_instruments();
 
-/// 16-hex order-sensitive fingerprint of a string sequence (splitmix64
-/// folding; self-contained so obs stays stdlib-only). The CLI uses it for
-/// the output digest over per-node output labels.
-std::string fingerprint_hex(const std::vector<std::string>& parts);
+/// Reads the instruments after one rep at `threads`: fills `slice`'s
+/// engine message totals, allocation rows and round series, and returns
+/// the measured row.
+RunMeasured capture_instruments(int threads, double total_ms, RunDeterministic& slice);
 
-// ---------------------------------------------------------------------------
-// diffprof
+/// Parses a `lad profile --json` record. Measured rows carry only their
+/// thread count and total_ms (what the differ grades). Throws
+/// std::runtime_error on malformed input or an unknown run_schema_version.
+RunReport parse_run_json(const std::string& text);
 
-/// Parsed profile JSON, reduced to what the differ compares.
-struct ProfDoc {
-  int schema_version = 0;
-  std::string pipeline;
-  std::string source;
-  std::string graph_digest;
-  long long n = 0;
-  long long m = 0;
-  long long seed = 1;
-  long long decode_rounds = 0;
-  bool verify_ok = false;
-  std::string output_digest;
-  long long advice_bits = 0;
-  long long engine_messages = 0;
-  long long engine_message_bits = 0;
-  std::vector<PhaseAlloc> phase_allocs;
-  int threads = 1;
-  double total_ms = 0;
-};
-
-/// Parses a `lad profile --json` document. Throws std::runtime_error on
-/// malformed input or an unknown schema version.
-ProfDoc parse_profile_json(const std::string& text);
-
-struct ProfDiffResult {
-  std::vector<CaseDiff> diffs;  // empty = clean; name = "" (document-level)
-
-  DiffStatus status() const;
-  std::string to_text() const;
-  std::string to_json() const;
-};
-
-/// Structural diff mirroring diff_bench: deterministic fields exact
-/// (MISMATCH, exit 4), total_ms gated by baseline + max(tol_ms,
-/// tol_rel·baseline) (REGRESSION, exit 3). Thread counts are *not*
-/// compared — the whole point is that deterministic fields agree across
-/// thread counts.
-ProfDiffResult diff_profile(const ProfDoc& baseline, const ProfDoc& candidate,
-                            const BenchDiffOptions& opts = {});
+/// Structural diff of two run records: every deterministic field exact
+/// (MISMATCH, exit 4); total_ms per matching thread count gated by
+/// baseline + max(tol_ms, tol_rel·baseline) (REGRESSION, exit 3). Thread
+/// counts present on one side only are not timed.
+DiffResult diff_run(const RunReport& baseline, const RunReport& candidate,
+                    const DiffOptions& opts = {});
 
 }  // namespace lad::obs
-
-// ---------------------------------------------------------------------------
-// Chunk-timing hook for util/thread_pool.cpp. Mirrors the LAD_TM_* macros
-// in telemetry.hpp: an empty statement under -DLAD_TELEMETRY=OFF.
-#if LAD_TELEMETRY
-#define LAD_TM_CHUNK_TIMER(var) ::lad::obs::ChunkTimer var
-#else
-#define LAD_TM_CHUNK_TIMER(var) ((void)0)
-#endif

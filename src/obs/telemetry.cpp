@@ -215,7 +215,7 @@ CoreMetrics& core() {
                 /*thread_variant=*/true),
         r.counter("lad_contract_checks_total", "LAD_CHECK/LAD_ASSERT evaluations",
                   /*thread_variant=*/true),
-        // Timeline observatory (obs/timeline.*, DESIGN.md §14).
+        // Flight recorder and wait attribution (obs/timeline.*, DESIGN.md §13).
         r.counter("lad_timeline_rounds_total",
                   "engine rounds recorded by the flight recorder (rounds)"),
         r.counter("lad_flight_dumps_total", "flight-recorder post-mortem dumps emitted"),
@@ -241,10 +241,10 @@ const std::vector<std::string>& span_name_catalog() {
   // checks span literals in instrumented code against this list.
   static const std::vector<std::string> kSpans = {
       "engine.run",        "engine.round",      "engine.faults",
-      "engine.compute",    "engine.deliver",    "parallel_engine.run",
-      "gather.balls",      "gather.views",      "pool.chunk",
-      "campaign.trial",    "chaos.cell",        "guarded.decode/",
-      "pipeline.encode/",  "pipeline.decode/",  "pipeline.decode_tolerant/",
+      "engine.compute",    "engine.deliver",    "gather.balls",
+      "gather.views",      "pool.chunk",        "campaign.trial",
+      "chaos.cell",        "guarded.decode/",   "pipeline.encode/",
+      "pipeline.decode/",  "pipeline.decode_tolerant/",
       "pipeline.verify/",
   };
   return kSpans;

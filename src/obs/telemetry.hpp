@@ -19,7 +19,7 @@
 //   2. *Zero overhead when disabled.* Compile-time: building with
 //      -DLAD_TELEMETRY=OFF turns every hook into an empty statement.
 //      Runtime: hooks are compiled in but gated on one relaxed atomic load
-//      (telemetry is off by default; `lad trace` / `lad bench --trace`
+//      (telemetry is off by default; `lad profile` / `lad bench --trace`
 //      switch it on).
 //   3. *Thread safety without determinism loss.* Counters are relaxed
 //      atomics — increments commute, so totals that aggregate a
@@ -122,7 +122,7 @@ class Histogram {
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 /// Point-in-time scalar view of one metric (histograms expand to their
-/// _sum and _count), used for bench-row snapshots and the summary table.
+/// _sum and _count), used for bench-row snapshots.
 struct MetricValue {
   std::string name;
   long long value = 0;
@@ -167,7 +167,6 @@ class MetricsRegistry {
 
   // Export surface (implemented in obs/export.cpp).
   std::string to_prometheus() const;
-  std::string to_table(bool skip_zero = true) const;
 
  private:
   struct Entry {
@@ -249,8 +248,8 @@ struct CoreMetrics {
   Gauge& pool_threads;
   Counter& contract_checks;
 
-  // Timeline observatory (obs/timeline.*, DESIGN.md §14): per-round flight
-  // recording plus pool dispatch/wait attribution. The round and dump
+  // Observed-run instruments (obs/timeline.*, DESIGN.md §13): per-round
+  // flight recording plus pool dispatch/wait attribution. The round and dump
   // counters are deterministic (round counts are thread-count-invariant);
   // the dispatch/wait timings are wall-clock sums and thread-variant.
   Counter& timeline_rounds;

@@ -3,31 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
-#include "obs/json_mini.hpp"
+#include "obs/profile.hpp"  // self_times_by_cell
 
 namespace lad::obs {
 namespace {
-
-using jsonmini::JsonParser;
-using jsonmini::JsonValue;
-using jsonmini::json_escape;
-using jsonmini::num_field;
-using jsonmini::str_field;
-
-std::string fmt3(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-std::string fmt1(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
-}
 
 double us_to_ms(std::uint64_t us) { return static_cast<double>(us) / 1000.0; }
 
@@ -47,6 +27,9 @@ struct WaitAccounting::WorkerCell {
   // Single-writer (the owning worker thread); read by the dispatching
   // thread only after the pool's completion barrier, so relaxed atomics
   // are enough for TSan-cleanliness without ordering cost.
+  std::atomic<long long> total_busy_us{0};  // since reset()
+  std::atomic<long long> total_chunks{0};
+  // The open dispatch only; stale once `epoch` lags the accounting's.
   std::atomic<std::uint64_t> epoch{0};
   std::atomic<long long> busy_us{0};
   std::atomic<long long> chunks{0};
@@ -73,6 +56,10 @@ WaitAccounting::WorkerCell& WaitAccounting::local_cell() {
 
 void WaitAccounting::reset() {
   std::lock_guard<std::mutex> lk(mu_);
+  for (auto& c : cells_) {
+    c->total_busy_us.store(0, std::memory_order_relaxed);
+    c->total_chunks.store(0, std::memory_order_relaxed);
+  }
   open_.store(false, std::memory_order_relaxed);
   window_ = Window{};
 }
@@ -86,9 +73,12 @@ void WaitAccounting::begin_dispatch() {
 }
 
 void WaitAccounting::record_chunk(std::uint64_t start_us, std::uint64_t end_us) {
+  WorkerCell& c = local_cell();
+  const auto busy = static_cast<long long>(delta_us(end_us, start_us));
+  c.total_busy_us.fetch_add(busy, std::memory_order_relaxed);
+  c.total_chunks.fetch_add(1, std::memory_order_relaxed);
   if (!open_.load(std::memory_order_acquire)) return;  // serial inline path
   const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-  WorkerCell& c = local_cell();
   if (c.epoch.load(std::memory_order_relaxed) != e) {
     c.epoch.store(e, std::memory_order_relaxed);
     c.busy_us.store(0, std::memory_order_relaxed);
@@ -96,8 +86,7 @@ void WaitAccounting::record_chunk(std::uint64_t start_us, std::uint64_t end_us) 
     c.first_start.store(start_us, std::memory_order_relaxed);
     c.queue_us.store(0, std::memory_order_relaxed);
   }
-  c.busy_us.fetch_add(static_cast<long long>(delta_us(end_us, start_us)),
-                      std::memory_order_relaxed);
+  c.busy_us.fetch_add(busy, std::memory_order_relaxed);
   c.chunks.fetch_add(1, std::memory_order_relaxed);
   c.last_end.store(end_us, std::memory_order_relaxed);
   c.queue_us.fetch_add(
@@ -167,6 +156,18 @@ WaitAccounting::Window WaitAccounting::drain_window() {
   std::lock_guard<std::mutex> lk(mu_);
   Window out = window_;
   window_ = Window{};
+  return out;
+}
+
+std::vector<WaitAccounting::Slot> WaitAccounting::slots() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::vector<Slot> out;
+  for (const auto& c : cells_) {
+    const long long chunks = c->total_chunks.load(std::memory_order_relaxed);
+    if (chunks == 0) continue;
+    out.push_back({c->tid, c->total_busy_us.load(std::memory_order_relaxed), chunks});
+  }
+  std::sort(out.begin(), out.end(), [](const Slot& a, const Slot& b) { return a.tid < b.tid; });
   return out;
 }
 
@@ -310,7 +311,7 @@ void FlightRecorder::dump(std::ostream& os, const std::string& reason,
 }
 
 // ---------------------------------------------------------------------------
-// Amdahl / critical path
+// Amdahl split
 
 SerialSplit serial_split_from_trace() {
   const auto cells = self_times_by_cell(TraceRecorder::instance().events_by_thread());
@@ -335,372 +336,6 @@ double amdahl_speedup(double serial_fraction, int threads) {
   const double s = std::min(1.0, std::max(0.0, serial_fraction));
   const double t = threads < 1 ? 1.0 : static_cast<double>(threads);
   return 1.0 / (s + (1.0 - s) / t);
-}
-
-// ---------------------------------------------------------------------------
-// Report assembly
-
-namespace {
-
-TimelineRound round_of(const RoundSample& s) {
-  return {s.round, s.messages, s.bytes, s.faults, s.repairs, s.allocs, s.alloc_bytes};
-}
-
-MeasuredRound measured_of(const RoundSample& s) {
-  return {s.round,      s.wall_ms, s.dispatch_us, s.queue_us, s.wait_us,
-          s.max_wait_us, s.workers, s.imbalance,   s.critical_tid};
-}
-
-}  // namespace
-
-TimelineReport build_timeline_report(const ProfileIdentity& id,
-                                     const std::vector<TimelineRunInput>& runs) {
-  TimelineReport rep;
-  rep.id = id;
-  if (runs.empty()) return rep;
-
-  std::vector<TimelineRunInput> ordered = runs;
-  std::sort(ordered.begin(), ordered.end(),
-            [](const TimelineRunInput& a, const TimelineRunInput& b) {
-              return a.threads < b.threads;
-            });
-
-  for (const RoundSample& s : ordered.front().samples) rep.rounds.push_back(round_of(s));
-
-  // §8 contract: the deterministic per-round series must agree exactly
-  // across thread counts. A divergence is a determinism bug, not noise.
-  for (const TimelineRunInput& run : ordered) {
-    if (run.samples.size() != rep.rounds.size()) {
-      throw std::runtime_error(
-          "timeline: deterministic round count diverged across thread counts (" +
-          std::to_string(rep.rounds.size()) + " at " +
-          std::to_string(ordered.front().threads) + "t vs " +
-          std::to_string(run.samples.size()) + " at " + std::to_string(run.threads) + "t)");
-    }
-    for (std::size_t i = 0; i < run.samples.size(); ++i) {
-      const TimelineRound a = rep.rounds[i];
-      const TimelineRound b = round_of(run.samples[i]);
-      if (a.round != b.round || a.messages != b.messages || a.bytes != b.bytes ||
-          a.faults != b.faults || a.repairs != b.repairs || a.allocs != b.allocs ||
-          a.alloc_bytes != b.alloc_bytes) {
-        throw std::runtime_error("timeline: deterministic round " + std::to_string(a.round) +
-                                 " diverged between " +
-                                 std::to_string(ordered.front().threads) + "t and " +
-                                 std::to_string(run.threads) + "t runs");
-      }
-    }
-  }
-
-  // The Amdahl serial fraction is measured where it is well-defined: the
-  // 1-thread run (all self-time on one thread). Fall back to the smallest
-  // thread count when no 1-thread run was requested.
-  const TimelineRunInput* one = nullptr;
-  for (const TimelineRunInput& run : ordered) {
-    if (run.threads == 1) one = &run;
-  }
-  const double s1 = (one != nullptr ? *one : ordered.front()).split.serial_fraction;
-  const double t1_total = one != nullptr ? one->total_ms : 0.0;
-
-  for (const TimelineRunInput& run : ordered) {
-    TimelineThreadRun row;
-    row.threads = run.threads;
-    row.total_ms = run.total_ms;
-    row.serial_ms = run.split.serial_ms;
-    row.compute_ms = run.split.compute_ms;
-    row.serial_fraction = run.split.serial_fraction;
-    row.predicted_max_speedup = amdahl_speedup(s1, run.threads);
-    row.measured_speedup = (t1_total > 0 && run.total_ms > 0) ? t1_total / run.total_ms : 0.0;
-    for (const RoundSample& s : run.samples) row.rounds.push_back(measured_of(s));
-    rep.runs.push_back(std::move(row));
-  }
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// JSON
-
-std::string TimelineReport::deterministic_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "    \"timeline_schema_version\": " << kTimelineSchemaVersion << ",\n";
-  os << "    \"pipeline\": \"" << json_escape(id.pipeline) << "\",\n";
-  os << "    \"source\": \"" << json_escape(id.source) << "\",\n";
-  os << "    \"graph_digest\": \"" << json_escape(id.graph_digest) << "\",\n";
-  os << "    \"n\": " << id.n << ",\n";
-  os << "    \"m\": " << id.m << ",\n";
-  os << "    \"seed\": " << id.seed << ",\n";
-  os << "    \"decode_rounds\": " << id.decode_rounds << ",\n";
-  os << "    \"verify_ok\": " << (id.verify_ok ? "true" : "false") << ",\n";
-  os << "    \"output_digest\": \"" << json_escape(id.output_digest) << "\",\n";
-  os << "    \"advice_bits\": " << id.advice_bits << ",\n";
-  os << "    \"engine_messages\": " << id.engine_messages << ",\n";
-  os << "    \"engine_message_bits\": " << id.engine_message_bits << ",\n";
-  os << "    \"rounds\": [\n";
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    const TimelineRound& r = rounds[i];
-    os << "      {\"round\": " << r.round << ", \"messages\": " << r.messages
-       << ", \"bytes\": " << r.bytes << ", \"faults\": " << r.faults
-       << ", \"repairs\": " << r.repairs << ", \"allocs\": " << r.allocs
-       << ", \"alloc_bytes\": " << r.alloc_bytes << "}" << (i + 1 < rounds.size() ? "," : "")
-       << "\n";
-  }
-  os << "    ]\n";
-  os << "  }";
-  return os.str();
-}
-
-std::string TimelineReport::to_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"deterministic\": " << deterministic_json() << ",\n";
-  os << "  \"git_commit\": \"" << json_escape(git_commit) << "\",\n";
-  os << "  \"timestamp\": \"" << json_escape(timestamp) << "\",\n";
-  os << "  \"measured\": {\n";
-  os << "    \"flight_dropped\": " << flight_dropped << ",\n";
-  os << "    \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const TimelineThreadRun& r = runs[i];
-    os << "      {\n";
-    os << "        \"threads\": " << r.threads << ",\n";
-    os << "        \"total_ms\": " << fmt3(r.total_ms) << ",\n";
-    os << "        \"serial_ms\": " << fmt3(r.serial_ms) << ",\n";
-    os << "        \"compute_ms\": " << fmt3(r.compute_ms) << ",\n";
-    os << "        \"serial_fraction\": " << fmt3(r.serial_fraction) << ",\n";
-    os << "        \"predicted_max_speedup\": " << fmt3(r.predicted_max_speedup) << ",\n";
-    os << "        \"measured_speedup\": " << fmt3(r.measured_speedup) << ",\n";
-    os << "        \"rounds\": [\n";
-    for (std::size_t j = 0; j < r.rounds.size(); ++j) {
-      const MeasuredRound& m = r.rounds[j];
-      os << "          {\"round\": " << m.round << ", \"wall_ms\": " << fmt3(m.wall_ms)
-         << ", \"dispatch_us\": " << fmt1(m.dispatch_us) << ", \"queue_us\": "
-         << fmt1(m.queue_us) << ", \"wait_us\": " << fmt1(m.wait_us) << ", \"max_wait_us\": "
-         << fmt1(m.max_wait_us) << ", \"workers\": " << m.workers << ", \"imbalance\": "
-         << fmt3(m.imbalance) << ", \"critical_tid\": " << m.critical_tid << "}"
-         << (j + 1 < r.rounds.size() ? "," : "") << "\n";
-    }
-    os << "        ]\n";
-    os << "      }" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  os << "    ]\n";
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Markdown
-
-std::string TimelineReport::to_markdown() const {
-  std::ostringstream os;
-  os << "# TIMELINE — runtime timeline observatory report\n\n";
-  os << "Generated by `lad timeline`; do not edit by hand. The per-round\n"
-        "delta series is deterministic (byte-identical across reruns and\n"
-        "thread counts, DESIGN.md §14); wait/dispatch columns are measured.\n\n";
-  os << "- pipeline: `" << id.pipeline << "`\n";
-  os << "- source: `" << id.source << "` (n=" << id.n << ", m=" << id.m << ", digest `"
-     << id.graph_digest << "`)\n";
-  os << "- seed: " << id.seed << " · verify: " << (id.verify_ok ? "ok" : "FAILED")
-     << " · output digest: `" << id.output_digest << "`\n";
-  os << "- decode rounds: " << id.decode_rounds << " · advice bits: " << id.advice_bits
-     << " · engine messages: " << id.engine_messages << " (" << id.engine_message_bits
-     << " bits)\n";
-  os << "- recorded rounds: " << rounds.size() << " · flight samples overwritten: "
-     << flight_dropped << "\n\n";
-
-  os << "## Amdahl summary\n\n";
-  os << "| threads | total_ms | serial_ms | compute_ms | serial_fraction | "
-        "predicted_max_speedup | measured_speedup |\n";
-  os << "|---:|---:|---:|---:|---:|---:|---:|\n";
-  for (const TimelineThreadRun& r : runs) {
-    os << "| " << r.threads << " | " << fmt3(r.total_ms) << " | " << fmt3(r.serial_ms) << " | "
-       << fmt3(r.compute_ms) << " | " << fmt3(r.serial_fraction) << " | "
-       << fmt3(r.predicted_max_speedup) << " | " << fmt3(r.measured_speedup) << " |\n";
-  }
-  os << "\n";
-
-  os << "## Deterministic round series\n\n";
-  os << "| round | messages | bytes | faults | repairs | allocs | alloc_bytes |\n";
-  os << "|---:|---:|---:|---:|---:|---:|---:|\n";
-  for (const TimelineRound& r : rounds) {
-    os << "| " << r.round << " | " << r.messages << " | " << r.bytes << " | " << r.faults
-       << " | " << r.repairs << " | " << r.allocs << " | " << r.alloc_bytes << " |\n";
-  }
-  os << "\n";
-
-  for (const TimelineThreadRun& r : runs) {
-    os << "## Measured rounds at " << r.threads << " thread" << (r.threads == 1 ? "" : "s")
-       << "\n\n";
-    os << "| round | wall_ms | dispatch_us | queue_us | wait_us | max_wait_us | workers | "
-          "imbalance | critical_tid |\n";
-    os << "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (const MeasuredRound& m : r.rounds) {
-      os << "| " << m.round << " | " << fmt3(m.wall_ms) << " | " << fmt1(m.dispatch_us)
-         << " | " << fmt1(m.queue_us) << " | " << fmt1(m.wait_us) << " | "
-         << fmt1(m.max_wait_us) << " | " << m.workers << " | " << fmt3(m.imbalance) << " | "
-         << m.critical_tid << " |\n";
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// difftl
-
-TimelineDoc parse_timeline_json(const std::string& text) {
-  const JsonValue root = JsonParser(text, "timeline JSON").parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("timeline JSON: top level is not an object");
-  }
-  const JsonValue* det = root.find("deterministic");
-  if (det == nullptr || det->kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("timeline JSON: missing \"deterministic\" object");
-  }
-  TimelineDoc doc;
-  doc.schema_version = static_cast<int>(num_field(*det, "timeline_schema_version", true));
-  if (doc.schema_version < 1 || doc.schema_version > kTimelineSchemaVersion) {
-    throw std::runtime_error("timeline JSON: unsupported timeline_schema_version " +
-                             std::to_string(doc.schema_version));
-  }
-  doc.pipeline = str_field(*det, "pipeline", true);
-  doc.source = str_field(*det, "source", true);
-  doc.graph_digest = str_field(*det, "graph_digest", true);
-  doc.n = static_cast<long long>(num_field(*det, "n", true));
-  doc.m = static_cast<long long>(num_field(*det, "m", true));
-  doc.seed = static_cast<long long>(num_field(*det, "seed", true));
-  doc.decode_rounds = static_cast<long long>(num_field(*det, "decode_rounds", true));
-  const JsonValue* ok = det->find("verify_ok");
-  if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-    throw std::runtime_error("timeline JSON: missing boolean \"verify_ok\"");
-  }
-  doc.verify_ok = ok->boolean;
-  doc.output_digest = str_field(*det, "output_digest", true);
-  doc.advice_bits = static_cast<long long>(num_field(*det, "advice_bits", true));
-  doc.engine_messages = static_cast<long long>(num_field(*det, "engine_messages", true));
-  doc.engine_message_bits = static_cast<long long>(num_field(*det, "engine_message_bits", true));
-  const JsonValue* rounds = det->find("rounds");
-  if (rounds == nullptr || rounds->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("timeline JSON: missing \"rounds\" array");
-  }
-  for (const JsonValue& r : rounds->array) {
-    if (r.kind != JsonValue::Kind::kObject) {
-      throw std::runtime_error("timeline JSON: round entry is not an object");
-    }
-    TimelineRound row;
-    row.round = static_cast<long long>(num_field(r, "round", true));
-    row.messages = static_cast<long long>(num_field(r, "messages", true));
-    row.bytes = static_cast<long long>(num_field(r, "bytes", true));
-    row.faults = static_cast<long long>(num_field(r, "faults", true));
-    row.repairs = static_cast<long long>(num_field(r, "repairs", true));
-    row.allocs = static_cast<long long>(num_field(r, "allocs", true));
-    row.alloc_bytes = static_cast<long long>(num_field(r, "alloc_bytes", true));
-    doc.rounds.push_back(row);
-  }
-  if (const JsonValue* meas = root.find("measured");
-      meas != nullptr && meas->kind == JsonValue::Kind::kObject) {
-    if (const JsonValue* runs = meas->find("runs");
-        runs != nullptr && runs->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : runs->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        doc.run_times.emplace_back(static_cast<int>(num_field(r, "threads", true)),
-                                   num_field(r, "total_ms", true));
-      }
-    }
-  }
-  return doc;
-}
-
-DiffStatus TimelineDiffResult::status() const {
-  DiffStatus worst = DiffStatus::kClean;
-  for (const auto& d : diffs) {
-    if (static_cast<int>(d.severity) > static_cast<int>(worst)) worst = d.severity;
-  }
-  return worst;
-}
-
-std::string TimelineDiffResult::to_text() const {
-  std::ostringstream os;
-  if (diffs.empty()) {
-    os << "difftl: clean\n";
-    return os.str();
-  }
-  for (const auto& d : diffs) {
-    os << (d.severity == DiffStatus::kRegression ? "REGRESSION" : "MISMATCH") << " [" << d.field
-       << "]: " << d.detail << "\n";
-  }
-  os << "difftl: " << diffs.size() << " finding(s), exit " << static_cast<int>(status()) << "\n";
-  return os.str();
-}
-
-TimelineDiffResult diff_timeline(const TimelineDoc& baseline, const TimelineDoc& candidate,
-                                 const BenchDiffOptions& opts) {
-  TimelineDiffResult res;
-  auto mismatch = [&res](const std::string& field, const std::string& detail) {
-    res.diffs.push_back({"", field, detail, DiffStatus::kMismatch});
-  };
-  auto exact_str = [&](const char* field, const std::string& b, const std::string& c) {
-    if (b != c) mismatch(field, "baseline '" + b + "' != candidate '" + c + "'");
-  };
-  auto exact_num = [&](const char* field, long long b, long long c) {
-    if (b != c) {
-      mismatch(field, "baseline " + std::to_string(b) + " != candidate " + std::to_string(c));
-    }
-  };
-
-  exact_str("pipeline", baseline.pipeline, candidate.pipeline);
-  exact_str("source", baseline.source, candidate.source);
-  exact_str("graph_digest", baseline.graph_digest, candidate.graph_digest);
-  exact_num("n", baseline.n, candidate.n);
-  exact_num("m", baseline.m, candidate.m);
-  exact_num("seed", baseline.seed, candidate.seed);
-  exact_num("decode_rounds", baseline.decode_rounds, candidate.decode_rounds);
-  if (baseline.verify_ok != candidate.verify_ok) {
-    mismatch("verify_ok", std::string("baseline ") + (baseline.verify_ok ? "true" : "false") +
-                              " != candidate " + (candidate.verify_ok ? "true" : "false"));
-  }
-  exact_str("output_digest", baseline.output_digest, candidate.output_digest);
-  exact_num("advice_bits", baseline.advice_bits, candidate.advice_bits);
-  exact_num("engine_messages", baseline.engine_messages, candidate.engine_messages);
-  exact_num("engine_message_bits", baseline.engine_message_bits, candidate.engine_message_bits);
-
-  if (baseline.rounds.size() != candidate.rounds.size()) {
-    mismatch("rounds", "round count baseline " + std::to_string(baseline.rounds.size()) +
-                           " != candidate " + std::to_string(candidate.rounds.size()));
-  } else {
-    for (std::size_t i = 0; i < baseline.rounds.size(); ++i) {
-      const TimelineRound& b = baseline.rounds[i];
-      const TimelineRound& c = candidate.rounds[i];
-      const std::string at = "rounds[" + std::to_string(b.round) + "]";
-      if (b.round != c.round || b.messages != c.messages || b.bytes != c.bytes ||
-          b.faults != c.faults || b.repairs != c.repairs || b.allocs != c.allocs ||
-          b.alloc_bytes != c.alloc_bytes) {
-        mismatch(at, "deterministic round deltas diverged (messages " +
-                         std::to_string(b.messages) + "->" + std::to_string(c.messages) +
-                         ", bytes " + std::to_string(b.bytes) + "->" +
-                         std::to_string(c.bytes) + ", faults " + std::to_string(b.faults) +
-                         "->" + std::to_string(c.faults) + ", repairs " +
-                         std::to_string(b.repairs) + "->" + std::to_string(c.repairs) +
-                         ", allocs " + std::to_string(b.allocs) + "->" +
-                         std::to_string(c.allocs) + ")");
-      }
-    }
-  }
-
-  // Timing gate per matching thread count, mirroring diff_profile's slack.
-  for (const auto& [threads, b_ms] : baseline.run_times) {
-    for (const auto& [c_threads, c_ms] : candidate.run_times) {
-      if (c_threads != threads) continue;
-      const double allowed = b_ms + std::max(opts.tol_ms, opts.tol_rel * b_ms);
-      if (c_ms > allowed) {
-        res.diffs.push_back(
-            {"", "total_ms/t=" + std::to_string(threads),
-             "candidate " + fmt3(c_ms) + " ms exceeds baseline " + fmt3(b_ms) +
-                 " ms + tolerance (allowed " + fmt3(allowed) + " ms)",
-             DiffStatus::kRegression});
-      }
-    }
-  }
-  return res;
 }
 
 }  // namespace lad::obs

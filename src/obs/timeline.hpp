@@ -1,10 +1,19 @@
-// Runtime timeline observatory (DESIGN.md §14): per-round time-series,
-// wait/barrier attribution, and Amdahl/critical-path analysis on top of the
-// §9 Span/MetricsRegistry machinery and the §13 profile conventions.
+// Run-time instruments behind the observed run (DESIGN.md §13): the pool's
+// chunk ledger, the per-round flight recorder, and the Amdahl split. The
+// run record that reads them lives in obs/profile.hpp.
 //
 // Three ingredients, all compiled out under -DLAD_TELEMETRY=OFF:
 //
-//   1. *Flight recorder.* local/engine.cpp marks every round
+//   1. *Chunk ledger.* util/thread_pool.cpp times every chunk once
+//      (LAD_TM_WAIT_TIMER) and brackets every parallel dispatch
+//      (begin_dispatch/end_dispatch). WaitAccounting keeps per worker the
+//      busy time and chunk count since the last reset (thread rows and
+//      imbalance of the record) and folds each dispatch into dispatch
+//      latency (enqueue -> first chunk start), per-chunk queueing delay,
+//      and per-worker barrier wait (own last chunk end -> barrier release).
+//      The serial inline path (threads <= 1) never opens a dispatch window,
+//      so it reports exactly zero waits.
+//   2. *Flight recorder.* local/engine.cpp marks every round
 //      (begin_run/begin_round/end_round); the recorder turns the engine's
 //      cumulative per-run counters into per-round deltas and stores them in
 //      a bounded ring buffer. Each sample carries a deterministic slice
@@ -14,25 +23,11 @@
 //      dispatch latency, per-worker barrier wait, chunk queueing delay,
 //      imbalance, critical worker). On a failed chaos cell the ring is
 //      dumped post-mortem to stderr (faults/chaos.cpp).
-//   2. *Wait accounting.* util/thread_pool.cpp brackets every parallel
-//      dispatch (begin_dispatch/end_dispatch) and timestamps every chunk
-//      (LAD_TM_WAIT_TIMER); WaitAccounting folds them into per-dispatch
-//      dispatch latency (enqueue -> first chunk start), per-chunk queueing
-//      delay, and per-worker barrier wait (own last chunk end -> barrier
-//      release). The serial inline path (threads <= 1) never opens a
-//      dispatch window, so it reports exactly zero waits.
-//   3. *Amdahl analyzer.* The six-phase taxonomy of §13 splits traced
-//      self-time into parallelizable compute vs serial sections (deliver,
-//      fault transitions, gather setup, verify, scaffolding). The serial
-//      fraction measured at one thread feeds Amdahl's law for the
-//      predicted max speedup at each thread count; per-round imbalance
-//      (max busy / mean busy) names the critical worker.
-//
-// The report separates *deterministic structure* (identity + the per-round
-// delta series — what `lad difftl` gates exactly, exit 4 on divergence)
-// from *measured timings* (per-thread-count total/serial/wait series —
-// compared only with tolerance, exit 3). Same split, same exit codes as
-// obs/benchdiff.* and obs/profile.*.
+//   3. *Amdahl split.* The six-phase taxonomy splits traced self-time into
+//      parallelizable compute vs serial sections (deliver, fault
+//      transitions, gather setup, verify, scaffolding). The serial fraction
+//      measured at one thread feeds Amdahl's law for the predicted max
+//      speedup at each thread count.
 #pragma once
 
 #include <atomic>
@@ -42,27 +37,23 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "obs/benchdiff.hpp"  // DiffStatus, CaseDiff, BenchDiffOptions
-#include "obs/profile.hpp"    // ProfileIdentity, phase taxonomy
 #include "obs/telemetry.hpp"
 
 namespace lad::obs {
 
-/// Bumped whenever the timeline JSON layout changes incompatibly.
-/// v1: initial format — nested "deterministic" object + "measured" object.
-inline constexpr int kTimelineSchemaVersion = 1;
-
 // ---------------------------------------------------------------------------
-// Wait accounting
+// Chunk ledger
 
-/// Folds pool dispatch/chunk timestamps into per-dispatch wait attribution.
-/// One dispatch window is open at a time (ThreadPool::parallel_for is
-/// non-reentrant and serializes dispatches through the pool lock); chunk
-/// records outside a window — the serial inline path — are discarded, so
-/// threads=1 reports zero dispatches and zero waits by construction.
+/// Folds pool chunk timestamps into per-worker totals and per-dispatch wait
+/// attribution. One dispatch window is open at a time (ThreadPool's
+/// parallel_for is non-reentrant and serializes dispatches through the pool
+/// lock); chunks outside a window — the serial inline path — still count
+/// towards the worker totals but never towards waits, so threads=1 reports
+/// zero dispatches and zero waits by construction. Worker cells are keyed
+/// by the TraceRecorder tid of the executing thread, so record rows line up
+/// with trace lanes, and persist across reset() (ids are stable per thread).
 class WaitAccounting {
  public:
   /// Aggregate of every dispatch since the last drain (one engine round
@@ -79,9 +70,17 @@ class WaitAccounting {
     int critical_tid = -1;      // trace tid of the busiest worker
   };
 
+  /// One worker's totals since the last reset().
+  struct Slot {
+    int tid = -1;
+    long long busy_us = 0;
+    long long chunks = 0;
+  };
+
   static WaitAccounting& instance();
 
-  /// Discards the open window and the folded aggregates (run boundary).
+  /// Zeroes the worker totals and discards the open window and the folded
+  /// aggregates (a rep boundary).
   void reset();
 
   /// Caller side, parallel path only: marks the enqueue instant.
@@ -92,11 +91,13 @@ class WaitAccounting {
   void end_dispatch();
 
   /// Worker side (WaitChunkTimer): one executed chunk [start_us, end_us].
-  /// Discarded when no dispatch window is open.
   void record_chunk(std::uint64_t start_us, std::uint64_t end_us);
 
   /// Returns the folded aggregates and zeroes them (round boundary).
   Window drain_window();
+
+  /// Workers that executed at least one chunk since reset(), tid ascending.
+  std::vector<Slot> slots() const;
 
  private:
   struct WorkerCell;
@@ -111,9 +112,8 @@ class WaitAccounting {
   Window window_;
 };
 
-/// RAII chunk timer feeding WaitAccounting: measures one pool chunk's
-/// [start, end]. Inactive while telemetry is runtime-disabled (latched at
-/// construction, like Span and ChunkTimer).
+/// RAII timer around one pool chunk, feeding WaitAccounting. Inactive while
+/// telemetry is runtime-disabled (latched at construction, like Span).
 class WaitChunkTimer {
  public:
   WaitChunkTimer();
@@ -216,11 +216,11 @@ class FlightRecorder {
 };
 
 // ---------------------------------------------------------------------------
-// Amdahl / critical path
+// Amdahl split
 
-/// Traced self-time split into the §13 taxonomy's parallelizable compute
-/// phase vs everything serial (message exchange, fault transitions, gather
-/// setup, verify, scaffolding).
+/// Traced self-time split into the taxonomy's parallelizable compute phase
+/// vs everything serial (message exchange, fault transitions, gather setup,
+/// verify, scaffolding).
 struct SerialSplit {
   double serial_ms = 0;
   double compute_ms = 0;
@@ -229,131 +229,19 @@ struct SerialSplit {
 };
 
 /// Computes the split from the recorder's current events (stack-replay
-/// self-times, §13). Measured at one thread this is the Amdahl serial
-/// fraction of the run.
+/// self-times). Measured at one thread this is the Amdahl serial fraction
+/// of the run.
 SerialSplit serial_split_from_trace();
 
 /// Amdahl's law: max speedup 1 / (s + (1 - s) / T) for serial fraction `s`
 /// at `T` threads. T < 1 is treated as 1; s is clamped to [0, 1].
 double amdahl_speedup(double serial_fraction, int threads);
 
-// ---------------------------------------------------------------------------
-// Report
-
-/// Deterministic per-round delta row (the byte-stable series).
-struct TimelineRound {
-  long long round = 0;
-  long long messages = 0;
-  long long bytes = 0;
-  long long faults = 0;
-  long long repairs = 0;
-  long long allocs = 0;
-  long long alloc_bytes = 0;
-};
-
-/// Measured per-round row of one thread-count run.
-struct MeasuredRound {
-  long long round = 0;
-  double wall_ms = 0;
-  double dispatch_us = 0;
-  double queue_us = 0;
-  double wait_us = 0;
-  double max_wait_us = 0;
-  int workers = 0;
-  double imbalance = 1.0;
-  int critical_tid = -1;
-};
-
-/// One measured run at a fixed thread count.
-struct TimelineThreadRun {
-  int threads = 1;
-  double total_ms = 0;  // min-of-reps end-to-end wall time
-  double serial_ms = 0;
-  double compute_ms = 0;
-  double serial_fraction = 0;        // this run's own split
-  double predicted_max_speedup = 1;  // Amdahl at the 1-thread serial fraction
-  double measured_speedup = 0;       // 1-thread total_ms / this total_ms
-  std::vector<MeasuredRound> rounds;
-};
-
-/// Raw per-run input to the report builder.
-struct TimelineRunInput {
-  int threads = 1;
-  double total_ms = 0;
-  SerialSplit split;
-  std::vector<RoundSample> samples;  // this run's flight-recorder slice
-};
-
-struct TimelineReport {
-  ProfileIdentity id;
-  std::vector<TimelineRound> rounds;  // deterministic series (round order)
-
-  std::vector<TimelineThreadRun> runs;  // ascending thread count
-  long long flight_dropped = 0;
-
-  std::string git_commit;
-  std::string timestamp;
-
-  /// Exactly the nested "deterministic" object of to_json(): the byte-
-  /// stable slice CI diffs across thread counts.
-  std::string deterministic_json() const;
-  std::string to_json() const;
-  /// Round-series table + Amdahl summary for humans.
-  std::string to_markdown() const;
-};
-
-/// Assembles a report from per-thread-count run inputs. The deterministic
-/// round series is taken from the first run and every other run must match
-/// it exactly; a divergence (a §8 violation) throws std::runtime_error —
-/// the CLI maps it to the MISMATCH exit code 4.
-TimelineReport build_timeline_report(const ProfileIdentity& id,
-                                     const std::vector<TimelineRunInput>& runs);
-
-// ---------------------------------------------------------------------------
-// difftl
-
-/// Parsed timeline JSON, reduced to what the differ compares.
-struct TimelineDoc {
-  int schema_version = 0;
-  std::string pipeline;
-  std::string source;
-  std::string graph_digest;
-  long long n = 0;
-  long long m = 0;
-  long long seed = 1;
-  long long decode_rounds = 0;
-  bool verify_ok = false;
-  std::string output_digest;
-  long long advice_bits = 0;
-  long long engine_messages = 0;
-  long long engine_message_bits = 0;
-  std::vector<TimelineRound> rounds;
-  std::vector<std::pair<int, double>> run_times;  // (threads, total_ms)
-};
-
-/// Parses a `lad timeline --json` document. Throws std::runtime_error on
-/// malformed input or an unknown schema version.
-TimelineDoc parse_timeline_json(const std::string& text);
-
-struct TimelineDiffResult {
-  std::vector<CaseDiff> diffs;  // empty = clean
-
-  DiffStatus status() const;
-  std::string to_text() const;
-};
-
-/// Structural diff mirroring diff_profile: deterministic fields and the
-/// per-round series exact (MISMATCH, exit 4); total_ms per matching thread
-/// count gated by baseline + max(tol_ms, tol_rel·baseline) (REGRESSION,
-/// exit 3). Thread counts present on only one side are not compared.
-TimelineDiffResult diff_timeline(const TimelineDoc& baseline, const TimelineDoc& candidate,
-                                 const BenchDiffOptions& opts = {});
-
 }  // namespace lad::obs
 
 // ---------------------------------------------------------------------------
-// Chunk wait-timing hook for util/thread_pool.cpp. Mirrors LAD_TM_CHUNK_TIMER
-// in profile.hpp: an empty statement under -DLAD_TELEMETRY=OFF.
+// Chunk-timing hook for util/thread_pool.cpp. Mirrors the LAD_TM_* macros
+// in telemetry.hpp: an empty statement under -DLAD_TELEMETRY=OFF.
 #if LAD_TELEMETRY
 #define LAD_TM_WAIT_TIMER(var) ::lad::obs::WaitChunkTimer var
 #else

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
 #include "util/contracts.hpp"
@@ -72,10 +71,10 @@ void ThreadPool::run_chunks(const std::function<void(int)>& chunk_fn, int num_ch
     // the actual chunk->thread schedule; the counter total stays a pure
     // function of (count, threads).
     LAD_TM_SPAN(chunk_span, "pool.chunk", "pool");
-    LAD_TM_CHUNK_TIMER(chunk_timer);
-    // Wait attribution (DESIGN.md §14): records [start, end] against the
-    // open dispatch window; a no-op on the serial inline path below, so
-    // threads=1 reports exactly zero dispatch/queue/barrier time.
+    // The chunk ledger (DESIGN.md §13.2): [start, end] feeds the worker's
+    // busy time and, inside a dispatch window, the wait attribution; the
+    // serial inline path below opens no window, so threads=1 reports
+    // exactly zero dispatch/queue/barrier time.
     LAD_TM_WAIT_TIMER(wait_timer);
     LAD_TM(obs::core().pool_chunks.add(1));
     try {

@@ -9,7 +9,7 @@
 //      computes which index is a pure function of (count, threads()). Any
 //      caller that writes only to per-index slots therefore produces
 //      byte-identical results at every thread count — the property the
-//      ParallelEngine, the parallel ball gather, and the parallel fault
+//      pooled Engine, the parallel ball gather, and the parallel fault
 //      campaigns assert in tests/test_parallel_engine.cpp.
 //   2. *Exceptions propagate deterministically.* If chunk bodies throw, the
 //      exception of the lowest-numbered failing chunk is rethrown on the

@@ -3,9 +3,9 @@
 #   2 — usage error
 #   3 — soft failure (checked property does not hold)
 #   4 — hard failure (internal error, contract violation)
-# Soft-fail 3 is covered per-verb by cli_diffbench.cmake and
-# cli_lint.cmake; this script pins the 0 / 2 / 4 corners every verb
-# shares through main().
+# Soft-fail 3 is covered per-verb by cli_diff.cmake (the cli_diffbench and
+# cli_diffprof ctests) and cli_lint.cmake; this script pins the 0 / 2 / 4
+# corners every verb shares through main().
 #
 # Usage: cmake -DLAD_CLI=<path> -P cli_exit_codes.cmake
 if(NOT LAD_CLI)

@@ -72,7 +72,7 @@ run_lad(rc out audit nosuch:12 orientation)
 if(NOT rc EQUAL 2 OR NOT out MATCHES "nosuch:12")
   message(FATAL_ERROR "audit with unknown source must exit 2 naming it, got ${rc}:\n${out}")
 endif()
-expect_exit(2 trace orientation --graph nosuch:12)
+expect_exit(2 profile orientation --graph nosuch:12)
 expect_exit(2 verify-claims --family orientation --graphs cycle:64,nosuch:12,cycle:256)
 
 # --graphs needs at least 3 sources and an explicit --family.

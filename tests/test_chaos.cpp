@@ -35,7 +35,7 @@ Labeling cycle_three_coloring(const Graph& g) {
 
 ChaosConfig small_chaos() {
   ChaosConfig cfg;
-  cfg.pipelines = {DecoderKind::kOrientation};
+  cfg.pipelines = {PipelineId::kOrientation};
   cfg.families = {GraphFamily::kCycle};
   cfg.models = {"mixed", "churn"};
   cfg.policies = {"strict", "backoff"};
@@ -227,7 +227,7 @@ TEST(Degradation, FinalizePutsEveryNodeInExactlyOneBucket) {
 
 TEST(ChaosDeterminism, ChurnCampaignByteIdenticalAcrossThreadCounts) {
   CampaignConfig cfg;
-  cfg.decoder = DecoderKind::kThreeColoring;
+  cfg.decoder = PipelineId::kThreeColoring;
   cfg.family = GraphFamily::kCycle;
   cfg.n = 96;
   cfg.trials = 6;

@@ -19,7 +19,7 @@
 
 #include "bench/bench_runner.hpp"
 #include "core/pipeline.hpp"
-#include "obs/benchdiff.hpp"
+#include "obs/diff.hpp"
 #include "obs/claims.hpp"
 #include "obs/fit.hpp"
 
@@ -211,8 +211,15 @@ obs::BenchDoc tiny_doc() {
 }
 
 TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
-  const auto res = bench::run_bench_suite("smoke", 1, /*with_metrics=*/false, /*reps=*/2);
+  auto res = bench::run_bench_suite("smoke", 1, /*with_metrics=*/false, /*reps=*/2);
   EXPECT_EQ(res.reps, 2);
+  // A source-driven case names a user-supplied path, which may carry the
+  // JSON metacharacters " and \.
+  auto quoted = res.cases.front();
+  quoted.name = "orientation/q\"x\\y.ladg";
+  quoted.source = "q\"x\\y.ladg";
+  quoted.graph_digest = "0123456789abcdef";
+  res.cases.push_back(quoted);
   const auto doc = obs::parse_bench_json(res.to_json());
   EXPECT_EQ(doc.schema_version, res.schema_version);
   EXPECT_EQ(doc.suite, "smoke");
@@ -220,12 +227,13 @@ TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
   ASSERT_EQ(doc.cases.size(), res.cases.size());
   for (std::size_t i = 0; i < doc.cases.size(); ++i) {
     EXPECT_EQ(doc.cases[i].name, res.cases[i].name);
+    EXPECT_EQ(doc.cases[i].source, res.cases[i].source);
     EXPECT_EQ(doc.cases[i].digest, res.cases[i].digest);
     EXPECT_EQ(doc.cases[i].rounds, res.cases[i].rounds);
   }
   const auto diff = obs::diff_bench(doc, doc);
   EXPECT_EQ(diff.status(), obs::DiffStatus::kClean);
-  EXPECT_EQ(diff.cases_compared, static_cast<int>(doc.cases.size()));
+  EXPECT_EQ(diff.compared, static_cast<int>(doc.cases.size()));
 }
 
 TEST(BenchDiff, RepsDoNotChangeDeterministicFields) {
@@ -243,7 +251,7 @@ TEST(BenchDiff, GradesTimingAsRegression) {
   const auto base = tiny_doc();
   auto cand = tiny_doc();
   cand.cases[0].wall_ms_1 = 1000.0;
-  obs::BenchDiffOptions opts;
+  obs::DiffOptions opts;
   opts.tol_ms = 100.0;
   opts.tol_rel = 0.5;
   const auto diff = obs::diff_bench(base, cand, opts);
@@ -263,8 +271,8 @@ TEST(BenchDiff, GradesDeterministicDivergenceAsMismatch) {
     if (std::string(field) == "n") cand.cases[0].n = 97;
     const auto diff = obs::diff_bench(base, cand);
     EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch) << field;
-    ASSERT_EQ(diff.diffs.size(), 1u) << field;
-    EXPECT_EQ(diff.diffs[0].field, field);
+    ASSERT_EQ(diff.findings.size(), 1u) << field;
+    EXPECT_EQ(diff.findings[0].field, field);
   }
   // Mismatch outranks a simultaneous regression in the exit code.
   auto cand = tiny_doc();
@@ -279,13 +287,13 @@ TEST(BenchDiff, CaseSetChangesAreMismatches) {
   cand.cases[0].name = "orientation/n=128";
   const auto diff = obs::diff_bench(base, cand);
   EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch);
-  EXPECT_EQ(diff.diffs.size(), 2u);  // missing from candidate + extra in candidate
+  EXPECT_EQ(diff.findings.size(), 2u);  // missing from candidate + extra in candidate
 
   auto other_suite = tiny_doc();
   other_suite.suite = "e2";
   const auto sdiff = obs::diff_bench(base, other_suite);
   EXPECT_EQ(sdiff.status(), obs::DiffStatus::kMismatch);
-  EXPECT_EQ(sdiff.diffs[0].field, "suite");
+  EXPECT_EQ(sdiff.findings[0].field, "suite");
 }
 
 TEST(BenchDiff, SchemaV2DigestlessDocsStillDiff) {

@@ -169,7 +169,7 @@ TEST(BlastRadius, MeasuresDistanceFromFaultSites) {
 
 TEST(CampaignDeterminism, SameSeedByteIdenticalReports) {
   CampaignConfig cfg;
-  cfg.decoder = DecoderKind::kOrientation;
+  cfg.decoder = PipelineId::kOrientation;
   cfg.family = GraphFamily::kCycle;
   cfg.n = 120;
   cfg.trials = 12;
@@ -186,7 +186,7 @@ TEST(CampaignDeterminism, SameSeedByteIdenticalReports) {
 
 TEST(CampaignDeterminism, DifferentSeedDifferentFaultPattern) {
   CampaignConfig cfg;
-  cfg.decoder = DecoderKind::kThreeColoring;
+  cfg.decoder = PipelineId::kThreeColoring;
   cfg.family = GraphFamily::kCycle;
   cfg.n = 120;
   cfg.trials = 8;
@@ -203,7 +203,7 @@ TEST(CampaignDeterminism, DifferentSeedDifferentFaultPattern) {
 
 TEST(CampaignDeterminism, NoFaultPlanMeansCleanRun) {
   CampaignConfig cfg;
-  cfg.decoder = DecoderKind::kSplitting;
+  cfg.decoder = PipelineId::kSplitting;
   cfg.family = GraphFamily::kCycle;
   cfg.n = 120;
   cfg.trials = 5;

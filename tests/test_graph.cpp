@@ -18,9 +18,9 @@ TEST(Graph, BuildBasics) {
   EXPECT_EQ(g.n(), 3);
   EXPECT_EQ(g.m(), 2);
   EXPECT_EQ(g.id(a), 10);
-  EXPECT_EQ(g.index_of(5), c);
-  EXPECT_TRUE(g.has_id(7));
-  EXPECT_FALSE(g.has_id(99));
+  EXPECT_EQ(g.find_index(5), c);
+  EXPECT_TRUE(g.find_index(7).has_value());
+  EXPECT_FALSE(g.find_index(99).has_value());
   EXPECT_EQ(g.degree(c), 2);
   EXPECT_EQ(g.degree(a), 1);
   EXPECT_TRUE(g.adjacent(a, c));
@@ -30,13 +30,13 @@ TEST(Graph, BuildBasics) {
 TEST(Graph, NeighborsSortedById) {
   // Node 0 (ID 100) adjacent to IDs 50, 10, 70 — ports must be ID-sorted.
   Graph g = make_graph({100, 50, 10, 70}, {{100, 50}, {100, 10}, {100, 70}});
-  const int v = g.index_of(100);
+  const int v = *g.find_index(100);
   const auto nb = g.neighbors(v);
   ASSERT_EQ(nb.size(), 3u);
   EXPECT_EQ(g.id(nb[0]), 10);
   EXPECT_EQ(g.id(nb[1]), 50);
   EXPECT_EQ(g.id(nb[2]), 70);
-  EXPECT_EQ(g.port_of(v, g.index_of(50)), 1);
+  EXPECT_EQ(g.port_of(v, *g.find_index(50)), 1);
 }
 
 TEST(Graph, IncidentEdgesAligned) {
@@ -53,9 +53,9 @@ TEST(Graph, IncidentEdgesAligned) {
 
 TEST(Graph, EdgeBetween) {
   Graph g = make_graph({1, 2, 3, 4}, {{1, 2}, {2, 3}});
-  EXPECT_GE(g.edge_between(g.index_of(1), g.index_of(2)), 0);
-  EXPECT_EQ(g.edge_between(g.index_of(1), g.index_of(3)), -1);
-  EXPECT_EQ(g.edge_between(g.index_of(1), g.index_of(4)), -1);
+  EXPECT_GE(g.edge_between(*g.find_index(1), *g.find_index(2)), 0);
+  EXPECT_EQ(g.edge_between(*g.find_index(1), *g.find_index(3)), -1);
+  EXPECT_EQ(g.edge_between(*g.find_index(1), *g.find_index(4)), -1);
 }
 
 TEST(Graph, RejectsDuplicateIds) {
@@ -86,9 +86,9 @@ TEST(Graph, RejectsNonPositiveIds) {
   EXPECT_THROW(b.add_node(-5), ContractViolation);
 }
 
-TEST(Graph, IndexOfUnknownIdThrows) {
+TEST(Graph, FindIndexOfUnknownIdIsNullopt) {
   Graph g = make_graph({1}, {});
-  EXPECT_THROW(g.index_of(2), ContractViolation);
+  EXPECT_EQ(g.find_index(2), std::nullopt);
 }
 
 TEST(Graph, EmptyGraph) {

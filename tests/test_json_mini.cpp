@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/benchdiff.hpp"
+#include "obs/diff.hpp"
 #include "obs/json_mini.hpp"
 
 namespace lad {

@@ -13,7 +13,6 @@
 #include "graph/generators.hpp"
 #include "local/engine.hpp"
 #include "local/gather.hpp"
-#include "local/parallel_engine.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lad {
@@ -76,7 +75,9 @@ TEST(ParallelEngine, ByteIdenticalToSerialAcrossThreadCounts) {
     const auto want = run_signature(serial.run(serial_alg, 8));
     for (const int t : kThreadCounts) {
       Flood alg(3);
-      ParallelEngine eng(g, t);
+      ThreadPool pool(t);
+      Engine eng(g);
+      eng.set_thread_pool(&pool);
       const auto got = run_signature(eng.run(alg, 8));
       EXPECT_EQ(got, want) << "n=" << g.n() << " threads=" << t;
     }
@@ -98,7 +99,9 @@ TEST(ParallelEngine, FaultModelParityAcrossThreadCounts) {
     const auto want_stats = serial.fault_stats();
     for (const int t : kThreadCounts) {
       Flood alg(3);
-      ParallelEngine eng(g, t);
+      ThreadPool pool(t);
+      Engine eng(g);
+      eng.set_thread_pool(&pool);
       eng.set_fault_model(&model);
       const auto got = run_signature(eng.run(alg, 8));
       EXPECT_EQ(got, want) << "n=" << g.n() << " threads=" << t;
@@ -120,7 +123,9 @@ TEST(ParallelEngine, AuditLogParityAcrossThreadCounts) {
 
   for (const int t : kThreadCounts) {
     Flood alg(3);
-    ParallelEngine eng(g, t);
+    ThreadPool pool(t);
+    Engine eng(g);
+    eng.set_thread_pool(&pool);
     eng.enable_audit(/*fail_fast=*/false);
     eng.run(alg, 8);
     const auto& got = eng.audit_log();
@@ -189,13 +194,13 @@ std::string campaign_signature(const faults::CampaignSummary& s) {
 
 TEST(ParallelCampaign, ReportsByteIdenticalAcrossThreadCounts) {
   struct Setup {
-    faults::DecoderKind decoder;
+    PipelineId decoder;
     faults::GraphFamily family;
   };
   const Setup setups[] = {
-      {faults::DecoderKind::kOrientation, faults::GraphFamily::kCycle},
-      {faults::DecoderKind::kThreeColoring, faults::GraphFamily::kGrid},
-      {faults::DecoderKind::kSplitting, faults::GraphFamily::kTorus},
+      {PipelineId::kOrientation, faults::GraphFamily::kCycle},
+      {PipelineId::kThreeColoring, faults::GraphFamily::kGrid},
+      {PipelineId::kSplitting, faults::GraphFamily::kTorus},
   };
   for (const auto& setup : setups) {
     faults::CampaignConfig cfg;
@@ -209,7 +214,7 @@ TEST(ParallelCampaign, ReportsByteIdenticalAcrossThreadCounts) {
     for (const int t : kThreadCounts) {
       cfg.threads = t;
       EXPECT_EQ(campaign_signature(faults::run_fault_campaign(cfg)), want)
-          << faults::to_string(setup.decoder) << " threads=" << t;
+          << pipeline(setup.decoder).name() << " threads=" << t;
     }
   }
 }

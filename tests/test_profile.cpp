@@ -1,19 +1,19 @@
-// The profiling-observatory contract (DESIGN.md §13), pinned from five
-// sides:
+// The observed-run contract (DESIGN.md §13), pinned through the one driver
+// `lad profile` uses (faults::observe_run):
 //
-//   1. The phase taxonomy is total over the span-name catalog, and the
-//      explicit mappings (gather/compute/message-exchange/fault-transition/
-//      verify) land where the taxonomy says they do.
-//   2. Self-time stack replay is exact arithmetic: a span's self-time is
-//      its duration minus its direct children's durations, verified on a
-//      hand-built event stream.
-//   3. The report's "deterministic" JSON slice is byte-identical across
-//      reruns and thread counts (1, 2, 8) for real pipeline workloads —
-//      the slice `lad diffprof` and the CI profile-smoke job gate exactly.
-//   4. The profile JSON round-trips through parse_profile_json.
-//   5. diff_profile maps field drift to the diffbench exit-code convention:
-//      0 clean, 3 timing regression (tolerance-gated), 4 structural
-//      mismatch.
+//   1. The phase taxonomy is total over the span-name catalog, the explicit
+//      mappings land where the taxonomy says, and self-time stack replay is
+//      exact arithmetic on a hand-built event stream.
+//   2. The record's "deterministic" slice is byte-identical across thread
+//      counts (1, 2, 8) for real pipeline workloads — the slice `lad diff`
+//      and the CI profile-smoke job gate exactly — and a cross-thread-count
+//      divergence throws instead of averaging.
+//   3. The record round-trips through parse_run_json, and diff_run maps
+//      drift to the shared exit-code convention: 0 clean, 3 timing
+//      regression (tolerance-gated), 4 structural mismatch.
+//
+// The per-round instruments the record is built from (wait accounting,
+// flight recorder, Amdahl) are pinned in tests/test_timeline.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,79 +26,26 @@
 #include "core/pipeline.hpp"
 #include "faults/campaign.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "obs/diff.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lad {
 namespace {
 
-// Mirrors what `lad profile` runs per rep: encode -> decode -> verify ->
-// pooled verification echo, then a report assembled from the trace and
-// counter snapshot. Timing inputs are pinned (total_ms = 1.0) so tests
-// exercise structure, not the clock.
-obs::ProfileReport profile_run(const std::string& pipeline_name, int threads) {
+// One observed run of `pipeline_name` on a 512-cycle, one rep per count.
+obs::RunReport observe(const std::string& pipeline_name, const std::vector<int>& threads) {
   const Pipeline* p = find_pipeline(pipeline_name);
   EXPECT_NE(p, nullptr) << pipeline_name;
   PipelineConfig cfg;
   cfg.seed = 7;
   const Graph g = make_cycle(512, IdMode::kSequential, 7);
-
-  obs::set_enabled(true);
-  obs::MetricsRegistry::instance().reset();
-  obs::TraceRecorder::instance().clear();
-  obs::PoolAccounting::instance().reset();
-
-  ThreadPool pool(threads);
-  const auto adv = p->encode(g, cfg);
-  const auto out = p->decode(g, adv, cfg);
-  const bool ok = p->verify(g, out, cfg);
-  const auto echo = faults::run_verification_echo(g, p->node_digests(g, out), /*echo_rounds=*/3,
-                                                  /*faults=*/nullptr,
-                                                  threads > 1 ? &pool : nullptr);
-
-  obs::ProfileIdentity id;
-  id.pipeline = p->name();
-  id.source = "cycle:512@7";
-  id.graph_digest = graph_digest_hex(g);
-  id.n = g.n();
-  id.m = g.m();
-  id.seed = 7;
-  id.decode_rounds = out.rounds;
-  id.verify_ok = ok && echo.unverified_nodes.empty();
-  id.output_digest = obs::fingerprint_hex(p->node_digests(g, out));
-  id.advice_bits = adv.stats(g.n()).total_bits;
-  id.engine_messages = obs::core().engine_messages.value();
-  id.engine_message_bits = obs::core().engine_message_bits.value();
-
-  std::vector<obs::PhaseAlloc> allocs;
-  for (const auto& phase : obs::phase_taxonomy()) {
-    obs::PhaseAlloc row;
-    row.phase = phase;
-    if (phase == "gather") {
-      row.allocs = obs::core().alloc_gather.value();
-      row.alloc_bytes = obs::core().alloc_gather_bytes.value();
-    } else if (phase == "message-exchange") {
-      row.allocs = obs::core().alloc_msgbuf.value();
-      row.alloc_bytes = obs::core().alloc_msgbuf_bytes.value();
-    }
-    allocs.push_back(row);
-  }
-
-  auto report = obs::build_profile_report(
-      id, allocs, obs::TraceRecorder::instance().events_by_thread(),
-      obs::PoolAccounting::instance().slots(), obs::TraceRecorder::instance().thread_names(),
-      threads, /*reps=*/1, /*total_ms=*/1.0);
-
-  obs::set_enabled(false);
-  obs::MetricsRegistry::instance().reset();
-  obs::TraceRecorder::instance().clear();
-  obs::PoolAccounting::instance().reset();
+  auto report = faults::observe_run(*p, g, "cycle:512@7", cfg, threads, /*reps=*/1);
+  obs::reset_instruments();
   return report;
 }
 
-// --- Phase taxonomy --------------------------------------------------------
+// --- Phase taxonomy and self-time ------------------------------------------
 
 TEST(Profile, TaxonomyIsTotalOverSpanCatalog) {
   const auto& phases = obs::phase_taxonomy();
@@ -131,8 +78,6 @@ TEST(Profile, ExplicitSpanMappings) {
   EXPECT_EQ(obs::phase_of_span("campaign.trial"), "other");
   EXPECT_EQ(obs::phase_of_span("no.such.span"), "other");
 }
-
-// --- Self-time stack replay ------------------------------------------------
 
 TEST(Profile, SelfTimeSubtractsDirectChildren) {
   std::vector<obs::TraceEvent> ev;
@@ -167,47 +112,16 @@ TEST(Profile, SelfTimeSubtractsDirectChildren) {
   EXPECT_EQ(gather.spans, 1);
 }
 
-// --- Determinism across thread counts --------------------------------------
-
-TEST(Profile, DeterministicSliceIsByteStableAcrossThreads) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  for (const char* name : {"orientation", "decompress"}) {
-    const std::string base = profile_run(name, 1).deterministic_json();
-    EXPECT_FALSE(base.empty());
-    for (const int threads : {2, 8}) {
-      EXPECT_EQ(base, profile_run(name, threads).deterministic_json())
-          << name << " deterministic slice drifted at " << threads << " threads";
-    }
-  }
-}
-
-TEST(Profile, PoolRowsAndImbalanceAtFourThreads) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  const auto report = profile_run("orientation", 4);
-  EXPECT_GE(report.imbalance, 1.0);
-  long long chunks = 0;
-  for (const auto& row : report.thread_rows) chunks += row.chunks;
-  EXPECT_GT(chunks, 0) << "pooled echo recorded no chunks";
-  EXPECT_GT(report.trace_events, 0);
-  // The markdown report names its top time sinks.
-  EXPECT_NE(report.to_markdown().find("## Top time sinks"), std::string::npos);
-}
-
-// --- Warmup discipline -----------------------------------------------------
-
-TEST(Profile, WarmupDisciplineSharedWithTimeline) {
-  // `lad profile` and `lad timeline` discard exactly one warmup run before
-  // the timed min-of-K loop when --reps > 1, and none for a single rep —
-  // the same discipline `lad bench` uses. Pinned so a CLI refactor cannot
-  // silently time the cold first run.
+TEST(Profile, WarmupDiscipline) {
+  // One discarded warmup run before the timed min-of-K loop when
+  // --reps > 1, none for a single rep — the discipline `lad bench` uses.
+  // Pinned so a refactor cannot silently time the cold first run.
   EXPECT_EQ(obs::profile_warmup_runs(1), 0);
   EXPECT_EQ(obs::profile_warmup_runs(2), 1);
   EXPECT_EQ(obs::profile_warmup_runs(3), 1);
   EXPECT_EQ(obs::profile_warmup_runs(100), 1);
   EXPECT_EQ(obs::profile_warmup_runs(0), 0);
 }
-
-// --- Fingerprint -----------------------------------------------------------
 
 TEST(Profile, FingerprintIsStableAndOrderSensitive) {
   const std::vector<std::string> parts = {"a", "b", "c"};
@@ -220,78 +134,109 @@ TEST(Profile, FingerprintIsStableAndOrderSensitive) {
   EXPECT_NE(obs::fingerprint_hex({"ab", ""}), obs::fingerprint_hex({"a", "b"}));
 }
 
-// --- JSON round-trip and diffprof ------------------------------------------
+// --- Determinism across thread counts --------------------------------------
+
+TEST(Profile, DeterministicSliceIsByteStableAcrossThreads) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
+  for (const char* name : {"orientation", "decompress"}) {
+    const auto base = observe(name, {1});
+    EXPECT_TRUE(base.det.verify_ok) << name;
+    EXPECT_FALSE(base.det.rounds.empty()) << name;
+    for (const int threads : {2, 8}) {
+      EXPECT_EQ(base.deterministic_json(), observe(name, {threads}).deterministic_json())
+          << name << " deterministic slice drifted at " << threads << " threads";
+    }
+  }
+}
+
+TEST(Profile, AddRunThrowsOnSeriesDivergence) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
+  auto report = observe("orientation", {1});
+  auto perturbed = report.det;
+  ASSERT_FALSE(perturbed.rounds.empty());
+  perturbed.rounds.front().messages += 1;
+  obs::RunMeasured row;
+  row.threads = 2;
+  EXPECT_THROW(report.add_run(perturbed, row), std::runtime_error);
+  EXPECT_EQ(report.runs.size(), 1u);
+}
+
+// --- JSON round-trip and the differ ----------------------------------------
 
 TEST(Profile, JsonRoundTripsThroughParser) {
   if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  const auto report = profile_run("orientation", 2);
+  const auto report = observe("orientation", {1, 2});
+  ASSERT_EQ(report.runs.size(), 2u);
   const std::string json = report.to_json();
   // The deterministic slice is embedded verbatim in the full document.
   EXPECT_NE(json.find(report.deterministic_json()), std::string::npos);
 
-  const auto doc = obs::parse_profile_json(json);
-  EXPECT_EQ(doc.schema_version, obs::kProfileSchemaVersion);
-  EXPECT_EQ(doc.pipeline, report.id.pipeline);
-  EXPECT_EQ(doc.source, report.id.source);
-  EXPECT_EQ(doc.graph_digest, report.id.graph_digest);
-  EXPECT_EQ(doc.n, report.id.n);
-  EXPECT_EQ(doc.m, report.id.m);
-  EXPECT_EQ(doc.seed, static_cast<long long>(report.id.seed));
-  EXPECT_EQ(doc.decode_rounds, report.id.decode_rounds);
-  EXPECT_EQ(doc.verify_ok, report.id.verify_ok);
-  EXPECT_EQ(doc.output_digest, report.id.output_digest);
-  EXPECT_EQ(doc.advice_bits, report.id.advice_bits);
-  EXPECT_EQ(doc.engine_messages, report.id.engine_messages);
-  EXPECT_EQ(doc.engine_message_bits, report.id.engine_message_bits);
-  EXPECT_EQ(doc.threads, report.threads);
-  ASSERT_EQ(doc.phase_allocs.size(), obs::phase_taxonomy().size());
-  for (std::size_t i = 0; i < doc.phase_allocs.size(); ++i) {
-    EXPECT_EQ(doc.phase_allocs[i].phase, report.phase_allocs[i].phase);
-    EXPECT_EQ(doc.phase_allocs[i].allocs, report.phase_allocs[i].allocs);
-    EXPECT_EQ(doc.phase_allocs[i].alloc_bytes, report.phase_allocs[i].alloc_bytes);
+  const auto doc = obs::parse_run_json(json);
+  EXPECT_EQ(doc.deterministic_json(), report.deterministic_json());
+  EXPECT_EQ(doc.det.phases.size(), obs::phase_taxonomy().size());
+  EXPECT_EQ(doc.reps, report.reps);
+  ASSERT_EQ(doc.runs.size(), 2u);
+  for (std::size_t i = 0; i < doc.runs.size(); ++i) {
+    EXPECT_EQ(doc.runs[i].threads, report.runs[i].threads);
+    EXPECT_NEAR(doc.runs[i].total_ms, report.runs[i].total_ms, 5e-4);
   }
 
-  EXPECT_THROW(obs::parse_profile_json("{}"), std::runtime_error);
-  EXPECT_THROW(obs::parse_profile_json("not json"), std::runtime_error);
+  EXPECT_THROW(obs::parse_run_json("{}"), std::runtime_error);
+  EXPECT_THROW(obs::parse_run_json("not json"), std::runtime_error);
 }
 
-TEST(Profile, DiffProfFollowsExitCodeConvention) {
+TEST(Profile, DiffFollowsExitCodeConvention) {
   if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  const auto report = profile_run("orientation", 2);
-  const auto base = obs::parse_profile_json(report.to_json());
+  auto base = obs::parse_run_json(observe("orientation", {1, 2}).to_json());
+  base.runs[0].total_ms = 10.0;
+  base.runs[1].total_ms = 5.0;
 
-  // Identical documents: clean, even across thread counts (threads are
-  // explicitly not compared).
-  obs::BenchDiffOptions tight;
+  obs::DiffOptions tight;
   tight.tol_ms = 1.0;
   tight.tol_rel = 0.0;
-  EXPECT_EQ(obs::diff_profile(base, base, tight).status(), obs::DiffStatus::kClean);
-  auto other_threads = base;
-  other_threads.threads = 8;
-  EXPECT_EQ(obs::diff_profile(base, other_threads, tight).status(), obs::DiffStatus::kClean);
+  EXPECT_EQ(obs::diff_run(base, base, tight).status(), obs::DiffStatus::kClean);
+
+  // Thread counts present on only one side are not timed.
+  auto fewer = base;
+  fewer.runs.pop_back();
+  EXPECT_EQ(obs::diff_run(base, fewer, tight).status(), obs::DiffStatus::kClean);
 
   // Deterministic drift: structural mismatch (exit 4), named field.
   auto digest_drift = base;
-  digest_drift.output_digest = "0000000000000000";
-  const auto mism = obs::diff_profile(base, digest_drift, tight);
+  digest_drift.det.output_digest = "0000000000000000";
+  const auto mism = obs::diff_run(base, digest_drift, tight);
   EXPECT_EQ(mism.status(), obs::DiffStatus::kMismatch);
   EXPECT_NE(mism.to_text().find("output_digest"), std::string::npos);
 
   auto alloc_drift = base;
-  ASSERT_FALSE(alloc_drift.phase_allocs.empty());
-  alloc_drift.phase_allocs[0].allocs += 1;
-  EXPECT_EQ(obs::diff_profile(base, alloc_drift, tight).status(), obs::DiffStatus::kMismatch);
+  ASSERT_FALSE(alloc_drift.det.phases.empty());
+  alloc_drift.det.phases[0].allocs += 1;
+  EXPECT_EQ(obs::diff_run(base, alloc_drift, tight).status(), obs::DiffStatus::kMismatch);
 
-  // Timing drift beyond tolerance: regression (exit 3); absorbed by a
-  // generous tolerance: clean.
+  auto round_drift = base;
+  ASSERT_FALSE(round_drift.det.rounds.empty());
+  round_drift.det.rounds.front().messages += 1;
+  EXPECT_EQ(obs::diff_run(base, round_drift, tight).status(), obs::DiffStatus::kMismatch);
+
+  // Timing drift at one thread count beyond tolerance: regression (exit
+  // 3); absorbed by a generous tolerance: clean.
   auto slow = base;
-  slow.total_ms = base.total_ms + 1000.0;
-  const auto reg = obs::diff_profile(base, slow, tight);
+  slow.runs[1].total_ms += 1000.0;
+  const auto reg = obs::diff_run(base, slow, tight);
   EXPECT_EQ(reg.status(), obs::DiffStatus::kRegression);
-  EXPECT_NE(reg.to_text().find("total_ms"), std::string::npos);
-  obs::BenchDiffOptions loose;
+  EXPECT_NE(reg.to_text().find("t=2 [total_ms]"), std::string::npos);
+  obs::DiffOptions loose;
   loose.tol_ms = 100000.0;
-  EXPECT_EQ(obs::diff_profile(base, slow, loose).status(), obs::DiffStatus::kClean);
+  EXPECT_EQ(obs::diff_run(base, slow, loose).status(), obs::DiffStatus::kClean);
+
+  // A run record never diffs against a bench document.
+  EXPECT_THROW(obs::diff_documents(base.to_json(), R"({"schema_version": 6, "cases": []})"),
+               std::runtime_error);
+
+  // Exit codes are the enum values — the CLI returns status() directly.
+  EXPECT_EQ(static_cast<int>(obs::DiffStatus::kClean), 0);
+  EXPECT_EQ(static_cast<int>(obs::DiffStatus::kRegression), 3);
+  EXPECT_EQ(static_cast<int>(obs::DiffStatus::kMismatch), 4);
 }
 
 }  // namespace

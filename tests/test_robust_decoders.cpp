@@ -19,24 +19,24 @@
 namespace lad::faults {
 namespace {
 
-CampaignConfig campaign_for(DecoderKind decoder) {
+CampaignConfig campaign_for(PipelineId decoder) {
   CampaignConfig cfg;
   cfg.decoder = decoder;
   cfg.family = GraphFamily::kCycle;
   cfg.n = 200;
   cfg.trials = 100;
   cfg.seed = 2024;
-  if (decoder == DecoderKind::kSubexpLcl) {
+  if (decoder == PipelineId::kSubexpLcl) {
     cfg.n = 128;
     cfg.subexp.x = 60;  // keep the §4 cluster machinery small enough for 100 trials
   }
   return cfg;
 }
 
-class RobustCampaignTest : public ::testing::TestWithParam<DecoderKind> {};
+class RobustCampaignTest : public ::testing::TestWithParam<const Pipeline*> {};
 
 TEST_P(RobustCampaignTest, MixedAdversaryHundredTrialsNoSilentCorruption) {
-  const auto cfg = campaign_for(GetParam());
+  const auto cfg = campaign_for(GetParam()->id());
   const auto s = run_fault_campaign(cfg);
 
   ASSERT_EQ(s.trials, cfg.trials);
@@ -57,9 +57,9 @@ TEST_P(RobustCampaignTest, MixedAdversaryHundredTrialsNoSilentCorruption) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDecoders, RobustCampaignTest, ::testing::ValuesIn(all_decoders()),
-                         [](const ::testing::TestParamInfo<DecoderKind>& info) {
-                           return std::string(to_string(info.param));
+INSTANTIATE_TEST_SUITE_P(AllDecoders, RobustCampaignTest, ::testing::ValuesIn(pipelines()),
+                         [](const ::testing::TestParamInfo<const Pipeline*>& info) {
+                           return std::string(info.param->name());
                          });
 
 TEST(RobustDecoders, CleanAdviceIsNotDegraded) {

@@ -51,7 +51,7 @@ std::map<std::string, long long> snapshot_map() {
 // (gather + memo counters), both parameterized by thread count.
 void run_workload(int threads) {
   faults::CampaignConfig cc;
-  cc.decoder = faults::DecoderKind::kOrientation;
+  cc.decoder = PipelineId::kOrientation;
   cc.family = faults::GraphFamily::kCycle;
   cc.n = 80;
   cc.trials = 6;

@@ -1,115 +1,41 @@
-// The timeline-observatory contract (DESIGN.md §14), pinned from five
-// sides:
+// The per-round instruments behind the observed run's record (DESIGN.md
+// §13.3–13.5), the pooled cases driven through faults::observe_run:
 //
-//   1. Amdahl's law arithmetic is exact, clamped at both ends (s in [0,1],
-//      T >= 1).
-//   2. Wait accounting is zero by construction on the serial inline path
-//      (threads = 1 never opens a dispatch window), and an empty round —
-//      zero messages, zero workers — produces finite, neutral statistics
-//      (imbalance 1.0, no division by zero).
+//   1. Wait accounting is zero by construction on the serial inline path
+//      (threads = 1 never opens a dispatch window), while a pooled run
+//      records dispatch windows, per-worker chunk rows and imbalance.
+//   2. An empty round — zero messages, zero workers — produces finite,
+//      neutral statistics (imbalance 1.0, no division by zero).
 //   3. The flight-recorder ring is bounded: overflow counts dropped rounds
 //      instead of growing or failing, and the post-mortem dump renders.
-//   4. The report's deterministic round series is byte-identical across
-//      reruns and thread counts (1, 2, 8) for real pipeline workloads —
-//      the slice `lad difftl` and the CI timeline-smoke job gate exactly —
-//      and a cross-thread-count divergence throws instead of averaging.
-//   5. The timeline JSON round-trips through parse_timeline_json, and
-//      diff_timeline maps drift to the shared exit-code convention:
-//      0 clean, 3 timing regression (tolerance-gated), 4 structural
-//      mismatch.
+//   4. Amdahl's law arithmetic is exact, clamped at both ends (s in [0,1],
+//      T >= 1), and the record predicts and measures speedup per row.
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "faults/campaign.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lad {
 namespace {
 
-struct TimelineCapture {
-  obs::ProfileIdentity id;
-  obs::TimelineRunInput run;
-};
-
-// Mirrors what `lad timeline` runs per thread count: encode -> decode ->
-// verify -> pooled verification echo, then the flight-recorder and
-// serial-split snapshots. total_ms is pinned (1.0) so tests exercise
-// structure, not the clock.
-TimelineCapture timeline_run(const std::string& pipeline_name, int threads) {
-  const Pipeline* p = find_pipeline(pipeline_name);
-  EXPECT_NE(p, nullptr) << pipeline_name;
+// One observed orientation run on a 512-cycle, one rep per count.
+obs::RunReport observe_orientation(const std::vector<int>& threads) {
+  const Pipeline* p = find_pipeline("orientation");
+  EXPECT_NE(p, nullptr);
   PipelineConfig cfg;
   cfg.seed = 7;
   const Graph g = make_cycle(512, IdMode::kSequential, 7);
-
-  obs::set_enabled(true);
-  obs::MetricsRegistry::instance().reset();
-  obs::TraceRecorder::instance().clear();
-  obs::PoolAccounting::instance().reset();
-  obs::FlightRecorder::instance().clear();
-  obs::WaitAccounting::instance().reset();
-
-  ThreadPool pool(threads);
-  const auto adv = p->encode(g, cfg);
-  const auto out = p->decode(g, adv, cfg);
-  const bool ok = p->verify(g, out, cfg);
-  const auto echo = faults::run_verification_echo(g, p->node_digests(g, out), /*echo_rounds=*/3,
-                                                  /*faults=*/nullptr,
-                                                  threads > 1 ? &pool : nullptr);
-
-  TimelineCapture cap;
-  cap.run.threads = threads;
-  cap.run.total_ms = 1.0;
-  cap.run.split = obs::serial_split_from_trace();
-  cap.run.samples = obs::FlightRecorder::instance().samples();
-
-  cap.id.pipeline = p->name();
-  cap.id.source = "cycle:512@7";
-  cap.id.graph_digest = graph_digest_hex(g);
-  cap.id.n = g.n();
-  cap.id.m = g.m();
-  cap.id.seed = 7;
-  cap.id.decode_rounds = out.rounds;
-  cap.id.verify_ok = ok && echo.unverified_nodes.empty();
-  cap.id.output_digest = obs::fingerprint_hex(p->node_digests(g, out));
-  cap.id.advice_bits = adv.stats(g.n()).total_bits;
-  cap.id.engine_messages = obs::core().engine_messages.value();
-  cap.id.engine_message_bits = obs::core().engine_message_bits.value();
-
-  obs::set_enabled(false);
-  obs::MetricsRegistry::instance().reset();
-  obs::TraceRecorder::instance().clear();
-  obs::PoolAccounting::instance().reset();
-  obs::FlightRecorder::instance().clear();
-  obs::WaitAccounting::instance().reset();
-  return cap;
-}
-
-// --- Amdahl ---------------------------------------------------------------
-
-TEST(Timeline, AmdahlSpeedupMath) {
-  // s = 0: perfectly parallel, speedup = T.
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.0, 4), 4.0);
-  // s = 1: fully serial, no speedup at any T.
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(1.0, 8), 1.0);
-  // s = 0.5, T = 4: 1 / (0.5 + 0.125) = 1.6.
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.5, 4), 1.6);
-  // T = 1 collapses to 1 regardless of s.
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.5, 1), 1.0);
-  // Clamping: s outside [0, 1] and T < 1 are normalized, not propagated.
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(-0.5, 4), 4.0);
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(2.0, 4), 1.0);
-  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.5, 0), 1.0);
+  auto report = faults::observe_run(*p, g, "cycle:512@7", cfg, threads, /*reps=*/1);
+  obs::reset_instruments();
+  return report;
 }
 
 // --- Wait accounting -------------------------------------------------------
@@ -125,31 +51,40 @@ TEST(Timeline, SerialPathReportsZeroWaits) {
 
   // A full single-threaded run never opens a dispatch window, so every
   // recorded round reports zero dispatch/queue/wait time and no workers.
-  const auto cap = timeline_run("orientation", 1);
-  ASSERT_FALSE(cap.run.samples.empty());
-  for (const auto& s : cap.run.samples) {
-    EXPECT_EQ(s.workers, 0) << "round " << s.round;
-    EXPECT_DOUBLE_EQ(s.dispatch_us, 0.0) << "round " << s.round;
-    EXPECT_DOUBLE_EQ(s.queue_us, 0.0) << "round " << s.round;
-    EXPECT_DOUBLE_EQ(s.wait_us, 0.0) << "round " << s.round;
-    EXPECT_DOUBLE_EQ(s.imbalance, 1.0) << "round " << s.round;
-    EXPECT_EQ(s.critical_tid, -1) << "round " << s.round;
+  const auto report = observe_orientation({1});
+  ASSERT_EQ(report.runs.size(), 1u);
+  ASSERT_FALSE(report.runs[0].rounds.empty());
+  for (const auto& r : report.runs[0].rounds) {
+    EXPECT_EQ(r.workers, 0) << "round " << r.round;
+    EXPECT_DOUBLE_EQ(r.dispatch_us, 0.0) << "round " << r.round;
+    EXPECT_DOUBLE_EQ(r.queue_us, 0.0) << "round " << r.round;
+    EXPECT_DOUBLE_EQ(r.wait_us, 0.0) << "round " << r.round;
+    EXPECT_DOUBLE_EQ(r.imbalance, 1.0) << "round " << r.round;
+    EXPECT_EQ(r.critical_tid, -1) << "round " << r.round;
   }
 }
 
-TEST(Timeline, PooledRunRecordsDispatchWindows) {
+TEST(Timeline, PooledRunRecordsDispatchWindowsAndPoolRows) {
   if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  const auto cap = timeline_run("orientation", 4);
+  const auto report = observe_orientation({4});
+  ASSERT_EQ(report.runs.size(), 1u);
+  const auto& run = report.runs[0];
   long long workers = 0;
-  for (const auto& s : cap.run.samples) {
-    workers += s.workers;
-    EXPECT_GE(s.imbalance, 1.0) << "round " << s.round;
+  for (const auto& r : run.rounds) {
+    workers += r.workers;
+    EXPECT_GE(r.imbalance, 1.0) << "round " << r.round;
   }
   EXPECT_GT(workers, 0) << "pooled echo rounds recorded no dispatch workers";
+  EXPECT_GE(run.imbalance, 1.0);
+  long long chunks = 0;
+  for (const auto& row : run.thread_rows) chunks += row.chunks;
+  EXPECT_GT(chunks, 0) << "pooled echo recorded no chunks";
+  EXPECT_GT(run.trace_events, 0);
+  // The markdown report names its top time sinks.
+  EXPECT_NE(report.to_markdown().find("### Top time sinks"), std::string::npos);
 }
 
 TEST(Timeline, EmptyRoundIsFiniteAndNeutral) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   auto& fr = obs::FlightRecorder::instance();
   obs::WaitAccounting::instance().reset();
   fr.clear();
@@ -172,7 +107,6 @@ TEST(Timeline, EmptyRoundIsFiniteAndNeutral) {
 // --- Flight-recorder ring --------------------------------------------------
 
 TEST(Timeline, RingOverflowCountsDroppedRounds) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   auto& fr = obs::FlightRecorder::instance();
   fr.clear();
   fr.begin_run();
@@ -199,137 +133,39 @@ TEST(Timeline, RingOverflowCountsDroppedRounds) {
   fr.clear();
 }
 
-// --- Determinism across thread counts --------------------------------------
+// --- Amdahl ----------------------------------------------------------------
 
-TEST(Timeline, DeterministicSliceIsByteStableAcrossThreads) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  for (const char* name : {"orientation", "decompress"}) {
-    const auto base_cap = timeline_run(name, 1);
-    const std::string base =
-        obs::build_timeline_report(base_cap.id, {base_cap.run}).deterministic_json();
-    EXPECT_FALSE(base.empty());
-    for (const int threads : {2, 8}) {
-      const auto cap = timeline_run(name, threads);
-      EXPECT_EQ(base, obs::build_timeline_report(cap.id, {cap.run}).deterministic_json())
-          << name << " deterministic round series drifted at " << threads << " threads";
-    }
-  }
-}
+TEST(Timeline, AmdahlMathAndClamps) {
+  // s = 0: perfectly parallel, speedup = T.
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.0, 4), 4.0);
+  // s = 1: fully serial, no speedup at any T.
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(1.0, 8), 1.0);
+  // s = 0.5, T = 4: 1 / (0.5 + 0.125) = 1.6.
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.5, 4), 1.6);
+  // T = 1 collapses to 1 regardless of s.
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.5, 1), 1.0);
+  // Clamping: s outside [0, 1] and T < 1 are normalized, not propagated.
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(-0.5, 4), 4.0);
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(2.0, 4), 1.0);
+  EXPECT_DOUBLE_EQ(obs::amdahl_speedup(0.5, 0), 1.0);
 
-TEST(Timeline, BuildReportThrowsOnSeriesDivergence) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  const auto cap = timeline_run("orientation", 1);
-  auto perturbed = cap.run;
-  perturbed.threads = 2;
-  ASSERT_FALSE(perturbed.samples.empty());
-  perturbed.samples.front().messages += 1;
-  EXPECT_THROW(obs::build_timeline_report(cap.id, {cap.run, perturbed}), std::runtime_error);
-}
-
-// --- JSON round-trip and difftl --------------------------------------------
-
-TEST(Timeline, JsonRoundTripsThroughParser) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  auto one = timeline_run("orientation", 1);
-  auto two = timeline_run("orientation", 2);
-  one.run.total_ms = 10.0;
-  two.run.total_ms = 5.0;
-  const auto report = obs::build_timeline_report(one.id, {one.run, two.run});
+  // The record predicts every row from the 1-thread serial fraction and
+  // measures speedup against the 1-thread total, whatever the add order.
+  obs::RunReport report;
+  obs::RunMeasured two;
+  two.threads = 2;
+  two.total_ms = 5.0;
+  obs::RunMeasured one;
+  one.threads = 1;
+  one.total_ms = 10.0;
+  one.serial_fraction = 0.5;
+  report.add_run({}, two);
+  report.add_run({}, one);
   ASSERT_EQ(report.runs.size(), 2u);
+  EXPECT_EQ(report.runs[0].threads, 1);
   EXPECT_DOUBLE_EQ(report.runs[1].measured_speedup, 2.0);
-  // Predicted speedup uses the 1-thread serial fraction: bounded by T and
-  // at least 1.
-  EXPECT_GE(report.runs[1].predicted_max_speedup, 1.0);
-  EXPECT_LE(report.runs[1].predicted_max_speedup, 2.0);
-
-  const std::string json = report.to_json();
-  // The deterministic slice is embedded verbatim in the full document.
-  EXPECT_NE(json.find(report.deterministic_json()), std::string::npos);
-
-  const auto doc = obs::parse_timeline_json(json);
-  EXPECT_EQ(doc.schema_version, obs::kTimelineSchemaVersion);
-  EXPECT_EQ(doc.pipeline, report.id.pipeline);
-  EXPECT_EQ(doc.source, report.id.source);
-  EXPECT_EQ(doc.graph_digest, report.id.graph_digest);
-  EXPECT_EQ(doc.n, report.id.n);
-  EXPECT_EQ(doc.m, report.id.m);
-  EXPECT_EQ(doc.seed, static_cast<long long>(report.id.seed));
-  EXPECT_EQ(doc.decode_rounds, report.id.decode_rounds);
-  EXPECT_EQ(doc.verify_ok, report.id.verify_ok);
-  EXPECT_EQ(doc.output_digest, report.id.output_digest);
-  EXPECT_EQ(doc.advice_bits, report.id.advice_bits);
-  EXPECT_EQ(doc.engine_messages, report.id.engine_messages);
-  EXPECT_EQ(doc.engine_message_bits, report.id.engine_message_bits);
-  ASSERT_EQ(doc.rounds.size(), report.rounds.size());
-  for (std::size_t i = 0; i < doc.rounds.size(); ++i) {
-    EXPECT_EQ(doc.rounds[i].round, report.rounds[i].round);
-    EXPECT_EQ(doc.rounds[i].messages, report.rounds[i].messages);
-    EXPECT_EQ(doc.rounds[i].bytes, report.rounds[i].bytes);
-    EXPECT_EQ(doc.rounds[i].faults, report.rounds[i].faults);
-    EXPECT_EQ(doc.rounds[i].repairs, report.rounds[i].repairs);
-    EXPECT_EQ(doc.rounds[i].allocs, report.rounds[i].allocs);
-    EXPECT_EQ(doc.rounds[i].alloc_bytes, report.rounds[i].alloc_bytes);
-  }
-  ASSERT_EQ(doc.run_times.size(), 2u);
-  EXPECT_EQ(doc.run_times[0].first, 1);
-  EXPECT_DOUBLE_EQ(doc.run_times[0].second, 10.0);
-  EXPECT_EQ(doc.run_times[1].first, 2);
-  EXPECT_DOUBLE_EQ(doc.run_times[1].second, 5.0);
-
-  // The human-facing report names its Amdahl summary.
-  EXPECT_NE(report.to_markdown().find("serial"), std::string::npos);
-
-  EXPECT_THROW(obs::parse_timeline_json("{}"), std::runtime_error);
-  EXPECT_THROW(obs::parse_timeline_json("not json"), std::runtime_error);
-}
-
-TEST(Timeline, DiffFollowsExitCodeConvention) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
-  auto one = timeline_run("orientation", 1);
-  auto two = timeline_run("orientation", 2);
-  one.run.total_ms = 10.0;
-  two.run.total_ms = 5.0;
-  const auto report = obs::build_timeline_report(one.id, {one.run, two.run});
-  const auto base = obs::parse_timeline_json(report.to_json());
-
-  obs::BenchDiffOptions tight;
-  tight.tol_ms = 1.0;
-  tight.tol_rel = 0.0;
-  EXPECT_EQ(obs::diff_timeline(base, base, tight).status(), obs::DiffStatus::kClean);
-
-  // Thread counts present on only one side are not compared.
-  auto fewer = base;
-  fewer.run_times.pop_back();
-  EXPECT_EQ(obs::diff_timeline(base, fewer, tight).status(), obs::DiffStatus::kClean);
-
-  // Deterministic drift: structural mismatch (exit 4), named field.
-  auto digest_drift = base;
-  digest_drift.output_digest = "0000000000000000";
-  const auto mism = obs::diff_timeline(base, digest_drift, tight);
-  EXPECT_EQ(mism.status(), obs::DiffStatus::kMismatch);
-  EXPECT_NE(mism.to_text().find("output_digest"), std::string::npos);
-
-  auto round_drift = base;
-  ASSERT_FALSE(round_drift.rounds.empty());
-  round_drift.rounds.front().messages += 1;
-  EXPECT_EQ(obs::diff_timeline(base, round_drift, tight).status(), obs::DiffStatus::kMismatch);
-
-  // Timing drift beyond tolerance: regression (exit 3); absorbed by a
-  // generous tolerance: clean.
-  auto slow = base;
-  ASSERT_FALSE(slow.run_times.empty());
-  slow.run_times.front().second += 1000.0;
-  const auto reg = obs::diff_timeline(base, slow, tight);
-  EXPECT_EQ(reg.status(), obs::DiffStatus::kRegression);
-  EXPECT_NE(reg.to_text().find("total_ms"), std::string::npos);
-  obs::BenchDiffOptions loose;
-  loose.tol_ms = 100000.0;
-  EXPECT_EQ(obs::diff_timeline(base, slow, loose).status(), obs::DiffStatus::kClean);
-
-  // Exit codes are the enum values — the CLI returns status() directly.
-  EXPECT_EQ(static_cast<int>(obs::DiffStatus::kClean), 0);
-  EXPECT_EQ(static_cast<int>(obs::DiffStatus::kRegression), 3);
-  EXPECT_EQ(static_cast<int>(obs::DiffStatus::kMismatch), 4);
+  EXPECT_DOUBLE_EQ(report.runs[1].predicted_max_speedup, obs::amdahl_speedup(0.5, 2));
+  EXPECT_NE(report.to_markdown().find("serial_fraction"), std::string::npos);
 }
 
 }  // namespace

@@ -11,13 +11,11 @@
 //   lad chaos    [--pipelines ...] [--models ...] [--policies ...]  # chaos matrix
 //   lad bench    <suite> | --graph SPEC[,SPEC...] [--pipeline P]
 //                [--threads K] [--reps K] [--json out.json] [--trace]
-//   lad trace    <pipeline> [--graph SPEC | --family F -n N] [--out t.json]
-//                                     # telemetry: spans + metric counters
-//   lad profile  <pipeline> --graph SPEC [--threads K] [--reps R] [--json f]
-//                [--out PERF-generated.md]   # DESIGN.md §13 cost centers
-//   lad diffprof <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R] [--json]
+//   lad profile  <pipeline> [--graph SPEC] [--threads K[,K...]] [--reps R]
+//                [--json f] [--out f.md] [--chrome f] [--jsonl f] [--metrics f]
+//                                     # DESIGN.md §13 observed run
+//   lad diff     <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R] [--json]
 //   lad verify-claims [--family F] [--graphs SPEC,...] [--json]   # DESIGN.md §9.6
-//   lad diffbench <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R] [--json]
 //   lad report   [--out EXPERIMENTS-generated.md]   # regenerable claims report
 //   lad lint     [--root DIR] [--rule R] [--baseline FILE] [--json]   # static analysis
 //   lad dot      <graph.txt>          # Graphviz export
@@ -70,14 +68,10 @@
 #include "lint/lint.hpp"
 #include "local/audit.hpp"
 #include "local/engine.hpp"
-#include "obs/benchdiff.hpp"
 #include "obs/claims.hpp"
+#include "obs/diff.hpp"
 #include "obs/profile.hpp"
-#include "obs/export.hpp"
-#include "obs/stopwatch.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/timeline.hpp"
-#include "obs/version.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -127,20 +121,18 @@ int usage() {
                "            embeds per-case telemetry counters in the JSON; --reps K\n"
                "            times each case as min-of-K after one warmup; a comma list\n"
                "            --threads 1,2,4 emits one \"case/t=K\" row per count\n"
-               "  lad trace <pipeline> [--graph SPEC | --family cycle|grid|torus] [-n N]\n"
-               "            [--seed S]\n"
-               "            [--out trace.json] [--jsonl events.jsonl] [--metrics m.prom]\n"
-               "            runs encode -> decode -> verify -> verification echo with\n"
-               "            telemetry on; prints the metric table, optionally exports a\n"
-               "            Chrome trace (chrome://tracing, Perfetto), JSONL events, and\n"
-               "            Prometheus text metrics\n"
-               "  lad profile <pipeline> --graph SPEC [--threads K] [--reps R] [--seed S]\n"
-               "            [--json profile.json] [--out PERF-generated.md]\n"
-               "            profiling observatory (DESIGN.md §13): runs encode -> decode ->\n"
-               "            verify -> pooled verification echo with telemetry on and prints\n"
-               "            the ranked phase x thread cost-center report (self-ms, share,\n"
-               "            allocation counts, pool imbalance); the JSON's \"deterministic\"\n"
-               "            object is byte-identical across reruns and thread counts\n"
+               "  lad profile <pipeline> [--graph SPEC] [--threads K[,K...]] [--reps R]\n"
+               "            [--seed S] [--json FILE] [--out FILE] [--chrome FILE]\n"
+               "            [--jsonl FILE] [--metrics FILE]\n"
+               "            observed run (DESIGN.md §13): encode -> decode -> verify ->\n"
+               "            verification echo with telemetry on, once per thread count\n"
+               "            (pooled echo above 1); prints the Amdahl summary, the per-round\n"
+               "            series, and the phase x thread cost centers. --json writes the\n"
+               "            run record, whose \"deterministic\" object is byte-identical\n"
+               "            across reruns and thread counts (exit 4 if a count diverges);\n"
+               "            --chrome/--jsonl/--metrics export the last rep as a Chrome trace\n"
+               "            (with per-round counter lanes), JSONL events, or Prometheus text\n"
+               "            metrics\n"
                "  lad verify-claims [--family <pipeline>] [--ns n1,n2,...]\n"
                "            [--graphs SPEC,SPEC,SPEC,...] [--seed S] [--json]\n"
                "            runs every registered pipeline (or one family) over an n-sweep\n"
@@ -150,29 +142,12 @@ int usage() {
                "            extend the default sweep (Pipeline::sweep_ns); --graphs sweeps\n"
                "            explicit graph sources instead (needs --family and >= 3\n"
                "            sources); exit 0 = all claims hold\n"
-               "  lad diffbench <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R]\n"
-               "            [--json]   structural diff of two bench documents: rounds/\n"
-               "            bits/digest/case-set exactly, serial wall time with tolerance;\n"
-               "            exit 0 clean, 3 timing regression, 4 structural mismatch\n"
-               "  lad diffprof <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R]\n"
-               "            [--json]   structural diff of two `lad profile --json`\n"
-               "            documents: every deterministic field exactly (digests, message/\n"
-               "            advice counts, allocation totals), total wall time with\n"
-               "            tolerance; same exit codes as diffbench\n"
-               "  lad timeline <pipeline> --graph SPEC [--threads K[,K...]] [--reps R]\n"
-               "            [--seed S] [--json timeline.json] [--out TIMELINE-generated.md]\n"
-               "            timeline observatory (DESIGN.md §14): per-round time-series\n"
-               "            (messages/bytes/faults/repairs/allocs deterministic; wall time,\n"
-               "            pool dispatch latency, barrier wait, imbalance measured) plus\n"
-               "            the Amdahl critical-path analysis — measured serial fraction at\n"
-               "            1 thread, predicted max vs measured speedup per thread count;\n"
-               "            the JSON's \"deterministic\" object is byte-identical across\n"
-               "            reruns and thread counts (exit 4 if a run diverges)\n"
-               "  lad difftl <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R]\n"
-               "            structural diff of two `lad timeline --json` documents:\n"
-               "            deterministic fields and the per-round series exactly, per-\n"
-               "            thread-count total wall time with tolerance; same exit codes\n"
-               "            as diffbench\n"
+               "  lad diff <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R]\n"
+               "            [--json]   structural diff of two bench documents or two run\n"
+               "            records: deterministic fields exactly (case set, rounds, bits,\n"
+               "            digests, allocation rows, round series), wall time with\n"
+               "            tolerance; exit 0 clean, 3 timing regression, 4 structural\n"
+               "            mismatch, 2 on a bench-vs-run pair\n"
                "  lad report [--out FILE] [--ns n1,n2,...] [--seed S]\n"
                "            regenerates the claims-conformance report (markdown) from the\n"
                "            real encode/decode/verify stack; default out:\n"
@@ -680,8 +655,8 @@ int cmd_bench(int argc, char** argv) {
 
 int cmd_faultsim(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto decoder = faults::parse_decoder(argv[0]);
-  if (!decoder) {
+  const Pipeline* p = find_pipeline(argv[0]);
+  if (p == nullptr) {
     std::fprintf(stderr, "error: unknown pipeline '%s'\n", argv[0]);
     return 2;
   }
@@ -689,7 +664,7 @@ int cmd_faultsim(int argc, char** argv) {
   if (!family) return 2;
 
   faults::CampaignConfig cfg;
-  cfg.decoder = *decoder;
+  cfg.decoder = p->id();
   cfg.family = *family;
   cfg.n = std::atoi(argv[2]);
   if (cfg.n < 8) return usage();
@@ -741,7 +716,7 @@ int cmd_faultsim(int argc, char** argv) {
       return usage();
     }
   }
-  if (cfg.decoder == faults::DecoderKind::kSubexpLcl) cfg.subexp.x = 60;
+  if (cfg.decoder == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
 
   const auto s = faults::run_fault_campaign(cfg);
   std::printf("%s\n", s.to_string().c_str());
@@ -766,12 +741,12 @@ int cmd_chaos(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--pipelines" && i + 1 < argc) {
       for (const auto& tok : split_csv(argv[++i])) {
-        const auto d = faults::parse_decoder(tok);
-        if (!d) {
+        const Pipeline* p = find_pipeline(tok);
+        if (p == nullptr) {
           std::fprintf(stderr, "error: unknown pipeline '%s'\n", tok.c_str());
           return 2;
         }
-        cfg.pipelines.push_back(*d);
+        cfg.pipelines.push_back(p->id());
       }
     } else if (a == "--families" && i + 1 < argc) {
       for (const auto& tok : split_csv(argv[++i])) {
@@ -829,7 +804,7 @@ int cmd_chaos(int argc, char** argv) {
   for (const auto& c : report.cells) {
     std::printf("%-14s %-6s %-12s %4d%% %-9s faults=%-6lld valid=%d/%d silent=%d "
                 "accounted=%s%s\n",
-                faults::to_string(c.decoder), faults::to_string(c.family), c.model.c_str(),
+                pipeline(c.decoder).name(), faults::to_string(c.family), c.model.c_str(),
                 c.rate_percent, c.policy.c_str(), c.summary.faults_injected,
                 c.summary.trials_output_valid, c.summary.trials,
                 c.summary.silent_corruptions, c.summary.all_nodes_accounted ? "yes" : "NO",
@@ -851,118 +826,6 @@ int cmd_chaos(int argc, char** argv) {
   // Same contract as faultsim, matrix-wide: any cell with a silent
   // corruption or an unaccounted node fails the run.
   return report.pass() ? 0 : 3;
-}
-
-// One observed end-to-end run of a pipeline: encode -> decode -> verify on
-// a campaign-family instance, then the distributed verification echo (the
-// source of genuine message/bit traffic — the combinatorial decoders do
-// not themselves push bytes through the engine). Telemetry is runtime-
-// enabled for the duration; the registry and trace buffers are cleared
-// first so every number printed is attributable to this run.
-int cmd_trace(int argc, char** argv) {
-  if (argc < 1) return usage();
-  const auto decoder = faults::parse_decoder(argv[0]);
-  if (!decoder) {
-    std::fprintf(stderr, "error: unknown pipeline '%s'\n", argv[0]);
-    return 2;
-  }
-  faults::GraphFamily family = faults::GraphFamily::kCycle;
-  int n = 96;
-  std::uint64_t seed = 1;
-  std::string graph_spec;
-  std::string out_path, jsonl_path, metrics_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--family" && i + 1 < argc) {
-      const auto f = faults::parse_family(argv[++i]);
-      if (!f) return usage();
-      family = *f;
-    } else if (a == "--graph" && i + 1 < argc) {
-      graph_spec = argv[++i];
-    } else if (a == "-n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-      if (n < 8) return usage();
-    } else if (a == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (a == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (a == "--jsonl" && i + 1 < argc) {
-      jsonl_path = argv[++i];
-    } else if (a == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (!obs::compiled_in()) {
-    std::fprintf(stderr,
-                 "error: this build has LAD_TELEMETRY=OFF; reconfigure with "
-                 "-DLAD_TELEMETRY=ON to use `lad trace`\n");
-    return 2;
-  }
-
-  obs::set_enabled(true);
-  obs::MetricsRegistry::instance().reset();
-  obs::TraceRecorder::instance().clear();
-  LAD_TM_THREAD_NAME("lad-main");
-
-  const Pipeline& p = pipeline(*decoder);
-  PipelineConfig cfg;
-  cfg.seed = seed;
-  if (p.id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
-  Graph g;
-  std::string instance_name;
-  if (!graph_spec.empty()) {
-    auto lg = load_source_or_complain(graph_spec, seed);
-    if (!lg) return 2;
-    g = std::move(lg->graph);
-    instance_name = lg->spec;
-  } else {
-    g = faults::build_campaign_graph(*decoder, family, n);
-    instance_name = faults::to_string(family);
-  }
-
-  const auto adv = p.encode(g, cfg);
-  const auto out = p.decode(g, adv, cfg);
-  const bool ok = p.verify(g, out, cfg);
-  const auto echo = faults::run_verification_echo(g, p.node_digests(g, out), /*echo_rounds=*/3);
-
-  const auto stats = adv.stats(g.n());
-  std::printf("lad trace — build %s\n", obs::kGitCommit);
-  std::printf("pipeline %s (%s) on %s n=%d m=%d seed=%llu\n", p.name(), p.paper_section(),
-              instance_name.c_str(), g.n(), g.m(),
-              static_cast<unsigned long long>(seed));
-  std::printf("advice: %lld bits (%.3f/node); decode: %d LOCAL rounds; verify: %s\n",
-              stats.total_bits, obs::per_node(stats.total_bits, g.n()), out.rounds,
-              ok ? "ok" : "FAILED");
-  std::printf("verification echo: %lld messages, %lld bits on the wire, %d rounds, "
-              "%zu unverified\n\n",
-              echo.messages, echo.bytes * 8, echo.rounds, echo.unverified_nodes.size());
-
-  std::printf("%s", obs::MetricsRegistry::instance().to_table().c_str());
-
-  auto& rec = obs::TraceRecorder::instance();
-  std::printf("\nspans recorded: %zu", rec.event_count() / 2);
-  if (rec.dropped() > 0) std::printf(" (%lld dropped at the per-thread cap)", rec.dropped());
-  std::printf("\n");
-
-  auto write_file = [](const std::string& path, const std::string& body, const char* what) {
-    std::ofstream f(path);
-    LAD_CHECK_MSG(f.good(), "cannot write " << path);
-    f << body;
-    std::printf("wrote %s (%s)\n", path.c_str(), what);
-  };
-  if (!out_path.empty()) {
-    write_file(out_path, rec.to_chrome_json(), "Chrome trace; load in chrome://tracing or Perfetto");
-  }
-  if (!jsonl_path.empty()) write_file(jsonl_path, rec.to_jsonl(), "JSONL events");
-  if (!metrics_path.empty()) {
-    write_file(metrics_path, obs::MetricsRegistry::instance().to_prometheus(),
-               "Prometheus text format");
-  }
-
-  obs::set_enabled(false);
-  return ok && echo.unverified_nodes.empty() ? 0 : 3;
 }
 
 // Parses "256,512,1024" into sweep sizes; empty result = parse error.
@@ -1115,240 +978,14 @@ int cmd_report(int argc, char** argv) {
   return report.pass() ? 0 : 3;
 }
 
-int cmd_diffbench(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string baseline_path = argv[0];
-  const std::string candidate_path = argv[1];
-  obs::BenchDiffOptions opts;
-  bool json = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--tol-ms" && i + 1 < argc) {
-      opts.tol_ms = std::atof(argv[++i]);
-      if (opts.tol_ms < 0) return usage();
-    } else if (a == "--tol-rel" && i + 1 < argc) {
-      opts.tol_rel = std::atof(argv[++i]);
-      if (opts.tol_rel < 0) return usage();
-    } else if (a == "--json") {
-      json = true;
-    } else {
-      return usage();
-    }
-  }
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    LAD_CHECK_MSG(in.good(), "cannot open " << path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
-  obs::BenchDiffResult diff;
-  try {
-    const auto baseline = obs::parse_bench_json(slurp(baseline_path));
-    const auto candidate = obs::parse_bench_json(slurp(candidate_path));
-    diff = obs::diff_bench(baseline, candidate, opts);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  std::printf("%s", (json ? diff.to_json() : diff.to_text()).c_str());
-  return static_cast<int>(diff.status());
-}
-
-// Profiling observatory (DESIGN.md §13): runs one pipeline end to end
-// (encode -> decode -> verify -> pooled verification echo) with telemetry
-// on and renders the ranked phase x thread cost-center report. total_ms is
-// the min over --reps; the trace/counter snapshot comes from the last rep
-// (every rep resets the registry, trace buffers, and pool accounting, and
-// the counted quantities are deterministic, so reps agree byte-for-byte on
-// everything but timings).
+// The observed run (DESIGN.md §13): faults::observe_run drives encode ->
+// decode -> verify -> verification echo once per listed thread count and
+// fills one run record; this verb renders it and writes the exports, which
+// describe the last rep at the last count.
 int cmd_profile(int argc, char** argv) {
   if (argc < 1) return usage();
-  const auto decoder = faults::parse_decoder(argv[0]);
-  if (!decoder) {
-    std::fprintf(stderr, "error: unknown pipeline '%s'\n", argv[0]);
-    return 2;
-  }
-  std::string graph_spec = "cycle:65536";
-  int threads = 1;
-  int reps = 1;
-  std::uint64_t seed = 1;
-  std::string json_path, out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--graph" && i + 1 < argc) {
-      graph_spec = argv[++i];
-    } else if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) return usage();
-    } else if (a == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-      if (reps < 1) return usage();
-    } else if (a == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (!obs::compiled_in()) {
-    std::fprintf(stderr,
-                 "error: this build has LAD_TELEMETRY=OFF; reconfigure with "
-                 "-DLAD_TELEMETRY=ON to use `lad profile`\n");
-    return 2;
-  }
-
-  const Pipeline& p = pipeline(*decoder);
-  PipelineConfig cfg;
-  cfg.seed = seed;
-  if (p.id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
-  auto lg = load_source_or_complain(graph_spec, seed);
-  if (!lg) return 2;
-  const Graph g = std::move(lg->graph);
-
-  obs::set_enabled(true);
-  LAD_TM_THREAD_NAME("lad-main");
-  ThreadPool pool(threads);
-
-  // One discarded warmup run before the min-of-K loop (matching `lad
-  // bench --reps`): page-cache, allocator, and frequency-governor effects
-  // land here instead of skewing the first timed rep. Every timed rep
-  // resets the registries below, so the warmup leaves no trace in the
-  // reported counters.
-  for (int w = 0; w < obs::profile_warmup_runs(reps); ++w) {
-    const auto adv = p.encode(g, cfg);
-    const auto out = p.decode(g, adv, cfg);
-    (void)p.verify(g, out, cfg);
-    (void)faults::run_verification_echo(g, p.node_digests(g, out), /*echo_rounds=*/3,
-                                        /*faults=*/nullptr, threads > 1 ? &pool : nullptr);
-  }
-
-  bool ok = false;
-  bool echo_clean = false;
-  double total_ms = 0;
-  obs::ProfileReport report;
-  for (int rep = 0; rep < reps; ++rep) {
-    obs::MetricsRegistry::instance().reset();
-    obs::TraceRecorder::instance().clear();
-    obs::PoolAccounting::instance().reset();
-
-    const obs::Stopwatch sw;
-    const auto adv = p.encode(g, cfg);
-    const auto out = p.decode(g, adv, cfg);
-    ok = p.verify(g, out, cfg);
-    const auto echo =
-        faults::run_verification_echo(g, p.node_digests(g, out), /*echo_rounds=*/3,
-                                      /*faults=*/nullptr, threads > 1 ? &pool : nullptr);
-    const double rep_ms = sw.ms();
-    echo_clean = echo.unverified_nodes.empty();
-    if (rep == 0 || rep_ms < total_ms) total_ms = rep_ms;
-    if (rep + 1 < reps) continue;
-
-    obs::ProfileIdentity ident;
-    ident.pipeline = p.name();
-    ident.source = lg->spec;
-    ident.graph_digest = graph_digest_hex(g);
-    ident.n = g.n();
-    ident.m = g.m();
-    ident.seed = seed;
-    ident.decode_rounds = out.rounds;
-    ident.verify_ok = ok && echo_clean;
-    ident.output_digest = obs::fingerprint_hex(p.node_digests(g, out));
-    ident.advice_bits = adv.stats(g.n()).total_bits;
-    ident.engine_messages = obs::core().engine_messages.value();
-    ident.engine_message_bits = obs::core().engine_message_bits.value();
-
-    // Allocation totals per phase: the two counting hooks are pinned to the
-    // phase whose buffers they count; the other phases report zero.
-    std::vector<obs::PhaseAlloc> allocs;
-    for (const auto& phase : obs::phase_taxonomy()) {
-      obs::PhaseAlloc row;
-      row.phase = phase;
-      if (phase == "gather") {
-        row.allocs = obs::core().alloc_gather.value();
-        row.alloc_bytes = obs::core().alloc_gather_bytes.value();
-      } else if (phase == "message-exchange") {
-        row.allocs = obs::core().alloc_msgbuf.value();
-        row.alloc_bytes = obs::core().alloc_msgbuf_bytes.value();
-      }
-      allocs.push_back(row);
-    }
-
-    report = obs::build_profile_report(
-        ident, allocs, obs::TraceRecorder::instance().events_by_thread(),
-        obs::PoolAccounting::instance().slots(), obs::TraceRecorder::instance().thread_names(),
-        threads, reps, total_ms);
-    report.git_commit = obs::kGitCommit;
-    report.timestamp = obs::iso8601_utc_now();
-  }
-  obs::set_enabled(false);
-
-  std::printf("%s", report.to_markdown().c_str());
-  auto write_file = [](const std::string& path, const std::string& body, const char* what) {
-    std::ofstream f(path);
-    LAD_CHECK_MSG(f.good(), "cannot write " << path);
-    f << body;
-    std::printf("wrote %s (%s)\n", path.c_str(), what);
-  };
-  if (!json_path.empty()) write_file(json_path, report.to_json(), "profile JSON");
-  if (!out_path.empty()) write_file(out_path, report.to_markdown(), "cost-center report");
-  return ok && echo_clean ? 0 : 3;
-}
-
-int cmd_diffprof(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string baseline_path = argv[0];
-  const std::string candidate_path = argv[1];
-  obs::BenchDiffOptions opts;
-  bool json = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--tol-ms" && i + 1 < argc) {
-      opts.tol_ms = std::atof(argv[++i]);
-      if (opts.tol_ms < 0) return usage();
-    } else if (a == "--tol-rel" && i + 1 < argc) {
-      opts.tol_rel = std::atof(argv[++i]);
-      if (opts.tol_rel < 0) return usage();
-    } else if (a == "--json") {
-      json = true;
-    } else {
-      return usage();
-    }
-  }
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    LAD_CHECK_MSG(in.good(), "cannot open " << path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
-  obs::ProfDiffResult diff;
-  try {
-    const auto baseline = obs::parse_profile_json(slurp(baseline_path));
-    const auto candidate = obs::parse_profile_json(slurp(candidate_path));
-    diff = obs::diff_profile(baseline, candidate, opts);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  std::printf("%s", (json ? diff.to_json() : diff.to_text()).c_str());
-  return static_cast<int>(diff.status());
-}
-
-// Timeline observatory (DESIGN.md §14): per-round time-series plus the
-// Amdahl/critical-path analysis, one measured run per listed thread count.
-// Each run executes encode -> decode -> verify -> pooled verification echo
-// with telemetry on; the flight recorder supplies the per-round series and
-// WaitAccounting the dispatch/barrier attribution. The deterministic slice
-// must be byte-identical across thread counts — a divergence is a §8
-// violation and exits with the MISMATCH code 4.
-int cmd_timeline(int argc, char** argv) {
-  if (argc < 1) return usage();
-  const auto decoder = faults::parse_decoder(argv[0]);
-  if (!decoder) {
+  const Pipeline* p = find_pipeline(argv[0]);
+  if (p == nullptr) {
     std::fprintf(stderr, "error: unknown pipeline '%s'\n", argv[0]);
     return 2;
   }
@@ -1356,7 +993,7 @@ int cmd_timeline(int argc, char** argv) {
   std::vector<int> thread_list = {1};
   int reps = 1;
   std::uint64_t seed = 1;
-  std::string json_path, out_path;
+  std::string json_path, out_path, chrome_path, jsonl_path, metrics_path;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--graph" && i + 1 < argc) {
@@ -1378,6 +1015,12 @@ int cmd_timeline(int argc, char** argv) {
       json_path = argv[++i];
     } else if (a == "--out" && i + 1 < argc) {
       out_path = argv[++i];
+    } else if (a == "--chrome" && i + 1 < argc) {
+      chrome_path = argv[++i];
+    } else if (a == "--jsonl" && i + 1 < argc) {
+      jsonl_path = argv[++i];
+    } else if (a == "--metrics" && i + 1 < argc) {
+      metrics_path = argv[++i];
     } else {
       return usage();
     }
@@ -1385,111 +1028,50 @@ int cmd_timeline(int argc, char** argv) {
   if (!obs::compiled_in()) {
     std::fprintf(stderr,
                  "error: this build has LAD_TELEMETRY=OFF; reconfigure with "
-                 "-DLAD_TELEMETRY=ON to use `lad timeline`\n");
+                 "-DLAD_TELEMETRY=ON to use `lad profile`\n");
     return 2;
   }
-
-  const Pipeline& p = pipeline(*decoder);
   PipelineConfig cfg;
   cfg.seed = seed;
-  if (p.id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
-  auto lg = load_source_or_complain(graph_spec, seed);
+  if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
+  const auto lg = load_source_or_complain(graph_spec, seed);
   if (!lg) return 2;
-  const Graph g = std::move(lg->graph);
 
-  obs::set_enabled(true);
   LAD_TM_THREAD_NAME("lad-main");
-
-  bool ok = false;
-  bool echo_clean = false;
-  long long flight_dropped = 0;
-  obs::ProfileIdentity ident;
-  std::vector<obs::TimelineRunInput> runs;
-  for (const int threads : thread_list) {
-    ThreadPool pool(threads);
-    obs::TimelineRunInput run;
-    run.threads = threads;
-    // Same warmup discipline as `lad profile` (one discarded run when
-    // --reps > 1); determinism makes warmup and timed runs byte-identical.
-    for (int w = 0; w < obs::profile_warmup_runs(reps); ++w) {
-      const auto adv = p.encode(g, cfg);
-      const auto out = p.decode(g, adv, cfg);
-      (void)p.verify(g, out, cfg);
-      (void)faults::run_verification_echo(g, p.node_digests(g, out), /*echo_rounds=*/3,
-                                          /*faults=*/nullptr, threads > 1 ? &pool : nullptr);
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      obs::MetricsRegistry::instance().reset();
-      obs::TraceRecorder::instance().clear();
-      obs::PoolAccounting::instance().reset();
-      obs::FlightRecorder::instance().clear();
-      obs::WaitAccounting::instance().reset();
-
-      const obs::Stopwatch sw;
-      const auto adv = p.encode(g, cfg);
-      const auto out = p.decode(g, adv, cfg);
-      ok = p.verify(g, out, cfg);
-      const auto echo =
-          faults::run_verification_echo(g, p.node_digests(g, out), /*echo_rounds=*/3,
-                                        /*faults=*/nullptr, threads > 1 ? &pool : nullptr);
-      const double rep_ms = sw.ms();
-      echo_clean = echo.unverified_nodes.empty();
-      if (rep == 0 || rep_ms < run.total_ms) run.total_ms = rep_ms;
-      if (rep + 1 < reps) continue;
-
-      // Last rep: snapshot the round series and the serial/compute split
-      // (all deterministic quantities agree across reps by the §8 contract).
-      run.split = obs::serial_split_from_trace();
-      run.samples = obs::FlightRecorder::instance().samples();
-      flight_dropped += obs::FlightRecorder::instance().dropped();
-
-      ident.pipeline = p.name();
-      ident.source = lg->spec;
-      ident.graph_digest = graph_digest_hex(g);
-      ident.n = g.n();
-      ident.m = g.m();
-      ident.seed = seed;
-      ident.decode_rounds = out.rounds;
-      ident.verify_ok = ok && echo_clean;
-      ident.output_digest = obs::fingerprint_hex(p.node_digests(g, out));
-      ident.advice_bits = adv.stats(g.n()).total_bits;
-      ident.engine_messages = obs::core().engine_messages.value();
-      ident.engine_message_bits = obs::core().engine_message_bits.value();
-    }
-    runs.push_back(std::move(run));
-  }
-  obs::set_enabled(false);
-
-  obs::TimelineReport report;
+  obs::RunReport report;
   try {
-    report = obs::build_timeline_report(ident, runs);
+    report = faults::observe_run(*p, lg->graph, lg->spec, cfg, thread_list, reps);
   } catch (const std::runtime_error& e) {
-    // A deterministic-series divergence across thread counts is the same
-    // class of failure as a difftl mismatch: hard exit 4.
+    // A deterministic slice diverging across thread counts is the same
+    // class of failure as a `lad diff` mismatch: hard exit 4.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 4;
   }
-  report.flight_dropped = flight_dropped;
-  report.git_commit = obs::kGitCommit;
-  report.timestamp = obs::iso8601_utc_now();
 
   std::printf("%s", report.to_markdown().c_str());
   auto write_file = [](const std::string& path, const std::string& body, const char* what) {
+    if (path.empty()) return;
     std::ofstream f(path);
     LAD_CHECK_MSG(f.good(), "cannot write " << path);
     f << body;
     std::printf("wrote %s (%s)\n", path.c_str(), what);
   };
-  if (!json_path.empty()) write_file(json_path, report.to_json(), "timeline JSON");
-  if (!out_path.empty()) write_file(out_path, report.to_markdown(), "timeline report");
-  return ok && echo_clean ? 0 : 3;
+  write_file(json_path, report.to_json(), "run record");
+  write_file(out_path, report.to_markdown(), "observed-run report");
+  const auto& rec = obs::TraceRecorder::instance();
+  write_file(chrome_path, rec.to_chrome_json(), "Chrome trace; load in Perfetto");
+  write_file(jsonl_path, rec.to_jsonl(), "JSONL events");
+  write_file(metrics_path, obs::MetricsRegistry::instance().to_prometheus(),
+             "Prometheus text format");
+  return report.det.verify_ok ? 0 : 3;
 }
 
-int cmd_difftl(int argc, char** argv) {
+// One differ for both document kinds (DESIGN.md §9.7): bench documents and
+// run records, graded by the same 0/3/4 convention; a mixed pair exits 2.
+int cmd_diff(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string baseline_path = argv[0];
-  const std::string candidate_path = argv[1];
-  obs::BenchDiffOptions opts;
+  obs::DiffOptions opts;
+  bool json = false;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--tol-ms" && i + 1 < argc) {
@@ -1498,27 +1080,27 @@ int cmd_difftl(int argc, char** argv) {
     } else if (a == "--tol-rel" && i + 1 < argc) {
       opts.tol_rel = std::atof(argv[++i]);
       if (opts.tol_rel < 0) return usage();
+    } else if (a == "--json") {
+      json = true;
     } else {
       return usage();
     }
   }
-  auto slurp = [](const std::string& path) {
+  auto slurp = [](const char* path) {
     std::ifstream in(path);
-    LAD_CHECK_MSG(in.good(), "cannot open " << path);
+    if (!in.good()) throw std::runtime_error(std::string("cannot open ") + path);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
   };
-  obs::TimelineDiffResult diff;
+  obs::DiffResult diff;
   try {
-    const auto baseline = obs::parse_timeline_json(slurp(baseline_path));
-    const auto candidate = obs::parse_timeline_json(slurp(candidate_path));
-    diff = obs::diff_timeline(baseline, candidate, opts);
+    diff = obs::diff_documents(slurp(argv[0]), slurp(argv[1]), opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  std::printf("%s", diff.to_text().c_str());
+  std::printf("%s", (json ? diff.to_json() : diff.to_text()).c_str());
   return static_cast<int>(diff.status());
 }
 
@@ -1531,7 +1113,7 @@ int cmd_dot(const std::string& path) {
 // Static analysis over the repository's own sources (DESIGN.md §10):
 // determinism rules for the deterministic layers, the architecture-DAG
 // layering rule, and telemetry-catalog hygiene. Exit codes follow the
-// benchdiff convention: 0 clean, 2 usage, 3 new findings, 4 parse failure.
+// `lad diff` convention: 0 clean, 2 usage, 3 new findings, 4 parse failure.
 int cmd_lint(int argc, char** argv) {
   std::string root = ".";
   std::string baseline_path;
@@ -1623,13 +1205,9 @@ int main(int argc, char** argv) {
     if (cmd == "faultsim") return cmd_faultsim(argc - 2, argv + 2);
     if (cmd == "chaos") return cmd_chaos(argc - 2, argv + 2);
     if (cmd == "bench") return cmd_bench(argc - 2, argv + 2);
-    if (cmd == "trace") return cmd_trace(argc - 2, argv + 2);
     if (cmd == "profile") return cmd_profile(argc - 2, argv + 2);
-    if (cmd == "diffprof") return cmd_diffprof(argc - 2, argv + 2);
-    if (cmd == "timeline") return cmd_timeline(argc - 2, argv + 2);
-    if (cmd == "difftl") return cmd_difftl(argc - 2, argv + 2);
+    if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
     if (cmd == "verify-claims") return cmd_verify_claims(argc - 2, argv + 2);
-    if (cmd == "diffbench") return cmd_diffbench(argc - 2, argv + 2);
     if (cmd == "report") return cmd_report(argc - 2, argv + 2);
     if (cmd == "lint") return cmd_lint(argc - 2, argv + 2);
     if (cmd == "dot" && argc >= 3) return cmd_dot(argv[2]);
