@@ -5,18 +5,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "core/pipeline.hpp"
-#include "core/proofs.hpp"
 #include "faults/campaign.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "lcl/problems.hpp"
 #include "local/gather.hpp"
 #include "obs/export.hpp"
 #include "obs/json_mini.hpp"
@@ -29,26 +25,39 @@
 #include "util/thread_pool.hpp"
 
 namespace lad::bench {
+
+Case campaign_case(faults::CampaignConfig cc, const std::string& tag) {
+  std::string name = std::string("campaign/") + pipeline(cc.decoder).name() + "/" +
+                     faults::to_string(cc.family) + "/n=" + std::to_string(cc.n) + tag;
+  auto run = [cc](int threads) {
+    faults::CampaignConfig at = cc;
+    at.threads = threads;
+    const auto s = faults::run_fault_campaign(at);
+    CaseRun r;
+    r.n = s.n;
+    r.m = s.m;
+    std::string d = s.to_string();
+    for (const auto& rep : s.reports) {
+      d += rep.to_string();
+      r.rounds = std::max(r.rounds, rep.rounds);
+    }
+    r.digest = std::move(d);
+    r.counters = {{"trials", s.trials},
+                  {"faults_injected", static_cast<double>(s.faults_injected)},
+                  {"detected", static_cast<double>(s.total_detected)},
+                  {"repaired_nodes", static_cast<double>(s.total_repaired_nodes)},
+                  {"flagged_nodes", static_cast<double>(s.total_flagged_nodes)},
+                  {"trials_output_valid", s.trials_output_valid},
+                  {"trials_degraded", s.trials_degraded},
+                  {"residual", s.trials_residual},
+                  {"silent_corruptions", s.silent_corruptions},
+                  {"max_blast_radius", s.max_blast_radius}};
+    return r;
+  };
+  return {std::move(name), std::move(run)};
+}
+
 namespace {
-
-/// One execution of a case's whole batch: everything the runner compares
-/// across thread counts and reports, minus the timing.
-struct CaseRun {
-  std::string digest;  // byte-deterministic output fingerprint
-  int n = 0;
-  int m = 0;
-  int rounds = 0;
-  double bits_per_node = 0;
-  long long total_bits = 0;
-  /// Provenance (source-driven cases only; see BenchCaseResult).
-  std::string source;
-  std::string graph_digest;
-};
-
-struct Case {
-  std::string name;
-  std::function<CaseRun(int threads)> run;
-};
 
 using obs::time_ms;
 
@@ -56,10 +65,11 @@ using obs::time_ms;
 /// encode -> decode -> verify. The batch items fan out over the pool (the
 /// "batched execution" axis: LOCAL decoders are internally sequential
 /// simulations, but independent instances are embarrassingly parallel).
-Case pipeline_case(PipelineId id, int n, int batch, PipelineConfig cfg = {}, std::string tag = {}) {
+Case pipeline_case(PipelineId id, int n, int batch) {
   const Pipeline* p = &pipeline(id);
-  std::string name = std::string(p->name()) + "/n=" + std::to_string(n) + tag;
-  auto run = [p, n, batch, cfg](int threads) {
+  std::string name = std::string(p->name()) + "/n=" + std::to_string(n);
+  auto run = [p, n, batch](int threads) {
+    const PipelineConfig cfg;
     struct Slot {
       std::string digest;
       int n = 0;
@@ -101,35 +111,6 @@ Case pipeline_case(PipelineId id, int n, int batch, PipelineConfig cfg = {}, std
   return {std::move(name), std::move(run)};
 }
 
-/// Fault-campaign case: the campaign's own parallel trial runner is the
-/// measured axis; the digest folds in every per-trial report, so thread
-/// count provably cannot perturb a single aggregate or report byte.
-Case campaign_case(PipelineId decoder, faults::GraphFamily family, int n, int trials) {
-  std::string name = std::string("campaign/") + pipeline(decoder).name() + "/" +
-                     faults::to_string(family) + "/n=" + std::to_string(n);
-  auto run = [decoder, family, n, trials](int threads) {
-    faults::CampaignConfig cc;
-    cc.decoder = decoder;
-    cc.family = family;
-    cc.n = n;
-    cc.trials = trials;
-    cc.threads = threads;
-    if (decoder == PipelineId::kSubexpLcl) cc.subexp.x = 60;
-    const auto s = faults::run_fault_campaign(cc);
-    CaseRun r;
-    r.n = s.n;
-    r.m = s.m;
-    std::string d = s.to_string();
-    for (const auto& rep : s.reports) {
-      d += rep.to_string();
-      r.rounds = std::max(r.rounds, rep.rounds);
-    }
-    r.digest = std::move(d);
-    return r;
-  };
-  return {std::move(name), std::move(run)};
-}
-
 /// Parallel radius-t ball gather + §8 canonical-view memo on one instance.
 Case gather_case(std::string family, int n, int radius) {
   std::string name = "gather/" + family + "/n=" + std::to_string(n) + "/r=" +
@@ -158,50 +139,6 @@ Case gather_case(std::string family, int n, int radius) {
     for (const int c : views.view_class) d << c << ',';
     d << "distinct=" << views.distinct() << " hits=" << views.memo_hits;
     r.digest = d.str();
-    return r;
-  };
-  return {std::move(name), std::move(run)};
-}
-
-/// §1.2 one-bit proofs: prove + verify a batch of instances per problem.
-Case proofs_case(std::string problem, int n, int batch) {
-  std::string name = "proofs/" + problem + "/n=" + std::to_string(n);
-  auto run = [problem, n, batch](int threads) {
-    struct Slot {
-      std::string digest;
-      long long bits = 0;
-      int rounds = 0;
-    };
-    std::vector<Slot> slots(static_cast<std::size_t>(batch));
-    ThreadPool pool(threads);
-    pool.for_each(batch, [&](int i) {
-      const Graph g = make_cycle(n, IdMode::kRandomDense, 2000 + static_cast<std::uint64_t>(i));
-      std::unique_ptr<LclProblem> p;
-      if (problem == "mis") {
-        p = std::make_unique<MisLcl>();
-      } else {
-        p = std::make_unique<VertexColoringLcl>(3);
-      }
-      SubexpLclParams params;
-      params.x = 100;
-      const auto proof = make_lcl_proof(g, *p, params);
-      const auto res = verify_lcl_proof(g, *p, proof, params);
-      LAD_CHECK_MSG(res.accepted, "honest " << problem << " proof rejected");
-      auto& s = slots[static_cast<std::size_t>(i)];
-      s.rounds = res.rounds;
-      const auto stats = advice_stats(advice_from_bits(proof));
-      s.bits = stats.total_bits;
-      for (const char b : proof) s.digest += b != 0 ? '1' : '0';
-    });
-    CaseRun r;
-    r.n = n;
-    for (const auto& s : slots) {
-      r.digest += s.digest;
-      r.digest += '|';
-      r.rounds = std::max(r.rounds, s.rounds);
-      r.total_bits += s.bits;
-    }
-    r.bits_per_node = obs::per_node(r.total_bits, static_cast<long long>(batch) * n);
     return r;
   };
   return {std::move(name), std::move(run)};
@@ -257,39 +194,8 @@ Case source_case(const GraphSource& src, const Pipeline* p) {
   return {std::move(name), std::move(run)};
 }
 
-PipelineConfig subexp_cfg() {
-  PipelineConfig cfg;
-  cfg.subexp.x = 60;  // cycle-scale clusters; keeps n <= 256 instances fast
-  return cfg;
-}
-
-PipelineConfig spacing_cfg(int spacing) {
-  PipelineConfig cfg;
-  cfg.orientation.marker_spacing = spacing;
-  return cfg;
-}
-
 std::vector<Case> suite_cases(const std::string& suite) {
-  if (suite == "e1") return {pipeline_case(PipelineId::kSubexpLcl, 128, 4, subexp_cfg())};
-  if (suite == "e2") {
-    return {pipeline_case(PipelineId::kOrientation, 256, 4),
-            pipeline_case(PipelineId::kOrientation, 512, 4)};
-  }
-  if (suite == "e3") return {pipeline_case(PipelineId::kDecompress, 256, 4)};
-  if (suite == "e4") return {pipeline_case(PipelineId::kDeltaColoring, 144, 4)};
-  if (suite == "e5") return {pipeline_case(PipelineId::kThreeColoring, 144, 4)};
-  if (suite == "e6") return {gather_case("cycle", 512, 3), gather_case("grid", 256, 2)};
-  if (suite == "e7") return {pipeline_case(PipelineId::kSplitting, 144, 4)};
-  if (suite == "e8") {
-    return {pipeline_case(PipelineId::kOrientation, 512, 2, spacing_cfg(20), "/spacing=20"),
-            pipeline_case(PipelineId::kOrientation, 512, 2, spacing_cfg(80), "/spacing=80")};
-  }
-  if (suite == "e9") return {proofs_case("mis", 96, 4), proofs_case("3col", 96, 4)};
-  if (suite == "r1") {
-    return {campaign_case(PipelineId::kOrientation, faults::GraphFamily::kCycle, 120, 10),
-            campaign_case(PipelineId::kThreeColoring, faults::GraphFamily::kGrid, 120,
-                          10)};
-  }
+  if (auto cases = experiment_cases(suite); !cases.empty()) return cases;
   if (suite == "gather") return {gather_case("grid", 400, 3), gather_case("cycle", 600, 4)};
   if (suite == "scale") {
     // Three decades of n on generated cycles through the source path: the
@@ -305,14 +211,17 @@ std::vector<Case> suite_cases(const std::string& suite) {
     return cases;
   }
   if (suite == "smoke") {
+    faults::CampaignConfig cc;
+    cc.n = 64;
+    cc.trials = 4;
     return {pipeline_case(PipelineId::kOrientation, 96, 2),
-            pipeline_case(PipelineId::kDecompress, 96, 2),
-            campaign_case(PipelineId::kOrientation, faults::GraphFamily::kCycle, 64, 4)};
+            pipeline_case(PipelineId::kDecompress, 96, 2), campaign_case(cc)};
   }
   if (suite == "all") {
     std::vector<Case> all;
-    for (const char* s : {"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "r1"}) {
-      auto part = suite_cases(s);
+    for (const char* s :
+         {"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "r1", "b1", "a1"}) {
+      auto part = experiment_cases(s);
       for (auto& c : part) all.push_back(std::move(c));
     }
     return all;
@@ -340,26 +249,89 @@ std::string fingerprint(const std::string& bytes) {
 }  // namespace
 
 std::vector<std::string> bench_suite_names() {
-  return {"e1", "e2",     "e3",    "e4",    "e5",  "e6", "e7",
-          "e8", "e9",     "r1",    "gather", "scale", "smoke", "all"};
+  return {"e1", "e2", "e3", "e4", "e5",     "e6",    "e7",    "e8",
+          "e9", "r1", "b1", "a1", "gather", "scale", "smoke", "all"};
 }
 
 namespace {
 
-/// The shared measurement loop: min-of-K serial timing per case, then one
-/// row per listed thread count (digest-compared against the serial run),
-/// with optional per-case telemetry attribution. Both the suite registry
-/// and the source-driven bench funnel through here.
+/// One case's rows: min-of-K serial timing, then one row per listed thread
+/// count (digest-compared against the serial run), with optional telemetry
+/// attribution. Throws whatever the case throws.
+std::vector<BenchCaseResult> measure_case(const Case& c, const std::vector<int>& thread_list,
+                                          int reps, bool with_metrics) {
+  CaseRun serial;
+  // Min-of-K timing: one discarded warmup (page-cache / allocator / CPU
+  // governor effects land there), then the min over reps timed runs —
+  // the most repeatable point statistic of a right-skewed wall-time
+  // distribution. Execution is deterministic, so every rep produces the
+  // same serial CaseRun and the metric snapshot of the last rep is the
+  // metric snapshot of all of them.
+  if (reps > 1) c.run(1);
+  double wall_ms_1 = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < reps; ++rep) {
+    if (with_metrics) obs::MetricsRegistry::instance().reset();
+    wall_ms_1 = std::min(wall_ms_1, time_ms([&] { serial = c.run(1); }));
+  }
+  std::vector<obs::MetricValue> metrics;
+  std::string top_phase;
+  double serial_fraction = -1;
+  if (with_metrics) {
+    metrics = obs::MetricsRegistry::instance().snapshot(/*skip_zero=*/true);
+    top_phase = obs::top_phase_from_trace();
+    serial_fraction = obs::serial_split_from_trace().serial_fraction;
+    obs::TraceRecorder::instance().clear();
+  }
+  const std::string digest = fingerprint(serial.digest);
+  // One row per listed count, named "case/t=K" only when the list has more
+  // than one entry — single-count documents keep their schema-v4 case
+  // names, so existing baselines stay comparable.
+  const bool multi = thread_list.size() > 1;
+
+  std::vector<BenchCaseResult> rows;
+  for (std::size_t ti = 0; ti < thread_list.size(); ++ti) {
+    const int t = thread_list[ti];
+    BenchCaseResult res;
+    res.name = multi ? c.name + "/t=" + std::to_string(t) : c.name;
+    res.threads = t;
+    res.top_phase = top_phase;
+    res.serial_fraction = serial_fraction;
+    if (ti == 0) res.metrics = metrics;  // attributed once per case
+    res.wall_ms_1 = wall_ms_1;
+    res.digest = digest;
+    if (t > 1) {
+      CaseRun parallel;
+      res.wall_ms = std::numeric_limits<double>::infinity();
+      for (int rep = 0; rep < reps; ++rep) {
+        res.wall_ms = std::min(res.wall_ms, time_ms([&] { parallel = c.run(t); }));
+      }
+      res.identical = parallel.digest == serial.digest;
+    } else {
+      res.wall_ms = res.wall_ms_1;
+      res.identical = true;
+    }
+    res.n = serial.n;
+    res.m = serial.m;
+    res.rounds = serial.rounds;
+    res.bits_per_node = serial.bits_per_node;
+    res.total_bits = serial.total_bits;
+    res.source = serial.source;
+    res.graph_digest = serial.graph_digest;
+    res.counters = serial.counters;
+    res.speedup_vs_1 = res.wall_ms > 0 ? res.wall_ms_1 / res.wall_ms : 1.0;
+    rows.push_back(std::move(res));
+  }
+  return rows;
+}
+
+/// The shared measurement loop behind both the suite registry and the
+/// source-driven bench.
 BenchSuiteResult run_cases(const std::string& label, std::vector<Case> cases,
                            std::vector<int> thread_list, bool with_metrics, int reps) {
   if (thread_list.empty()) thread_list.push_back(0);
   for (int& t : thread_list) {
     if (t <= 0) t = ThreadPool::default_threads();
   }
-  // One row per listed count, named "case/t=K" only when the list has more
-  // than one entry — single-count documents keep their schema-v4 case
-  // names, so existing baselines stay comparable.
-  const bool multi = thread_list.size() > 1;
 
   BenchSuiteResult out;
   out.suite = label;
@@ -377,61 +349,19 @@ BenchSuiteResult run_cases(const std::string& label, std::vector<Case> cases,
   const bool telemetry_was_enabled = obs::enabled();
   if (with_metrics) obs::set_enabled(true);
 
-  for (auto& c : cases) {
-    CaseRun serial;
-    // Min-of-K timing: one discarded warmup (page-cache / allocator / CPU
-    // governor effects land there), then the min over reps timed runs —
-    // the most repeatable point statistic of a right-skewed wall-time
-    // distribution. Execution is deterministic, so every rep produces the
-    // same serial CaseRun and the metric snapshot of the last rep is the
-    // metric snapshot of all of them.
-    if (out.reps > 1) c.run(1);
-    double wall_ms_1 = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < out.reps; ++rep) {
-      if (with_metrics) obs::MetricsRegistry::instance().reset();
-      wall_ms_1 = std::min(wall_ms_1, time_ms([&] { serial = c.run(1); }));
-    }
-    std::vector<obs::MetricValue> metrics;
-    std::string top_phase;
-    double serial_fraction = -1;
-    if (with_metrics) {
-      metrics = obs::MetricsRegistry::instance().snapshot(/*skip_zero=*/true);
-      top_phase = obs::top_phase_from_trace();
-      serial_fraction = obs::serial_split_from_trace().serial_fraction;
-      obs::TraceRecorder::instance().clear();
-    }
-    const std::string digest = fingerprint(serial.digest);
-
-    for (std::size_t ti = 0; ti < thread_list.size(); ++ti) {
-      const int t = thread_list[ti];
-      BenchCaseResult res;
-      res.name = multi ? c.name + "/t=" + std::to_string(t) : c.name;
-      res.threads = t;
-      res.top_phase = top_phase;
-      res.serial_fraction = serial_fraction;
-      if (ti == 0) res.metrics = metrics;  // attributed once per case
-      res.wall_ms_1 = wall_ms_1;
-      res.digest = digest;
-      if (t > 1) {
-        CaseRun parallel;
-        res.wall_ms = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < out.reps; ++rep) {
-          res.wall_ms = std::min(res.wall_ms, time_ms([&] { parallel = c.run(t); }));
-        }
-        res.identical = parallel.digest == serial.digest;
-      } else {
-        res.wall_ms = res.wall_ms_1;
-        res.identical = true;
+  for (const auto& c : cases) {
+    try {
+      for (auto& row : measure_case(c, thread_list, out.reps, with_metrics)) {
+        out.cases.push_back(std::move(row));
       }
-      res.n = serial.n;
-      res.m = serial.m;
-      res.rounds = serial.rounds;
-      res.bits_per_node = serial.bits_per_node;
-      res.total_bits = serial.total_bits;
-      res.source = serial.source;
-      res.graph_digest = serial.graph_digest;
-      res.speedup_vs_1 = res.wall_ms > 0 ? res.wall_ms_1 / res.wall_ms : 1.0;
-      out.cases.push_back(std::move(res));
+    } catch (const ContractViolation& e) {
+      // A broken correctness property is a result, not a crash: one error
+      // row with no timing and no per-count rows, then the next case.
+      BenchCaseResult row;
+      row.name = c.name;
+      row.error = e.what();
+      out.cases.push_back(std::move(row));
+      if (with_metrics) obs::TraceRecorder::instance().clear();
     }
   }
   if (with_metrics) obs::set_enabled(telemetry_was_enabled);
@@ -440,20 +370,9 @@ BenchSuiteResult run_cases(const std::string& label, std::vector<Case> cases,
 
 }  // namespace
 
-BenchSuiteResult run_bench_suite(const std::string& suite, int threads, bool with_metrics,
-                                 int reps) {
-  return run_cases(suite, suite_cases(suite), std::vector<int>{threads}, with_metrics, reps);
-}
-
 BenchSuiteResult run_bench_suite(const std::string& suite, const std::vector<int>& thread_list,
                                  bool with_metrics, int reps) {
   return run_cases(suite, suite_cases(suite), thread_list, with_metrics, reps);
-}
-
-BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
-                                  const std::string& pipeline_name, int threads,
-                                  bool with_metrics, int reps) {
-  return run_source_bench(sources, pipeline_name, std::vector<int>{threads}, with_metrics, reps);
 }
 
 BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
@@ -484,6 +403,11 @@ std::string BenchSuiteResult::to_json() const {
      << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
+    const char* sep = i + 1 < cases.size() ? ",\n" : "\n";
+    if (!c.error.empty()) {
+      os << "    {\"name\": " << str(c.name) << ", \"error\": " << str(c.error) << "}" << sep;
+      continue;
+    }
     os << "    {\"name\": " << str(c.name) << ", \"n\": " << c.n << ", \"m\": " << c.m
        << ", \"rounds\": " << c.rounds << ", \"bits_per_node\": " << fmt(c.bits_per_node, 4)
        << ", \"total_bits\": " << c.total_bits << ", \"wall_ms_1t\": " << fmt(c.wall_ms_1, 3)
@@ -507,7 +431,18 @@ std::string BenchSuiteResult::to_json() const {
       }
       os << "}";
     }
-    os << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
+    if (!c.counters.empty()) {
+      // %.17g round-trips every double exactly, so `lad diff` can compare
+      // counters as deterministic fields.
+      os << ", \"counters\": {";
+      for (std::size_t j = 0; j < c.counters.size(); ++j) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", c.counters[j].second);
+        os << (j > 0 ? ", " : "") << str(c.counters[j].first) << ": " << buf;
+      }
+      os << "}";
+    }
+    os << "}" << sep;
   }
   os << "  ]\n}\n";
   return os.str();

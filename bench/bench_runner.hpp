@@ -1,27 +1,34 @@
-// Batched perf harness behind `lad bench` (DESIGN.md §8).
+// The perf and experiment harness behind `lad bench` (DESIGN.md §8).
 //
-// The google-benchmark binaries (bench_e1..e9, bench_r1) remain the
-// fine-grained microbenchmark surface; this runner is the *batched,
-// registry-driven* counterpart: each suite runs a batch of pipeline
-// workloads through core/pipeline.hpp on a ThreadPool, measures wall time
-// at 1 thread and at the requested thread count, checks the outputs are
-// byte-identical (the determinism contract of the parallel layer), and
-// renders one machine-readable JSON document — no google-benchmark
-// dependency, so the CLI can embed it.
+// Every suite is a list of cases run through one measurement loop: each
+// case runs once serially (min of K timed reps), then once per listed
+// thread count, and the runner checks that every run produced the same
+// output bytes (the determinism contract of the parallel layer). The
+// result renders as one machine-readable JSON document that `lad diff`
+// grades against a baseline.
 //
-// Suites: e1..e9 mirror the experiment families of EXPERIMENTS.md (e6 is
-// the §8 order-invariance memo, e8 the sparsity sweep, e9 the §1.2 proofs);
-// r1 is the fault-campaign suite (parallel trials); gather exercises the
-// parallel ball gather; smoke is the fast CI subset.
+// Suites: e1..e9, r1, b1 and a1 are the EXPERIMENTS.md rows, one case per
+// row (bench/experiments.cpp): the paper's quantities land in the row
+// fields and in per-case counters, and a row whose correctness property
+// fails becomes an error row. gather exercises the parallel ball gather,
+// scale the parallel CSR build over three decades of n, and smoke is the
+// fast CI subset; `all` runs the experiment suites.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "faults/campaign.hpp"
 #include "graph/source.hpp"
 #include "obs/telemetry.hpp"
 
 namespace lad::bench {
+
+/// Named measurements of one case beyond the fixed row fields (schema v7),
+/// in insertion order: clusters, ones ratio, fault counts, ...
+using Counters = std::vector<std::pair<std::string, double>>;
 
 struct BenchCaseResult {
   std::string name;  // e.g. "orientation/n=256"
@@ -60,6 +67,13 @@ struct BenchCaseResult {
   /// unless the suite ran with with_metrics; zero-valued metrics skipped).
   /// With a thread list, only the case's first row carries them.
   std::vector<obs::MetricValue> metrics;
+  /// The case's own measurements (schema v7): deterministic, compared
+  /// exactly by `lad diff`.
+  Counters counters;
+  /// Non-empty on an error row (schema v7): the message of the
+  /// ContractViolation the case threw. An error row has no timing and no
+  /// per-thread-count rows.
+  std::string error;
 };
 
 struct BenchSuiteResult {
@@ -85,24 +99,51 @@ struct BenchSuiteResult {
   std::string to_json() const;
 };
 
+/// One execution of a case: everything the runner compares across thread
+/// counts and reports, minus the timing.
+struct CaseRun {
+  std::string digest;  // byte-deterministic output rendering
+  int n = 0;
+  int m = 0;
+  int rounds = 0;
+  double bits_per_node = 0;
+  long long total_bits = 0;
+  /// Provenance (source-driven cases only; see BenchCaseResult).
+  std::string source;
+  std::string graph_digest;
+  Counters counters;
+};
+
+/// A named case; run(threads) executes it at that pool size.
+struct Case {
+  std::string name;
+  std::function<CaseRun(int threads)> run;
+};
+
+/// Fault-campaign case named "campaign/<pipeline>/<family>/n=<n><tag>": the
+/// campaign's parallel trial runner is the measured axis (cc.threads is
+/// set per run), its summary counts are the counters, and the digest folds
+/// in every per-trial report.
+Case campaign_case(faults::CampaignConfig cc, const std::string& tag = {});
+
+/// The EXPERIMENTS.md suites e1..e9, r1, b1 and a1, one case per row
+/// (bench/experiments.cpp); empty for any other name.
+std::vector<Case> experiment_cases(const std::string& suite);
+
 /// Registered suite names, in display order.
 std::vector<std::string> bench_suite_names();
 
-/// Runs one suite. `threads` <= 0 means ThreadPool::default_threads().
-/// `with_metrics` enables telemetry and attributes per-case counter
-/// snapshots (of the serial run) to each case — the `lad bench --trace`
-/// path. `reps` > 1 runs one discarded warmup then takes the min wall time
-/// over `reps` timed runs per case (the stable-axis timing `lad diff`
-/// gates on). Throws on unknown suite names (callers validate via
-/// bench_suite_names()).
-BenchSuiteResult run_bench_suite(const std::string& suite, int threads,
-                                 bool with_metrics = false, int reps = 1);
-
-/// Thread-list variant (`lad bench --threads 1,2,4`): the serial batch is
-/// measured once per case, then each listed count re-runs the batch and
-/// emits its own "case/t=K" row (single-count lists keep the plain case
-/// name), so a scaling curve lands in one JSON document. Entries <= 0 mean
-/// ThreadPool::default_threads().
+/// Runs one suite (`lad bench <suite> --threads 1,2,4`): each case is
+/// measured serially, then each listed count re-runs it and emits its own
+/// "case/t=K" row (single-count lists keep the plain case name), so a
+/// scaling curve lands in one JSON document. Entries <= 0 mean
+/// ThreadPool::default_threads(). `with_metrics` enables telemetry and
+/// attributes per-case counter snapshots (of the serial run) to each case —
+/// the `lad bench --trace` path. `reps` > 1 runs one discarded warmup then
+/// takes the min wall time over `reps` timed runs per case (the stable-axis
+/// timing `lad diff` gates on). A case that throws ContractViolation
+/// becomes one error row and the suite goes on. Throws on unknown suite
+/// names (callers validate via bench_suite_names()).
 BenchSuiteResult run_bench_suite(const std::string& suite, const std::vector<int>& thread_list,
                                  bool with_metrics = false, int reps = 1);
 
@@ -112,14 +153,10 @@ BenchSuiteResult run_bench_suite(const std::string& suite, const std::vector<int
 /// serially; the multi-thread re-run rebuilds it through
 /// Graph::Builder::build(pool), so `identical` certifies the parallel
 /// construction determinism contract on that exact graph. Cases record
-/// provenance (canonical spec + graph digest, the schema-v4 fields).
-/// Throws on an unknown pipeline name (callers validate via
-/// find_pipeline()); source load failures surface as GraphIoError.
-BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
-                                  const std::string& pipeline_name, int threads,
-                                  bool with_metrics = false, int reps = 1);
-
-/// Thread-list variant of run_source_bench; see the suite overload above.
+/// provenance (canonical spec + graph digest, the schema-v4 fields); a
+/// pipeline that rejects a graph yields an error row. Throws on an unknown
+/// pipeline name (callers validate via find_pipeline()); source load
+/// failures surface as GraphIoError.
 BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
                                   const std::string& pipeline_name,
                                   const std::vector<int>& thread_list,

@@ -20,9 +20,12 @@
 // The resulting guarantee, stated per decoder in the RobustnessReport:
 // every run ends in a checker-valid output, or every unservable node is
 // explicitly listed as flagged — detected failure or valid output, never
-// silent corruption. Faults of constant radius cause repairs of constant
-// radius (the blast-radius measurements of bench_r1_faults), which is the
-// self-stabilization story proof-labeling-style schemes enable.
+// silent corruption. `lad bench r1` measures the blast radius (the farthest
+// repaired or flagged node from a fault site) at two sizes 4x apart: on
+// grids it moves by at most 3, but on cycles it grows with n for the
+// trail-based decoders (orientation 0 -> 33, splitting 57 -> 95, decompress
+// 10 -> 20 from n = 200 to 800), so repairs are not constant-radius in
+// general.
 #pragma once
 
 #include <cstdint>

@@ -29,6 +29,18 @@ std::string fmt4(double v) {
   return buf;
 }
 
+// Counters compare as one exact field: name=value pairs in document order,
+// each value rendered exactly (%.17g, the writer's format).
+std::string render_counters(const BenchCaseRow& row) {
+  std::string out;
+  for (const auto& [name, value] : row.counters) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    out += (out.empty() ? "" : ", ") + name + "=" + buf;
+  }
+  return out;
+}
+
 // Shared parse body: the strict path (`lad diff`) requires every
 // field of the diffable format; the lenient path (`lad report`'s
 // trajectory table) lets any schema generation through with defaults.
@@ -62,6 +74,11 @@ BenchDoc parse_bench_json_impl(const std::string& text, bool strict) {
     }
     BenchCaseRow row;
     row.name = str_field(c, "name", true);
+    row.error = str_field(c, "error", /*required=*/false);
+    if (!row.error.empty()) {
+      doc.cases.push_back(std::move(row));  // an error row has no other field
+      continue;
+    }
     row.n = static_cast<int>(num_field(c, "n", strict));
     row.m = static_cast<int>(num_field(c, "m", strict));
     row.rounds = static_cast<int>(num_field(c, "rounds", strict));
@@ -80,6 +97,17 @@ BenchDoc parse_bench_json_impl(const std::string& text, bool strict) {
       }
       for (const auto& [k, v] : m->object) {
         row.metrics[k] = static_cast<long long>(v.number);
+      }
+    }
+    if (const JsonValue* ctr = c.find("counters"); ctr != nullptr) {
+      if (ctr->kind != JsonValue::Kind::kObject) {
+        throw std::runtime_error("bench JSON: \"counters\" is not an object");
+      }
+      for (const auto& [k, v] : ctr->object) {
+        if (v.kind != JsonValue::Kind::kNumber) {
+          throw std::runtime_error("bench JSON: counter \"" + k + "\" is not a number");
+        }
+        row.counters.emplace_back(k, v.number);
       }
     }
     doc.cases.push_back(std::move(row));
@@ -135,6 +163,8 @@ std::string perf_trajectory_markdown(const std::vector<BenchGeneration>& generat
                        [&name](const BenchCaseRow& c) { return c.name == name; });
       if (it == gen.doc.cases.end()) {
         os << " — |";
+      } else if (!it->error.empty()) {
+        os << " error |";
       } else {
         os << " " << fmt_ms(it->wall_ms_1) << " |";
       }
@@ -234,6 +264,11 @@ DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& candidate,
                               DiffStatus::kMismatch});
       continue;
     }
+    // An error row on either side carries nothing else to compare.
+    if (!base.error.empty() || !cand->error.empty()) {
+      res.exact(base.name, "error", base.error, cand->error);
+      continue;
+    }
     res.exact(base.name, "n", base.n, cand->n);
     res.exact(base.name, "m", base.m, cand->m);
     res.exact(base.name, "rounds", base.rounds, cand->rounds);
@@ -243,6 +278,10 @@ DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& candidate,
     both(base.name, "digest", base.digest, cand->digest);
     both(base.name, "source", base.source, cand->source);
     both(base.name, "graph_digest", base.graph_digest, cand->graph_digest);
+    // Counters exist from schema v7 on; older documents have none to compare.
+    if (baseline.schema_version >= 7 && candidate.schema_version >= 7) {
+      res.exact(base.name, "counters", render_counters(base), render_counters(*cand));
+    }
     res.timing(base.name, "wall_ms_1t", base.wall_ms_1, cand->wall_ms_1, opts);
   }
   for (const auto& cand : candidate.cases) {

@@ -6,8 +6,8 @@
 // accordingly:
 //
 //   * *Deterministic* fields — bench: the case set, n/m, decode rounds,
-//     advice bits, output digest; run record: the whole "deterministic"
-//     object — are contract: any change is a structural MISMATCH (exit 4),
+//     advice bits, output digest, per-case counters, an error row's
+//     message; run record: the whole "deterministic" object — are contract: any change is a structural MISMATCH (exit 4),
 //     because the same source at the same seeds must reproduce them
 //     byte-for-byte on any machine.
 //   * *Timing* fields — bench: wall_ms_1t per case; run record: total_ms
@@ -29,6 +29,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lad::obs {
@@ -59,6 +60,10 @@ struct BenchCaseRow {
   /// timing attribution may legitimately shift between machines.
   std::string top_phase;
   std::map<std::string, long long> metrics;
+  /// The case's own measurements (schema v7), in document order.
+  std::vector<std::pair<std::string, double>> counters;
+  /// Non-empty on an error row (schema v7), which carries no other field.
+  std::string error;
 };
 
 struct BenchDoc {

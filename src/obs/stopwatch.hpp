@@ -1,11 +1,8 @@
 // The one wall clock of the perf surface.
 //
-// Before this header existed, bench/bench_runner.cpp carried its own
-// steady_clock stopwatch and bench/bench_common.hpp its own stats math —
-// two implementations that could silently drift apart. Both the legacy
-// google-benchmark binaries (via bench_common.hpp) and the registry-driven
-// `lad bench` runner now consume these helpers, so a timing or per-node
-// normalization fix lands in exactly one place.
+// The `lad bench` harness (bench/: the runner and its experiment suites)
+// and the fault campaigns all consume these helpers, so a timing or
+// per-node normalization fix lands in exactly one place.
 #pragma once
 
 #include <chrono>

@@ -24,9 +24,16 @@ endfunction()
 expect_exit(2)                      # no verb at all
 expect_exit(2 definitely-no-verb)   # unknown verb
 expect_exit(2 gen)                  # verb with missing required args
-expect_exit(0 gen cycle 12 1)       # a working verb succeeds with 0
+expect_exit(0 gen cycle:12@1)       # a working verb succeeds with 0
 expect_exit(0 lint --list-rules)    # informational paths are 0 too
-expect_exit(4 orient /nonexistent/graph.txt)  # contract violation is hard
+# contract violation is hard: the bench ran, but its JSON cannot be written
+expect_exit(4 bench smoke --threads 1 --json /nonexistent/dir/b.json)
+
+# The pre-GraphSource verbs are gone: `lad bench --graph F --pipeline P`
+# and the e9 suite cover them.
+foreach(verb orient compress color3 proof)
+  expect_exit(2 ${verb} /nonexistent/graph.txt 1)
+endforeach()
 
 # faultsim fault/policy flags: bad names are usage errors, and a run with
 # every new knob engaged still honors the silent-corruption contract (0).

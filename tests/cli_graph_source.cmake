@@ -64,6 +64,11 @@ run_lad(rc out gen nosuch:12 --out ${OUT_DIR}/cli_source_scratch.txt)
 if(NOT rc EQUAL 2 OR NOT out MATCHES "nosuch:12")
   message(FATAL_ERROR "gen with unknown source must exit 2 naming it, got ${rc}:\n${out}")
 endif()
+# The source comes first; anything after it but --out is named and refused.
+run_lad(rc out gen cycle 500 1)
+if(NOT rc EQUAL 2 OR NOT out MATCHES "'500'")
+  message(FATAL_ERROR "gen with a leftover argument must exit 2 naming it, got ${rc}:\n${out}")
+endif()
 run_lad(rc out bench --graph nosuch:12)
 if(NOT rc EQUAL 2 OR NOT out MATCHES "nosuch:12")
   message(FATAL_ERROR "bench with unknown source must exit 2 naming it, got ${rc}:\n${out}")
@@ -96,3 +101,4 @@ expect_exit(2 audit ${OUT_DIR}/cli_source_badmagic.ladg orientation)
 
 # A positive sweep through the migrated verbs, from one shared .ladg.
 expect_exit(0 audit ${ladg} orientation)
+expect_exit(0 dot ${ladg})

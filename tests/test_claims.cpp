@@ -9,7 +9,8 @@
 //      claim set per pipeline, and a real (small-n) sweep of every
 //      pipeline conforms to its declared classes.
 //   3. The bench-diff sentinel round-trips the bench writer's own JSON and
-//      grades perturbations with the documented severities.
+//      grades perturbations with the documented severities; the runner
+//      turns a case's contract violation into an error row.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +20,7 @@
 
 #include "bench/bench_runner.hpp"
 #include "core/pipeline.hpp"
+#include "graph/source.hpp"
 #include "obs/diff.hpp"
 #include "obs/claims.hpp"
 #include "obs/fit.hpp"
@@ -193,7 +195,7 @@ TEST(Claims, FailedVerificationFailsTheClaim) {
 
 obs::BenchDoc tiny_doc() {
   obs::BenchDoc doc;
-  doc.schema_version = 3;
+  doc.schema_version = 7;
   doc.suite = "smoke";
   doc.reps = 3;
   obs::BenchCaseRow row;
@@ -206,12 +208,13 @@ obs::BenchDoc tiny_doc() {
   row.wall_ms_1 = 10.0;
   row.wall_ms = 8.0;
   row.digest = "4a12e85475579ad0";
+  row.counters = {{"ones_ratio", 0.0625}, {"marked_trails", 1}};
   doc.cases.push_back(row);
   return doc;
 }
 
 TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
-  auto res = bench::run_bench_suite("smoke", 1, /*with_metrics=*/false, /*reps=*/2);
+  auto res = bench::run_bench_suite("smoke", {1}, /*with_metrics=*/false, /*reps=*/2);
   EXPECT_EQ(res.reps, 2);
   // A source-driven case names a user-supplied path, which may carry the
   // JSON metacharacters " and \.
@@ -220,6 +223,17 @@ TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
   quoted.source = "q\"x\\y.ladg";
   quoted.graph_digest = "0123456789abcdef";
   res.cases.push_back(quoted);
+  // Counters are written with %.17g, so a non-terminating binary fraction
+  // must come back bit-identical.
+  auto counted = res.cases.front();
+  counted.name = "subexp_lcl/mis/cycle/n=2000";
+  counted.counters = {{"ones_ratio", 1.0 / 3.0}, {"clusters", 17}, {"max_blast_radius", 0}};
+  res.cases.push_back(counted);
+  // An error row carries the message and nothing else.
+  bench::BenchCaseResult failed;
+  failed.name = "edge_coloring/bipartite-regular/delta=8";
+  failed.error = "LAD_CHECK failed: round < budget \"quoted\" \\ — exhausted";
+  res.cases.push_back(failed);
   const auto doc = obs::parse_bench_json(res.to_json());
   EXPECT_EQ(doc.schema_version, res.schema_version);
   EXPECT_EQ(doc.suite, "smoke");
@@ -230,15 +244,23 @@ TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
     EXPECT_EQ(doc.cases[i].source, res.cases[i].source);
     EXPECT_EQ(doc.cases[i].digest, res.cases[i].digest);
     EXPECT_EQ(doc.cases[i].rounds, res.cases[i].rounds);
+    EXPECT_EQ(doc.cases[i].error, res.cases[i].error);
+    ASSERT_EQ(doc.cases[i].counters.size(), res.cases[i].counters.size()) << res.cases[i].name;
+    for (std::size_t j = 0; j < doc.cases[i].counters.size(); ++j) {
+      EXPECT_EQ(doc.cases[i].counters[j].first, res.cases[i].counters[j].first);
+      EXPECT_EQ(doc.cases[i].counters[j].second, res.cases[i].counters[j].second);
+    }
   }
+  EXPECT_EQ(doc.cases.back().n, 0);  // nothing but name and error
   const auto diff = obs::diff_bench(doc, doc);
   EXPECT_EQ(diff.status(), obs::DiffStatus::kClean);
-  EXPECT_EQ(diff.compared, static_cast<int>(doc.cases.size()));
+  // Every row but the error row is timed.
+  EXPECT_EQ(diff.compared, static_cast<int>(doc.cases.size()) - 1);
 }
 
 TEST(BenchDiff, RepsDoNotChangeDeterministicFields) {
-  const auto once = bench::run_bench_suite("smoke", 1, false, 1);
-  const auto thrice = bench::run_bench_suite("smoke", 1, false, 3);
+  const auto once = bench::run_bench_suite("smoke", {1}, false, 1);
+  const auto thrice = bench::run_bench_suite("smoke", {1}, false, 3);
   ASSERT_EQ(once.cases.size(), thrice.cases.size());
   for (std::size_t i = 0; i < once.cases.size(); ++i) {
     EXPECT_EQ(once.cases[i].digest, thrice.cases[i].digest) << once.cases[i].name;
@@ -263,12 +285,14 @@ TEST(BenchDiff, GradesTimingAsRegression) {
 
 TEST(BenchDiff, GradesDeterministicDivergenceAsMismatch) {
   const auto base = tiny_doc();
-  for (const char* field : {"rounds", "total_bits", "digest", "n"}) {
+  for (const char* field : {"rounds", "total_bits", "digest", "n", "counters", "error"}) {
     auto cand = tiny_doc();
     if (std::string(field) == "rounds") cand.cases[0].rounds = 131;
     if (std::string(field) == "total_bits") cand.cases[0].total_bits = 200;
     if (std::string(field) == "digest") cand.cases[0].digest = "ffffffffffffffff";
     if (std::string(field) == "n") cand.cases[0].n = 97;
+    if (std::string(field) == "counters") cand.cases[0].counters[0].second = 0.0626;
+    if (std::string(field) == "error") cand.cases[0].error = "LAD_CHECK failed: x";
     const auto diff = obs::diff_bench(base, cand);
     EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch) << field;
     ASSERT_EQ(diff.findings.size(), 1u) << field;
@@ -307,6 +331,30 @@ TEST(BenchDiff, SchemaV2DigestlessDocsStillDiff) {
   EXPECT_EQ(obs::diff_bench(base, cand).status(), obs::DiffStatus::kClean);
   cand.cases[0].rounds = 7;
   EXPECT_EQ(obs::diff_bench(base, cand).status(), obs::DiffStatus::kMismatch);
+}
+
+TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
+  // Splitting needs a bipartite graph: the odd cycle's case throws inside
+  // the pipeline, and the runner records it instead of abandoning the batch.
+  std::vector<GraphSource> sources;
+  for (const char* spec : {"cycle:64", "cycle:101"}) {
+    const auto src = parse_graph_source(spec, nullptr);
+    ASSERT_TRUE(src.has_value()) << spec;
+    sources.push_back(*src);
+  }
+  const auto res = bench::run_source_bench(sources, "splitting", {2});
+  ASSERT_EQ(res.cases.size(), 2u);
+  const auto& ok = res.cases[0];
+  EXPECT_EQ(ok.name, "source/cycle:64/splitting");
+  EXPECT_TRUE(ok.error.empty()) << ok.error;
+  EXPECT_EQ(ok.n, 64);
+  EXPECT_TRUE(ok.identical);
+  EXPECT_EQ(ok.digest.size(), 16u);
+  const auto& bad = res.cases[1];
+  EXPECT_EQ(bad.name, "source/cycle:101/splitting");
+  EXPECT_NE(bad.error.find("is_bipartite"), std::string::npos) << bad.error;
+  EXPECT_TRUE(bad.digest.empty());
+  EXPECT_EQ(bad.wall_ms_1, 0.0);
 }
 
 TEST(BenchDiff, ParserRejectsGarbageAndOldSchemas) {

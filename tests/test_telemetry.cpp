@@ -318,7 +318,7 @@ TEST(Telemetry, PrometheusExportRoundTrips) {
 // --- Bench JSON schema -----------------------------------------------------
 
 TEST(Telemetry, BenchJsonCarriesSchemaVersionAndMetrics) {
-  const auto res = bench::run_bench_suite("smoke", 2, /*with_metrics=*/true);
+  const auto res = bench::run_bench_suite("smoke", {2}, /*with_metrics=*/true);
   EXPECT_EQ(res.schema_version, obs::kBenchSchemaVersion);
   EXPECT_FALSE(res.git_commit.empty());
   EXPECT_FALSE(res.timestamp.empty());

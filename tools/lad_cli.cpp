@@ -1,11 +1,7 @@
 // lad — command-line front end for the local-advice library.
 //
 // Usage:
-//   lad gen <spec|family args...> [--out g.ladg|g.txt]   # graph generation
-//   lad orient   <graph.txt>          # §5: 1-bit advice, decode, validate
-//   lad compress <graph.txt> <p>      # §1.5: compress a random p-subset
-//   lad color3   <graph.txt>          # §7: solve witness + 1-bit schema
-//   lad proof    <graph.txt> <mis|matching|3col>   # §1.2 certificate demo
+//   lad gen      <source> [--out g.ladg|g.txt]   # graph generation
 //   lad audit    <source> <alg>       # locality-conformance audit
 //   lad faultsim <decoder> <family> <n> [trials] [seed] [--flags]  # fault campaign
 //   lad chaos    [--pipelines ...] [--models ...] [--policies ...]  # chaos matrix
@@ -18,7 +14,7 @@
 //   lad verify-claims [--family F] [--graphs SPEC,...] [--json]   # DESIGN.md §9.6
 //   lad report   [--out EXPERIMENTS-generated.md]   # regenerable claims report
 //   lad lint     [--root DIR] [--rule R] [--baseline FILE] [--json]   # static analysis
-//   lad dot      <graph.txt>          # Graphviz export
+//   lad dot      <source>             # Graphviz export
 //
 // Exit-code convention, uniform across verbs (pinned by cli_exit_codes):
 //   0 — success / the checked property holds
@@ -33,38 +29,27 @@
 //
 // Graph inputs are GraphSource specs (graph/source.hpp): a generator spec
 // "family:params[@seed]" (cycle:1000, torus:32x32@7), a binary ".ladg"
-// file (graph/io.hpp §12 format), or a ".txt" edge list. An unknown source
-// exits 2 naming the offender. The classic verbs (orient, compress,
-// color3, proof, dot) keep reading plain edge-list files.
+// file (graph/io.hpp §12 format), or a ".txt" edge list, on every verb that
+// reads a graph. An unknown source exits 2 naming the offender.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "advice/advice.hpp"
 #include "baselines/cole_vishkin.hpp"
 #include "bench/bench_runner.hpp"
 #include "core/decompress.hpp"
-#include "core/orientation.hpp"
 #include "core/pipeline.hpp"
-#include "core/proofs.hpp"
-#include "core/splitting.hpp"
-#include "core/three_coloring.hpp"
 #include "faults/campaign.hpp"
 #include "faults/chaos.hpp"
+#include "graph/checkers.hpp"
 #include "graph/distance.hpp"
-#include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/rng.hpp"
 #include "graph/source.hpp"
-#include "lcl/problems.hpp"
-#include "lcl/solver.hpp"
 #include "lint/lint.hpp"
 #include "local/audit.hpp"
 #include "local/engine.hpp"
@@ -81,25 +66,16 @@ using namespace lad;
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  lad gen <source> [--out FILE]   # source spec form; FILE ending in\n"
-               "          .ladg writes the binary format of graph/io.hpp, anything else\n"
-               "          (or stdout) the text edge list. Specs: family:params[@seed]\n"
+               "  lad gen <source> [--out FILE]   # FILE ending in .ladg writes the\n"
+               "          binary format of graph/io.hpp, anything else (or stdout) the\n"
+               "          text edge list. Sources: family:params[@seed]\n"
                "          (cycle:1000000, torus:32x32@7, ...), a .ladg file, or a .txt\n"
-               "          edge list\n"
-               "  lad gen cycle <n> [seed] | path <n> [seed] | grid <w> <h> [seed]\n"
-               "          | ladder <m> [seed] | regular <n> <d> [seed]\n"
-               "          | banded <n> <band> <avgdeg> <maxdeg> [seed]\n"
-               "          | twocycles <n1> <n2> [seed]   # audit-friendly disjoint union\n"
-               "  lad orient <graph.txt>\n"
-               "  lad compress <graph.txt> <density>\n"
-               "  lad color3 <graph.txt>\n"
-               "  lad proof <graph.txt> <mis|matching|3col>\n"
+               "          edge list; twocycles:N1xN2 is the audit-friendly disjoint union\n"
                "  lad audit <source> gather [radius]      # engine provenance stats\n"
                "  lad audit <source> cv                   # Cole-Vishkin under the auditor\n"
                "  lad audit <source> <pipeline>           # decoder locality audit; any\n"
                "            registry pipeline name (orientation, splitting, three_coloring,\n"
-               "            delta_coloring, subexp_lcl, decompress; orient/split/compress\n"
-               "            are accepted aliases)\n"
+               "            delta_coloring, subexp_lcl, decompress)\n"
                "  lad faultsim <pipeline> <cycle|grid|torus> <n> [trials] [seed]\n"
                "            [--crash-recovery K] [--dup P] [--delay P] [--max-delay K]\n"
                "            [--targeting uniform|high_degree|region_boundary]\n"
@@ -115,12 +91,15 @@ int usage() {
                "            ROBUSTNESS-generated.md); exit 0 pass, 3 any cell fails\n"
                "  lad bench <suite> | --graph SPEC[,SPEC...] [--pipeline <name>]\n"
                "            [--threads K[,K...]] [--reps K] [--json out.json] [--trace]\n"
-               "            suites: e1..e9 r1 gather scale smoke all; --graph benches one\n"
-               "            pipeline (default orientation) per graph source, with the\n"
-               "            multi-thread re-run rebuilding the CSR in parallel; --trace\n"
-               "            embeds per-case telemetry counters in the JSON; --reps K\n"
-               "            times each case as min-of-K after one warmup; a comma list\n"
-               "            --threads 1,2,4 emits one \"case/t=K\" row per count\n"
+               "            suites: e1..e9 r1 b1 a1 (the EXPERIMENTS.md rows; all runs\n"
+               "            them) gather scale smoke; --graph benches one pipeline\n"
+               "            (default orientation) per graph source, with the multi-thread\n"
+               "            re-run rebuilding the CSR in parallel; --trace embeds per-case\n"
+               "            telemetry counters in the JSON; --reps K times each case as\n"
+               "            min-of-K after one warmup; a comma list --threads 1,2,4 emits\n"
+               "            one \"case/t=K\" row per count; exit 3 if a thread count changes\n"
+               "            an output, 4 if a case breaks a contract (its error row is\n"
+               "            still written)\n"
                "  lad profile <pipeline> [--graph SPEC] [--threads K[,K...]] [--reps R]\n"
                "            [--seed S] [--json FILE] [--out FILE] [--chrome FILE]\n"
                "            [--jsonl FILE] [--metrics FILE]\n"
@@ -145,9 +124,9 @@ int usage() {
                "  lad diff <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R]\n"
                "            [--json]   structural diff of two bench documents or two run\n"
                "            records: deterministic fields exactly (case set, rounds, bits,\n"
-               "            digests, allocation rows, round series), wall time with\n"
-               "            tolerance; exit 0 clean, 3 timing regression, 4 structural\n"
-               "            mismatch, 2 on a bench-vs-run pair\n"
+               "            digests, counters, errors, allocation rows, round series), wall\n"
+               "            time with tolerance; exit 0 clean, 3 timing regression, 4\n"
+               "            structural mismatch, 2 on a bench-vs-run pair\n"
                "  lad report [--out FILE] [--ns n1,n2,...] [--seed S]\n"
                "            regenerates the claims-conformance report (markdown) from the\n"
                "            real encode/decode/verify stack; default out:\n"
@@ -158,15 +137,9 @@ int usage() {
                "            determinism, layering, and telemetry-catalog hygiene rules\n"
                "            (DESIGN.md §10); default baseline ROOT/lint_baseline.json when\n"
                "            present; exit 0 clean, 3 new findings, 4 unlexable source\n"
-               "  lad dot <graph.txt>\n"
+               "  lad dot <source>\n"
                "exit codes: 0 ok | 2 usage/parse | 3 checked property fails | 4 internal\n");
   return 2;
-}
-
-Graph load(const std::string& path) {
-  std::ifstream in(path);
-  LAD_CHECK_MSG(in.good(), "cannot open " << path);
-  return read_edge_list(in);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -181,6 +154,17 @@ std::vector<std::string> split_csv(const std::string& s) {
     }
   }
   if (!cur.empty()) out.push_back(cur);
+  return out;
+}
+
+// `--threads 1,2,4`: every count >= 1; empty on any bad token.
+std::vector<int> parse_thread_list(const std::string& s) {
+  std::vector<int> out;
+  for (const auto& tok : split_csv(s)) {
+    const int t = std::atoi(tok.c_str());
+    if (t < 1) return {};
+    out.push_back(t);
+  }
   return out;
 }
 
@@ -227,161 +211,43 @@ std::optional<faults::GraphFamily> parse_campaign_family(const std::string& tok)
   return f;
 }
 
-// Spec-form generation: `lad gen torus:1000x1000@7 --out g.ladg`. A FILE
-// ending in .ladg gets the binary format; anything else (or stdout) the
-// text edge list.
-int cmd_gen_source(int argc, char** argv) {
+// `lad gen torus:1000x1000@7 --out g.ladg`: the first argument is the
+// source; a FILE ending in .ladg gets the binary format, anything else (or
+// stdout) the text edge list.
+int cmd_gen(int argc, char** argv) {
+  if (argc < 1) return usage();
+  const auto src = parse_source_or_complain(argv[0]);
+  if (!src) return 2;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      return usage();
+      std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[i]);
+      return 2;
     }
   }
-  const auto lg = load_source_or_complain(argv[0]);
-  if (!lg) return 2;
-  if (out_path.empty()) {
-    write_edge_list(std::cout, lg->graph);
-    return 0;
-  }
   try {
-    if (out_path.size() >= 5 && out_path.ends_with(".ladg")) {
-      write_ladg(out_path, lg->graph);
+    const LoadedGraph lg = load_graph_source(*src);
+    if (out_path.empty()) {
+      write_edge_list(std::cout, lg.graph);
+      return 0;
+    }
+    if (out_path.ends_with(".ladg")) {
+      write_ladg(out_path, lg.graph);
     } else {
       std::ofstream out(out_path);
       LAD_CHECK_MSG(out.good(), "cannot write " << out_path);
-      write_edge_list(out, lg->graph);
+      write_edge_list(out, lg.graph);
     }
+    std::printf("wrote %s (%s: n=%d m=%d digest %s)\n", out_path.c_str(), lg.spec.c_str(),
+                lg.graph.n(), lg.graph.m(), lg.digest.c_str());
   } catch (const GraphIoError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  std::printf("wrote %s (%s: n=%d m=%d digest %s)\n", out_path.c_str(), lg->spec.c_str(),
-              lg->graph.n(), lg->graph.m(), lg->digest.c_str());
   return 0;
-}
-
-int cmd_gen(int argc, char** argv) {
-  if (argc < 1) return usage();
-  // Spec form iff the first argument looks like a GraphSource spec
-  // (family:params, a path) or any flag follows; bare legacy spellings
-  // ("gen cycle 500 1") keep the positional path below byte-identical.
-  bool spec_form = std::string(argv[0]).find_first_of(":./") != std::string::npos;
-  for (int i = 1; i < argc && !spec_form; ++i) spec_form = argv[i][0] == '-';
-  if (spec_form) return cmd_gen_source(argc, argv);
-  if (argc < 2) return usage();
-  const std::string family = argv[0];
-  auto arg = [&](int i, long long dflt) {
-    return i < argc ? std::atoll(argv[i]) : dflt;
-  };
-  Graph g;
-  if (family == "cycle") {
-    g = make_cycle(static_cast<int>(arg(1, 100)), IdMode::kRandomDense, arg(2, 1));
-  } else if (family == "path") {
-    g = make_path(static_cast<int>(arg(1, 100)), IdMode::kRandomDense, arg(2, 1));
-  } else if (family == "grid") {
-    g = make_grid(static_cast<int>(arg(1, 10)), static_cast<int>(arg(2, 10)),
-                  IdMode::kRandomDense, arg(3, 1));
-  } else if (family == "ladder") {
-    g = make_circular_ladder(static_cast<int>(arg(1, 100)), IdMode::kRandomDense, arg(2, 1));
-  } else if (family == "regular") {
-    g = make_random_regular(static_cast<int>(arg(1, 100)), static_cast<int>(arg(2, 4)),
-                            static_cast<std::uint64_t>(arg(3, 1)));
-  } else if (family == "twocycles") {
-    // Disjoint union of two cycles: the second component is the probe for
-    // `lad audit` (its IDs get rotated; the first component is audited).
-    g = disjoint_union({make_cycle(static_cast<int>(arg(1, 400))),
-                        make_cycle(static_cast<int>(arg(2, 24)))},
-                       IdMode::kRandomDense, arg(3, 1));
-  } else if (family == "banded") {
-    g = make_banded_random(static_cast<int>(arg(1, 500)), static_cast<int>(arg(2, 5)),
-                           static_cast<double>(arg(3, 3)), static_cast<int>(arg(4, 6)),
-                           static_cast<std::uint64_t>(arg(5, 1)));
-  } else {
-    // Name the offender: scripts looping over families should see *which*
-    // spelling was wrong, not just the generic usage text.
-    std::fprintf(stderr, "error: unknown graph family '%s'\n", family.c_str());
-    usage();
-    return 2;
-  }
-  write_edge_list(std::cout, g);
-  return 0;
-}
-
-int cmd_orient(const std::string& path) {
-  const Graph g = load(path);
-  const auto enc = encode_orientation_advice(g);
-  const auto stats = advice_stats(advice_from_bits(enc.bits));
-  const auto dec = decode_orientation(g, enc.bits);
-  std::printf("n=%d m=%d Δ=%d\n", g.n(), g.m(), g.max_degree());
-  std::printf("advice: 1 bit/node, ones ratio %.4f, marked trails %d\n", stats.ones_ratio,
-              enc.num_marked_trails);
-  const bool balanced = is_balanced_orientation(g, dec.orientation, 1);
-  std::printf("decoded in %d LOCAL rounds; almost-balanced: %s\n", dec.rounds,
-              balanced ? "yes" : "NO");
-  return balanced ? 0 : 3;
-}
-
-int cmd_compress(const std::string& path, double density) {
-  const Graph g = load(path);
-  Rng rng(1);
-  std::vector<char> x(static_cast<std::size_t>(g.m()));
-  for (auto& b : x) b = rng.flip(density) ? 1 : 0;
-  const auto c = compress_edge_set(g, x);
-  long long ours = 0, trivial = 0;
-  for (int v = 0; v < g.n(); ++v) {
-    ours += c.labels[static_cast<std::size_t>(v)].size();
-    trivial += g.degree(v);
-  }
-  const auto r = decompress_edge_set(g, c);
-  std::printf("edge set of %d edges compressed: %.3f bits/node (trivial %.3f)\n",
-              static_cast<int>(std::count(x.begin(), x.end(), 1)),
-              static_cast<double>(ours) / g.n(), static_cast<double>(trivial) / g.n());
-  std::printf("decompressed in %d rounds; exact recovery: %s\n", r.rounds,
-              r.in_x == x ? "yes" : "NO");
-  return r.in_x == x ? 0 : 3;
-}
-
-int cmd_color3(const std::string& path) {
-  const Graph g = load(path);
-  VertexColoringLcl p(3);
-  std::fprintf(stderr, "solving for a witness (exact, exponential worst case)...\n");
-  const auto witness = solve_lcl(g, p);
-  if (!witness) {
-    std::printf("graph is not 3-colorable\n");
-    return 3;
-  }
-  const auto enc = encode_three_coloring_advice(g, witness->node_labels);
-  const auto dec = decode_three_coloring(g, enc.bits);
-  const bool proper = is_proper_coloring(g, dec.coloring, 3);
-  std::printf("3-coloring schema: 1 bit/node, %d parity groups, %d LOCAL rounds, valid: %s\n",
-              enc.num_groups, dec.rounds, proper ? "yes" : "NO");
-  return proper ? 0 : 3;
-}
-
-int cmd_proof(const std::string& path, const std::string& which) {
-  const Graph g = load(path);
-  std::unique_ptr<LclProblem> p;
-  if (which == "mis") {
-    p = std::make_unique<MisLcl>();
-  } else if (which == "matching") {
-    p = std::make_unique<MaximalMatchingLcl>();
-  } else if (which == "3col") {
-    p = std::make_unique<VertexColoringLcl>(3);
-  } else {
-    return usage();
-  }
-  SubexpLclParams params;
-  params.x = 100;
-  const auto proof = make_lcl_proof(g, *p, params);
-  const auto res = verify_lcl_proof(g, *p, proof, params);
-  const auto stats = advice_stats(advice_from_bits(proof));
-  std::printf("certificate for %s: 1 bit/node (ones ratio %.4f), verifier %s in %d rounds\n",
-              p->name().c_str(), stats.ones_ratio, res.accepted ? "ACCEPTS" : "rejects",
-              res.rounds);
-  return res.accepted ? 0 : 3;
 }
 
 void print_provenance(const EngineAuditLog& log) {
@@ -480,12 +346,7 @@ int cmd_audit(int argc, char** argv) {
       std::none_of(dist0.begin(), dist0.end(), [](int d) { return d == kUnreachable; });
   const Graph alt = rotate_ids_outside_ball(g, 0, connected ? 3 : g.n());
 
-  // Registry names plus the historical spellings.
-  std::string pipeline_name = which;
-  if (which == "orient") pipeline_name = "orientation";
-  if (which == "split") pipeline_name = "splitting";
-  if (which == "compress") pipeline_name = "decompress";
-  const Pipeline* pipe = find_pipeline(pipeline_name);
+  const Pipeline* pipe = find_pipeline(which);
 
   if (pipe != nullptr && pipe->id() != PipelineId::kDecompress) {
     // Generic registry audit: encode + decode on the base and perturbed
@@ -579,12 +440,7 @@ int cmd_bench(int argc, char** argv) {
     if (a == "--threads" && i + 1 < argc) {
       // Comma list (schema v5): each count re-runs the batch and emits its
       // own "case/t=K" row, so a scaling curve lands in one document.
-      thread_list.clear();
-      for (const auto& tok : split_csv(argv[++i])) {
-        const int t = std::atoi(tok.c_str());
-        if (t < 1) return usage();
-        thread_list.push_back(t);
-      }
+      thread_list = parse_thread_list(argv[++i]);
       if (thread_list.empty()) return usage();
     } else if (a == "--reps" && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
@@ -637,9 +493,20 @@ int cmd_bench(int argc, char** argv) {
   std::printf("%-34s %8s %6s %10s %10s %8s %5s\n", "case", "n", "rounds", "1t ms", "ms",
               "speedup", "same");
   bool all_identical = true;
+  bool any_error = false;
   for (const auto& c : res.cases) {
+    if (!c.error.empty()) {
+      std::printf("%-34s ERROR: %s\n", c.name.c_str(), c.error.c_str());
+      any_error = true;
+      continue;
+    }
     std::printf("%-34s %8d %6d %10.2f %10.2f %7.2fx %5s\n", c.name.c_str(), c.n, c.rounds,
                 c.wall_ms_1, c.wall_ms, c.speedup_vs_1, c.identical ? "yes" : "NO");
+    if (!c.counters.empty()) {
+      std::printf("   ");
+      for (const auto& [name, value] : c.counters) std::printf(" %s=%g", name.c_str(), value);
+      std::printf("\n");
+    }
     all_identical = all_identical && c.identical;
   }
   if (!json_path.empty()) {
@@ -648,8 +515,11 @@ int cmd_bench(int argc, char** argv) {
     out << res.to_json();
     std::printf("wrote %s\n", json_path.c_str());
   }
-  // A thread count changing any output byte is a determinism-contract
-  // violation — fail loudly so CI catches it.
+  // A case that broke a contract is a hard failure, reported only after
+  // every other case ran and the document is on disk. A thread count
+  // changing any output byte is a determinism-contract violation — fail
+  // loudly so CI catches it.
+  if (any_error) return 4;
   return all_identical ? 0 : 3;
 }
 
@@ -999,12 +869,7 @@ int cmd_profile(int argc, char** argv) {
     if (a == "--graph" && i + 1 < argc) {
       graph_spec = argv[++i];
     } else if (a == "--threads" && i + 1 < argc) {
-      thread_list.clear();
-      for (const auto& tok : split_csv(argv[++i])) {
-        const int t = std::atoi(tok.c_str());
-        if (t < 1) return usage();
-        thread_list.push_back(t);
-      }
+      thread_list = parse_thread_list(argv[++i]);
       if (thread_list.empty()) return usage();
     } else if (a == "--reps" && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
@@ -1104,9 +969,10 @@ int cmd_diff(int argc, char** argv) {
   return static_cast<int>(diff.status());
 }
 
-int cmd_dot(const std::string& path) {
-  const Graph g = load(path);
-  std::cout << to_dot(g);
+int cmd_dot(const std::string& spec) {
+  const auto lg = load_source_or_complain(spec);
+  if (!lg) return 2;
+  std::cout << to_dot(lg->graph);
   return 0;
 }
 
@@ -1197,10 +1063,6 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     if (cmd == "gen") return cmd_gen(argc - 2, argv + 2);
-    if (cmd == "orient" && argc >= 3) return cmd_orient(argv[2]);
-    if (cmd == "compress" && argc >= 4) return cmd_compress(argv[2], std::atof(argv[3]));
-    if (cmd == "color3" && argc >= 3) return cmd_color3(argv[2]);
-    if (cmd == "proof" && argc >= 4) return cmd_proof(argv[2], argv[3]);
     if (cmd == "audit") return cmd_audit(argc - 2, argv + 2);
     if (cmd == "faultsim") return cmd_faultsim(argc - 2, argv + 2);
     if (cmd == "chaos") return cmd_chaos(argc - 2, argv + 2);
@@ -1210,11 +1072,12 @@ int main(int argc, char** argv) {
     if (cmd == "verify-claims") return cmd_verify_claims(argc - 2, argv + 2);
     if (cmd == "report") return cmd_report(argc - 2, argv + 2);
     if (cmd == "lint") return cmd_lint(argc - 2, argv + 2);
-    if (cmd == "dot" && argc >= 3) return cmd_dot(argv[2]);
+    if (cmd == "dot") return argc >= 3 ? cmd_dot(argv[2]) : usage();
   } catch (const std::exception& e) {
     // Hard failure: a contract violation or any other internal error.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 4;
   }
+  std::fprintf(stderr, "error: unknown verb '%s'\n", cmd.c_str());
   return usage();
 }
