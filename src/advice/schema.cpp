@@ -1,7 +1,6 @@
 #include "advice/schema.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace lad {
 
@@ -51,19 +50,19 @@ VarAdvice compose_schemas(const Graph& g, const std::vector<VarAdvice>& schemas,
   std::sort(order.begin(), order.end(), [&](int a, int b) { return g.id(a) < g.id(b); });
 
   VarAdvice out;
-  std::vector<int> kept;
+  NodeMap kept_rank(g);  // kept storage nodes, numbered in keep order
+  int num_kept = 0;
   for (const int node : order) {
+    // The nearest kept node within sep - 1, the earliest kept on a tie.
     int nearest = -1;
-    int nearest_d = std::numeric_limits<int>::max();
-    const auto dist = bfs_distances(g, node, mask, sep - 1);
-    for (const int k : kept) {
-      if (dist[k] != kUnreachable && dist[k] < nearest_d) {
-        nearest = k;
-        nearest_d = dist[k];
-      }
+    const LocalBfs near(g, node, sep - 1, mask);
+    for (const int k : near.nodes()) {
+      if (!kept_rank.contains(k)) continue;
+      if (nearest != -1 && near.dist(k) > near.dist(nearest)) break;
+      if (nearest == -1 || kept_rank.get(k) < kept_rank.get(nearest)) nearest = k;
     }
     if (nearest == -1) {
-      kept.push_back(node);
+      kept_rank.set(node, num_kept++);
       auto& slot = out[node];
       for (auto& e : pending[node]) slot.push_back(std::move(e));
     } else {

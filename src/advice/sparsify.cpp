@@ -55,9 +55,9 @@ UniformOneBit encode_paths_one_bit(const Graph& g, const std::map<int, BitString
 
   // Separation precondition.
   for (auto it = anchors.begin(); it != anchors.end(); ++it) {
-    const auto dist = bfs_distances(g, it->first, mask, sep);
+    const LocalBfs near(g, it->first, sep, mask);
     for (auto jt = std::next(it); jt != anchors.end(); ++jt) {
-      LAD_CHECK_MSG(dist[jt->first] == kUnreachable,
+      LAD_CHECK_MSG(!near.reached(jt->first),
                     "anchors " << g.id(it->first) << " and " << g.id(jt->first)
                                << " violate separation " << sep);
     }
@@ -67,14 +67,11 @@ UniformOneBit encode_paths_one_bit(const Graph& g, const std::map<int, BitString
     LAD_CHECK_MSG(mask.empty() || mask[a], "anchor outside mask");
     const BitString code = expand_payload(payload);
     const int len = code.size();
-    const auto dist = bfs_distances(g, a, mask, len - 1);
-    // Find a node at distance len-1 and take a shortest path to it.
+    const LocalBfs near(g, a, len - 1, mask);
+    // Take a shortest path to the lowest-index node at distance len-1.
     int target = -1;
-    for (int u = 0; u < g.n(); ++u) {
-      if (dist[u] == len - 1) {
-        target = u;
-        break;
-      }
+    for (const int u : near.nodes()) {
+      if (near.dist(u) == len - 1 && (target < 0 || u < target)) target = u;
     }
     LAD_CHECK_MSG(target >= 0, "anchor " << g.id(a) << " eccentricity < encoded length " << len);
     const auto path = shortest_path(g, a, target, mask);
@@ -98,14 +95,14 @@ std::optional<BitString> decode_anchor_at(const Graph& g, int v, const std::vect
                                           int max_payload_bits, const NodeMask& mask) {
   if ((!mask.empty() && !mask[v]) || !bits[v]) return std::nullopt;
   const int lmax = max_encoded_path_length(max_payload_bits);
-  const auto dist = bfs_distances(g, v, mask, lmax + 2);
+  const LocalBfs near(g, v, lmax + 2, mask);
 
   // layer_one[j]: the unique 1-node at distance j, or -1 if none, or -2 if
   // the layer has two or more 1-nodes.
   std::vector<int> layer_one(static_cast<std::size_t>(lmax) + 3, -1);
-  for (int u = 0; u < g.n(); ++u) {
-    if (dist[u] == kUnreachable || !bits[u]) continue;
-    auto& slot = layer_one[static_cast<std::size_t>(dist[u])];
+  for (const int u : near.nodes()) {
+    if (!bits[u]) continue;
+    auto& slot = layer_one[static_cast<std::size_t>(near.dist(u))];
     slot = (slot == -1) ? u : -2;
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "advice/uniform.hpp"
 #include "baselines/linial.hpp"
@@ -54,7 +53,8 @@ int local_fix_uncolored(const Graph& g, int delta, std::vector<int>& psi, int pa
     for (const int u : uncolored) is_unc[u] = 1;
     for (const int u : uncolored) {
       bool eligible = true;
-      for (const int w : ball_nodes(g, u, 6)) {
+      const LocalBfs near(g, u, 6);
+      for (const int w : near.nodes()) {
         if (w != u && is_unc[w] && g.id(w) < g.id(u)) eligible = false;
       }
       if (!eligible) continue;
@@ -145,11 +145,19 @@ int local_fix_uncolored(const Graph& g, int delta, std::vector<int>& psi, int pa
 int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
                      const DeltaColoringParams& params, int* num_repairs) {
   std::vector<int> uncolored;
+  std::vector<char> is_unc(static_cast<std::size_t>(g.n()), 0);
   for (int v = 0; v < g.n(); ++v) {
-    if (psi[v] == delta + 1) uncolored.push_back(v);
+    if (psi[v] == delta + 1) {
+      uncolored.push_back(v);
+      is_unc[static_cast<std::size_t>(v)] = 1;
+    }
   }
   if (num_repairs != nullptr) *num_repairs = 0;
   if (uncolored.empty()) return 0;
+  // Pinned labels: psi everywhere. Each group's solve frees its own region,
+  // and the solved labels are copied out and put back to psi after it.
+  Labeling lab = Labeling::empty(g);
+  lab.node_labels = psi;
 
   for (int radius = params.repair_radius; radius <= params.max_repair_radius + 1; ++radius) {
     LAD_CHECK_MSG(radius <= params.max_repair_radius,
@@ -170,12 +178,15 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
         const int x = stack.back();
         stack.pop_back();
         groups[static_cast<std::size_t>(gi)].push_back(x);
-        const auto dist = bfs_distances(g, x, {}, join);
-        for (const int y : uncolored) {
-          if (group_of[y] == -1 && dist[y] != kUnreachable) {
-            group_of[y] = gi;
-            stack.push_back(y);
-          }
+        const LocalBfs near(g, x, join);
+        std::vector<int> joined;  // ascending, as a scan of `uncolored` meets them
+        for (const int y : near.nodes()) {
+          if (is_unc[static_cast<std::size_t>(y)] && group_of[y] == -1) joined.push_back(y);
+        }
+        std::sort(joined.begin(), joined.end());
+        for (const int y : joined) {
+          group_of[y] = gi;
+          stack.push_back(y);
         }
       }
     }
@@ -184,26 +195,27 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
     bool all_ok = true;
     std::vector<int> patched = psi;
     for (std::size_t gi = 0; gi < groups.size() && all_ok; ++gi) {
-      std::set<int> region_set;
+      std::vector<int> region;
       for (const int u : groups[gi]) {
-        for (const int w : ball_nodes(g, u, radius)) region_set.insert(w);
+        const LocalBfs near(g, u, radius);
+        region.insert(region.end(), near.nodes().begin(), near.nodes().end());
       }
-      std::vector<int> region(region_set.begin(), region_set.end());
-      std::set<int> check_set = region_set;
+      std::sort(region.begin(), region.end());
+      region.erase(std::unique(region.begin(), region.end()), region.end());
+      std::vector<int> checks = region;
       for (const int w : region) {
-        for (const int x : g.neighbors(w)) check_set.insert(x);
+        for (const int x : g.neighbors(w)) checks.push_back(x);
       }
-      Labeling pinned = Labeling::empty(g);
-      for (int v = 0; v < g.n(); ++v) {
-        if (!region_set.count(v)) pinned.node_labels[v] = psi[v];
-      }
-      auto solved = solve_lcl(g, lcl, pinned, region, {},
-                              std::vector<int>(check_set.begin(), check_set.end()), 2'000'000);
-      if (!solved) {
+      std::sort(checks.begin(), checks.end());
+      checks.erase(std::unique(checks.begin(), checks.end()), checks.end());
+      if (!solve_lcl(g, lcl, lab, region, {}, checks, 2'000'000)) {
         all_ok = false;
         break;
       }
-      for (const int w : region) patched[w] = solved->node_labels[w];
+      for (const int w : region) {
+        patched[w] = lab.node_labels[w];
+        lab.node_labels[w] = psi[w];
+      }
     }
     if (!all_ok) continue;
     psi = std::move(patched);

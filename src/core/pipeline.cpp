@@ -37,6 +37,17 @@ GridDims grid_dims(int n) {
   return d;
 }
 
+// The default claims sweep extended to 65536 and 262144, so the scaling fits
+// span three decades of n (256 -> 262144). For pipelines whose every stage
+// is near-linear on their instance family.
+std::vector<int> three_decade_sweep(const std::vector<int>& base) {
+  std::vector<int> ns = base;
+  for (const int extra : {65536, 262144}) {
+    if (ns.empty() || ns.back() < extra) ns.push_back(extra);
+  }
+  return ns;
+}
+
 int even_cycle_len(int n) {
   int len = std::max(8, n);
   if (len % 2 != 0) ++len;
@@ -77,14 +88,8 @@ class OrientationPipeline final : public Pipeline {
   }
 
   std::vector<int> sweep_ns(const std::vector<int>& base) const override {
-    // Every stage is O(m) with m = n on the cycle instances, so the sweep
-    // stays affordable far past the default ceiling; extend it so the
-    // scaling fits span three decades of n (256 -> 262144).
-    std::vector<int> ns = base;
-    for (const int extra : {65536, 262144}) {
-      if (ns.empty() || ns.back() < extra) ns.push_back(extra);
-    }
-    return ns;
+    // Every stage is O(m) with m = n on the cycle instances.
+    return three_decade_sweep(base);
   }
 
   PipelineClaims claims() const override {
@@ -206,6 +211,11 @@ class ThreeColoringPipeline final : public Pipeline {
     return make_grid(d.w, d.h, IdMode::kRandomDense, seed);
   }
 
+  std::vector<int> sweep_ns(const std::vector<int>& base) const override {
+    // The graph kernels are ball-local, so every stage is near-linear.
+    return three_decade_sweep(base);
+  }
+
   PipelineClaims claims() const override {
     PipelineClaims c;
     c.max_bits_per_node = 1.0;
@@ -267,6 +277,11 @@ class DeltaColoringPipeline final : public Pipeline {
   Graph make_instance(int n, std::uint64_t seed) const override {
     const auto d = grid_dims(n);
     return make_grid(d.w, d.h, IdMode::kRandomDense, seed);
+  }
+
+  std::vector<int> sweep_ns(const std::vector<int>& base) const override {
+    // The graph kernels are ball-local, so every stage is near-linear.
+    return three_decade_sweep(base);
   }
 
   PipelineClaims claims() const override {
@@ -616,11 +631,8 @@ const Pipeline* find_pipeline(std::string_view name) {
 std::vector<int> parity_witness(const Graph& g) {
   std::vector<int> col(static_cast<std::size_t>(g.n()), 0);
   for (const auto& members : connected_components(g).members) {
-    const int root = *std::min_element(members.begin(), members.end());
-    const auto dist = bfs_distances(g, root);
-    for (const int v : members) {
-      col[static_cast<std::size_t>(v)] = 1 + dist[static_cast<std::size_t>(v)] % 2;
-    }
+    const LocalBfs bfs(g, *std::min_element(members.begin(), members.end()));
+    for (const int v : members) col[static_cast<std::size_t>(v)] = 1 + bfs.dist(v) % 2;
   }
   LAD_CHECK_MSG(is_proper_coloring(g, col, 2), "parity witness requires a bipartite graph");
   return col;

@@ -25,8 +25,8 @@ std::vector<int> canonical_two_coloring(const Graph& g) {
   for (const auto& members : comps.members) {
     const int root = *std::min_element(members.begin(), members.end(),
                                        [&](int a, int b) { return g.id(a) < g.id(b); });
-    const auto dist = bfs_distances(g, root);
-    for (const int v : members) color[static_cast<std::size_t>(v)] = 1 + (dist[v] % 2);
+    const LocalBfs bfs(g, root);
+    for (const int v : members) color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
   }
   return color;
 }

@@ -20,8 +20,8 @@ std::vector<int> canonical_two_coloring(const Graph& g) {
     const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
       return g.id(a) < g.id(b);
     });
-    const auto dist = bfs_distances(g, root);
-    for (const int v : members) color[static_cast<std::size_t>(v)] = 1 + (dist[v] % 2);
+    const LocalBfs bfs(g, root);
+    for (const int v : members) color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
   }
   return color;
 }
@@ -133,23 +133,22 @@ SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& 
       const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
         return g.id(a) < g.id(b);
       });
-      const auto dist = bfs_distances(g, root);
-      int diam_bound = 0;
+      const LocalBfs bfs(g, root);
+      const int diam_bound = bfs.depth();
       for (const int v : members) {
-        res.node_color[static_cast<std::size_t>(v)] = 1 + (dist[v] % 2);
-        diam_bound = std::max(diam_bound, dist[v]);
+        res.node_color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
       }
       LAD_CHECK_MSG(diam_bound <= params.gather_bound,
                     "component without markers exceeds gather bound");
       rounds = std::max(rounds, 2 * diam_bound);
       continue;
     }
-    const auto dist = bfs_distances_multi(g, sources);
+    const LocalBfs bfs(g, sources);
     for (const int v : members) {
       if (res.node_color[static_cast<std::size_t>(v)] != 0) continue;
       // Walk to the nearest informed node; parity of the distance flips the
       // color (bipartite).
-      const int d = dist[v];
+      const int d = bfs.dist(v);
       // Find the informed neighbor chain: colors alternate along BFS layers.
       // Equivalent: color = informed color flipped d times. We recover the
       // informed color by walking back one BFS tree path.
@@ -157,7 +156,7 @@ SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& 
       int steps = 0;
       while (res.node_color[static_cast<std::size_t>(cur)] == 0) {
         for (const int u : g.neighbors(cur)) {
-          if (dist[u] == dist[cur] - 1) {
+          if (bfs.dist(u) == bfs.dist(cur) - 1) {
             cur = u;
             break;
           }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "graph/components.hpp"
 #include "graph/distance.hpp"
@@ -61,13 +60,11 @@ struct Cluster {
   }
 };
 
-// Lemma 4.3: pick α in [x, 2x] with the best interior-to-border ratio.
-int lemma3_alpha(const Graph& g, const NodeMask& mask, int v, int x, int r) {
-  const auto dist = bfs_distances(g, v, mask, 2 * x + r);
+// Lemma 4.3: pick α in [x, 2x] with the best interior-to-border ratio,
+// from the center's residual BFS of radius 2x + r.
+int lemma3_alpha(const LocalBfs& ball, int x, int r) {
   std::vector<int> layer(static_cast<std::size_t>(2 * x + r) + 1, 0);
-  for (int u = 0; u < g.n(); ++u) {
-    if (dist[u] != kUnreachable) ++layer[static_cast<std::size_t>(dist[u])];
-  }
+  for (const int u : ball.nodes()) ++layer[static_cast<std::size_t>(ball.dist(u))];
   std::vector<long long> cum(layer.size());
   long long acc = 0;
   for (std::size_t j = 0; j < layer.size(); ++j) {
@@ -87,15 +84,39 @@ int lemma3_alpha(const Graph& g, const NodeMask& mask, int v, int x, int r) {
   return best_alpha;
 }
 
-// A BFS path (p_0, ..., p_{y-1}) inside the mask with dist(v, p_j) = j.
-std::vector<int> path_of_length(const Graph& g, const NodeMask& mask, int v, int y) {
-  const auto dist = bfs_distances(g, v, mask, y - 1);
+// The cluster around `ball`'s center: Lemma 4.3's α, then N_<=α and
+// N_<=α+r in the residual graph, sorted by index.
+void carve_cluster(const LocalBfs& ball, int x, int r, Cluster& c) {
+  c.alpha = lemma3_alpha(ball, x, r);
+  for (const int u : ball.nodes()) {
+    if (ball.dist(u) <= c.alpha) c.n_alpha.push_back(u);
+    if (ball.dist(u) <= c.alpha + r) c.members.push_back(u);
+  }
+  std::sort(c.n_alpha.begin(), c.n_alpha.end());
+  std::sort(c.members.begin(), c.members.end());
+}
+
+// A BFS path (p_0, ..., p_{y-1}) inside the mask with dist(v, p_j) = j,
+// ending at the smallest-index node at distance y - 1 from the center v of
+// `ball` (a masked BFS of radius >= y - 1, so every node it reached is in
+// the mask).
+std::vector<int> path_of_length(const Graph& g, const LocalBfs& ball, int y) {
   int target = -1;
-  for (int u = 0; u < g.n() && target < 0; ++u) {
-    if (dist[u] == y - 1) target = u;
+  for (const int u : ball.nodes()) {
+    if (ball.dist(u) == y - 1 && (target < 0 || u < target)) target = u;
   }
   LAD_CHECK_MSG(target >= 0, "no node at distance " << y - 1 << " from a cluster center");
-  auto path = shortest_path(g, v, target, mask);
+  std::vector<int> path = {target};
+  for (int cur = target; ball.dist(cur) > 0;) {
+    for (const int w : g.neighbors(cur)) {
+      if (ball.dist(w) == ball.dist(cur) - 1) {
+        cur = w;
+        break;
+      }
+    }
+    path.push_back(cur);
+  }
+  std::reverse(path.begin(), path.end());
   LAD_CHECK(static_cast<int>(path.size()) == y);
   return path;
 }
@@ -108,17 +129,14 @@ std::optional<int> parse_center(const Graph& g, const NodeMask& mask,
   if (!bitp[v]) return std::nullopt;
   const int x = p.x;
   const int y = x / 2;
-  const auto dist = bfs_distances(g, v, mask, 2 * x);
-
-  bool has_far = false;
-  for (int u = 0; u < g.n(); ++u) has_far = has_far || dist[u] == 2 * x;
-  if (!has_far) return std::nullopt;
+  const LocalBfs ball(g, v, 2 * x, mask);
+  if (ball.depth() < 2 * x) return std::nullopt;  // no residual node at distance 2x
 
   // layer_node[j]: unique marked node at distance j (-1 none, -2 several).
   std::vector<int> layer_node(static_cast<std::size_t>(x) + 1, -1);
-  for (int u = 0; u < g.n(); ++u) {
-    if (dist[u] == kUnreachable || dist[u] > x || !bitp[u]) continue;
-    auto& slot = layer_node[static_cast<std::size_t>(dist[u])];
+  for (const int u : ball.nodes()) {
+    if (ball.dist(u) > x || !bitp[u]) continue;
+    auto& slot = layer_node[static_cast<std::size_t>(ball.dist(u))];
     slot = slot == -1 ? u : -2;
   }
   auto bit_at = [&](int j) -> int {
@@ -177,34 +195,54 @@ std::vector<Cluster> recover_clusters(const Graph& g, const std::vector<char>& b
   std::vector<Cluster> clusters;
   NodeMask unassigned(static_cast<std::size_t>(g.n()), 1);
   // parse_center depends only on the radius-2x residual ball of v, so its
-  // result is memoized and recomputed only when a nearby cluster was carved
-  // out of the residual graph.
-  std::vector<char> dirty(static_cast<std::size_t>(g.n()), 1);
-  std::vector<int> memo(static_cast<std::size_t>(g.n()), -1);
+  // result is memoized and recomputed, at the start of a phase, only for the
+  // dirty candidates: those near a cluster carved out of the residual graph
+  // since their last parse. Parsed candidates wait in the bucket of their
+  // color, so a phase visits only its own bucket.
+  std::vector<char> dirty(static_cast<std::size_t>(g.n()), 0);
+  std::vector<int> dirty_list;
+  for (int v = 0; v < g.n(); ++v) {
+    if (bitp[v]) {
+      dirty[v] = 1;
+      dirty_list.push_back(v);
+    }
+  }
+  std::vector<int> memo(static_cast<std::size_t>(g.n()), 0);
+  std::vector<std::vector<int>> bucket(static_cast<std::size_t>(max_colors) + 1);
   for (int color = 1; color <= max_colors; ++color) {
-    std::vector<Cluster> found;
-    for (int v = 0; v < g.n(); ++v) {
-      if (!unassigned[v] || !bitp[v]) continue;
-      if (dirty[v]) {
-        const auto parsed = parse_center(g, unassigned, bitp, v, p);
-        memo[v] = parsed ? *parsed : 0;
-        dirty[v] = 0;
+    for (const int v : dirty_list) {
+      if (!unassigned[v]) continue;
+      const auto parsed = parse_center(g, unassigned, bitp, v, p);
+      memo[v] = parsed ? *parsed : 0;
+      dirty[v] = 0;
+      if (memo[v] >= color && memo[v] <= max_colors) {
+        bucket[static_cast<std::size_t>(memo[v])].push_back(v);
       }
-      if (memo[v] != color) continue;
+    }
+    dirty_list.clear();
+    auto& candidates = bucket[static_cast<std::size_t>(color)];
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+    std::vector<Cluster> found;
+    for (const int v : candidates) {
+      if (!unassigned[v] || memo[v] != color) continue;
       Cluster c;
       c.center = v;
       c.color = color;
-      c.alpha = lemma3_alpha(g, unassigned, v, p.x, p.growth_r);
-      c.n_alpha = ball_nodes(g, v, c.alpha, unassigned);
-      c.members = ball_nodes(g, v, c.alpha + p.growth_r, unassigned);
-      std::sort(c.n_alpha.begin(), c.n_alpha.end());
-      std::sort(c.members.begin(), c.members.end());
+      carve_cluster(LocalBfs(g, v, 2 * p.x + p.growth_r, unassigned), p.x, p.growth_r, c);
       found.push_back(std::move(c));
     }
+    std::vector<int>().swap(candidates);
     for (const auto& c : found) {
       for (const int u : c.members) unassigned[u] = 0;
       // Residual balls of nodes within 2x of the carved cluster changed.
-      for (const int u : ball_nodes(g, c.center, 4 * p.x + p.growth_r + 1)) dirty[u] = 1;
+      const LocalBfs near(g, c.center, 4 * p.x + p.growth_r + 1);
+      for (const int u : near.nodes()) {
+        if (bitp[u] && unassigned[u] && !dirty[u]) {
+          dirty[u] = 1;
+          dirty_list.push_back(u);
+        }
+      }
     }
     for (auto& c : found) clusters.push_back(std::move(c));
   }
@@ -216,23 +254,25 @@ std::vector<Cluster> recover_clusters(const Graph& g, const std::vector<char>& b
 // region completions strictly independent: no radius-r̄ ball can touch two
 // different free regions — see the header notes).
 std::vector<int> ring_of(const Graph& g, const std::vector<int>& members, int rbar) {
-  std::vector<char> in(static_cast<std::size_t>(g.n()), 0);
-  for (const int v : members) in[v] = 1;
   std::vector<int> sources;
-  for (const int v : members) {
-    for (const int u : g.neighbors(v)) {
-      if (!in[u]) sources.push_back(u);
+  {
+    NodeMap in(g);
+    for (const int v : members) in.insert(v);
+    for (const int v : members) {
+      for (const int u : g.neighbors(v)) {
+        if (!in.contains(u)) sources.push_back(u);
+      }
     }
   }
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   std::vector<int> ring;
   if (sources.empty()) return ring;
-  // Sources are outside nodes at distance 0, so dist[u] below is exactly
-  // dist_G(u, outside) for members u.
-  const auto dist = bfs_distances_multi(g, sources, {}, rbar);
+  // Sources are outside nodes at distance 0, so a member is reached exactly
+  // when dist_G(u, outside) <= rbar.
+  const LocalBfs near_outside(g, sources, rbar);
   for (const int v : members) {
-    if (dist[v] != kUnreachable && dist[v] <= rbar) ring.push_back(v);
+    if (near_outside.reached(v)) ring.push_back(v);
   }
   return ring;
 }
@@ -250,11 +290,11 @@ std::vector<int> solution_slots(const Graph& g, const Cluster& c, const std::vec
   }
   std::sort(z.begin(), z.end(), [&](int a, int b) { return g.id(a) < g.id(b); });
   std::vector<int> slots;
-  std::vector<char> blocked(static_cast<std::size_t>(g.n()), 0);
+  NodeMap blocked(g);
   for (const int u : z) {
-    if (blocked[u]) continue;
+    if (blocked.contains(u)) continue;
     slots.push_back(u);
-    for (const int w : g.neighbors(u)) blocked[w] = 1;
+    for (const int w : g.neighbors(u)) blocked.insert(w);
   }
   return slots;
 }
@@ -352,32 +392,30 @@ SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
                 "distance coloring used " << enc.num_phase_colors << " > max_colors "
                                           << max_colors);
 
-  // Cluster formation + path encoding, phase by phase.
+  // Cluster formation + path encoding, phase by phase. Nodes are bucketed
+  // by phase color (ascending index within a bucket).
+  std::vector<std::vector<int>> by_color(static_cast<std::size_t>(enc.num_phase_colors) + 1);
+  for (int v = 0; v < g.n(); ++v) by_color[static_cast<std::size_t>(colors[v])].push_back(v);
   std::vector<Cluster> clusters;
   NodeMask unassigned(static_cast<std::size_t>(g.n()), 1);
   for (int color = 1; color <= enc.num_phase_colors; ++color) {
     std::vector<Cluster> found;
-    for (int v = 0; v < g.n(); ++v) {
-      if (!unassigned[v] || colors[v] != color) continue;
-      const auto dist = bfs_distances(g, v, unassigned, 2 * x);
-      bool has_far = false;
-      for (int u = 0; u < g.n(); ++u) has_far = has_far || dist[u] == 2 * x;
-      if (!has_far) continue;
+    for (const int v : by_color[static_cast<std::size_t>(color)]) {
+      if (!unassigned[v]) continue;
+      // One residual BFS of radius 2x + r answers every question below.
+      const LocalBfs ball(g, v, 2 * x + r, unassigned);
+      if (ball.depth() < 2 * x) continue;  // no residual node at distance 2x
       Cluster c;
       c.center = v;
       c.color = color;
-      c.alpha = lemma3_alpha(g, unassigned, v, x, r);
-      c.n_alpha = ball_nodes(g, v, c.alpha, unassigned);
-      c.members = ball_nodes(g, v, c.alpha + r, unassigned);
-      std::sort(c.n_alpha.begin(), c.n_alpha.end());
-      std::sort(c.members.begin(), c.members.end());
+      carve_cluster(ball, x, r, c);
 
       const auto code = expand_phase_code(color);
       LAD_CHECK_MSG(static_cast<int>(code.size()) <= y,
                     "phase code of color " << color << " needs " << code.size()
                                            << " nodes but the path budget is y = " << y
                                            << "; increase x");
-      const auto path = path_of_length(g, unassigned, v, y);
+      const auto path = path_of_length(g, ball, y);
       for (std::size_t j = 0; j < code.size(); ++j) {
         if (code[j]) enc.bits[path[j]] = 1;
       }
@@ -394,8 +432,8 @@ SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
   {
     const auto comps = connected_components(g, unassigned);
     for (const auto& members : comps.members) {
-      const int diam = component_diameter(g, members.front(), unassigned);
-      LAD_CHECK_MSG(diam <= 2 * x, "residual component of diameter " << diam << " > 2x");
+      LAD_CHECK_MSG(diameter_at_most(g, members.front(), 2 * x, unassigned),
+                    "residual component of diameter > 2x = " << 2 * x);
     }
   }
 
@@ -535,15 +573,13 @@ SubexpLclDecodeResult decode_subexp_lcl_impl(const Graph& g, const LclProblem& p
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     std::vector<int> check_nodes;
     if (!touched.empty()) {
-      const auto dist = bfs_distances_multi(g, touched, {}, rbar);
-      for (int v = 0; v < g.n(); ++v) {
-        if (dist[v] != kUnreachable) check_nodes.push_back(v);
-      }
+      const LocalBfs near(g, touched, rbar);
+      check_nodes.assign(near.nodes().begin(), near.nodes().end());
+      std::sort(check_nodes.begin(), check_nodes.end());
     }
-    auto solved = solve_lcl(g, p, lab, free_nodes, free_edges, check_nodes,
-                            params.solver_budget);
-    LAD_CHECK_MSG(solved.has_value(), "cluster/residual completion infeasible");
-    lab = std::move(*solved);
+    LAD_CHECK_MSG(solve_lcl(g, p, lab, free_nodes, free_edges, check_nodes,
+                            params.solver_budget),
+                  "cluster/residual completion infeasible");
   };
 
   int max_cluster_diam = 0;

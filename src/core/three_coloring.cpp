@@ -35,9 +35,9 @@ bool share_color1_neighbor(const Graph& g, const std::vector<int>& phi, int a, i
 // node w with >= 2 color-1 neighbors, or an adjacent (in C) pair {x, y}
 // with no common color-1 neighbor. `eligible` filters candidates.
 std::optional<Half> select_half(const Graph& g, const std::vector<int>& phi,
-                                const NodeMask& comp_mask, int from, int radius,
+                                const NodeMask& mask23, int from, int radius,
                                 const std::function<bool(const Half&)>& eligible) {
-  const auto near = ball_nodes(g, from, radius, comp_mask);
+  const auto near = ball_nodes(g, from, radius, mask23);
   for (const int w : near) {
     if (color1_neighbor_count(g, phi, w) >= 2) {
       Half h = {w};
@@ -46,7 +46,7 @@ std::optional<Half> select_half(const Graph& g, const std::vector<int>& phi,
   }
   for (const int x : near) {
     for (const int y : g.neighbors(x)) {
-      if (!comp_mask[y]) continue;
+      if (!mask23[y]) continue;
       if (share_color1_neighbor(g, phi, x, y)) continue;
       Half h = {x, y};
       if (eligible(h)) return h;
@@ -139,20 +139,22 @@ ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
   std::vector<int> c1_load(static_cast<std::size_t>(g.n()), 0);
   std::vector<char> in_group(static_cast<std::size_t>(g.n()), 0);
 
+  // A BFS masked by mask23 never leaves the component it starts in, so
+  // mask23 scopes every query below to the current component.
   for (int c = 0; c < comps.count(); ++c) {
     const auto& members = comps.members[c];
-    const auto cmask = component_mask(g, comps, c);
-    const int diam = component_diameter(g, members.front(), cmask);
-    if (diam <= d.large_component_diameter) continue;  // small: no advice
+    if (diameter_at_most(g, members.front(), d.large_component_diameter, mask23)) {
+      continue;  // small: no advice
+    }
 
-    const auto rc = ruling_set(g, d.ruling_alpha, members, cmask);
+    const auto rc = ruling_set(g, d.ruling_alpha, members, mask23);
     for (const int r : rc) {
       // Eligibility: members must be fresh, keep every adjacent color-1
       // node's load at <= 1, and stay inside the group radius of r.
-      const auto rdist = bfs_distances(g, r, cmask, d.group_radius);
+      const LocalBfs near_r(g, r, d.group_radius, mask23);
       auto fresh = [&](const Half& h, const std::vector<int>& forbidden) {
         for (const int v : h) {
-          if (in_group[v] || rdist[v] == kUnreachable) return false;
+          if (in_group[v] || !near_r.reached(v)) return false;
           for (const int f : forbidden) {
             // Keep halves at G-distance >= 3: no adjacency, no common
             // neighbor of any color.
@@ -171,14 +173,14 @@ ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
       };
 
       std::optional<Group> group;
-      const auto anchors = ball_nodes(g, r, d.candidate_radius, cmask);
+      const auto anchors = ball_nodes(g, r, d.candidate_radius, mask23);
       int tries = 0;
       for (const int v : anchors) {
         if (++tries > params.max_candidate_tries) break;
-        auto s = select_half(g, phi, cmask, v, d.candidate_radius,
+        auto s = select_half(g, phi, mask23, v, d.candidate_radius,
                              [&](const Half& h) { return fresh(h, {}); });
         if (!s) continue;
-        auto s2 = select_half(g, phi, cmask, v, d.candidate_radius,
+        auto s2 = select_half(g, phi, mask23, v, d.candidate_radius,
                               [&](const Half& h) { return fresh(h, *s); });
         if (!s2) continue;
         group = Group{*s, *s2};
@@ -273,11 +275,11 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
     }
   };
 
+  // As in the encoder, mask23 scopes each BFS to its component.
   const auto comps = connected_components(g, mask23);
   const int collect_radius = 2 * d.group_radius;
   for (int c = 0; c < comps.count(); ++c) {
     const auto& members = comps.members[c];
-    const auto cmask = component_mask(g, comps, c);
 
     // Does this component contain any type-23 bit?
     std::vector<int> group_nodes;
@@ -292,15 +294,17 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
         const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
           return g.id(a) < g.id(b);
         });
-        const auto dist = bfs_distances(g, root, cmask);
-        int ecc = 0;
+        const LocalBfs bfs(g, root, -1, mask23);
+        bool bipartite = true;  // iff no edge joins two nodes of one BFS layer
         for (const int v : members) {
-          LAD_CHECK_MSG(dist[v] != kUnreachable, "component disconnected under mask");
-          res.coloring[v] = dist[v] % 2 == 0 ? 2 : 3;
-          ecc = std::max(ecc, dist[v]);
+          LAD_CHECK_MSG(bfs.reached(v), "component disconnected under mask");
+          res.coloring[v] = bfs.dist(v) % 2 == 0 ? 2 : 3;
+          for (const int u : g.neighbors(v)) {
+            if (mask23[u] && bfs.dist(u) == bfs.dist(v)) bipartite = false;
+          }
         }
-        LAD_CHECK_MSG(is_bipartite(g, cmask), "advice inconsistent: G_{2,3} not bipartite");
-        rounds = std::max(rounds, 2 * ecc + 1);
+        LAD_CHECK_MSG(bipartite, "advice inconsistent: G_{2,3} not bipartite");
+        rounds = std::max(rounds, 2 * bfs.depth() + 1);
       });
       continue;
     }
@@ -308,10 +312,11 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
     // Large component: every node finds the nearest group, counts its
     // connected components, and 2-colors by parity from the group's
     // smallest-ID visible node s.
-    const auto gdist = bfs_distances_multi(g, group_nodes, cmask);
+    const LocalBfs gbfs(g, group_nodes, -1, mask23);
     for (const int v : members) {
       contain({v}, [&] {
-      LAD_CHECK_MSG(gdist[v] != kUnreachable && gdist[v] <= d.reach + collect_radius,
+      const int gdist_v = gbfs.dist(v);
+      LAD_CHECK_MSG(gdist_v != kUnreachable && gdist_v <= d.reach + collect_radius,
                     "node " << g.id(v) << " cannot reach a parity group");
       // Nearest group node t0.
       int t0 = -1;
@@ -319,7 +324,7 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
         int cur = v;
         while (type[cur] != 2) {
           for (const int u : g.neighbors(cur)) {
-            if (cmask[u] && gdist[u] == gdist[cur] - 1) {
+            if (mask23[u] && gbfs.dist(u) == gbfs.dist(cur) - 1) {
               cur = u;
               break;
             }
@@ -327,43 +332,48 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
         }
         t0 = cur;
       }
-      // Collect the group around t0 and count its components.
-      const auto near = ball_nodes(g, t0, collect_radius, cmask);
-      std::vector<int> grp;
-      for (const int u : near) {
-        if (type[u] == 2) grp.push_back(u);
-      }
-      // Component count within grp (groups have halves of size 1 or 2).
-      std::vector<char> in_grp(static_cast<std::size_t>(g.n()), 0);
-      for (const int u : grp) in_grp[u] = 1;
+      // Collect the group around t0 and count its components; both the
+      // count and the smallest ID ignore the order the ball is visited in.
+      int s = -1;
       int comps_in_group = 0;
-      std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-      for (const int u : grp) {
-        if (seen[u]) continue;
-        ++comps_in_group;
-        std::vector<int> stack = {u};
-        seen[u] = 1;
-        while (!stack.empty()) {
-          const int x = stack.back();
-          stack.pop_back();
-          for (const int y : g.neighbors(x)) {
-            if (in_grp[y] && !seen[y]) {
-              seen[y] = 1;
-              stack.push_back(y);
+      {
+        const LocalBfs near(g, t0, collect_radius, mask23);
+        std::vector<int> grp;
+        NodeMap in_grp(g);  // 1 = group member, 2 = member already visited
+        for (const int u : near.nodes()) {
+          if (type[u] == 2) {
+            grp.push_back(u);
+            in_grp.set(u, 1);
+          }
+        }
+        // Component count within grp (groups have halves of size 1 or 2).
+        for (const int u : grp) {
+          if (in_grp.get(u) == 2) continue;
+          ++comps_in_group;
+          std::vector<int> stack = {u};
+          in_grp.set(u, 2);
+          while (!stack.empty()) {
+            const int x = stack.back();
+            stack.pop_back();
+            for (const int y : g.neighbors(x)) {
+              if (in_grp.get(y) == 1) {
+                in_grp.set(y, 2);
+                stack.push_back(y);
+              }
             }
           }
         }
+        LAD_CHECK_MSG(comps_in_group == 1 || comps_in_group == 2,
+                      "malformed parity group near " << g.id(t0));
+        s = *std::min_element(grp.begin(), grp.end(), [&](int a, int b) {
+          return g.id(a) < g.id(b);
+        });
       }
-      LAD_CHECK_MSG(comps_in_group == 1 || comps_in_group == 2,
-                    "malformed parity group near " << g.id(t0));
-      const int s = *std::min_element(grp.begin(), grp.end(), [&](int a, int b) {
-        return g.id(a) < g.id(b);
-      });
       const int phi_s = comps_in_group == 1 ? 2 : 3;
-      const int dvs = distance(g, v, s, cmask);
+      const int dvs = distance(g, v, s, mask23);
       LAD_CHECK(dvs != kUnreachable);
       res.coloring[v] = dvs % 2 == 0 ? phi_s : 5 - phi_s;
-      rounds = std::max(rounds, gdist[v] + 2 * collect_radius + 1);
+      rounds = std::max(rounds, gdist_v + 2 * collect_radius + 1);
       });
     }
   }

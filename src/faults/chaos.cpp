@@ -167,7 +167,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
               cell.degraded += rep.degradation.degraded;
               cell.flagged += rep.degradation.flagged;
             }
-            // Post-mortem (DESIGN.md §14): a failed cell dumps the flight
+            // Post-mortem (DESIGN.md §13.3): a failed cell dumps the flight
             // recorder's recent round samples to stderr before the bulky
             // per-trial reports are dropped, so the round-by-round lead-up
             // (message volumes, fault/repair bursts) survives the failure.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <optional>
 #include <sstream>
 
 #include "advice/trailcode.hpp"
@@ -124,7 +123,8 @@ std::vector<int> lcl_rejecting_nodes(const Graph& g, const LclProblem& p, const 
   std::vector<int> rejecting;
   for (int v = 0; v < g.n(); ++v) {
     bool complete = true;
-    for (const int u : ball_nodes(g, v, p.radius())) {
+    const LocalBfs region(g, v, p.radius());
+    for (const int u : region.nodes()) {
       if (p.num_node_labels() > 0) {
         const int l = lab.node_labels[static_cast<std::size_t>(u)];
         if (l < 1 || l > p.num_node_labels()) complete = false;
@@ -142,11 +142,15 @@ std::vector<int> lcl_rejecting_nodes(const Graph& g, const LclProblem& p, const 
   return rejecting;
 }
 
-// Scope covered by a flagged node: lcl_rejecting_nodes treats an edge as
-// part of v's region when either endpoint is within p.radius() of v, so a
-// cleared edge reaches one hop beyond the node-ball radius.
-int flag_scope_radius(const LclProblem& p) {
-  return p.radius() + (p.num_edge_labels() > 0 ? 1 : 0);
+// Residual violations: the rejecting nodes outside every flagged node's
+// scope. lcl_rejecting_nodes treats an edge as part of v's region when
+// either endpoint is within p.radius() of v, so the scope of a flagged node
+// (where its cleared edges show) reaches one hop beyond the node-ball radius.
+int count_residuals(const Graph& g, const LclProblem& p, const std::vector<int>& rejecting,
+                    const std::vector<int>& flagged) {
+  const LocalBfs scope(g, flagged, p.radius() + (p.num_edge_labels() > 0 ? 1 : 0));
+  return static_cast<int>(std::count_if(rejecting.begin(), rejecting.end(),
+                                        [&](int v) { return !scope.reached(v); }));
 }
 
 // Groups seed nodes whose pairwise distance is <= join into repair clusters.
@@ -154,8 +158,8 @@ std::vector<std::vector<int>> group_by_distance(const Graph& g, std::vector<int>
                                                 int join) {
   sort_unique(seeds);
   const int k = static_cast<int>(seeds.size());
-  std::vector<int> seed_ix(static_cast<std::size_t>(g.n()), -1);
-  for (int i = 0; i < k; ++i) seed_ix[static_cast<std::size_t>(seeds[i])] = i;
+  NodeMap seed_ix(g);
+  for (int i = 0; i < k; ++i) seed_ix.set(seeds[static_cast<std::size_t>(i)], i);
   std::vector<int> parent(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) parent[static_cast<std::size_t>(i)] = i;
   std::function<int(int)> find = [&](int a) {
@@ -166,8 +170,10 @@ std::vector<std::vector<int>> group_by_distance(const Graph& g, std::vector<int>
     return a;
   };
   for (int i = 0; i < k; ++i) {
+    // Union order decides each group's root, so the ball is walked in
+    // ball_nodes order.
     for (const int u : ball_nodes(g, seeds[static_cast<std::size_t>(i)], join)) {
-      const int j = seed_ix[static_cast<std::size_t>(u)];
+      const int j = seed_ix.get(u, -1);
       if (j >= 0 && find(i) != find(j)) parent[static_cast<std::size_t>(find(i))] = find(j);
     }
   }
@@ -267,6 +273,18 @@ std::vector<int> repair_radius_schedule(const RepairPolicy& policy) {
   return rads;
 }
 
+// solve_lcl with an exhausted step budget treated like infeasible. On
+// failure the free labels keep the values they held.
+bool resolve_free_labels(const Graph& g, const LclProblem& p, Labeling& lab,
+                         const std::vector<int>& free_nodes, const std::vector<int>& free_edges,
+                         const std::vector<int>& check_nodes, std::int64_t budget) {
+  try {
+    return solve_lcl(g, p, lab, free_nodes, free_edges, check_nodes, budget);
+  } catch (const ContractViolation&) {
+    return false;
+  }
+}
+
 }  // namespace
 
 void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
@@ -310,10 +328,9 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
       }
       std::vector<int> region;
       {
-        const auto dist = bfs_distances_multi(g, group, {}, rad);
-        for (int v = 0; v < g.n(); ++v) {
-          if (dist[static_cast<std::size_t>(v)] != kUnreachable) region.push_back(v);
-        }
+        const LocalBfs near(g, group, rad);
+        region.assign(near.nodes().begin(), near.nodes().end());
+        std::sort(region.begin(), region.end());
       }
       if (policy.repair_node_budget > 0 &&
           nodes_spent + static_cast<long long>(region.size()) > policy.repair_node_budget) {
@@ -324,8 +341,12 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
       first_attempt = false;
       nodes_spent += static_cast<long long>(region.size());
       radius_spent += rad;
-      std::vector<char> in_region(static_cast<std::size_t>(g.n()), 0);
-      for (const int v : region) in_region[static_cast<std::size_t>(v)] = 1;
+      NodeMap in_region(g);
+      for (const int v : region) in_region.insert(v);
+      // The free variables: region nodes, and edges with both ends in it.
+      const auto free_edge = [&](int e) {
+        return in_region.contains(g.edge_u(e)) && in_region.contains(g.edge_v(e));
+      };
 
       std::vector<int> free_nodes;
       std::vector<int> free_edges;
@@ -333,25 +354,17 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
       if (p.num_edge_labels() > 0) {
         for (const int v : region) {
           for (const int e : g.incident_edges(v)) {
-            if (in_region[static_cast<std::size_t>(g.edge_u(e))] &&
-                in_region[static_cast<std::size_t>(g.edge_v(e))]) {
-              free_edges.push_back(e);
-            }
+            if (free_edge(e)) free_edges.push_back(e);
           }
         }
         sort_unique(free_edges);
       }
 
-      // The solve works on a copy where the free labels are cleared; only a
-      // successful completion is adopted.
-      Labeling pinned = lab;
-      for (const int v : free_nodes) pinned.node_labels[static_cast<std::size_t>(v)] = -1;
-      for (const int e : free_edges) pinned.edge_labels[static_cast<std::size_t>(e)] = -1;
-
       // Check nodes: every node whose constraint region meets the free set
       // AND will be fully labeled once the free set is assigned (regions
       // touching other unassigned labels cannot be certified here; the
-      // caller's post-repair verification picks them up).
+      // caller's post-repair verification picks them up). Free labels count
+      // as assigned, so whether they are cleared yet does not matter.
       std::vector<int> check_nodes;
       {
         std::vector<int> touched = free_nodes;
@@ -360,20 +373,20 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
           touched.push_back(g.edge_v(e));
         }
         sort_unique(touched);
-        const auto dist = bfs_distances_multi(g, touched, {}, rbar);
-        for (int v = 0; v < g.n(); ++v) {
-          if (dist[static_cast<std::size_t>(v)] == kUnreachable) continue;
+        const LocalBfs near(g, touched, rbar);
+        std::vector<int> candidates(near.nodes().begin(), near.nodes().end());
+        std::sort(candidates.begin(), candidates.end());
+        for (const int v : candidates) {
           bool certifiable = true;
-          for (const int u : ball_nodes(g, v, rbar)) {
+          const LocalBfs region_v(g, v, rbar);
+          for (const int u : region_v.nodes()) {
             if (p.num_node_labels() > 0 &&
-                pinned.node_labels[static_cast<std::size_t>(u)] == -1 &&
-                std::find(free_nodes.begin(), free_nodes.end(), u) == free_nodes.end()) {
+                lab.node_labels[static_cast<std::size_t>(u)] == -1 && !in_region.contains(u)) {
               certifiable = false;
             }
             if (certifiable && p.num_edge_labels() > 0) {
               for (const int e : g.incident_edges(u)) {
-                if (pinned.edge_labels[static_cast<std::size_t>(e)] == -1 &&
-                    std::find(free_edges.begin(), free_edges.end(), e) == free_edges.end()) {
+                if (lab.edge_labels[static_cast<std::size_t>(e)] == -1 && !free_edge(e)) {
                   certifiable = false;
                   break;
                 }
@@ -385,17 +398,11 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
         }
       }
 
-      std::optional<Labeling> solved;
-      try {
-        solved = solve_lcl(g, p, pinned, free_nodes, free_edges, check_nodes,
-                           policy.solver_budget);
-      } catch (const ContractViolation&) {
-        solved = std::nullopt;  // budget exhausted: treat like infeasible, escalate
-      }
+      const bool solved = resolve_free_labels(g, p, lab, free_nodes, free_edges, check_nodes,
+                                              policy.solver_budget);
       region_out.nodes = region;
       region_out.radius = rad;
-      if (solved.has_value()) {
-        lab = std::move(*solved);
+      if (solved) {  // otherwise escalate
         repaired = true;
         break;
       }
@@ -432,21 +439,10 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
           }
           sort_unique(free_edges);
         }
-        Labeling pinned = lab;
-        for (const int v : free_nodes) pinned.node_labels[static_cast<std::size_t>(v)] = -1;
-        for (const int e : free_edges) pinned.edge_labels[static_cast<std::size_t>(e)] = -1;
-        std::optional<Labeling> solved;
-        try {
-          // Every member's radius-rbar ball stays inside its component and
-          // is fully labeled after the assignment, so all members are
-          // checkable here.
-          solved = solve_lcl(g, p, pinned, free_nodes, free_edges, members,
-                             policy.solver_budget);
-        } catch (const ContractViolation&) {
-          solved = std::nullopt;
-        }
-        if (solved.has_value()) {
-          lab = std::move(*solved);
+        // Every member's radius-rbar ball stays inside its component and is
+        // fully labeled after the assignment, so all members are checkable.
+        if (resolve_free_labels(g, p, lab, free_nodes, free_edges, members,
+                                policy.solver_budget)) {
           comp_resolved[static_cast<std::size_t>(c)] = 1;
         } else {
           all_solved = false;
@@ -622,11 +618,10 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
       const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
         return g.id(a) < g.id(b);
       });
-      const auto dist = bfs_distances(g, root);
-      int diam_bound = 0;
+      const LocalBfs bfs(g, root);
+      const int diam_bound = bfs.depth();
       for (const int v : members) {
-        out.node_color[static_cast<std::size_t>(v)] = 1 + (dist[static_cast<std::size_t>(v)] % 2);
-        diam_bound = std::max(diam_bound, dist[static_cast<std::size_t>(v)]);
+        out.node_color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
       }
       if (diam_bound > params.gather_bound) {
         ++out.report.detected_violations;
@@ -635,14 +630,14 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
       rounds = std::max(rounds, 2 * diam_bound);
       continue;
     }
-    const auto dist = bfs_distances_multi(g, sources);
+    const LocalBfs bfs(g, sources);
     for (const int v : members) {
       if (out.node_color[static_cast<std::size_t>(v)] != 0) continue;
       int cur = v;
       int steps = 0;
       while (out.node_color[static_cast<std::size_t>(cur)] == 0) {
         for (const int u : g.neighbors(cur)) {
-          if (dist[static_cast<std::size_t>(u)] == dist[static_cast<std::size_t>(cur)] - 1) {
+          if (bfs.dist(u) == bfs.dist(cur) - 1) {
             cur = u;
             break;
           }
@@ -651,7 +646,7 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
       }
       const int base = out.node_color[static_cast<std::size_t>(cur)];
       out.node_color[static_cast<std::size_t>(v)] = (steps % 2 == 0) ? base : 3 - base;
-      rounds = std::max(rounds, walk_limit + dist[static_cast<std::size_t>(v)]);
+      rounds = std::max(rounds, walk_limit + bfs.dist(v));
     }
   }
 
@@ -679,19 +674,8 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
 
   // Residuals: rejecting nodes outside the flagged scope.
   lab.edge_labels = out.edge_color;
-  const auto after = lcl_rejecting_nodes(g, problem, lab);
-  std::vector<char> in_flag_scope(static_cast<std::size_t>(g.n()), 0);
-  if (!out.report.flagged_nodes.empty()) {
-    const auto dist = bfs_distances_multi(g, out.report.flagged_nodes, {}, flag_scope_radius(problem));
-    for (int v = 0; v < g.n(); ++v) {
-      if (dist[static_cast<std::size_t>(v)] != kUnreachable) {
-        in_flag_scope[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  for (const int v : after) {
-    if (!in_flag_scope[static_cast<std::size_t>(v)]) ++out.report.residual_violations;
-  }
+  out.report.residual_violations += count_residuals(
+      g, problem, lcl_rejecting_nodes(g, problem, lab), out.report.flagged_nodes);
   out.report.output_valid = out.report.residual_violations == 0 &&
                             out.report.flagged_nodes.empty() && is_splitting(g, out.edge_color);
   out.report.rounds = rounds;
@@ -723,19 +707,8 @@ void finish_guarded_coloring(const Graph& g, int num_colors, const std::vector<i
     out.coloring[static_cast<std::size_t>(v)] = l == -1 ? 0 : l;
   }
 
-  const auto after = lcl_rejecting_nodes(g, problem, lab);
-  std::vector<char> in_flag_scope(static_cast<std::size_t>(g.n()), 0);
-  if (!out.report.flagged_nodes.empty()) {
-    const auto dist = bfs_distances_multi(g, out.report.flagged_nodes, {}, flag_scope_radius(problem));
-    for (int v = 0; v < g.n(); ++v) {
-      if (dist[static_cast<std::size_t>(v)] != kUnreachable) {
-        in_flag_scope[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  for (const int v : after) {
-    if (!in_flag_scope[static_cast<std::size_t>(v)]) ++out.report.residual_violations;
-  }
+  out.report.residual_violations += count_residuals(
+      g, problem, lcl_rejecting_nodes(g, problem, lab), out.report.flagged_nodes);
   out.report.output_valid = out.report.residual_violations == 0 &&
                             out.report.flagged_nodes.empty() &&
                             is_proper_coloring(g, out.coloring, num_colors);
@@ -877,19 +850,8 @@ GuardedLcl guarded_decode_subexp_lcl(const Graph& g, const LclProblem& p,
   sort_unique(bad);
   if (!bad.empty()) repair_labeling_locally(g, p, out.labeling, bad, policy, out.report);
 
-  const auto after = lcl_rejecting_nodes(g, p, out.labeling);
-  std::vector<char> in_flag_scope(static_cast<std::size_t>(g.n()), 0);
-  if (!out.report.flagged_nodes.empty()) {
-    const auto dist = bfs_distances_multi(g, out.report.flagged_nodes, {}, flag_scope_radius(p));
-    for (int v = 0; v < g.n(); ++v) {
-      if (dist[static_cast<std::size_t>(v)] != kUnreachable) {
-        in_flag_scope[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  for (const int v : after) {
-    if (!in_flag_scope[static_cast<std::size_t>(v)]) ++out.report.residual_violations;
-  }
+  out.report.residual_violations += count_residuals(
+      g, p, lcl_rejecting_nodes(g, p, out.labeling), out.report.flagged_nodes);
   out.report.output_valid = out.report.residual_violations == 0 &&
                             out.report.flagged_nodes.empty() &&
                             is_valid_labeling(g, p, out.labeling);

@@ -1,7 +1,7 @@
 #include "graph/distance_coloring.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
 
 namespace lad {
 
@@ -14,14 +14,22 @@ std::vector<int> distance_coloring(const Graph& g, int d, const NodeMask& mask) 
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) { return g.id(a) < g.id(b); });
 
+  // used[c] == stamp marks color c as taken in the current node's ball. A
+  // greedy color never exceeds the ball size, so the array stays that small.
+  std::vector<std::uint32_t> used;
+  std::uint32_t stamp = 0;
   for (const int v : order) {
-    std::set<int> used;
-    for (const int u : ball_nodes(g, v, d, mask)) {
-      if (u != v && colors[u] > 0) used.insert(colors[u]);
+    ++stamp;
+    const LocalBfs ball(g, v, d, mask);
+    for (const int u : ball.nodes()) {
+      const auto used_color = static_cast<std::size_t>(colors[u]);
+      if (used_color == 0) continue;
+      if (used_color >= used.size()) used.resize(used_color + 1, 0);
+      used[used_color] = stamp;
     }
-    int c = 1;
-    while (used.count(c)) ++c;
-    colors[v] = c;
+    std::size_t c = 1;
+    while (c < used.size() && used[c] == stamp) ++c;
+    colors[v] = static_cast<int>(c);
   }
   return colors;
 }
@@ -31,7 +39,8 @@ bool is_distance_coloring(const Graph& g, const std::vector<int>& colors, int d,
   for (int v = 0; v < g.n(); ++v) {
     if (!mask.empty() && !mask[v]) continue;
     if (colors[v] <= 0) return false;
-    for (const int u : ball_nodes(g, v, d, mask)) {
+    const LocalBfs ball(g, v, d, mask);
+    for (const int u : ball.nodes()) {
       if (u != v && colors[u] == colors[v]) return false;
     }
   }

@@ -11,30 +11,32 @@ std::vector<int> ruling_set(const Graph& g, int alpha, std::span<const int> cand
   std::sort(order.begin(), order.end(), [&](int a, int b) { return g.id(a) < g.id(b); });
 
   std::vector<int> chosen;
-  // blocked[v] == 1 when v is within distance < alpha of a chosen node.
-  std::vector<char> blocked(static_cast<std::size_t>(g.n()), 0);
+  // Holds every v within distance < alpha of a chosen node.
+  NodeMap blocked(g);
   for (const int v : order) {
     LAD_CHECK_MSG(mask.empty() || mask[v], "ruling-set candidate outside mask");
-    if (blocked[v]) continue;
+    if (blocked.contains(v)) continue;
     chosen.push_back(v);
-    const auto near = ball_nodes(g, v, alpha - 1, mask);
-    for (const int u : near) blocked[u] = 1;
+    const LocalBfs near(g, v, alpha - 1, mask);
+    for (const int u : near.nodes()) blocked.insert(u);
   }
   return chosen;
 }
 
 bool is_ruling_set(const Graph& g, const std::vector<int>& s, int alpha, int beta,
                    std::span<const int> candidates, const NodeMask& mask) {
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto dist = bfs_distances(g, s[i], mask, alpha - 1);
-    for (std::size_t j = 0; j < s.size(); ++j) {
-      if (i != j && dist[s[j]] != kUnreachable) return false;
+  NodeMap count(g);  // how often each node occurs in s
+  for (const int v : s) count.set(v, count.get(v, 0) + 1);
+  for (const int v : s) {
+    const LocalBfs near(g, v, alpha - 1, mask);
+    for (const int u : near.nodes()) {
+      if (count.get(u, 0) > (u == v ? 1 : 0)) return false;
     }
   }
   if (s.empty()) return candidates.empty();
-  const auto dom = bfs_distances_multi(g, s, mask, beta);
+  const LocalBfs dom(g, s, beta, mask);
   for (const int v : candidates) {
-    if (dom[v] == kUnreachable) return false;
+    if (!dom.reached(v)) return false;
   }
   return true;
 }

@@ -1,7 +1,6 @@
 #include "lcl/solver.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "graph/distance.hpp"
 
@@ -15,26 +14,37 @@ struct Var {
 
 class Search {
  public:
-  Search(const Graph& g, const LclProblem& p, const Labeling& pinned,
-         const std::vector<int>& free_nodes, const std::vector<int>& free_edges,
-         const std::vector<int>& check_nodes, std::int64_t max_steps)
-      : g_(g), p_(p), lab_(pinned), max_steps_(max_steps) {
-    check_.assign(static_cast<std::size_t>(g.n()), 0);
-    for (const int v : check_nodes) check_[v] = 1;
+  Search(const Graph& g, const LclProblem& p, Labeling& lab, const std::vector<int>& free_nodes,
+         const std::vector<int>& free_edges, const std::vector<int>& check_nodes,
+         std::int64_t max_steps)
+      : g_(g), p_(p), lab_(lab), check_(g), checks_(check_nodes), max_steps_(max_steps) {
+    std::sort(checks_.begin(), checks_.end());
+    checks_.erase(std::unique(checks_.begin(), checks_.end()), checks_.end());
+    for (const int v : checks_) check_.insert(v);
     build_order(free_nodes, free_edges);
+    // The free labels count as unassigned whatever they hold: save, then clear.
+    saved_.reserve(order_.size());
+    for (const Var& var : order_) saved_.push_back(slot_of(var));
+    for (const Var& var : order_) slot_of(var) = -1;
   }
 
-  std::optional<Labeling> run() {
-    if (!search()) return std::nullopt;
-    // Every check node must now have a fully labeled region.
-    for (int v = 0; v < g_.n(); ++v) {
-      if (check_[v]) {
-        LAD_CHECK_MSG(region_fully_labeled(v), "check node " << g_.id(v)
-                                                             << " region not fully labeled");
-        LAD_CHECK(p_.valid_at(g_, lab_, v));
+  bool run() {
+    try {
+      if (search()) {
+        // Every check node must now have a fully labeled region.
+        for (const int v : checks_) {
+          LAD_CHECK_MSG(region_fully_labeled(v), "check node " << g_.id(v)
+                                                               << " region not fully labeled");
+          LAD_CHECK(p_.valid_at(g_, lab_, v));
+        }
+        return true;
       }
+    } catch (...) {
+      restore();
+      throw;
     }
-    return lab_;
+    restore();
+    return false;
   }
 
  private:
@@ -49,16 +59,22 @@ class Search {
       for (const int e : free_edges) vars.push_back({false, e});
     }
     // Anchor each variable at a node and sort by BFS order from the first
-    // variable's anchor.
+    // variable's anchor. The BFS stops once every anchor is reached.
     if (vars.empty()) {
       order_ = {};
       return;
     }
+    auto anchor = [&](const Var& v) {
+      return v.is_node ? v.index : std::min(g_.edge_u(v.index), g_.edge_v(v.index));
+    };
+    std::vector<int> anchors;
+    anchors.reserve(vars.size());
+    for (const Var& v : vars) anchors.push_back(anchor(v));
     const int root = vars.front().is_node ? vars.front().index : g_.edge_u(vars.front().index);
-    const auto dist = bfs_distances(g_, root);
+    const LocalBfs bfs(g_, root, -1, {}, anchors);
     auto key = [&](const Var& v) {
-      const int a = v.is_node ? v.index : std::min(g_.edge_u(v.index), g_.edge_v(v.index));
-      const int d = dist[a] == kUnreachable ? g_.n() + 1 : dist[a];
+      const int a = anchor(v);
+      const int d = bfs.reached(a) ? bfs.dist(a) : g_.n() + 1;
       return std::make_tuple(d, v.is_node ? 0 : 1, v.index);
     };
     std::sort(vars.begin(), vars.end(), [&](const Var& a, const Var& b) { return key(a) < key(b); });
@@ -66,7 +82,8 @@ class Search {
   }
 
   bool region_fully_labeled(int v) {
-    for (const int u : ball_nodes(g_, v, p_.radius())) {
+    const LocalBfs region(g_, v, p_.radius());
+    for (const int u : region.nodes()) {
       if (p_.num_node_labels() > 0 && lab_.node_labels[u] == -1) return false;
       if (p_.num_edge_labels() > 0) {
         for (const int e : g_.incident_edges(u)) {
@@ -82,8 +99,9 @@ class Search {
     std::vector<int> out;
     const int r = p_.radius();
     auto collect = [&](int from, int radius) {
-      for (const int v : ball_nodes(g_, from, radius)) {
-        if (check_[v]) out.push_back(v);
+      const LocalBfs near(g_, from, radius);
+      for (const int v : near.nodes()) {
+        if (check_.contains(v)) out.push_back(v);
       }
     };
     if (var.is_node) {
@@ -99,6 +117,10 @@ class Search {
 
   int& slot_of(const Var& var) {
     return var.is_node ? lab_.node_labels[var.index] : lab_.edge_labels[var.index];
+  }
+
+  void restore() {
+    for (std::size_t i = 0; i < order_.size(); ++i) slot_of(order_[i]) = saved_[i];
   }
 
   // Backtracking over `order_` with an explicit stack (the search depth is
@@ -118,7 +140,7 @@ class Search {
       const Var& var = order_[i];
       if (stack.size() == i) {
         LAD_CHECK_MSG(++steps_ <= max_steps_, "solve_lcl: step budget exhausted");
-        LAD_CHECK_MSG(slot_of(var) == -1, "free variable already pinned");
+        LAD_CHECK_MSG(slot_of(var) == -1, "free variable listed twice");
         stack.push_back({affected_checks(var), 1});
       }
       Frame& f = stack.back();
@@ -154,20 +176,21 @@ class Search {
 
   const Graph& g_;
   const LclProblem& p_;
-  Labeling lab_;
-  std::vector<char> check_;
+  Labeling& lab_;
+  NodeMap check_;
+  std::vector<int> checks_;
   std::vector<Var> order_;
+  std::vector<int> saved_;  // the free labels on entry, in order_ order
   std::int64_t max_steps_;
   std::int64_t steps_ = 0;
 };
 
 }  // namespace
 
-std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p, const Labeling& pinned,
-                                  const std::vector<int>& free_nodes,
-                                  const std::vector<int>& free_edges,
-                                  const std::vector<int>& check_nodes, std::int64_t max_steps) {
-  Search s(g, p, pinned, free_nodes, free_edges, check_nodes, max_steps);
+bool solve_lcl(const Graph& g, const LclProblem& p, Labeling& lab,
+               const std::vector<int>& free_nodes, const std::vector<int>& free_edges,
+               const std::vector<int>& check_nodes, std::int64_t max_steps) {
+  Search s(g, p, lab, free_nodes, free_edges, check_nodes, max_steps);
   return s.run();
 }
 
@@ -175,7 +198,9 @@ std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p, std::int6
   std::vector<int> nodes(g.nodes().begin(), g.nodes().end());
   std::vector<int> edges(static_cast<std::size_t>(g.m()));
   for (int e = 0; e < g.m(); ++e) edges[e] = e;
-  return solve_lcl(g, p, Labeling::empty(g), nodes, edges, nodes, max_steps);
+  Labeling lab = Labeling::empty(g);
+  if (!solve_lcl(g, p, lab, nodes, edges, nodes, max_steps)) return std::nullopt;
+  return lab;
 }
 
 }  // namespace lad

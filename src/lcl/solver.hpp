@@ -14,17 +14,19 @@
 
 namespace lad {
 
-/// Searches for labels of `free_nodes`/`free_edges` extending `pinned`
-/// (entries -1 in pinned are unassigned) such that valid_at holds for every
-/// node of `check_nodes` whose constraint region becomes fully labeled.
-/// Every check node's region must be fully labeled once the search finishes.
-/// Returns std::nullopt if no completion exists (or the step budget runs
-/// out, which throws instead — a budget exhaustion is a usage error).
-std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p, const Labeling& pinned,
-                                  const std::vector<int>& free_nodes,
-                                  const std::vector<int>& free_edges,
-                                  const std::vector<int>& check_nodes,
-                                  std::int64_t max_steps = 50'000'000);
+/// Searches, in place, for labels of `free_nodes`/`free_edges` extending
+/// `lab` (entries -1 are unassigned; the free labels count as unassigned
+/// whatever they hold) such that valid_at holds for every node of
+/// `check_nodes` whose constraint region becomes fully labeled. Every check
+/// node's region must be fully labeled once the search finishes. Returns
+/// true with the completion written into `lab`, or false if no completion
+/// exists. A step-budget exhaustion throws instead (a usage error). On false
+/// or a throw the free labels get back the values they held on entry.
+/// The search touches only the free variables and the balls around them,
+/// so a region solve costs O(region), not O(n).
+bool solve_lcl(const Graph& g, const LclProblem& p, Labeling& lab,
+               const std::vector<int>& free_nodes, const std::vector<int>& free_edges,
+               const std::vector<int>& check_nodes, std::int64_t max_steps = 50'000'000);
 
 /// Whole-graph convenience: all labels free, all constraints checked.
 std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p,

@@ -178,10 +178,10 @@ Graph with_ids(const Graph& g, const std::vector<NodeId>& ids) {
 }
 
 Graph rotate_ids_outside_ball(const Graph& g, int center, int radius) {
-  const auto dist = bfs_distances(g, center, {}, radius);
+  const LocalBfs ball(g, center, radius);
   std::vector<int> outside;
   for (int v = 0; v < g.n(); ++v) {
-    if (dist[static_cast<std::size_t>(v)] == kUnreachable) outside.push_back(v);
+    if (!ball.reached(v)) outside.push_back(v);
   }
   if (outside.size() < 2) return with_ids(g, [&] {
     std::vector<NodeId> same;

@@ -7,23 +7,24 @@ Ball extract_ball(const Graph& g, int center, int radius, const NodeMask& mask) 
   LAD_CHECK(center >= 0 && center < g.n());
   Ball b;
   b.radius = radius;
-  const auto nodes = ball_nodes(g, center, radius, mask);
-  const auto dist = bfs_distances(g, center, mask, radius);
+  const LocalBfs bfs(g, center, radius, mask);
+  // The ball graph's node and edge order follow ball_nodes order.
+  const auto nodes = bfs.layered();
 
   Graph::Builder builder;
-  std::vector<int> ball_ix(static_cast<std::size_t>(g.n()), -1);
+  NodeMap ball_ix(g);
   for (const int v : nodes) {
-    ball_ix[v] = builder.add_node(g.id(v));
+    ball_ix.set(v, builder.add_node(g.id(v)));
     b.to_parent.push_back(v);
-    b.dist.push_back(dist[v]);
+    b.dist.push_back(bfs.dist(v));
   }
   for (const int v : nodes) {
     for (const int u : g.neighbors(v)) {
-      if (ball_ix[u] >= 0 && v < u) builder.add_edge(ball_ix[v], ball_ix[u]);
+      if (ball_ix.contains(u) && v < u) builder.add_edge(ball_ix.get(v), ball_ix.get(u));
     }
   }
   b.graph = std::move(builder).build();
-  b.center = ball_ix[center];
+  b.center = ball_ix.get(center);
   return b;
 }
 

@@ -131,7 +131,7 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
   // end never feed back into the run, so enabling it cannot change a byte
   // of any output (pinned by tests/test_telemetry.cpp).
   LAD_TM_SPAN(run_span, "engine.run", "engine");
-  // Flight recorder (DESIGN.md §14): open a per-run cursor so each round
+  // Flight recorder (DESIGN.md §13.3): open a per-run cursor so each round
   // below lands one RoundSample. The hook only reads counters — like the
   // span it cannot influence outputs.
   LAD_TM(obs::FlightRecorder::instance().begin_run());

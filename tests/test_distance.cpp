@@ -48,7 +48,7 @@ TEST(Distance, BallNodes) {
   const Graph g = make_grid(5, 5);
   const auto ball = ball_nodes(g, g.find_index(13).value(), 1);
   EXPECT_EQ(ball.size(), 5u);  // center + 4 neighbors
-  EXPECT_EQ(ball_size(g, g.find_index(13).value(), 0), 1);
+  EXPECT_EQ(ball_nodes(g, g.find_index(13).value(), 0).size(), 1u);
 }
 
 TEST(Distance, ShortestPathEndpoints) {
@@ -73,9 +73,12 @@ TEST(Distance, Eccentricity) {
   EXPECT_EQ(eccentricity(g, 4), 4);
 }
 
-TEST(Distance, ComponentDiameter) {
-  EXPECT_EQ(component_diameter(make_path(7), 3), 6);
-  EXPECT_EQ(component_diameter(make_cycle(8), 0), 4);
+TEST(Distance, DiameterAtMost) {
+  // Path 7 from its middle: ecc 3, so the double sweep is undecided at 5.
+  EXPECT_TRUE(diameter_at_most(make_path(7), 3, 6));
+  EXPECT_FALSE(diameter_at_most(make_path(7), 3, 5));
+  EXPECT_TRUE(diameter_at_most(make_cycle(8), 0, 4));
+  EXPECT_FALSE(diameter_at_most(make_cycle(8), 0, 3));
 }
 
 TEST(Distance, BallInBfsOrder) {
@@ -108,7 +111,7 @@ TEST(Distance, BallMonotoneInRadius) {
   const int v = g.n() / 2;
   int prev = 0;
   for (int r = 0; r <= 8; ++r) {
-    const int size = ball_size(g, v, r);
+    const int size = static_cast<int>(ball_nodes(g, v, r).size());
     EXPECT_GE(size, prev);
     prev = size;
   }

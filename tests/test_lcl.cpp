@@ -79,11 +79,10 @@ TEST(Lcl, PinnedCompletion) {
   pinned.node_labels[5] = 1;
   std::vector<int> free_nodes = {1, 2, 3, 4};
   const std::vector<int> all(g.nodes().begin(), g.nodes().end());
-  const auto sol = solve_lcl(g, p, pinned, free_nodes, {}, all);
-  ASSERT_TRUE(sol.has_value());
-  EXPECT_EQ(sol->node_labels[0], 1);
-  EXPECT_EQ(sol->node_labels[5], 1);
-  EXPECT_TRUE(is_proper_coloring(g, sol->node_labels, 3));
+  ASSERT_TRUE(solve_lcl(g, p, pinned, free_nodes, {}, all));
+  EXPECT_EQ(pinned.node_labels[0], 1);
+  EXPECT_EQ(pinned.node_labels[5], 1);
+  EXPECT_TRUE(is_proper_coloring(g, pinned.node_labels, 3));
 }
 
 TEST(Lcl, PinnedContradictionUnsolvable) {
@@ -93,8 +92,9 @@ TEST(Lcl, PinnedContradictionUnsolvable) {
   pinned.node_labels[0] = 1;
   pinned.node_labels[2] = 2;  // forces node 1 to clash with one end
   const std::vector<int> all(g.nodes().begin(), g.nodes().end());
-  const auto sol = solve_lcl(g, p, pinned, {1}, {}, all);
-  EXPECT_FALSE(sol.has_value());
+  const Labeling before = pinned;
+  EXPECT_FALSE(solve_lcl(g, p, pinned, {1}, {}, all));
+  EXPECT_EQ(pinned.node_labels, before.node_labels);  // a failed solve changes nothing
 }
 
 TEST(Lcl, CheckSubsetOnly) {
@@ -103,15 +103,42 @@ TEST(Lcl, CheckSubsetOnly) {
   Labeling pinned = Labeling::empty(g);
   pinned.node_labels[3] = 1;
   pinned.node_labels[4] = 1;  // invalid pair, but not in the check set
-  const auto sol = solve_lcl(g, p, pinned, {0, 1, 2}, {}, {0, 1});
-  ASSERT_TRUE(sol.has_value());
+  ASSERT_TRUE(solve_lcl(g, p, pinned, {0, 1, 2}, {}, {0, 1}));
 }
 
 TEST(Lcl, BudgetExhaustionThrows) {
   const Graph g = make_cycle(30);
   VertexColoringLcl p(3);
   const std::vector<int> all(g.nodes().begin(), g.nodes().end());
-  EXPECT_THROW(solve_lcl(g, p, Labeling::empty(g), all, {}, all, 3), ContractViolation);
+  Labeling lab = Labeling::empty(g);
+  EXPECT_THROW(solve_lcl(g, p, lab, all, {}, all, 3), ContractViolation);
+  EXPECT_EQ(lab.node_labels, Labeling::empty(g).node_labels);  // unwound on the throw
+}
+
+TEST(Lcl, FreeLabelsCountAsUnassignedAndComeBackOnFailure) {
+  const Graph g = make_path(3);
+  VertexColoringLcl p(2);
+  const std::vector<int> all(g.nodes().begin(), g.nodes().end());
+  Labeling lab = Labeling::empty(g);
+  lab.node_labels = {1, 1, 1};  // node 1's held label is wrong but free
+  ASSERT_TRUE(solve_lcl(g, p, lab, {1}, {}, all));
+  EXPECT_EQ(lab.node_labels, (std::vector<int>{1, 2, 1}));
+
+  lab.node_labels = {1, 2, 2};  // no label for node 1 fits between 1 and 2
+  EXPECT_FALSE(solve_lcl(g, p, lab, {1}, {}, all));
+  EXPECT_EQ(lab.node_labels, (std::vector<int>{1, 2, 2}));
+
+  lab.node_labels = {2, 2, 2};
+  EXPECT_THROW(solve_lcl(g, p, lab, {1, 1}, {}, all), ContractViolation);  // listed twice
+  EXPECT_EQ(lab.node_labels, (std::vector<int>{2, 2, 2}));
+
+  const Graph c = make_cycle(30);
+  const std::vector<int> every(c.nodes().begin(), c.nodes().end());
+  Labeling held = Labeling::empty(c);
+  for (int v = 0; v < c.n(); ++v) held.node_labels[static_cast<std::size_t>(v)] = 1 + v % 3;
+  const auto before = held.node_labels;
+  EXPECT_THROW(solve_lcl(c, VertexColoringLcl(3), held, every, {}, every, 3), ContractViolation);
+  EXPECT_EQ(held.node_labels, before);  // the held labels, not -1, after the throw
 }
 
 TEST(Lcl, DistributedChecker) {

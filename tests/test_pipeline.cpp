@@ -9,6 +9,9 @@
 #include "core/pipeline.hpp"
 #include "faults/guarded_pipeline.hpp"
 #include "graph/generators.hpp"
+#include "graph/source.hpp"
+#include "obs/profile.hpp"
+#include "util/hashing.hpp"
 
 namespace lad {
 namespace {
@@ -69,6 +72,44 @@ TEST(PipelineRegistry, GuardedDecodeIsCleanOnUncorruptedAdvice) {
     EXPECT_TRUE(out.report.output_valid);
     EXPECT_TRUE(out.report.flagged_nodes.empty());
     EXPECT_FALSE(gp->silent_corruption(g, out, cfg));
+  }
+}
+
+// Output pins at n ≈ 10⁵, run the way `lad bench --graph SPEC --pipeline P`
+// runs them: the fingerprint of the per-node output digests, the rounds and
+// the total advice bits. Splitting has none: on torus:316x316@1 its encoder
+// exhausts the trail-mark re-sampling budget (ROADMAP 5(e)).
+TEST(PipelinePins, LargeInstanceDigestsAreStable) {
+  struct Pin {
+    const char* pipeline;
+    const char* spec;
+    const char* fingerprint;
+    int rounds;
+    long long total_bits;
+  };
+  const Pin pins[] = {
+      {"three_coloring", "grid:316x316@1", "a845b603411b75a7", 1, 99856},
+      {"delta_coloring", "torus:316x316@1", "b8850d96bf141fb5", 61, 25659},
+      {"subexp_lcl", "cycle:100000@1", "26c52fa430c52029", 908115, 100000},
+      {"decompress", "torus:316x316@1", "d2c89e60b639d64e", 257, 299568},
+      {"orientation", "cycle:100000@1", "31ecac3182a2861b", 130, 100000},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.pipeline) + " on " + pin.spec);
+    const Pipeline* p = find_pipeline(pin.pipeline);
+    ASSERT_NE(p, nullptr);
+    std::string err;
+    const auto lg = load_graph_source(pin.spec, &err);
+    ASSERT_TRUE(lg.has_value()) << err;
+    const Graph& g = lg->graph;
+    PipelineConfig cfg = p->sweep_config(g.n());
+    cfg.seed = hash2(1, static_cast<std::uint64_t>(g.n()));
+    const auto adv = p->encode(g, cfg);
+    const auto out = p->decode(g, adv, cfg);
+    EXPECT_TRUE(p->verify(g, out, cfg));
+    EXPECT_EQ(obs::fingerprint_hex(p->node_digests(g, out)), pin.fingerprint);
+    EXPECT_EQ(out.rounds, pin.rounds);
+    EXPECT_EQ(adv.stats(g.n()).total_bits, pin.total_bits);
   }
 }
 

@@ -54,6 +54,19 @@ TEST(Schema, ComposeRelocatesCloseStorage) {
   std::set<NodeId> anchors = {entries[0].anchor_id, entries[1].anchor_id};
   EXPECT_TRUE(anchors.count(g.id(10)));
   EXPECT_TRUE(anchors.count(g.id(12)));
+
+  // A tie goes to the node kept first: on the path 0-1-2-3-4, node 2 (ID 9,
+  // placed last) is at distance 2 from both kept nodes 0 (ID 1) and 4 (ID 4).
+  Graph::Builder builder;
+  for (const NodeId id : {1, 2, 9, 3, 4}) builder.add_node(id);
+  for (int v = 0; v + 1 < 5; ++v) builder.add_edge(v, v + 1);
+  const Graph p = std::move(builder).build();
+  VarAdvice c;
+  for (const int v : {0, 2, 4}) c[v].push_back({0, p.id(v), BitString::parse("1")});
+  const auto tied = compose_schemas(p, {c}, 3);
+  ASSERT_EQ(tied.size(), 2u);
+  EXPECT_EQ(tied.at(0).size(), 2u);
+  EXPECT_EQ(tied.at(4).size(), 1u);
 }
 
 TEST(Schema, ComposeKeepsSeparation) {

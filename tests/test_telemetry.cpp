@@ -192,7 +192,7 @@ TEST(Telemetry, ChromeTraceIsBalancedAndMonotone) {
       continue;
     }
     if (ph == "C") {
-      // Flight-recorder counter lanes (§14): carry a ts but no nesting;
+      // Flight-recorder counter lanes (§13.6): carry a ts but no nesting;
       // their timestamps come from engine rounds recorded independently of
       // the span stream, so they are excluded from the monotonicity check.
       ++counters;
@@ -211,7 +211,7 @@ TEST(Telemetry, ChromeTraceIsBalancedAndMonotone) {
   }
   EXPECT_GT(events, 0);
   // The engine workload records flight-recorder rounds, so the export must
-  // carry the three §14 counter lanes for Perfetto's round-series view.
+  // carry the three §13.6 counter lanes for Perfetto's round-series view.
   EXPECT_GT(counters, 0) << "no counter (ph C) events in the export";
   EXPECT_NE(json.find("\"round.messages\""), std::string::npos);
   EXPECT_NE(json.find("\"round.bytes\""), std::string::npos);
