@@ -124,10 +124,8 @@ Case gather_case(std::string family, int n, int radius) {
       g = make_cycle(n, IdMode::kRandomDense, 5);
     }
     ThreadPool pool(threads);
-    const auto balls = threads > 1 ? gather_balls_by_messages(g, radius, pool)
-                                   : gather_balls_by_messages(g, radius);
-    const auto views =
-        gather_canonical_views(g, radius, {}, threads > 1 ? &pool : nullptr);
+    const auto balls = gather_balls_by_messages(g, radius, &pool);
+    const auto views = gather_canonical_views(g, radius, {}, &pool);
     CaseRun r;
     r.n = g.n();
     r.m = g.m();

@@ -30,27 +30,12 @@ BitString expand_marker(const BitString& payload) {
   return b;
 }
 
-// Node at trail position `pos` (wrapped for closed trails, -1 out of range
-// for open trails).
-int node_at(const Trail& t, int pos) {
-  if (t.closed) {
-    const int L = t.length();
-    return t.nodes[static_cast<std::size_t>(((pos % L) + L) % L)];
-  }
-  if (pos < 0 || pos >= static_cast<int>(t.nodes.size())) return -1;
-  return t.nodes[static_cast<std::size_t>(pos)];
-}
-
-int num_positions(const Trail& t) {
-  return t.closed ? t.length() : static_cast<int>(t.nodes.size());
-}
-
 // Parses a marker whose first bit sits at absolute trail position `start`,
 // read in direction d. On success stores the marker length (in positions).
 std::optional<BitString> parse_marker(const Trail& t, const std::vector<char>& bits, int start,
                                       int d, int* length_out) {
   auto read = [&](int k) -> int {
-    const int node = node_at(t, start + d * k);
+    const int node = t.node_at(start + d * k);
     if (node < 0) return -1;
     return bits[static_cast<std::size_t>(node)] ? 1 : 0;
   };
@@ -163,7 +148,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
   std::vector<Segment> segs;
   for (std::size_t t = 0; t < trails.size(); ++t) {
     if (!needs_marks[t]) continue;
-    const int P = num_positions(trails[t]);
+    const int P = trails[t].positions();
     auto add = [&](int s, int jit) {
       Segment seg;
       seg.trail = static_cast<int>(t);
@@ -204,7 +189,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
 
   auto clamp_start = [&](const Segment& seg, int start) {
     const Trail& t = trails[static_cast<std::size_t>(seg.trail)];
-    const int P = num_positions(t);
+    const int P = t.positions();
     if (t.closed) return ((start % P) + P) % P;
     return std::clamp(start, 0, P - max_len);
   };
@@ -215,15 +200,15 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
   auto write_round = [&]() {
     std::fill(out.bits.begin(), out.bits.end(), 0);
     for (std::size_t t = 0; t < trails.size(); ++t) {
-      if (needs_marks[t]) expected[t].assign(static_cast<std::size_t>(num_positions(trails[t])), 0);
+      if (needs_marks[t]) expected[t].assign(static_cast<std::size_t>(trails[t].positions()), 0);
     }
     for (const auto& seg : segs) {
       const Trail& t = trails[static_cast<std::size_t>(seg.trail)];
-      const int P = num_positions(t);
+      const int P = t.positions();
       for (int j = 0; j < seg.code.size(); ++j) {
         if (!seg.code.bit(j)) continue;
         const int pos = t.closed ? ((seg.start + j) % P) : (seg.start + j);
-        out.bits[static_cast<std::size_t>(node_at(t, pos))] = 1;
+        out.bits[static_cast<std::size_t>(t.node_at(pos))] = 1;
         expected[static_cast<std::size_t>(seg.trail)][static_cast<std::size_t>(pos)] = 1;
       }
     }
@@ -244,7 +229,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
       const Trail& t = trails[static_cast<std::size_t>(seg.trail)];
       std::set<int> mine;
       for (int j = 0; j < seg.code.size(); ++j) {
-        const int node = node_at(t, seg.start + j);
+        const int node = t.node_at(seg.start + j);
         if (!mine.insert(node).second) bad.insert(static_cast<int>(i));
         if (owner[node] >= 0 && owner[node] != static_cast<int>(i)) {
           bad.insert(static_cast<int>(i));
@@ -262,7 +247,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
     }
     auto blame_span = [&](const Trail& t, int start, int d, int len, std::set<int>* sink) {
       for (int j = 0; j < len; ++j) {
-        const int node = node_at(t, start + d * j);
+        const int node = t.node_at(start + d * j);
         if (node >= 0 && out.bits[static_cast<std::size_t>(node)] && owner[node] >= 0) {
           sink->insert(owner[node]);
         }
@@ -271,7 +256,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
     for (std::size_t ti = 0; ti < trails.size(); ++ti) {
       if (!needs_marks[ti]) continue;
       const Trail& t = trails[ti];
-      const int P = num_positions(t);
+      const int P = t.positions();
       std::set<const Segment*> seen;
       for (int pos = 0; pos < P; ++pos) {
         for (const int d : {+1, -1}) {
@@ -294,7 +279,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
         // unexpected 1s in its span, plus the segment itself.
         bad.insert(static_cast<int>(seg - segs.data()));
         for (int j = 0; j < seg->code.size(); ++j) {
-          const int node = node_at(t, start + j);
+          const int node = t.node_at(start + j);
           if (out.bits[static_cast<std::size_t>(node)] != (seg->code.bit(j) ? 1 : 0)) {
             if (owner[node] >= 0) bad.insert(owner[node]);
           }
@@ -361,7 +346,7 @@ std::optional<TrailDecode> decode_trail_mark(const Graph& g, const Trail& t, int
   TrailDecode d;
   d.direction = best.direction;
   d.payload = best.payload;
-  const int P = num_positions(t);
+  const int P = t.positions();
   int start = pos + best.start_offset;
   if (t.closed) start = ((start % P) + P) % P;
   d.marker_start = start;

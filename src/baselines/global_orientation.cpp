@@ -11,18 +11,8 @@ GlobalOrientationResult orient_without_advice(const Graph& g) {
   GlobalOrientationResult res;
   res.orientation.assign(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
   for (const auto& t : trails) {
-    const int dir = canonical_trail_direction(g, t) ? +1 : -1;
-    const int L = t.length();
-    for (int i = 0; i < L; ++i) {
-      const int a = t.nodes[static_cast<std::size_t>(i)];
-      const int b = t.closed ? t.nodes[static_cast<std::size_t>((i + 1) % L)]
-                             : t.nodes[static_cast<std::size_t>(i + 1)];
-      const int e = t.edges[static_cast<std::size_t>(i)];
-      const int from = dir > 0 ? a : b;
-      res.orientation[static_cast<std::size_t>(e)] =
-          g.edge_u(e) == from ? EdgeDir::kForward : EdgeDir::kBackward;
-    }
-    res.rounds = std::max(res.rounds, L);
+    orient_trail(g, t, canonical_trail_direction(g, t) ? +1 : -1, res.orientation);
+    res.rounds = std::max(res.rounds, t.length());
   }
   return res;
 }

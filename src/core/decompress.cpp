@@ -3,10 +3,7 @@
 #include <algorithm>
 
 namespace lad {
-namespace {
 
-// Outgoing edges of v under orientation o, heads ordered by ID — the shared
-// edge order both compressor and decompressor use.
 std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int v) {
   std::vector<int> out;
   // incident_edges is already aligned with ID-sorted neighbors.
@@ -18,8 +15,6 @@ std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int
   }
   return out;
 }
-
-}  // namespace
 
 CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_x,
                                     const OrientationParams& params) {

@@ -38,6 +38,10 @@ struct DecompressResult {
 /// heads in one extra round.
 DecompressResult decompress_edge_set(const Graph& g, const CompressedEdgeSet& c);
 
+/// Outgoing edges of v under orientation o, heads ordered by ID: the order
+/// of v's membership bits in its compressed label.
+std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int v);
+
 /// Bits the trivial encoding (one bit per incident edge) stores at v.
 int trivial_bits_at(const Graph& g, int v);
 

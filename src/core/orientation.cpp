@@ -3,22 +3,6 @@
 #include <algorithm>
 
 namespace lad {
-namespace {
-
-// Orients every edge of trail t along the +1 (as-given) or -1 direction.
-void orient_trail(const Graph& g, const Trail& t, int direction, Orientation& o) {
-  const int L = t.length();
-  for (int i = 0; i < L; ++i) {
-    const int a = t.nodes[static_cast<std::size_t>(i)];
-    const int b = t.closed ? t.nodes[static_cast<std::size_t>((i + 1) % L)]
-                           : t.nodes[static_cast<std::size_t>(i + 1)];
-    const int e = t.edges[static_cast<std::size_t>(i)];
-    const int from = direction > 0 ? a : b;
-    o[static_cast<std::size_t>(e)] = g.edge_u(e) == from ? EdgeDir::kForward : EdgeDir::kBackward;
-  }
-}
-
-}  // namespace
 
 OrientationEncoding encode_orientation_advice(const Graph& g, const OrientationParams& params) {
   const auto trails = euler_partition(g);

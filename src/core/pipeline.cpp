@@ -81,7 +81,6 @@ class OrientationPipeline final : public Pipeline {
   AdviceCarrier carrier() const override { return AdviceCarrier::kUniformBits; }
   SchemaType schema_type() const override { return SchemaType::kUniformFixedLength; }
   const char* graph_requirements() const override { return "any graph"; }
-  FallbackKind fallback_kind() const override { return FallbackKind::kCanonical; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
     return make_cycle(even_cycle_len(n), IdMode::kRandomDense, seed);
@@ -204,7 +203,6 @@ class ThreeColoringPipeline final : public Pipeline {
   AdviceCarrier carrier() const override { return AdviceCarrier::kUniformBits; }
   SchemaType schema_type() const override { return SchemaType::kUniformFixedLength; }
   const char* graph_requirements() const override { return "3-colorable"; }
-  bool supports_tolerant() const override { return true; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
     const auto d = grid_dims(n);
@@ -240,15 +238,6 @@ class ThreeColoringPipeline final : public Pipeline {
                         const PipelineConfig& cfg) const override {
     const auto res = decode_three_coloring(g, adv.bits, cfg.three_coloring);
     PipelineOutput out;
-    out.node_color = res.coloring;
-    out.rounds = res.rounds;
-    return out;
-  }
-
-  PipelineOutput do_decode_tolerant(const Graph& g, const PipelineAdvice& adv,
-                                 const PipelineConfig& cfg) const override {
-    PipelineOutput out;
-    const auto res = decode_three_coloring_tolerant(g, adv.bits, out.failed, cfg.three_coloring);
     out.node_color = res.coloring;
     out.rounds = res.rounds;
     return out;
@@ -341,7 +330,6 @@ class SubexpLclPipeline final : public Pipeline {
   const char* graph_requirements() const override {
     return "subexponential growth (x scaled to n)";
   }
-  bool supports_tolerant() const override { return true; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
     return make_cycle(even_cycle_len(n), IdMode::kRandomDense, seed);
@@ -372,23 +360,14 @@ class SubexpLclPipeline final : public Pipeline {
   PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.bits = encode_subexp_lcl_advice(g, problem_, cfg.subexp).bits;
+    adv.bits = encode_subexp_lcl_advice(g, subexp_demo_lcl(), cfg.subexp).bits;
     return adv;
   }
 
   PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
                         const PipelineConfig& cfg) const override {
-    const auto res = decode_subexp_lcl(g, problem_, adv.bits, cfg.subexp);
+    const auto res = decode_subexp_lcl(g, subexp_demo_lcl(), adv.bits, cfg.subexp);
     PipelineOutput out;
-    out.labeling = res.labeling;
-    out.rounds = res.rounds;
-    return out;
-  }
-
-  PipelineOutput do_decode_tolerant(const Graph& g, const PipelineAdvice& adv,
-                                 const PipelineConfig& cfg) const override {
-    PipelineOutput out;
-    const auto res = decode_subexp_lcl_tolerant(g, problem_, adv.bits, out.failed, cfg.subexp);
     out.labeling = res.labeling;
     out.rounds = res.rounds;
     return out;
@@ -396,20 +375,13 @@ class SubexpLclPipeline final : public Pipeline {
 
   bool do_verify(const Graph& g, const PipelineOutput& out,
               const PipelineConfig& /*cfg*/) const override {
-    return is_valid_labeling(g, problem_, out.labeling);
+    return is_valid_labeling(g, subexp_demo_lcl(), out.labeling);
   }
 
   std::vector<std::string> node_digests(const Graph& /*g*/,
                                         const PipelineOutput& out) const override {
     return label_digests(out.labeling.node_labels);
   }
-
-  /// The demonstration LCL of the registry entry (the §4 construction is
-  /// generic in the problem; campaigns and benches exercise 3-coloring).
-  const LclProblem& problem() const { return problem_; }
-
- private:
-  VertexColoringLcl problem_{3};
 };
 
 class DecompressPipeline final : public Pipeline {
@@ -420,7 +392,6 @@ class DecompressPipeline final : public Pipeline {
   AdviceCarrier carrier() const override { return AdviceCarrier::kNodeLabels; }
   SchemaType schema_type() const override { return SchemaType::kVariableLength; }
   const char* graph_requirements() const override { return "any graph"; }
-  FallbackKind fallback_kind() const override { return FallbackKind::kFlagOnly; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
     return make_cycle(even_cycle_len(n), IdMode::kRandomDense, seed);
@@ -526,23 +497,6 @@ PipelineOutput Pipeline::decode(const Graph& g, const PipelineAdvice& adv,
   return out;
 }
 
-PipelineOutput Pipeline::decode_tolerant(const Graph& g, const PipelineAdvice& adv,
-                                         const PipelineConfig& cfg) const {
-  LAD_CHECK_MSG(adv.carrier != AdviceCarrier::kUniformBits || adv.bits.empty() ||
-                    static_cast<int>(adv.bits.size()) == g.n(),
-                "uniform advice must carry exactly one bit per node");
-  LAD_TM_SPAN(span, std::string("pipeline.decode_tolerant/") + name(), "pipeline");
-  PipelineOutput out = do_decode_tolerant(g, adv, cfg);
-  LAD_TM({
-    auto& m = obs::core();
-    m.pipeline_decodes.add(1);
-    m.advice_bits_read.add(adv.stats(g.n()).total_bits);
-    m.pipeline_decode_rounds.add(out.rounds);
-    m.decode_rounds.observe(out.rounds);
-  });
-  return out;
-}
-
 bool Pipeline::verify(const Graph& g, const PipelineOutput& out,
                       const PipelineConfig& cfg) const {
   LAD_TM_SPAN(span, std::string("pipeline.verify/") + name(), "pipeline");
@@ -590,18 +544,6 @@ std::vector<std::string> PipelineAdvice::node_strings(int n) const {
   LAD_UNREACHABLE("unknown AdviceCarrier");
 }
 
-const char* to_string(FallbackKind kind) {
-  switch (kind) {
-    case FallbackKind::kRecompute:
-      return "recompute";
-    case FallbackKind::kCanonical:
-      return "canonical";
-    case FallbackKind::kFlagOnly:
-      return "flag_only";
-  }
-  LAD_UNREACHABLE("unknown FallbackKind");
-}
-
 const std::vector<const Pipeline*>& pipelines() {
   static const OrientationPipeline orientation;
   static const SplittingPipeline splitting;
@@ -626,6 +568,11 @@ const Pipeline* find_pipeline(std::string_view name) {
     if (name == p->name()) return p;
   }
   return nullptr;
+}
+
+const LclProblem& subexp_demo_lcl() {
+  static const VertexColoringLcl problem(3);
+  return problem;
 }
 
 std::vector<int> parity_witness(const Graph& g) {

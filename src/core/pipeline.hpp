@@ -13,9 +13,6 @@
 //                             per-pipeline knowledge;
 //   * decode(g, adv, cfg)   — the strict LOCAL decoder (throws
 //                             ContractViolation on detectably bad advice);
-//   * decode_tolerant(...)  — the containment decoder where one exists
-//                             (failures land in output.failed instead of
-//                             throwing);
 //   * verify(g, out, cfg)   — the independent centralized checker;
 //   * node_digests(g, out)  — per-node output digests (what a node would
 //                             publish to a distributed verification echo);
@@ -25,12 +22,14 @@
 // new decoder, add it to pipelines(), and the audit CLI, the campaign
 // harness, and `lad bench` pick it up without further dispatch code. The
 // original free functions (encode_orientation_advice, decode_splitting,
-// ...) remain the implementation and the stable fine-grained API; the
-// Pipeline classes are thin adapters over them.
+// ...) remain the implementation and the fine-grained API the experiments
+// read richer results from; the Pipeline classes are thin adapters over
+// them.
 //
-// Guarded (fault-tolerant) decoding composes on top in
-// faults/guarded_pipeline.hpp — it lives in the faults layer because repair
-// needs the robustness machinery, which depends on this one.
+// Guarded (fault-tolerant) decoding takes a registry pipeline:
+// robust::guarded_decode in faults/robust.hpp. It lives in the faults
+// layer because repair needs the robustness machinery, which depends on
+// this one.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +107,6 @@ struct PipelineOutput {
   Labeling labeling;            // kSubexpLcl
   std::vector<char> edge_in_x;  // kDecompress: membership per edge
   std::vector<char> edge_known; // kDecompress: recovered (guard-verified) edges
-  /// Tolerant decodes: per-node failure flags (empty = no containment ran).
-  std::vector<char> failed;
   int rounds = 0;
 };
 
@@ -130,19 +127,6 @@ struct PipelineClaims {
   const char* statement = "";
 };
 
-/// The fallback-ladder rung a pipeline offers below local repair when
-/// repair budgets are exhausted (DESIGN.md §11): tolerant decode -> local
-/// repair -> this rung -> flag.
-enum class FallbackKind {
-  kRecompute,  // advice-free baseline recompute of the failed scope
-  kCanonical,  // a canonical advice-free answer always exists (orientation
-               // falls back to canonical trail directions)
-  kFlagOnly,   // information-theoretically unrecoverable: membership bits
-               // carry no redundancy (decompress), so flagging is the floor
-};
-
-const char* to_string(FallbackKind kind);
-
 class Pipeline {
  public:
   virtual ~Pipeline() = default;
@@ -156,12 +140,6 @@ class Pipeline {
   virtual SchemaType schema_type() const = 0;
   /// Human-readable instance preconditions ("bipartite, even degrees", ...).
   virtual const char* graph_requirements() const = 0;
-  /// True if decode_tolerant provides real containment (not strict decode).
-  virtual bool supports_tolerant() const { return false; }
-
-  /// The pipeline's variant of the §11 fallback ladder's last pre-flag rung
-  /// (what a guarded decode does when local repair is exhausted).
-  virtual FallbackKind fallback_kind() const { return FallbackKind::kRecompute; }
 
   /// A graph family instance (seeded IDs) satisfying graph_requirements(),
   /// with roughly `n` nodes — the uniform way for benches, smoke tests, and
@@ -182,9 +160,9 @@ class Pipeline {
   /// without --ns); must return at least 3 sizes if it changes the base.
   virtual std::vector<int> sweep_ns(const std::vector<int>& base) const { return base; }
 
-  // The four stage entry points are non-virtual wrappers (NVI): every
+  // The three stage entry points are non-virtual wrappers (NVI): every
   // consumer of any of the six pipelines funnels through pipeline.cpp's
-  // four wrapper bodies, which is where the telemetry spans and the
+  // three wrapper bodies, which is where the telemetry spans and the
   // encode/decode/verify counters live — one instrumentation point instead
   // of six copies per stage. Subclasses override the do_* hooks below.
 
@@ -196,11 +174,6 @@ class Pipeline {
   /// locally detectably inconsistent.
   PipelineOutput decode(const Graph& g, const PipelineAdvice& adv,
                         const PipelineConfig& cfg) const;
-
-  /// Containment decoder: failures marked in output.failed, never thrown.
-  /// Default = strict decode (see supports_tolerant()).
-  PipelineOutput decode_tolerant(const Graph& g, const PipelineAdvice& adv,
-                                 const PipelineConfig& cfg) const;
 
   /// Independent centralized validity check of a decode against the
   /// instance that encode(cfg) describes on g.
@@ -215,10 +188,6 @@ class Pipeline {
   virtual PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const = 0;
   virtual PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
                                    const PipelineConfig& cfg) const = 0;
-  virtual PipelineOutput do_decode_tolerant(const Graph& g, const PipelineAdvice& adv,
-                                            const PipelineConfig& cfg) const {
-    return do_decode(g, adv, cfg);
-  }
   virtual bool do_verify(const Graph& g, const PipelineOutput& out,
                          const PipelineConfig& cfg) const = 0;
 };
@@ -230,6 +199,10 @@ const std::vector<const Pipeline*>& pipelines();
 /// Registry lookup by id (total) / by name (nullptr if unknown).
 const Pipeline& pipeline(PipelineId id);
 const Pipeline* find_pipeline(std::string_view name);
+
+/// The demonstration LCL of the subexp_lcl entry: the §4 construction is
+/// generic in the problem; campaigns and benches exercise 3-coloring.
+const LclProblem& subexp_demo_lcl();
 
 /// Proper 2-coloring by BFS parity, the standard witness on the bipartite
 /// instance families (colors 1/2; requires bipartiteness, checked).

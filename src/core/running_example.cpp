@@ -31,11 +31,6 @@ std::vector<int> canonical_two_coloring(const Graph& g) {
   return color;
 }
 
-int node_on_trail(const Trail& t, int pos) {
-  const int L = t.length();
-  return t.nodes[static_cast<std::size_t>(((pos % L) + L) % L)];
-}
-
 }  // namespace
 
 RunningExampleEncoding encode_running_example(const Graph& g,
@@ -68,7 +63,7 @@ RunningExampleEncoding encode_running_example(const Graph& g,
     const int k = std::max(1, L / params.orientation_anchor_spacing);
     for (int i = 0; i < k; ++i) {
       const int pos = static_cast<int>(static_cast<long long>(i) * L / k);
-      const int a = node_on_trail(t, pos);
+      const int a = t.node_at(pos);
       const int e_out = t.edges[static_cast<std::size_t>(pos)];  // pos -> pos+1
       const int other = g.other_endpoint(e_out, a);
       const int port = g.port_of(a, other);
@@ -147,7 +142,7 @@ RunningExampleDecodeResult decode_running_example(const Graph& g, const VarAdvic
     int dir = 0;
     int at = -1;
     for (int pos = 0; pos < L && dir == 0; ++pos) {
-      const int a = node_on_trail(t, pos);
+      const int a = t.node_at(pos);
       const auto it = out_ports.find(a);
       if (it == out_ports.end()) continue;
       for (const int port : it->second) {
@@ -164,14 +159,7 @@ RunningExampleDecodeResult decode_running_example(const Graph& g, const VarAdvic
     }
     LAD_CHECK_MSG(dir != 0, "no orientation hint found on a trail");
     (void)at;
-    for (int i = 0; i < L; ++i) {
-      const int a = node_on_trail(t, i);
-      const int b = node_on_trail(t, i + 1);
-      const int e = t.edges[static_cast<std::size_t>(i)];
-      const int from = dir > 0 ? a : b;
-      orient[static_cast<std::size_t>(e)] =
-          g.edge_u(e) == from ? EdgeDir::kForward : EdgeDir::kBackward;
-    }
+    orient_trail(g, t, dir, orient);
   }
 
   // Π_e: red = edges leaving white (color-1) nodes.

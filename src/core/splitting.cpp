@@ -26,12 +26,6 @@ std::vector<int> canonical_two_coloring(const Graph& g) {
   return color;
 }
 
-int node_on_trail(const Trail& t, int pos) {
-  const int L = t.length();
-  if (t.closed) return t.nodes[static_cast<std::size_t>(((pos % L) + L) % L)];
-  return t.nodes[static_cast<std::size_t>(pos)];
-}
-
 }  // namespace
 
 SplittingEncoding encode_splitting_advice(const Graph& g, const SplittingParams& params) {
@@ -59,9 +53,9 @@ SplittingEncoding encode_splitting_advice(const Graph& g, const SplittingParams&
 
   // Payload: the 2-color of the marker's start node (bit 1 <=> color 2).
   auto payload_fn = [&](int t, int start) {
+    const int start_node = trails[static_cast<std::size_t>(t)].node_at(start);
     BitString b;
-    b.append(col[static_cast<std::size_t>(node_on_trail(trails[static_cast<std::size_t>(t)],
-                                                        start))] == 2);
+    b.append(col[static_cast<std::size_t>(start_node)] == 2);
     return b;
   };
   auto code = encode_trail_marks(g, trails, needs, payload_fn, 1, tp);
@@ -107,67 +101,16 @@ SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& 
       const int base = d->payload.bit(0) ? 2 : 1;
       for (int pos = 0; pos < L; ++pos) {
         const int parity = ((pos - d->marker_start) % 2 + 2) % 2;
-        res.node_color[static_cast<std::size_t>(node_on_trail(t, pos))] =
-            parity == 0 ? base : 3 - base;
+        res.node_color[static_cast<std::size_t>(t.node_at(pos))] = parity == 0 ? base : 3 - base;
       }
     }
-    for (int i = 0; i < L; ++i) {
-      const int a = node_on_trail(t, i);
-      const int b = node_on_trail(t, i + 1);
-      const int e = t.edges[static_cast<std::size_t>(i)];
-      const int from = dir > 0 ? a : b;
-      orient[static_cast<std::size_t>(e)] =
-          g.edge_u(e) == from ? EdgeDir::kForward : EdgeDir::kBackward;
-    }
+    orient_trail(g, t, dir, orient);
   }
 
-  // Color propagation from informed nodes; components with no informed node
-  // are gathered whole and colored canonically.
-  const auto comps = connected_components(g);
-  for (const auto& members : comps.members) {
-    std::vector<int> sources;
-    for (const int v : members) {
-      if (res.node_color[static_cast<std::size_t>(v)] != 0) sources.push_back(v);
-    }
-    if (sources.empty()) {
-      const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
-        return g.id(a) < g.id(b);
-      });
-      const LocalBfs bfs(g, root);
-      const int diam_bound = bfs.depth();
-      for (const int v : members) {
-        res.node_color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
-      }
-      LAD_CHECK_MSG(diam_bound <= params.gather_bound,
-                    "component without markers exceeds gather bound");
-      rounds = std::max(rounds, 2 * diam_bound);
-      continue;
-    }
-    const LocalBfs bfs(g, sources);
-    for (const int v : members) {
-      if (res.node_color[static_cast<std::size_t>(v)] != 0) continue;
-      // Walk to the nearest informed node; parity of the distance flips the
-      // color (bipartite).
-      const int d = bfs.dist(v);
-      // Find the informed neighbor chain: colors alternate along BFS layers.
-      // Equivalent: color = informed color flipped d times. We recover the
-      // informed color by walking back one BFS tree path.
-      int cur = v;
-      int steps = 0;
-      while (res.node_color[static_cast<std::size_t>(cur)] == 0) {
-        for (const int u : g.neighbors(cur)) {
-          if (bfs.dist(u) == bfs.dist(cur) - 1) {
-            cur = u;
-            break;
-          }
-        }
-        ++steps;
-      }
-      const int base = res.node_color[static_cast<std::size_t>(cur)];
-      res.node_color[static_cast<std::size_t>(v)] = (steps % 2 == 0) ? base : 3 - base;
-      rounds = std::max(rounds, walk_limit + d);
-    }
-  }
+  std::vector<std::vector<int>> too_deep;
+  rounds = std::max(rounds, propagate_splitting_colors(g, res.node_color, walk_limit,
+                                                       params.gather_bound, too_deep));
+  LAD_CHECK_MSG(too_deep.empty(), "component without markers exceeds gather bound");
 
   // Edge colors: an edge takes its tail's node color.
   for (int e = 0; e < g.m(); ++e) {
@@ -177,6 +120,52 @@ SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& 
   }
   res.rounds = rounds;
   return res;
+}
+
+int propagate_splitting_colors(const Graph& g, std::vector<int>& node_color, int walk_limit,
+                               int gather_bound, std::vector<std::vector<int>>& too_deep) {
+  int rounds = 0;
+  const auto comps = connected_components(g);
+  for (const auto& members : comps.members) {
+    std::vector<int> sources;
+    for (const int v : members) {
+      if (node_color[static_cast<std::size_t>(v)] != 0) sources.push_back(v);
+    }
+    if (sources.empty()) {
+      const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
+        return g.id(a) < g.id(b);
+      });
+      const LocalBfs bfs(g, root);
+      const int diam_bound = bfs.depth();
+      for (const int v : members) {
+        node_color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
+      }
+      if (diam_bound > gather_bound) too_deep.push_back(members);
+      rounds = std::max(rounds, 2 * diam_bound);
+      continue;
+    }
+    const LocalBfs bfs(g, sources);
+    for (const int v : members) {
+      if (node_color[static_cast<std::size_t>(v)] != 0) continue;
+      // Walk back one BFS tree path to the nearest informed node; the color
+      // flips once per step (bipartite).
+      int cur = v;
+      int steps = 0;
+      while (node_color[static_cast<std::size_t>(cur)] == 0) {
+        for (const int u : g.neighbors(cur)) {
+          if (bfs.dist(u) == bfs.dist(cur) - 1) {
+            cur = u;
+            break;
+          }
+        }
+        ++steps;
+      }
+      const int base = node_color[static_cast<std::size_t>(cur)];
+      node_color[static_cast<std::size_t>(v)] = (steps % 2 == 0) ? base : 3 - base;
+      rounds = std::max(rounds, walk_limit + bfs.dist(v));
+    }
+  }
+  return rounds;
 }
 
 EdgeColoringResult edge_color_bipartite_regular(const Graph& g, const SplittingParams& params) {

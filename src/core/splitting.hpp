@@ -45,6 +45,17 @@ struct SplittingDecodeResult {
 SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& bits,
                                        const SplittingParams& params = {});
 
+/// decode_splitting's parity propagation. Every node still uncolored (0) in
+/// `node_color` takes the color of the nearest colored node of its
+/// component, flipped once per hop (the graph is bipartite). A component
+/// with no colored node is gathered whole and colored by BFS parity from its
+/// smallest-ID node; the members of each such component deeper than
+/// `gather_bound` are appended to `too_deep`, one list per component.
+/// Returns the rounds charged: walk_limit plus the distance for a
+/// propagated node, twice the depth for a gathered component.
+int propagate_splitting_colors(const Graph& g, std::vector<int>& node_color, int walk_limit,
+                               int gather_bound, std::vector<std::vector<int>>& too_deep);
+
 /// Δ-edge-coloring of a bipartite Δ-regular graph, Δ = 2^k, by recursive
 /// splitting (each color class of Π_i is split again, log Δ levels). This is
 /// the *composable* schema of the paper's corollary: advice is a stack of

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "faults/guarded_pipeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "local/engine.hpp"
@@ -44,6 +43,40 @@ GridDims grid_dims(int n) {
   if (d.h % 2 != 0) ++d.h;
   d.h = std::max(d.h, 4);
   return d;
+}
+
+// Routes the injector's advice attack through the carrier's channel: bit
+// flips for uniform bits, schema-entry attacks for VarAdvice, label attacks
+// for per-node bit-strings.
+void corrupt_pipeline_advice(FaultInjector& inj, const Graph& g, PipelineAdvice& adv) {
+  switch (adv.carrier) {
+    case AdviceCarrier::kUniformBits:
+      inj.corrupt_bits(g, adv.bits);
+      return;
+    case AdviceCarrier::kVarSchema:
+      inj.corrupt_var_advice(g, adv.var);
+      return;
+    case AdviceCarrier::kNodeLabels:
+      inj.corrupt_advice(g, adv.labels);
+      return;
+  }
+  LAD_UNREACHABLE("unknown AdviceCarrier");
+}
+
+// Ground-truth verdict: did an invalid output slip through with zero
+// detection? For §1.5 the instance is regenerable on any ID-preserving
+// (sub)graph, so every guard-verified edge must carry the original
+// membership bit; a mismatch means the guard passed on a wrong label —
+// silent corruption by definition, whatever the report says.
+bool silent_corruption(PipelineId id, const Graph& g, const robust::GuardedOutcome& res,
+                       const PipelineConfig& cfg) {
+  if (id != PipelineId::kDecompress) return !res.report.output_valid && !res.report.degraded();
+  const auto truth = hashed_edge_membership(g, cfg.seed, cfg.decompress_density);
+  for (int e = 0; e < g.m(); ++e) {
+    const auto i = static_cast<std::size_t>(e);
+    if (res.output.edge_known[i] != 0 && res.output.edge_in_x[i] != truth[i]) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -274,7 +307,7 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
   sum.m = g0.m();
   sum.trials = config.trials;
 
-  const GuardedPipeline& gp = guarded_pipeline(config.decoder);
+  const Pipeline& p = pipeline(config.decoder);
   PipelineConfig pcfg;
   pcfg.seed = config.seed;
   pcfg.subexp = config.subexp;
@@ -284,7 +317,7 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
 
   // One-time encode on the pristine graph (the prover is centralized and
   // fault-free; the adversary acts between encode and decode).
-  const PipelineAdvice base_adv = gp.encode(g0, pcfg);
+  const PipelineAdvice base_adv = robust::guarded_encode(p, g0, pcfg);
 
   // One full trial: a pure function of (config, t) over shared-const state,
   // which is what makes the parallel path below byte-equivalent to serial.
@@ -300,9 +333,9 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
 
     PipelineAdvice adv = base_adv;
     if (plan.any_advice_faults()) corrupt_pipeline_advice(inj, g, adv);
-    GuardedOutcome res = gp.decode_guarded(g, adv, pcfg, config.policy);
-    const bool silent = gp.silent_corruption(g, res, pcfg);
-    const auto digests = gp.base().node_digests(g, res.output);
+    robust::GuardedOutcome res = robust::guarded_decode(p, g, adv, pcfg, config.policy);
+    const bool silent = silent_corruption(p.id(), g, res, pcfg);
+    const auto digests = p.node_digests(g, res.output);
     robust::RobustnessReport rep = std::move(res.report);
 
     // Fault accounting from the injector.

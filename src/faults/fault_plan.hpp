@@ -35,15 +35,6 @@
 
 namespace lad::faults {
 
-// The splitmix64 finalizer family all fault decisions are keyed on now
-// lives in util/hashing.hpp (the pipeline registry hashes instances with
-// the same primitives); re-exported here for the existing faults:: users.
-using ::lad::hash2;
-using ::lad::hash3;
-using ::lad::hash4;
-using ::lad::splitmix64;
-using ::lad::unit_from_hash;
-
 enum class AdviceFaultKind {
   kBitFlip,    // flip a few bits of the label in place
   kErasure,    // replace the label with the empty string

@@ -7,13 +7,14 @@
 #include <sstream>
 
 #include "advice/trailcode.hpp"
-#include "faults/fault_plan.hpp"
 #include "graph/components.hpp"
 #include "graph/distance.hpp"
 #include "graph/euler.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/solver.hpp"
+#include "obs/telemetry.hpp"
 #include "util/contracts.hpp"
+#include "util/hashing.hpp"
 
 namespace lad::robust {
 namespace {
@@ -23,44 +24,31 @@ void sort_unique(std::vector<int>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-// --- trail helpers (mirroring the §5 decoders) -----------------------------
-
-int num_trail_positions(const Trail& t) { return static_cast<int>(t.nodes.size()); }
-
-int node_on_trail(const Trail& t, int pos) {
-  const int sz = static_cast<int>(t.nodes.size());
-  return t.nodes[static_cast<std::size_t>(t.closed ? ((pos % sz) + sz) % sz : pos)];
-}
-
-void orient_trail(const Graph& g, const Trail& t, int direction, Orientation& o) {
-  for (int i = 0; i < t.length(); ++i) {
-    const int a = node_on_trail(t, i);
-    const int b = node_on_trail(t, i + 1);
-    const int e = t.edges[static_cast<std::size_t>(i)];
-    const int from = direction > 0 ? a : b;
-    o[static_cast<std::size_t>(e)] =
-        g.edge_u(e) == from ? EdgeDir::kForward : EdgeDir::kBackward;
-  }
-}
-
 // Consensus decode of one long trail: markers are sampled along the trail
-// and vote on the direction (and on the base-color payload bit when
-// present). Positions whose own nearest marker is missing or out-voted are
-// the *repaired* positions — in the LOCAL model these are exactly the nodes
-// whose ball was hit, so their count bounds the blast radius.
+// and vote on the direction (and, when markers carry a payload, on the
+// color it implies at position 0). Positions whose own nearest marker is
+// missing or out-voted are the *repaired* positions — in the LOCAL model
+// these are exactly the nodes whose ball was hit, so their count bounds the
+// blast radius.
 struct TrailRecovery {
   int direction = 0;       // resolved direction (+1 / -1)
-  int base_bit = -1;       // majority payload bit; -1 when no payload seen
-  int anchor_start = -1;   // marker_start of a consensus marker (parity anchor)
+  int base_bit = -1;       // majority color bit at position 0; -1 when no payload seen
   bool fallback = false;   // no marker decoded anywhere -> canonical direction
   bool disagreement = false;
   std::vector<int> bad_positions;
 };
 
+// A splitting marker's payload is the color bit of its own start node, so
+// markers whose starts differ in parity carry different bits on clean
+// advice. Their vote is the color bit they imply at position 0.
+int position0_bit(const TrailDecode& d) {
+  return (d.payload.bit(0) ? 1 : 0) ^ (d.marker_start & 1);
+}
+
 TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<char>& bits,
                             int walk_limit, int samples) {
   TrailRecovery rec;
-  const int positions = num_trail_positions(t);
+  const int positions = t.positions();
   const int step = std::max(1, positions / std::max(1, samples));
 
   int votes_fwd = 0;
@@ -71,7 +59,7 @@ TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<ch
     const auto d = decode_trail_mark(g, t, pos, bits, walk_limit);
     if (!d.has_value()) continue;
     (d->direction > 0 ? votes_fwd : votes_bwd) += 1;
-    if (!d->payload.empty()) (d->payload.bit(0) ? payload_one : payload_zero) += 1;
+    if (!d->payload.empty()) (position0_bit(*d) != 0 ? payload_one : payload_zero) += 1;
   }
 
   if (votes_fwd == 0 && votes_bwd == 0) {
@@ -93,12 +81,8 @@ TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<ch
     const auto d = decode_trail_mark(g, t, pos, bits, walk_limit);
     const bool agrees = d.has_value() && d->direction == rec.direction &&
                         (rec.base_bit < 0 || d->payload.empty() ||
-                         (d->payload.bit(0) ? 1 : 0) == rec.base_bit);
-    if (!agrees) {
-      rec.bad_positions.push_back(pos);
-      continue;
-    }
-    if (rec.anchor_start < 0) rec.anchor_start = d->marker_start;
+                         position0_bit(*d) == rec.base_bit);
+    if (!agrees) rec.bad_positions.push_back(pos);
   }
   return rec;
 }
@@ -491,13 +475,20 @@ std::string RobustnessReport::to_string() const {
   return os.str();
 }
 
+namespace {
+
 // --- orientation ------------------------------------------------------------
 
-GuardedOrientation guarded_decode_orientation(const Graph& g, const std::vector<char>& bits,
-                                              const OrientationParams& params,
-                                              const RepairPolicy& policy) {
-  GuardedOrientation out;
-  out.report.decoder = "orientation";
+// §5 orientation decoder hardened by marker consensus: every long trail is
+// decoded at sampled positions, the majority direction wins, and positions
+// whose nearest marker is missing or disagrees are repaired from the
+// consensus; a trail with no decodable marker at all falls back to the
+// advice-free canonical direction (still a valid orientation).
+GuardedOutcome guarded_decode_orientation(const Graph& g, const std::vector<char>& bits,
+                                          const OrientationParams& params,
+                                          const RepairPolicy& policy) {
+  GuardedOutcome out;
+  Orientation& orientation = out.output.orientation;
   const auto b = normalize_bits(g, bits, out.report);
 
   TrailCodeParams tp;
@@ -505,38 +496,34 @@ GuardedOrientation guarded_decode_orientation(const Graph& g, const std::vector<
   tp.jitter = params.marker_jitter;
   const int walk_limit = trail_walk_limit(tp, trail_marker_length(BitString{}));
 
-  out.orientation.assign(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
+  orientation.assign(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
   int rounds = 0;
   for (const auto& t : euler_partition(g)) {
     if (t.length() <= params.short_trail_threshold) {
-      orient_trail(g, t, canonical_trail_direction(g, t) ? +1 : -1, out.orientation);
+      orient_trail(g, t, canonical_trail_direction(g, t) ? +1 : -1, orientation);
       rounds = std::max(rounds, t.length());
       continue;
     }
     const auto rec = recover_trail(g, t, b, walk_limit, policy.trail_samples);
     if (rec.fallback || rec.disagreement) ++out.report.detected_violations;
-    orient_trail(g, t, rec.direction, out.orientation);
-    for (const int pos : rec.bad_positions) {
-      out.report.repaired_nodes.push_back(node_on_trail(t, pos));
-    }
-    rounds = std::max(rounds, rec.fallback ? num_trail_positions(t) : walk_limit);
+    orient_trail(g, t, rec.direction, orientation);
+    for (const int pos : rec.bad_positions) out.report.repaired_nodes.push_back(t.node_at(pos));
+    rounds = std::max(rounds, rec.fallback ? t.positions() : walk_limit);
   }
   sort_unique(out.report.repaired_nodes);
 
   for (int v = 0; v < g.n(); ++v) {
-    if (std::abs(out_degree(g, out.orientation, v) - in_degree(g, out.orientation, v)) > 1) {
+    if (std::abs(out_degree(g, orientation, v) - in_degree(g, orientation, v)) > 1) {
       out.report.rejecting_nodes.push_back(v);
     }
   }
   out.report.residual_violations = static_cast<int>(out.report.rejecting_nodes.size());
-  out.report.output_valid = is_balanced_orientation(g, out.orientation, 1);
+  out.report.output_valid = is_balanced_orientation(g, orientation, 1);
   out.report.rounds = rounds;
   return out;
 }
 
 // --- splitting --------------------------------------------------------------
-
-namespace {
 
 /// Degree splitting as an LCL for local repair: incident red/blue edge
 /// counts equal at every node (degrees must be even for feasibility).
@@ -556,13 +543,16 @@ class SplittingLcl final : public LclProblem {
   }
 };
 
-}  // namespace
-
-GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char>& bits,
-                                          const SplittingParams& params,
-                                          const RepairPolicy& policy) {
-  GuardedSplitting out;
-  out.report.decoder = "splitting";
+// §5-ext splitting decoder hardened by marker consensus (direction and the
+// color implied at position 0 both voted), then decode_splitting's parity
+// propagation, per-node balance verification and local edge-color repair
+// with the exact solver.
+GuardedOutcome guarded_decode_splitting(const Graph& g, const std::vector<char>& bits,
+                                        const SplittingParams& params,
+                                        const RepairPolicy& policy) {
+  GuardedOutcome out;
+  std::vector<int>& edge_color = out.output.edge_color;
+  std::vector<int>& node_color = out.output.node_color;
   const auto b = normalize_bits(g, bits, out.report);
 
   TrailCodeParams tp;
@@ -572,13 +562,12 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
   one_bit.append(true);
   const int walk_limit = trail_walk_limit(tp, trail_marker_length(one_bit));
 
-  const auto trails = euler_partition(g);
-  out.edge_color.assign(static_cast<std::size_t>(g.m()), 0);
-  out.node_color.assign(static_cast<std::size_t>(g.n()), 0);
+  edge_color.assign(static_cast<std::size_t>(g.m()), 0);
+  node_color.assign(static_cast<std::size_t>(g.n()), 0);
   Orientation orient(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
 
   int rounds = 0;
-  for (const auto& t : trails) {
+  for (const auto& t : euler_partition(g)) {
     const int L = t.length();
     if (L <= params.orientation.short_trail_threshold) {
       orient_trail(g, t, canonical_trail_direction(g, t) ? +1 : -1, orient);
@@ -588,15 +577,10 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
     const auto rec = recover_trail(g, t, b, walk_limit, policy.trail_samples);
     if (rec.fallback || rec.disagreement) ++out.report.detected_violations;
     orient_trail(g, t, rec.direction, orient);
-    for (const int pos : rec.bad_positions) {
-      out.report.repaired_nodes.push_back(node_on_trail(t, pos));
-    }
-    if (!rec.fallback && rec.base_bit >= 0 && rec.anchor_start >= 0) {
-      const int base = rec.base_bit != 0 ? 2 : 1;
+    for (const int pos : rec.bad_positions) out.report.repaired_nodes.push_back(t.node_at(pos));
+    if (!rec.fallback && rec.base_bit >= 0) {
       for (int pos = 0; pos < L; ++pos) {
-        const int parity = ((pos - rec.anchor_start) % 2 + 2) % 2;
-        out.node_color[static_cast<std::size_t>(node_on_trail(t, pos))] =
-            parity == 0 ? base : 3 - base;
+        node_color[static_cast<std::size_t>(t.node_at(pos))] = 1 + (rec.base_bit ^ (pos % 2));
       }
     } else if (!rec.fallback) {
       // Direction recovered but no trustworthy base color: the trail's
@@ -606,94 +590,59 @@ GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char
     rounds = std::max(rounds, walk_limit);
   }
 
-  // Parity propagation from informed nodes (mirrors decode_splitting, with
-  // the gather-bound failure downgraded to a detected + repaired event).
-  const auto comps = connected_components(g);
-  for (const auto& members : comps.members) {
-    std::vector<int> sources;
-    for (const int v : members) {
-      if (out.node_color[static_cast<std::size_t>(v)] != 0) sources.push_back(v);
-    }
-    if (sources.empty()) {
-      const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
-        return g.id(a) < g.id(b);
-      });
-      const LocalBfs bfs(g, root);
-      const int diam_bound = bfs.depth();
-      for (const int v : members) {
-        out.node_color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
-      }
-      if (diam_bound > params.gather_bound) {
-        ++out.report.detected_violations;
-        for (const int v : members) out.report.repaired_nodes.push_back(v);
-      }
-      rounds = std::max(rounds, 2 * diam_bound);
-      continue;
-    }
-    const LocalBfs bfs(g, sources);
-    for (const int v : members) {
-      if (out.node_color[static_cast<std::size_t>(v)] != 0) continue;
-      int cur = v;
-      int steps = 0;
-      while (out.node_color[static_cast<std::size_t>(cur)] == 0) {
-        for (const int u : g.neighbors(cur)) {
-          if (bfs.dist(u) == bfs.dist(cur) - 1) {
-            cur = u;
-            break;
-          }
-        }
-        ++steps;
-      }
-      const int base = out.node_color[static_cast<std::size_t>(cur)];
-      out.node_color[static_cast<std::size_t>(v)] = (steps % 2 == 0) ? base : 3 - base;
-      rounds = std::max(rounds, walk_limit + bfs.dist(v));
-    }
+  // A marker-less component too deep to gather is a detection here, where
+  // the strict decoder rejects the advice.
+  std::vector<std::vector<int>> too_deep;
+  rounds = std::max(rounds, propagate_splitting_colors(g, node_color, walk_limit,
+                                                       params.gather_bound, too_deep));
+  for (const auto& members : too_deep) {
+    ++out.report.detected_violations;
+    for (const int v : members) out.report.repaired_nodes.push_back(v);
   }
 
   for (int e = 0; e < g.m(); ++e) {
     const int tail =
         orient[static_cast<std::size_t>(e)] == EdgeDir::kForward ? g.edge_u(e) : g.edge_v(e);
-    out.edge_color[static_cast<std::size_t>(e)] = out.node_color[static_cast<std::size_t>(tail)];
+    edge_color[static_cast<std::size_t>(e)] = node_color[static_cast<std::size_t>(tail)];
   }
 
   // Independent per-node balance verification + local edge-color repair.
   const SplittingLcl problem;
   Labeling lab = Labeling::empty(g);
-  lab.edge_labels = out.edge_color;
+  lab.edge_labels = edge_color;
   auto bad = lcl_rejecting_nodes(g, problem, lab);
   out.report.rejecting_nodes = bad;
   if (!bad.empty()) {
     repair_labeling_locally(g, problem, lab, bad, policy, out.report);
-    out.edge_color = lab.edge_labels;
+    edge_color = lab.edge_labels;
     for (int e = 0; e < g.m(); ++e) {
-      if (out.edge_color[static_cast<std::size_t>(e)] == -1) {
-        out.edge_color[static_cast<std::size_t>(e)] = 0;  // flagged scope: explicit
+      if (edge_color[static_cast<std::size_t>(e)] == -1) {
+        edge_color[static_cast<std::size_t>(e)] = 0;  // flagged scope: explicit
       }
     }
   }
 
   // Residuals: rejecting nodes outside the flagged scope.
-  lab.edge_labels = out.edge_color;
+  lab.edge_labels = edge_color;
   out.report.residual_violations += count_residuals(
       g, problem, lcl_rejecting_nodes(g, problem, lab), out.report.flagged_nodes);
   out.report.output_valid = out.report.residual_violations == 0 &&
-                            out.report.flagged_nodes.empty() && is_splitting(g, out.edge_color);
+                            out.report.flagged_nodes.empty() && is_splitting(g, edge_color);
   out.report.rounds = rounds;
   return out;
 }
 
 // --- coloring (shared tail for §6 / §7) -------------------------------------
 
-namespace {
-
 // Verification + local recoloring repair + residual accounting shared by
-// the two coloring decoders. `coloring` uses 0 for unassigned.
+// the two coloring decoders. out.output.node_color uses 0 for unassigned.
 void finish_guarded_coloring(const Graph& g, int num_colors, const std::vector<int>& failed,
-                             const RepairPolicy& policy, GuardedColoring& out) {
+                             const RepairPolicy& policy, GuardedOutcome& out) {
+  std::vector<int>& coloring = out.output.node_color;
   const VertexColoringLcl problem(num_colors);
   Labeling lab = Labeling::empty(g);
   for (int v = 0; v < g.n(); ++v) {
-    const int c = out.coloring[static_cast<std::size_t>(v)];
+    const int c = coloring[static_cast<std::size_t>(v)];
     lab.node_labels[static_cast<std::size_t>(v)] = (c >= 1 && c <= num_colors) ? c : -1;
   }
   auto bad = lcl_rejecting_nodes(g, problem, lab);
@@ -704,35 +653,34 @@ void finish_guarded_coloring(const Graph& g, int num_colors, const std::vector<i
 
   for (int v = 0; v < g.n(); ++v) {
     const int l = lab.node_labels[static_cast<std::size_t>(v)];
-    out.coloring[static_cast<std::size_t>(v)] = l == -1 ? 0 : l;
+    coloring[static_cast<std::size_t>(v)] = l == -1 ? 0 : l;
   }
 
   out.report.residual_violations += count_residuals(
       g, problem, lcl_rejecting_nodes(g, problem, lab), out.report.flagged_nodes);
   out.report.output_valid = out.report.residual_violations == 0 &&
                             out.report.flagged_nodes.empty() &&
-                            is_proper_coloring(g, out.coloring, num_colors);
+                            is_proper_coloring(g, coloring, num_colors);
 }
 
-}  // namespace
-
-GuardedColoring guarded_decode_three_coloring(const Graph& g, const std::vector<char>& bits,
-                                              const ThreeColoringParams& params,
-                                              const RepairPolicy& policy) {
-  GuardedColoring out;
-  out.report.decoder = "three_coloring";
+// §7 three-coloring decoder via the tolerant decode, proper-coloring
+// verification, and local recoloring repair.
+GuardedOutcome guarded_decode_three_coloring(const Graph& g, const std::vector<char>& bits,
+                                             const ThreeColoringParams& params,
+                                             const RepairPolicy& policy) {
+  GuardedOutcome out;
   const auto b = normalize_bits(g, bits, out.report);
 
   std::vector<char> failed_mask;
   std::vector<int> failed;
   try {
     auto res = decode_three_coloring_tolerant(g, b, failed_mask, params);
-    out.coloring = std::move(res.coloring);
+    out.output.node_color = std::move(res.coloring);
     out.report.rounds = res.rounds;
   } catch (const ContractViolation&) {
     // No per-node containment possible: advice-free from here.
     ++out.report.detected_violations;
-    out.coloring.assign(static_cast<std::size_t>(g.n()), 0);
+    out.output.node_color.assign(static_cast<std::size_t>(g.n()), 0);
     failed_mask.assign(static_cast<std::size_t>(g.n()), 1);
   }
   for (int v = 0; v < g.n(); ++v) {
@@ -744,11 +692,15 @@ GuardedColoring guarded_decode_three_coloring(const Graph& g, const std::vector<
   return out;
 }
 
-GuardedColoring guarded_decode_delta_coloring(const Graph& g, const VarAdvice& advice,
-                                              const DeltaColoringParams& params,
-                                              const RepairPolicy& policy) {
-  GuardedColoring out;
-  out.report.decoder = "delta_coloring";
+// §6 Δ-coloring decoder: the VarAdvice is sanitized entry-by-entry (every
+// malformed schema entry is dropped and counted as a detection) before the
+// decoder — whose own repair machinery handles the resulting uncolored
+// nodes — runs; a final proper-coloring verification and local recoloring
+// pass covers whatever remains.
+GuardedOutcome guarded_decode_delta_coloring(const Graph& g, const VarAdvice& advice,
+                                             const DeltaColoringParams& params,
+                                             const RepairPolicy& policy) {
+  GuardedOutcome out;
   const int delta = std::max(1, g.max_degree());
 
   // Staged degradation: full advice, then entry-sanitized advice, then
@@ -801,7 +753,7 @@ GuardedColoring guarded_decode_delta_coloring(const Graph& g, const VarAdvice& a
     }
     try {
       auto res = decode_delta_coloring(g, *input, params);
-      out.coloring = std::move(res.coloring);
+      out.output.node_color = std::move(res.coloring);
       out.report.rounds = res.rounds;
       decoded = true;
     } catch (const ContractViolation&) {
@@ -810,7 +762,7 @@ GuardedColoring guarded_decode_delta_coloring(const Graph& g, const VarAdvice& a
   }
   if (!decoded) {
     // Advice-free: everything is a repair region.
-    out.coloring.assign(static_cast<std::size_t>(g.n()), 0);
+    out.output.node_color.assign(static_cast<std::size_t>(g.n()), 0);
     for (int v = 0; v < g.n(); ++v) failed.push_back(v);
   }
 
@@ -820,22 +772,24 @@ GuardedColoring guarded_decode_delta_coloring(const Graph& g, const VarAdvice& a
 
 // --- subexponential-growth LCL ---------------------------------------------
 
-GuardedLcl guarded_decode_subexp_lcl(const Graph& g, const LclProblem& p,
-                                     const std::vector<char>& bits,
-                                     const SubexpLclParams& params,
-                                     const RepairPolicy& policy) {
-  GuardedLcl out;
-  out.report.decoder = "subexp_lcl";
+// §4 subexponential-growth LCL decoder via the tolerant decode, per-node
+// valid_at verification, and local region repair.
+GuardedOutcome guarded_decode_subexp_lcl(const Graph& g, const LclProblem& p,
+                                         const std::vector<char>& bits,
+                                         const SubexpLclParams& params,
+                                         const RepairPolicy& policy) {
+  GuardedOutcome out;
+  Labeling& labeling = out.output.labeling;
   const auto b = normalize_bits(g, bits, out.report);
 
   std::vector<char> failed_mask;
   try {
     auto res = decode_subexp_lcl_tolerant(g, p, b, failed_mask, params);
-    out.labeling = std::move(res.labeling);
+    labeling = std::move(res.labeling);
     out.report.rounds = res.rounds;
   } catch (const ContractViolation&) {
     ++out.report.detected_violations;
-    out.labeling = Labeling::empty(g);
+    labeling = Labeling::empty(g);
     failed_mask.assign(static_cast<std::size_t>(g.n()), 1);
   }
   std::vector<int> failed;
@@ -844,23 +798,24 @@ GuardedLcl guarded_decode_subexp_lcl(const Graph& g, const LclProblem& p,
   }
   out.report.detected_violations += static_cast<long long>(failed.size());
 
-  auto bad = lcl_rejecting_nodes(g, p, out.labeling);
+  auto bad = lcl_rejecting_nodes(g, p, labeling);
   out.report.rejecting_nodes = bad;
   for (const int v : failed) bad.push_back(v);
   sort_unique(bad);
-  if (!bad.empty()) repair_labeling_locally(g, p, out.labeling, bad, policy, out.report);
+  if (!bad.empty()) repair_labeling_locally(g, p, labeling, bad, policy, out.report);
 
   out.report.residual_violations += count_residuals(
-      g, p, lcl_rejecting_nodes(g, p, out.labeling), out.report.flagged_nodes);
+      g, p, lcl_rejecting_nodes(g, p, labeling), out.report.flagged_nodes);
   out.report.output_valid = out.report.residual_violations == 0 &&
                             out.report.flagged_nodes.empty() &&
-                            is_valid_labeling(g, p, out.labeling);
+                            is_valid_labeling(g, p, labeling);
   return out;
 }
 
 // --- edge-set decompression -------------------------------------------------
 
-namespace {
+// Bits the guarded compressor appends to every §1.5 label.
+constexpr int kDecompressGuardBits = 16;
 
 // 16-bit integrity guard over (node ID, orientation bit, out-neighbor IDs,
 // membership bits). Covering the out-neighbor IDs ties the label to the
@@ -869,61 +824,51 @@ namespace {
 // caught here instead of silently re-targeting memberships.
 std::uint16_t label_guard(const Graph& g, int v, bool orientation_bit,
                           const std::vector<int>& out_edges, const BitString& memberships) {
-  std::uint64_t h = faults::hash3(0x9uLL + 0xDECuLL, static_cast<std::uint64_t>(g.id(v)),
-                                  orientation_bit ? 1 : 0);
+  std::uint64_t h =
+      hash3(0x9uLL + 0xDECuLL, static_cast<std::uint64_t>(g.id(v)), orientation_bit ? 1 : 0);
   for (const int e : out_edges) {
-    h = faults::hash2(h, static_cast<std::uint64_t>(g.id(g.other_endpoint(e, v))));
+    h = hash2(h, static_cast<std::uint64_t>(g.id(g.other_endpoint(e, v))));
   }
   for (int i = 0; i < memberships.size(); ++i) {
-    h = faults::hash2(h, memberships.bit(i) ? 2 : 1);
+    h = hash2(h, memberships.bit(i) ? 2 : 1);
   }
   return static_cast<std::uint16_t>(h & 0xffffu);
 }
 
-std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int v) {
-  std::vector<int> out;
-  for (const int e : g.incident_edges(v)) {
-    const bool outgoing =
-        (o[static_cast<std::size_t>(e)] == EdgeDir::kForward && g.edge_u(e) == v) ||
-        (o[static_cast<std::size_t>(e)] == EdgeDir::kBackward && g.edge_v(e) == v);
-    if (outgoing) out.push_back(e);
-  }
-  return out;
-}
-
-}  // namespace
-
-CompressedEdgeSet guarded_compress_edge_set(const Graph& g, const std::vector<char>& in_x,
-                                            const OrientationParams& params) {
-  CompressedEdgeSet c = compress_edge_set(g, in_x, params);
-  const auto dec = decode_orientation(
-      g, [&] {
-        std::vector<char> bits(static_cast<std::size_t>(g.n()), 0);
-        for (int v = 0; v < g.n(); ++v) {
-          bits[static_cast<std::size_t>(v)] = c.labels[static_cast<std::size_t>(v)].bit(0);
-        }
-        return bits;
-      }(),
-      params);
+// The §1.5 compressor plus one label_guard per label.
+Advice guarded_compress_edge_set(const Graph& g, const std::vector<char>& in_x,
+                                 const OrientationParams& params) {
+  Advice labels = compress_edge_set(g, in_x, params).labels;
+  std::vector<char> bits(static_cast<std::size_t>(g.n()), 0);
   for (int v = 0; v < g.n(); ++v) {
-    BitString& label = c.labels[static_cast<std::size_t>(v)];
+    bits[static_cast<std::size_t>(v)] = labels[static_cast<std::size_t>(v)].bit(0);
+  }
+  const auto dec = decode_orientation(g, bits, params);
+  for (int v = 0; v < g.n(); ++v) {
+    BitString& label = labels[static_cast<std::size_t>(v)];
     const auto out = outgoing_edges_sorted(g, dec.orientation, v);
     BitString memberships;
     for (int i = 0; i < static_cast<int>(out.size()); ++i) memberships.append(label.bit(1 + i));
     const std::uint16_t guard = label_guard(g, v, label.bit(0), out, memberships);
     label.append(BitString::fixed_width(guard, kDecompressGuardBits));
   }
-  return c;
+  return labels;
 }
 
-GuardedDecompress guarded_decompress_edge_set(const Graph& g, const CompressedEdgeSet& c,
-                                              const RepairPolicy& policy) {
-  GuardedDecompress out;
-  out.report.decoder = "decompress";
-  out.in_x.assign(static_cast<std::size_t>(g.m()), 0);
-  out.edge_known.assign(static_cast<std::size_t>(g.m()), 0);
+// §1.5 decompressor: the orientation bits go through the guarded orientation
+// decoder, then every label's guard is verified. Membership bits cannot be
+// repaired, only surfaced, so a label that fails its guard is flagged and
+// its edges reported unknown.
+GuardedOutcome guarded_decompress_edge_set(const Graph& g, const Advice& labels,
+                                           const OrientationParams& params,
+                                           const RepairPolicy& policy) {
+  GuardedOutcome out;
+  std::vector<char>& in_x = out.output.edge_in_x;
+  std::vector<char>& edge_known = out.output.edge_known;
+  in_x.assign(static_cast<std::size_t>(g.m()), 0);
+  edge_known.assign(static_cast<std::size_t>(g.m()), 0);
 
-  if (static_cast<int>(c.labels.size()) != g.n()) {
+  if (static_cast<int>(labels.size()) != g.n()) {
     // Labels cannot be aligned to nodes at all: everything is flagged.
     ++out.report.detected_violations;
     for (int v = 0; v < g.n(); ++v) out.report.flagged_nodes.push_back(v);
@@ -934,7 +879,7 @@ GuardedDecompress guarded_decompress_edge_set(const Graph& g, const CompressedEd
 
   std::vector<char> advice_bits(static_cast<std::size_t>(g.n()), 0);
   for (int v = 0; v < g.n(); ++v) {
-    const BitString& label = c.labels[static_cast<std::size_t>(v)];
+    const BitString& label = labels[static_cast<std::size_t>(v)];
     if (label.empty()) {
       ++out.report.detected_violations;
       out.report.rejecting_nodes.push_back(v);
@@ -943,13 +888,13 @@ GuardedDecompress guarded_decompress_edge_set(const Graph& g, const CompressedEd
     advice_bits[static_cast<std::size_t>(v)] = label.bit(0) ? 1 : 0;
   }
 
-  auto oriented = guarded_decode_orientation(g, advice_bits, c.orientation_params, policy);
+  const auto oriented = guarded_decode_orientation(g, advice_bits, params, policy);
   out.report.detected_violations += oriented.report.detected_violations;
   for (const int v : oriented.report.repaired_nodes) out.report.repaired_nodes.push_back(v);
 
   for (int v = 0; v < g.n(); ++v) {
-    const BitString& label = c.labels[static_cast<std::size_t>(v)];
-    const auto outgoing = outgoing_edges_sorted(g, oriented.orientation, v);
+    const BitString& label = labels[static_cast<std::size_t>(v)];
+    const auto outgoing = outgoing_edges_sorted(g, oriented.output.orientation, v);
     const int expected = 1 + static_cast<int>(outgoing.size()) + kDecompressGuardBits;
     bool ok = label.size() == expected;
     BitString memberships;
@@ -970,8 +915,8 @@ GuardedDecompress guarded_decompress_edge_set(const Graph& g, const CompressedEd
       continue;
     }
     for (int i = 0; i < static_cast<int>(outgoing.size()); ++i) {
-      out.in_x[static_cast<std::size_t>(outgoing[i])] = memberships.bit(i) ? 1 : 0;
-      out.edge_known[static_cast<std::size_t>(outgoing[i])] = 1;
+      in_x[static_cast<std::size_t>(outgoing[i])] = memberships.bit(i) ? 1 : 0;
+      edge_known[static_cast<std::size_t>(outgoing[i])] = 1;
     }
   }
   sort_unique(out.report.rejecting_nodes);
@@ -980,11 +925,72 @@ GuardedDecompress guarded_decompress_edge_set(const Graph& g, const CompressedEd
 
   int unknown = 0;
   for (int e = 0; e < g.m(); ++e) {
-    if (!out.edge_known[static_cast<std::size_t>(e)]) ++unknown;
+    if (!edge_known[static_cast<std::size_t>(e)]) ++unknown;
   }
   out.report.residual_violations = 0;  // unknown edges are flagged, not residual
   out.report.output_valid = unknown == 0 && out.report.flagged_nodes.empty();
   out.report.rounds = oriented.report.rounds + 1;
+  return out;
+}
+
+}  // namespace
+
+// --- the registry entry points ----------------------------------------------
+
+PipelineAdvice guarded_encode(const Pipeline& p, const Graph& g, const PipelineConfig& cfg) {
+  if (p.id() != PipelineId::kDecompress) return p.encode(g, cfg);
+  PipelineAdvice adv;
+  adv.carrier = AdviceCarrier::kNodeLabels;
+  adv.labels = guarded_compress_edge_set(
+      g, hashed_edge_membership(g, cfg.seed, cfg.decompress_density), cfg.orientation);
+  return adv;
+}
+
+// The one telemetry point for all six guarded decoders. The detection and
+// repair counters are folded from the finished report, so the accounting can
+// never influence the decode it describes.
+GuardedOutcome guarded_decode(const Pipeline& p, const Graph& g, const PipelineAdvice& adv,
+                              const PipelineConfig& cfg, const RepairPolicy& policy) {
+  LAD_TM_SPAN(span, std::string("guarded.decode/") + p.name(), "guarded");
+  GuardedOutcome out;
+  switch (p.id()) {
+    case PipelineId::kOrientation:
+      out = guarded_decode_orientation(g, adv.bits, cfg.orientation, policy);
+      break;
+    case PipelineId::kSplitting:
+      out = guarded_decode_splitting(g, adv.bits, cfg.splitting, policy);
+      break;
+    case PipelineId::kThreeColoring:
+      out = guarded_decode_three_coloring(g, adv.bits, cfg.three_coloring, policy);
+      break;
+    case PipelineId::kDeltaColoring:
+      out = guarded_decode_delta_coloring(g, adv.var, cfg.delta_coloring, policy);
+      break;
+    case PipelineId::kSubexpLcl:
+      out = guarded_decode_subexp_lcl(g, subexp_demo_lcl(), adv.bits, cfg.subexp, policy);
+      break;
+    case PipelineId::kDecompress:
+      out = guarded_decompress_edge_set(g, adv.labels, cfg.orientation, policy);
+      break;
+  }
+  out.report.decoder = p.name();
+  out.output.rounds = out.report.rounds;
+  LAD_TM({
+    auto& m = obs::core();
+    const auto& r = out.report;
+    m.guard_detections.add(r.detected_violations);
+    m.repaired_nodes.add(static_cast<long long>(r.repaired_nodes.size()));
+    m.degraded_nodes.add(static_cast<long long>(r.degraded_nodes.size()));
+    m.flagged_nodes.add(static_cast<long long>(r.flagged_nodes.size()));
+    m.repair_regions.add(static_cast<long long>(r.regions.size()));
+    m.repair_retries.add(r.degradation.retries);
+    m.repair_budget_exhausted.add(r.degradation.budget_exhausted);
+    m.repair_deadline_exhausted.add(r.degradation.deadline_exhausted);
+    for (const auto& region : r.regions) {
+      m.repair_region_radius.observe(region.radius);
+      if (region.radius > 1) m.repair_escalations.add(1);
+    }
+  });
   return out;
 }
 

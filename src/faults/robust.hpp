@@ -23,7 +23,7 @@
 // silent corruption. `lad bench r1` measures the blast radius (the farthest
 // repaired or flagged node from a fault site) at two sizes 4x apart: on
 // grids it moves by at most 3, but on cycles it grows with n for the
-// trail-based decoders (orientation 0 -> 33, splitting 57 -> 95, decompress
+// trail-based decoders (orientation 0 -> 33, splitting 21 -> 95, decompress
 // 10 -> 20 from n = 200 to 800), so repairs are not constant-radius in
 // general.
 #pragma once
@@ -32,14 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "advice/schema.hpp"
-#include "core/decompress.hpp"
-#include "core/delta_coloring.hpp"
-#include "core/orientation.hpp"
-#include "core/splitting.hpp"
-#include "core/subexp_lcl.hpp"
-#include "core/three_coloring.hpp"
-#include "graph/checkers.hpp"
+#include "core/pipeline.hpp"
 #include "graph/graph.hpp"
 #include "lcl/lcl.hpp"
 
@@ -195,90 +188,29 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
                              const std::vector<int>& bad_nodes, const RepairPolicy& policy,
                              RobustnessReport& report);
 
-// ---------------------------------------------------------------------------
-// Guarded decoders, one per paper decoder.
-
-struct GuardedOrientation {
-  Orientation orientation;
+/// A guarded decode's result: the registry's uniform output plus the run's
+/// accounting.
+struct GuardedOutcome {
+  PipelineOutput output;
   RobustnessReport report;
 };
 
-/// §5 orientation decoder hardened by marker consensus: every long trail is
-/// decoded at sampled positions, the majority direction wins, and positions
-/// whose nearest marker is missing or disagrees are repaired from the
-/// consensus; a trail with no decodable marker at all falls back to the
-/// advice-free canonical direction (still a valid orientation).
-GuardedOrientation guarded_decode_orientation(const Graph& g, const std::vector<char>& bits,
-                                              const OrientationParams& params = {},
-                                              const RepairPolicy& policy = {});
+/// The guarded prover: p's encode, except that §1.5 appends a 16-bit
+/// integrity guard to every label (a hash of node ID, orientation bit,
+/// out-neighbor IDs and membership bits). Membership bits carry zero
+/// redundancy, so without the guard a byzantine rewrite of them would be
+/// undetectable.
+PipelineAdvice guarded_encode(const Pipeline& p, const Graph& g, const PipelineConfig& cfg);
 
-struct GuardedSplitting {
-  std::vector<int> edge_color;  // 1 = red, 2 = blue
-  std::vector<int> node_color;
-  RobustnessReport report;
-};
-
-/// §5-ext splitting decoder hardened by marker consensus (direction and
-/// base-color payload both voted), then per-node balance verification and
-/// local edge-color repair with the exact solver.
-GuardedSplitting guarded_decode_splitting(const Graph& g, const std::vector<char>& bits,
-                                          const SplittingParams& params = {},
-                                          const RepairPolicy& policy = {});
-
-struct GuardedColoring {
-  std::vector<int> coloring;
-  RobustnessReport report;
-};
-
-/// §7 three-coloring decoder via the tolerant decode, proper-coloring
-/// verification, and local recoloring repair.
-GuardedColoring guarded_decode_three_coloring(const Graph& g, const std::vector<char>& bits,
-                                              const ThreeColoringParams& params = {},
-                                              const RepairPolicy& policy = {});
-
-/// §6 Δ-coloring decoder: the VarAdvice is sanitized entry-by-entry (every
-/// malformed schema entry is dropped and counted as a detection) before the
-/// decoder — whose own repair machinery handles the resulting uncolored
-/// nodes — runs; a final proper-coloring verification and local recoloring
-/// pass covers whatever remains.
-GuardedColoring guarded_decode_delta_coloring(const Graph& g, const VarAdvice& advice,
-                                              const DeltaColoringParams& params = {},
-                                              const RepairPolicy& policy = {});
-
-struct GuardedLcl {
-  Labeling labeling;
-  RobustnessReport report;
-};
-
-/// §4 subexponential-growth LCL decoder via the tolerant decode, per-node
-/// valid_at verification, and local region repair.
-GuardedLcl guarded_decode_subexp_lcl(const Graph& g, const LclProblem& p,
-                                     const std::vector<char>& bits,
-                                     const SubexpLclParams& params = {},
-                                     const RepairPolicy& policy = {});
-
-// ---------------------------------------------------------------------------
-// §1.5 edge-set compression. Membership bits carry zero redundancy, so a
-// byzantine rewrite is information-theoretically undetectable from the base
-// format; the guarded compressor therefore appends a 16-bit integrity guard
-// (hash of node ID, orientation bit, and membership bits) per label. The
-// guarded decompressor verifies it and *flags* edges whose label failed —
-// membership cannot be repaired, only surfaced; guessing would be silent
-// corruption.
-
-/// Bits appended to every label by the guarded compressor.
-inline constexpr int kDecompressGuardBits = 16;
-
-CompressedEdgeSet guarded_compress_edge_set(const Graph& g, const std::vector<char>& in_x,
-                                            const OrientationParams& params = {});
-
-struct GuardedDecompress {
-  std::vector<char> in_x;        // membership; meaningful where edge_known
-  std::vector<char> edge_known;  // per edge: recovered and guard-verified
-  RobustnessReport report;
-};
-
-GuardedDecompress guarded_decompress_edge_set(const Graph& g, const CompressedEdgeSet& c,
-                                              const RepairPolicy& policy = {});
+/// Proof-guarded decode with local repair, for any registry pipeline. Never
+/// throws on corrupted advice: what it cannot repair it flags in the report.
+/// The trail decoders (orientation, splitting) take marker consensus per long
+/// trail; three_coloring and subexp_lcl run their tolerant decodes;
+/// delta_coloring drops malformed schema entries stage by stage; decompress
+/// verifies every label's guard (guarded_encode) and flags the edges of a
+/// label that fails it. Every output except decompress's is then checked by
+/// an independent local checker and repaired with repair_labeling_locally.
+GuardedOutcome guarded_decode(const Pipeline& p, const Graph& g, const PipelineAdvice& adv,
+                              const PipelineConfig& cfg, const RepairPolicy& policy = {});
 
 }  // namespace lad::robust

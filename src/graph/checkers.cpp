@@ -10,14 +10,14 @@ namespace lad {
 bool is_proper_coloring(const Graph& g, const std::vector<int>& colors, int k,
                         const NodeMask& mask) {
   if (static_cast<int>(colors.size()) != g.n()) return false;
+  const auto checked = [&](int v) { return mask.empty() || mask[v]; };
   for (int v = 0; v < g.n(); ++v) {
-    if (!mask.empty() && !mask[v]) continue;
-    if (colors[v] <= 0) return false;
-    if (k > 0 && colors[v] > k) return false;
-    for (const int u : g.neighbors(v)) {
-      if (!mask.empty() && !mask[u]) continue;
-      if (colors[u] == colors[v]) return false;
-    }
+    if (checked(v) && (colors[v] <= 0 || (k > 0 && colors[v] > k))) return false;
+  }
+  for (int e = 0; e < g.m(); ++e) {
+    const int u = g.edge_u(e);
+    const int w = g.edge_v(e);
+    if (colors[u] == colors[w] && checked(u) && checked(w)) return false;
   }
   return true;
 }

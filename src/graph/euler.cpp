@@ -106,6 +106,18 @@ bool canonical_trail_direction(const Graph& g, const Trail& t) {
   return min_rotation(fwd) <= min_rotation(bwd);
 }
 
+void orient_trail(const Graph& g, const Trail& t, int direction, Orientation& o) {
+  const int L = t.length();
+  for (int i = 0; i < L; ++i) {
+    const int a = t.nodes[static_cast<std::size_t>(i)];
+    // Position i + 1 wraps to 0 only on a closed trail, where positions() == L.
+    const int b = t.nodes[static_cast<std::size_t>(i + 1 < t.positions() ? i + 1 : 0)];
+    const int e = t.edges[static_cast<std::size_t>(i)];
+    const int from = direction > 0 ? a : b;
+    o[static_cast<std::size_t>(e)] = g.edge_u(e) == from ? EdgeDir::kForward : EdgeDir::kBackward;
+  }
+}
+
 bool is_valid_euler_partition(const Graph& g, const std::vector<Trail>& trails) {
   std::vector<int> seen(static_cast<std::size_t>(g.m()), 0);
   for (const auto& t : trails) {

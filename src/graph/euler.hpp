@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "graph/checkers.hpp"
 #include "graph/graph.hpp"
 
 namespace lad {
@@ -23,6 +24,18 @@ struct Trail {
   std::vector<int> edges;
 
   int length() const { return static_cast<int>(edges.size()); }
+  /// Node positions: L on a closed trail, L + 1 on an open one.
+  int positions() const { return static_cast<int>(nodes.size()); }
+  /// Node at trail position `pos`: wrapped modulo L on a closed trail, -1
+  /// outside [0, positions()) on an open one.
+  int node_at(int pos) const {
+    if (closed) {
+      const int L = length();
+      return nodes[static_cast<std::size_t>(((pos % L) + L) % L)];
+    }
+    if (pos < 0 || pos >= positions()) return -1;
+    return nodes[static_cast<std::size_t>(pos)];
+  }
 };
 
 /// Port of the partner edge of port p at a node of degree d, or -1.
@@ -44,5 +57,9 @@ bool is_valid_euler_partition(const Graph& g, const std::vector<Trail>& trails);
 /// lexicographically smallest rotation. Depends only on the ID sequence, so
 /// any node that sees the whole trail computes the same answer.
 bool canonical_trail_direction(const Graph& g, const Trail& t);
+
+/// Orients every edge of t along its node order (direction > 0) or against
+/// it (direction < 0). Edges of other trails are left as they are.
+void orient_trail(const Graph& g, const Trail& t, int direction, Orientation& o);
 
 }  // namespace lad

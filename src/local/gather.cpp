@@ -119,7 +119,9 @@ Ball reconstruct_ball(const Graph& g, const Knowledge& k, int v, int radius) {
   return out;
 }
 
-std::vector<Ball> gather_balls_impl(const Graph& g, int radius, ThreadPool* pool) {
+}  // namespace
+
+std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius, ThreadPool* pool) {
   LAD_TM_SPAN(span, "gather.balls", "gather");
   GatherAlgorithm alg(radius);
   Engine eng(g);
@@ -141,16 +143,6 @@ std::vector<Ball> gather_balls_impl(const Graph& g, int radius, ThreadPool* pool
   }
   LAD_TM(obs::core().gather_balls.add(g.n()));
   return balls;
-}
-
-}  // namespace
-
-std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius) {
-  return gather_balls_impl(g, radius, nullptr);
-}
-
-std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius, ThreadPool& pool) {
-  return gather_balls_impl(g, radius, &pool);
 }
 
 CanonicalViews gather_canonical_views(const Graph& g, int radius, const std::vector<int>& labels,

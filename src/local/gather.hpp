@@ -5,9 +5,9 @@
 // local/ball.hpp extracts combinatorially (the classical LOCAL
 // equivalence). bfs_by_messages is the standard distributed BFS.
 //
-// The parallel variants fan the per-node ball reconstruction (the heavy,
-// embarrassingly parallel part) out over a ThreadPool with byte-identical
-// results, and gather_canonical_views adds the §8 order-invariance memo: a
+// Both gathers take an optional ThreadPool and fan their per-node work (the
+// heavy, embarrassingly parallel part) out over it with byte-identical
+// results; gather_canonical_views adds the §8 order-invariance memo: a
 // cache keyed by the canonical form of each ball, so any view-based decoder
 // that is order-invariant needs to be evaluated once per *distinct* view
 // instead of once per node (on structured families — cycles, grids, tori —
@@ -25,12 +25,11 @@ namespace lad {
 class ThreadPool;
 
 /// Runs a flooding algorithm for radius+1 rounds and reconstructs each
-/// node's radius-`radius` ball from the messages alone.
-std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius);
-
-/// Same result, byte-identical, with the flooding compute phase and the
-/// per-node ball reconstruction fanned out over `pool`.
-std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius, ThreadPool& pool);
+/// node's radius-`radius` ball from the messages alone. With a pool of more
+/// than one thread the flooding compute phase and the per-node ball
+/// reconstruction fan out over it; the result is byte-identical.
+std::vector<Ball> gather_balls_by_messages(const Graph& g, int radius,
+                                           ThreadPool* pool = nullptr);
 
 /// Canonical-ball memo: per-node radius-t views interned by canonical form.
 struct CanonicalViews {

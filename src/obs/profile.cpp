@@ -116,8 +116,7 @@ std::string phase_of_span(const std::string& span_name) {
   // outside compute are impossible — chunks only run compute work).
   if (has_prefix(span_name, "gather.")) return "gather";
   if (span_name == "engine.compute" || span_name == "pool.chunk" ||
-      has_prefix(span_name, "pipeline.encode/") || has_prefix(span_name, "pipeline.decode/") ||
-      has_prefix(span_name, "pipeline.decode_tolerant/")) {
+      has_prefix(span_name, "pipeline.encode/") || has_prefix(span_name, "pipeline.decode/")) {
     return "compute";
   }
   if (span_name == "engine.deliver") return "message-exchange";

@@ -3,7 +3,7 @@
 // a pipeline, read off the §9 Span/MetricsRegistry machinery and the
 // obs/timeline.hpp instruments.
 //
-// Three ingredients, all compiled out under -DLAD_TELEMETRY=OFF:
+// Three ingredients:
 //
 //   1. *Phase attribution.* Every span name in span_name_catalog() maps to
 //      one of six fixed phases (gather / compute / message-exchange /

@@ -5,15 +5,9 @@
 
 namespace lad::obs {
 
-bool compiled_in() { return LAD_TELEMETRY != 0; }
-
 void set_enabled(bool on) {
-#if LAD_TELEMETRY
   if (on) core();  // materialize the catalog so exports list every metric
   enabled_flag().store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -244,8 +238,7 @@ const std::vector<std::string>& span_name_catalog() {
       "engine.compute",    "engine.deliver",    "gather.balls",
       "gather.views",      "pool.chunk",        "campaign.trial",
       "chaos.cell",        "guarded.decode/",   "pipeline.encode/",
-      "pipeline.decode/",  "pipeline.decode_tolerant/",
-      "pipeline.verify/",
+      "pipeline.decode/",  "pipeline.verify/",
   };
   return kSpans;
 }

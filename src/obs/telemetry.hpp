@@ -16,11 +16,9 @@
 //      program state; enabling it must not change a single node digest
 //      (tests/test_telemetry.cpp pins this for all six registry pipelines,
 //      and the §8 byte-identity determinism contract stays intact).
-//   2. *Zero overhead when disabled.* Compile-time: building with
-//      -DLAD_TELEMETRY=OFF turns every hook into an empty statement.
-//      Runtime: hooks are compiled in but gated on one relaxed atomic load
-//      (telemetry is off by default; `lad profile` / `lad bench --trace`
-//      switch it on).
+//   2. *Near-zero overhead when disabled.* Every hook is gated on one
+//      relaxed atomic load (telemetry is off by default; `lad profile` /
+//      `lad bench --trace` switch it on).
 //   3. *Thread safety without determinism loss.* Counters are relaxed
 //      atomics — increments commute, so totals that aggregate a
 //      thread-count-independent multiset of increments (engine messages,
@@ -40,30 +38,17 @@
 #include <string>
 #include <vector>
 
-// Compile-time toggle (CMake option LAD_TELEMETRY, default ON -> =1).
-#ifndef LAD_TELEMETRY
-#define LAD_TELEMETRY 0
-#endif
-
 namespace lad::obs {
 
-/// True iff the build carries telemetry hooks (LAD_TELEMETRY != 0).
-bool compiled_in();
-
 /// Runtime master switch. Off by default; enabling it materializes the core
-/// metric catalog (so exports list every metric even at value 0). A no-op
-/// warning-free call when telemetry is compiled out.
+/// metric catalog (so exports list every metric even at value 0).
 void set_enabled(bool on);
 
-#if LAD_TELEMETRY
 inline std::atomic<bool>& enabled_flag() {
   static std::atomic<bool> flag{false};
   return flag;
 }
 inline bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-#else
-inline bool enabled() { return false; }
-#endif
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -363,11 +348,9 @@ class Span {
 }  // namespace lad::obs
 
 // ---------------------------------------------------------------------------
-// Hook macros: the only things instrumented code should touch. All of them
-// compile to empty statements under -DLAD_TELEMETRY=OFF and to a single
-// relaxed load + branch when runtime-disabled.
+// Hook macros: the only things instrumented code should touch. Each costs a
+// single relaxed load + branch when telemetry is disabled.
 
-#if LAD_TELEMETRY
 /// Runs `stmt` only when telemetry is runtime-enabled.
 #define LAD_TM(stmt)                \
   do {                              \
@@ -377,9 +360,9 @@ class Span {
   } while (0)
 /// Declares an RAII span named `var` (inactive when runtime-disabled).
 #define LAD_TM_SPAN(var, name, cat) ::lad::obs::Span var((name), (cat))
-/// Labels the calling thread in trace exports and profile reports. Compile
-/// gated only (not on enabled()): it runs once per thread and the label
-/// must stick even when the thread starts before telemetry is enabled.
+/// Labels the calling thread in trace exports and profile reports. Not
+/// gated on enabled(): it runs once per thread and the label must stick
+/// even when the thread starts before telemetry is enabled.
 #define LAD_TM_THREAD_NAME(name) ::lad::obs::TraceRecorder::instance().name_thread(name)
 /// Contract-check accounting hook used by util/contracts.hpp.
 #define LAD_TM_COUNT_CONTRACT()                               \
@@ -388,13 +371,3 @@ class Span {
       ::lad::obs::core().contract_checks.add(1);              \
     }                                                         \
   } while (0)
-#else
-#define LAD_TM(stmt) \
-  do {               \
-  } while (0)
-#define LAD_TM_SPAN(var, name, cat) ((void)0)
-#define LAD_TM_THREAD_NAME(name) ((void)0)
-#define LAD_TM_COUNT_CONTRACT() \
-  do {                          \
-  } while (0)
-#endif

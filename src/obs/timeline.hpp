@@ -2,7 +2,7 @@
 // chunk ledger, the per-round flight recorder, and the Amdahl split. The
 // run record that reads them lives in obs/profile.hpp.
 //
-// Three ingredients, all compiled out under -DLAD_TELEMETRY=OFF:
+// Three ingredients:
 //
 //   1. *Chunk ledger.* util/thread_pool.cpp times every chunk once
 //      (LAD_TM_WAIT_TIMER) and brackets every parallel dispatch
@@ -240,10 +240,6 @@ double amdahl_speedup(double serial_fraction, int threads);
 }  // namespace lad::obs
 
 // ---------------------------------------------------------------------------
-// Chunk-timing hook for util/thread_pool.cpp. Mirrors the LAD_TM_* macros
-// in telemetry.hpp: an empty statement under -DLAD_TELEMETRY=OFF.
-#if LAD_TELEMETRY
+// Chunk-timing hook for util/thread_pool.cpp, beside the LAD_TM_* macros
+// in telemetry.hpp.
 #define LAD_TM_WAIT_TIMER(var) ::lad::obs::WaitChunkTimer var
-#else
-#define LAD_TM_WAIT_TIMER(var) ((void)0)
-#endif

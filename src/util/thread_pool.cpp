@@ -36,9 +36,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop(int worker_index) {
   // Label the worker's trace lane ("lad-pool-<i>") for Chrome/Perfetto
-  // exports and the profiler's per-thread rows. The index feeds only this
-  // label, which compiles out under LAD_TELEMETRY=OFF.
-  (void)worker_index;
+  // exports and the profiler's per-thread rows.
   LAD_TM_THREAD_NAME("lad-pool-" + std::to_string(worker_index));
   for (;;) {
     Task task;

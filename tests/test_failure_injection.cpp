@@ -75,11 +75,13 @@ TEST(FailureInjection, OrientationGuardedDecodeNeverSilent) {
     auto inj = bit_flip_injector(200 + static_cast<std::uint64_t>(t), 0.02);
     auto bits = enc.bits;
     inj.corrupt_bits(g, bits);
-    const auto res = robust::guarded_decode_orientation(g, bits);
+    PipelineAdvice adv;
+    adv.bits = bits;
+    const auto res = robust::guarded_decode(pipeline(PipelineId::kOrientation), g, adv, {});
     // The guarded decoder strengthens "detected or valid" to: valid, full
     // stop — marker consensus absorbs flipped bits instead of throwing.
     EXPECT_TRUE(res.report.output_valid);
-    EXPECT_TRUE(is_balanced_orientation(g, res.orientation, 1));
+    EXPECT_TRUE(is_balanced_orientation(g, res.output.orientation, 1));
   }
 }
 
@@ -128,7 +130,10 @@ TEST(FailureInjection, ThreeColoringCorruptedBitsNeverValidateImproperly) {
     raw_improper += improper ? 1 : 0;
     // The guarded decoder must close the gap: same corrupted bits, but the
     // checker-rejected nodes are locally repaired to a proper coloring.
-    const auto res = robust::guarded_decode_three_coloring(pc.graph, bits);
+    PipelineAdvice adv;
+    adv.bits = bits;
+    const auto res =
+        robust::guarded_decode(pipeline(PipelineId::kThreeColoring), pc.graph, adv, {});
     EXPECT_FALSE(res.report.silent_corruption);
     EXPECT_TRUE(res.report.output_valid) << "trial " << t;
     if (improper) {
@@ -152,8 +157,8 @@ TEST(FailureInjection, SubexpGarbageBitsDetectedOrCheckerRejects) {
     std::vector<char> garbage(static_cast<std::size_t>(g.n()));
     for (int v = 0; v < g.n(); ++v) {
       garbage[static_cast<std::size_t>(v)] =
-          static_cast<char>(faults::hash3(400 + static_cast<std::uint64_t>(t), 0xBADu,
-                                          static_cast<std::uint64_t>(v)) &
+          static_cast<char>(hash3(400 + static_cast<std::uint64_t>(t), 0xBADu,
+                                  static_cast<std::uint64_t>(v)) &
                             1u);
     }
     const auto res = verify_lcl_proof(g, p, garbage, params);

@@ -155,7 +155,7 @@ TEST(ParallelGather, BallsByteIdenticalAcrossThreadCounts) {
     const auto want = gather_balls_by_messages(g, 3);
     for (const int t : kThreadCounts) {
       ThreadPool pool(t);
-      const auto got = gather_balls_by_messages(g, 3, pool);
+      const auto got = gather_balls_by_messages(g, 3, &pool);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t v = 0; v < want.size(); ++v) {
         EXPECT_EQ(ball_signature(got[v]), ball_signature(want[v])) << "threads=" << t;

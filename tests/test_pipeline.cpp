@@ -5,9 +5,10 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/pipeline.hpp"
-#include "faults/guarded_pipeline.hpp"
+#include "faults/robust.hpp"
 #include "graph/generators.hpp"
 #include "graph/source.hpp"
 #include "obs/profile.hpp"
@@ -29,15 +30,6 @@ TEST(PipelineRegistry, CoversAllSixPipelinesWithUniqueNames) {
   EXPECT_EQ(find_pipeline("no_such_pipeline"), nullptr);
 }
 
-TEST(PipelineRegistry, GuardedRegistryMirrorsBaseRegistry) {
-  const auto& guarded = faults::guarded_pipelines();
-  ASSERT_EQ(guarded.size(), pipelines().size());
-  for (const faults::GuardedPipeline* gp : guarded) {
-    EXPECT_EQ(&faults::guarded_pipeline(gp->id()), gp);
-    EXPECT_EQ(gp->name(), gp->base().name());
-  }
-}
-
 TEST(PipelineRegistry, EncodeDecodeVerifyRoundTripsOnOwnInstances) {
   for (const Pipeline* p : pipelines()) {
     SCOPED_TRACE(p->name());
@@ -52,26 +44,25 @@ TEST(PipelineRegistry, EncodeDecodeVerifyRoundTripsOnOwnInstances) {
     EXPECT_EQ(adv.node_strings(g.n()).size(), static_cast<std::size_t>(g.n()));
     const auto stats = adv.stats(g.n());
     EXPECT_GT(stats.total_bits, 0);
-    // Tolerant decode on clean advice must agree with strict decode.
-    if (p->supports_tolerant()) {
-      const auto tol = p->decode_tolerant(g, adv, cfg);
-      EXPECT_TRUE(p->verify(g, tol, cfg));
-      for (const char f : tol.failed) EXPECT_EQ(f, 0);
-    }
   }
 }
 
+// On clean advice the guarded decode must detect, repair and flag nothing.
+// A tolerant decoder's failed flag counts as a detection, so this also
+// checks that the tolerant decodes contain nothing on clean advice.
 TEST(PipelineRegistry, GuardedDecodeIsCleanOnUncorruptedAdvice) {
-  for (const faults::GuardedPipeline* gp : faults::guarded_pipelines()) {
-    SCOPED_TRACE(gp->name());
-    PipelineConfig cfg;
-    if (gp->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
-    const Graph g = gp->base().make_instance(96, 3);
-    const auto adv = gp->encode(g, cfg);
-    const auto out = gp->decode_guarded(g, adv, cfg, {});
-    EXPECT_TRUE(out.report.output_valid);
-    EXPECT_TRUE(out.report.flagged_nodes.empty());
-    EXPECT_FALSE(gp->silent_corruption(g, out, cfg));
+  for (const Pipeline* p : pipelines()) {
+    for (const auto& [n, seed] : {std::pair{96, 3}, std::pair{400, 4}}) {
+      SCOPED_TRACE(std::string(p->name()) + " n=" + std::to_string(n));
+      PipelineConfig cfg;
+      if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
+      const Graph g = p->make_instance(n, seed);
+      const auto adv = robust::guarded_encode(*p, g, cfg);
+      const auto out = robust::guarded_decode(*p, g, adv, cfg);
+      EXPECT_TRUE(out.report.output_valid);
+      EXPECT_FALSE(out.report.degraded()) << out.report.to_string();
+      EXPECT_TRUE(p->verify(g, out.output, cfg));
+    }
   }
 }
 

@@ -69,7 +69,6 @@ TEST(Profile, ExplicitSpanMappings) {
   EXPECT_EQ(obs::phase_of_span("pool.chunk"), "compute");
   EXPECT_EQ(obs::phase_of_span("pipeline.encode/orientation"), "compute");
   EXPECT_EQ(obs::phase_of_span("pipeline.decode/decompress"), "compute");
-  EXPECT_EQ(obs::phase_of_span("pipeline.decode_tolerant/orientation"), "compute");
   EXPECT_EQ(obs::phase_of_span("engine.deliver"), "message-exchange");
   EXPECT_EQ(obs::phase_of_span("engine.faults"), "fault-transition");
   EXPECT_EQ(obs::phase_of_span("pipeline.verify/orientation"), "verify");
@@ -137,7 +136,6 @@ TEST(Profile, FingerprintIsStableAndOrderSensitive) {
 // --- Determinism across thread counts --------------------------------------
 
 TEST(Profile, DeterministicSliceIsByteStableAcrossThreads) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   for (const char* name : {"orientation", "decompress"}) {
     const auto base = observe(name, {1});
     EXPECT_TRUE(base.det.verify_ok) << name;
@@ -150,7 +148,6 @@ TEST(Profile, DeterministicSliceIsByteStableAcrossThreads) {
 }
 
 TEST(Profile, AddRunThrowsOnSeriesDivergence) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   auto report = observe("orientation", {1});
   auto perturbed = report.det;
   ASSERT_FALSE(perturbed.rounds.empty());
@@ -164,7 +161,6 @@ TEST(Profile, AddRunThrowsOnSeriesDivergence) {
 // --- JSON round-trip and the differ ----------------------------------------
 
 TEST(Profile, JsonRoundTripsThroughParser) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   const auto report = observe("orientation", {1, 2});
   ASSERT_EQ(report.runs.size(), 2u);
   const std::string json = report.to_json();
@@ -186,7 +182,6 @@ TEST(Profile, JsonRoundTripsThroughParser) {
 }
 
 TEST(Profile, DiffFollowsExitCodeConvention) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   auto base = obs::parse_run_json(observe("orientation", {1, 2}).to_json());
   base.runs[0].total_ms = 10.0;
   base.runs[1].total_ms = 5.0;

@@ -62,51 +62,61 @@ INSTANTIATE_TEST_SUITE_P(AllDecoders, RobustCampaignTest, ::testing::ValuesIn(pi
                            return std::string(info.param->name());
                          });
 
+// Uniform one-bit advice in the registry's carrier.
+PipelineAdvice uniform_bits(std::vector<char> bits) {
+  PipelineAdvice adv;
+  adv.bits = std::move(bits);
+  return adv;
+}
+
 TEST(RobustDecoders, CleanAdviceIsNotDegraded) {
   // No adversary: the guarded decoders must agree with the raw ones and
   // report a perfectly healthy run (no false-positive detections).
   const Graph g = make_cycle(300, IdMode::kRandomDense, 5);
   const auto enc = encode_orientation_advice(g);
-  const auto res = robust::guarded_decode_orientation(g, enc.bits);
+  const auto res = robust::guarded_decode(pipeline(PipelineId::kOrientation), g,
+                                          uniform_bits(enc.bits), {});
   EXPECT_TRUE(res.report.output_valid);
   EXPECT_FALSE(res.report.degraded());
-  EXPECT_TRUE(is_balanced_orientation(g, res.orientation, 1));
+  EXPECT_TRUE(is_balanced_orientation(g, res.output.orientation, 1));
 
   const auto pc = make_planted_colorable(400, 3, 2.4, 5, 7);
   const auto enc3 = encode_three_coloring_advice(pc.graph, pc.coloring);
-  const auto res3 = robust::guarded_decode_three_coloring(pc.graph, enc3.bits);
+  const auto res3 = robust::guarded_decode(pipeline(PipelineId::kThreeColoring), pc.graph,
+                                           uniform_bits(enc3.bits), {});
   EXPECT_TRUE(res3.report.output_valid);
   EXPECT_FALSE(res3.report.degraded());
-  EXPECT_TRUE(is_proper_coloring(pc.graph, res3.coloring, 3));
+  EXPECT_TRUE(is_proper_coloring(pc.graph, res3.output.node_color, 3));
 }
 
 TEST(RobustDecoders, GuardedDecompressFlagsInsteadOfGuessing) {
   // Byzantine rewrites of membership labels are information-theoretically
   // undetectable without the appended guard; with it, tampered labels are
   // flagged and the affected edges reported unknown — never guessed.
+  const Pipeline& p = pipeline(PipelineId::kDecompress);
   const Graph g = make_cycle(240, IdMode::kRandomDense, 6);
-  std::vector<char> x(static_cast<std::size_t>(g.m()), 0);
-  for (std::size_t e = 0; e < x.size(); e += 3) x[e] = 1;
-  auto c = robust::guarded_compress_edge_set(g, x);
+  const PipelineConfig cfg;
+  const auto x = hashed_edge_membership(g, cfg.seed, cfg.decompress_density);
+  auto tampered = robust::guarded_encode(p, g, cfg);
 
   // Flip a membership bit inside one label, leaving its length intact.
-  auto tampered = c;
   BitString& label = tampered.labels[17];
   ASSERT_GT(label.size(), 1);
   BitString rebuilt;
   for (int i = 0; i < label.size(); ++i) rebuilt.append(i == 1 ? !label.bit(i) : label.bit(i));
   label = rebuilt;
 
-  const auto dec = robust::guarded_decompress_edge_set(g, tampered);
+  const auto dec = robust::guarded_decode(p, g, tampered, cfg);
   EXPECT_FALSE(dec.report.silent_corruption);
   EXPECT_FALSE(dec.report.flagged_nodes.empty());
   EXPECT_FALSE(dec.report.output_valid);
   // Untampered nodes keep their membership bits, and they are correct.
   int known = 0;
   for (int e = 0; e < g.m(); ++e) {
-    if (!dec.edge_known[static_cast<std::size_t>(e)]) continue;
+    if (!dec.output.edge_known[static_cast<std::size_t>(e)]) continue;
     ++known;
-    EXPECT_EQ(dec.in_x[static_cast<std::size_t>(e)], x[static_cast<std::size_t>(e)]) << e;
+    EXPECT_EQ(dec.output.edge_in_x[static_cast<std::size_t>(e)], x[static_cast<std::size_t>(e)])
+        << e;
   }
   EXPECT_GT(known, 0);
 }
@@ -115,22 +125,22 @@ TEST(RobustDecoders, GuardedDecodersSurviveEmptyBits) {
   // Wrong-sized advice is a detection, not UB and not a throw: the guarded
   // layer normalizes, repairs what it can, and reports.
   const Graph g = make_cycle(60, IdMode::kRandomDense, 8);
-  const std::vector<char> empty;
+  const PipelineAdvice empty;
+  const PipelineConfig cfg;
 
-  const auto o = robust::guarded_decode_orientation(g, empty);
+  const auto o = robust::guarded_decode(pipeline(PipelineId::kOrientation), g, empty, cfg);
   EXPECT_GT(o.report.detected_violations, 0);
   EXPECT_FALSE(o.report.silent_corruption);
 
-  const auto s = robust::guarded_decode_splitting(g, empty);
+  const auto s = robust::guarded_decode(pipeline(PipelineId::kSplitting), g, empty, cfg);
   EXPECT_GT(s.report.detected_violations, 0);
   EXPECT_FALSE(s.report.silent_corruption);
 
-  const auto t = robust::guarded_decode_three_coloring(g, empty);
+  const auto t = robust::guarded_decode(pipeline(PipelineId::kThreeColoring), g, empty, cfg);
   EXPECT_GT(t.report.detected_violations, 0);
   EXPECT_FALSE(t.report.silent_corruption);
 
-  robust::GuardedDecompress d =
-      robust::guarded_decompress_edge_set(g, CompressedEdgeSet{});
+  const auto d = robust::guarded_decode(pipeline(PipelineId::kDecompress), g, empty, cfg);
   EXPECT_GT(d.report.detected_violations, 0);
   EXPECT_FALSE(d.report.output_valid);
 }

@@ -63,14 +63,12 @@ void run_workload(int threads) {
   // canonical-view memo actually hits (the §8 memo-effectiveness metric).
   const Graph g = make_cycle(100, IdMode::kRandomDense, 21);
   ThreadPool pool(threads);
-  const auto balls =
-      threads > 1 ? gather_balls_by_messages(g, 2, pool) : gather_balls_by_messages(g, 2);
+  const auto balls = gather_balls_by_messages(g, 2, &pool);
   ASSERT_EQ(static_cast<int>(balls.size()), g.n());
-  (void)gather_canonical_views(g, 2, {}, threads > 1 ? &pool : nullptr);
+  (void)gather_canonical_views(g, 2, {}, &pool);
 }
 
 TEST(Telemetry, MetricsDeterministicAcrossThreadCounts) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   obs::set_enabled(true);
 
   // The catalog must actually carry the flag on the known-variant metrics —
@@ -132,12 +130,11 @@ TEST(Telemetry, OutputsIdenticalWithTelemetryOnAndOff) {
     EXPECT_EQ(out_off.rounds, out_on.rounds) << p->name();
     EXPECT_EQ(digests_off, digests_on) << "telemetry changed " << p->name() << " outputs";
   }
-  if (obs::compiled_in()) obs::MetricsRegistry::instance().reset();
+  obs::MetricsRegistry::instance().reset();
 }
 
 TEST(Telemetry, DisabledByDefaultAndCountsNothing) {
   ASSERT_FALSE(obs::enabled());
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   obs::MetricsRegistry::instance().reset();
   run_workload(2);
   for (const auto& [name, value] : snapshot_map()) {
@@ -164,7 +161,6 @@ std::string json_str(const std::string& line, const std::string& key) {
 }
 
 TEST(Telemetry, ChromeTraceIsBalancedAndMonotone) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   obs::set_enabled(true);
   obs::TraceRecorder::instance().clear();
   run_workload(2);  // spans on the main thread and on pool workers
@@ -229,7 +225,6 @@ TEST(Telemetry, ChromeTraceIsBalancedAndMonotone) {
 // --- Prometheus round-trip -------------------------------------------------
 
 TEST(Telemetry, PrometheusExportRoundTrips) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   obs::set_enabled(true);
   obs::MetricsRegistry::instance().reset();
   run_workload(1);
@@ -332,12 +327,10 @@ TEST(Telemetry, BenchJsonCarriesSchemaVersionAndMetrics) {
   for (const auto& c : res.cases) {
     EXPECT_TRUE(c.identical) << c.name;
     EXPECT_EQ(c.digest.size(), 16u) << c.name << " digest must be a 64-bit hex fingerprint";
-    if (obs::compiled_in()) {
-      EXPECT_FALSE(c.metrics.empty()) << c.name << " has no attributed metrics";
-    }
+    EXPECT_FALSE(c.metrics.empty()) << c.name << " has no attributed metrics";
   }
   EXPECT_FALSE(obs::enabled()) << "bench --trace must restore the telemetry switch";
-  if (obs::compiled_in()) obs::MetricsRegistry::instance().reset();
+  obs::MetricsRegistry::instance().reset();
 }
 
 }  // namespace

@@ -41,7 +41,6 @@ obs::RunReport observe_orientation(const std::vector<int>& threads) {
 // --- Wait accounting -------------------------------------------------------
 
 TEST(Timeline, SerialPathReportsZeroWaits) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   // A drained window with no dispatches is all zeros.
   obs::WaitAccounting::instance().reset();
   const auto empty = obs::WaitAccounting::instance().drain_window();
@@ -65,7 +64,6 @@ TEST(Timeline, SerialPathReportsZeroWaits) {
 }
 
 TEST(Timeline, PooledRunRecordsDispatchWindowsAndPoolRows) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with LAD_TELEMETRY=OFF";
   const auto report = observe_orientation({4});
   ASSERT_EQ(report.runs.size(), 1u);
   const auto& run = report.runs[0];

@@ -890,12 +890,6 @@ int cmd_profile(int argc, char** argv) {
       return usage();
     }
   }
-  if (!obs::compiled_in()) {
-    std::fprintf(stderr,
-                 "error: this build has LAD_TELEMETRY=OFF; reconfigure with "
-                 "-DLAD_TELEMETRY=ON to use `lad profile`\n");
-    return 2;
-  }
   PipelineConfig cfg;
   cfg.seed = seed;
   if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
