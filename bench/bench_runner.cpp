@@ -143,35 +143,29 @@ Case gather_case(std::string family, int n, int radius) {
 }
 
 /// Source-driven case (`lad bench --graph` and the scale suite): load or
-/// generate the graph, then run one full pipeline stack over it. The
-/// serial run builds the CSR serially; at `threads` > 1 the CSR is rebuilt
-/// from raw edges through Graph::Builder::build(pool), so the `identical`
-/// verdict certifies the parallel-construction determinism contract — the
-/// graph digest leads the case digest, and the same graph_digest field is
-/// where load-from-.ladg and in-memory generation meet.
+/// generate the graph, then run the stack perfbench measures over it —
+/// encode -> decode -> verify -> node_digests -> a 3-round verification
+/// echo. Every row does the same work; at `threads` > 1 the echo runs on
+/// the pool, so the `identical` verdict certifies the engine's determinism
+/// contract. The digest covers the graph, every node digest and the echo's
+/// traffic.
 Case source_case(const GraphSource& src, const Pipeline* p) {
   std::string name = "source/" + src.spec + "/" + p->name();
   auto run = [src, p](int threads) {
-    LoadedGraph lg = load_graph_source(src);
-    Graph g = std::move(lg.graph);
-    if (threads > 1) {
-      ThreadPool pool(threads);
-      Graph::Builder b;
-      b.reserve(static_cast<std::size_t>(g.n()), static_cast<std::size_t>(g.m()));
-      for (const NodeId id : g.raw_ids()) b.add_node(id);
-      const auto eu = g.raw_edge_u();
-      const auto ev = g.raw_edge_v();
-      for (int e = 0; e < g.m(); ++e) {
-        b.add_edge(eu[static_cast<std::size_t>(e)], ev[static_cast<std::size_t>(e)]);
-      }
-      g = std::move(b).build(&pool);
-    }
+    const LoadedGraph lg = load_graph_source(src);
+    const Graph& g = lg.graph;
     PipelineConfig cfg = p->sweep_config(g.n());
     cfg.seed = hash2(1, static_cast<std::uint64_t>(g.n()));
     const auto adv = p->encode(g, cfg);
     const auto out = p->decode(g, adv, cfg);
     LAD_CHECK_MSG(p->verify(g, out, cfg),
                   p->name() << " decode failed verification on " << lg.spec);
+    const auto digests = p->node_digests(g, out);
+    ThreadPool pool(threads);
+    const auto echo = faults::run_verification_echo(g, digests, /*echo_rounds=*/3,
+                                                     /*faults=*/nullptr, &pool);
+    LAD_CHECK_MSG(echo.unverified_nodes.empty(),
+                  echo.unverified_nodes.size() << " nodes unverified by the echo on " << lg.spec);
     const AdviceStats stats = adv.stats(g.n());
     CaseRun r;
     r.n = g.n();
@@ -183,10 +177,43 @@ Case source_case(const GraphSource& src, const Pipeline* p) {
     r.graph_digest = graph_digest_hex(g);
     r.digest = r.graph_digest;
     r.digest += '|';
-    for (const auto& d : p->node_digests(g, out)) {
+    for (const auto& d : digests) {
       r.digest += d;
       r.digest += ';';
     }
+    r.digest += "|echo " + std::to_string(echo.messages) + ' ' + std::to_string(echo.bytes) + ' ' +
+                std::to_string(echo.rounds);
+    return r;
+  };
+  return {std::move(name), std::move(run)};
+}
+
+/// Parallel CSR construction over a source's graph: every row rebuilds the
+/// loaded graph from its raw edges through Graph::Builder::build(pool), so
+/// the `identical` verdict certifies the parallel-construction determinism
+/// contract. The digest is the graph digest, where load-from-.ladg and
+/// in-memory generation meet.
+Case csr_case(const GraphSource& src) {
+  std::string name = "csr/" + src.spec;
+  auto run = [src](int threads) {
+    const LoadedGraph lg = load_graph_source(src);
+    const Graph& loaded = lg.graph;
+    Graph::Builder b;
+    b.reserve(static_cast<std::size_t>(loaded.n()), static_cast<std::size_t>(loaded.m()));
+    for (const NodeId id : loaded.raw_ids()) b.add_node(id);
+    const auto eu = loaded.raw_edge_u();
+    const auto ev = loaded.raw_edge_v();
+    for (int e = 0; e < loaded.m(); ++e) {
+      b.add_edge(eu[static_cast<std::size_t>(e)], ev[static_cast<std::size_t>(e)]);
+    }
+    ThreadPool pool(threads);
+    const Graph g = std::move(b).build(&pool);
+    CaseRun r;
+    r.n = g.n();
+    r.m = g.m();
+    r.source = lg.spec;
+    r.graph_digest = graph_digest_hex(g);
+    r.digest = r.graph_digest;
     return r;
   };
   return {std::move(name), std::move(run)};
@@ -196,15 +223,17 @@ std::vector<Case> suite_cases(const std::string& suite) {
   if (auto cases = experiment_cases(suite); !cases.empty()) return cases;
   if (suite == "gather") return {gather_case("grid", 400, 3), gather_case("cycle", 600, 4)};
   if (suite == "scale") {
-    // Three decades of n on generated cycles through the source path: the
-    // parallel axis is CSR construction itself. Deliberately not part of
-    // "all" — the top point builds a million-node graph.
+    // Three decades of n on generated cycles through the source path, each
+    // with its parallel CSR rebuild: the parallel axes are the engine's
+    // echo and CSR construction. Deliberately not part of "all" — the top
+    // point builds a million-node graph.
     std::vector<Case> cases;
     for (const char* spec : {"cycle:4096", "cycle:65536", "cycle:1048576"}) {
       std::string err;
       const auto src = parse_graph_source(spec, &err);
       LAD_CHECK_MSG(src.has_value(), "scale suite spec failed to parse: " << spec << ": " << err);
       cases.push_back(source_case(*src, &pipeline(PipelineId::kOrientation)));
+      cases.push_back(csr_case(*src));
     }
     return cases;
   }
@@ -380,8 +409,17 @@ BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
   const Pipeline* p = find_pipeline(pipeline_name);
   LAD_CHECK_MSG(p != nullptr, "unknown pipeline: " << pipeline_name);
   std::vector<Case> cases;
-  cases.reserve(sources.size());
   for (const GraphSource& src : sources) cases.push_back(source_case(src, p));
+  // The parallel CSR rebuild is a case of its own, measured only when some
+  // thread count is parallel (as in run_cases, an empty list or a count of
+  // 0 means the machine's default).
+  const auto is_parallel = [](int t) { return (t <= 0 ? ThreadPool::default_threads() : t) > 1; };
+  const bool parallel = thread_list.empty()
+                            ? is_parallel(0)
+                            : std::any_of(thread_list.begin(), thread_list.end(), is_parallel);
+  if (parallel) {
+    for (const GraphSource& src : sources) cases.push_back(csr_case(src));
+  }
   return run_cases("source", std::move(cases), thread_list, with_metrics, reps);
 }
 

@@ -75,8 +75,8 @@ class CvAlgorithm : public SyncAlgorithm {
       return;
     }
 
-    const long long succ_color = std::stoll(ctx.received(succ_port));
-    const long long pred_color = std::stoll(ctx.received(pred_port));
+    const long long succ_color = std::stoll(std::string(ctx.received(succ_port)));
+    const long long pred_color = std::stoll(std::string(ctx.received(pred_port)));
 
     if (r <= 1 + cv_rounds_) {
       color_[v] = cv_reduce(color_[v], succ_color);

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "graph/generators.hpp"
@@ -105,67 +109,99 @@ Graph build_campaign_graph(PipelineId decoder, GraphFamily& family, int n) {
 
 namespace {
 
+// What one port of the echo has received: the number of copies and the
+// first copy, kept exactly (up to 8 bytes inline, longer ones on the heap)
+// in 16 bytes, so the per-port state of a million-node echo stays small.
+class PortCopies {
+ public:
+  PortCopies() = default;
+  PortCopies(const PortCopies&) = delete;
+  PortCopies& operator=(const PortCopies&) = delete;
+  ~PortCopies() { clear(); }
+
+  int count() const { return static_cast<int>(count_); }
+
+  /// Records one more copy; false iff it differs from the first.
+  bool record(std::string_view m) {
+    if (count_++ > 0) return m == first();
+    len_ = static_cast<std::uint32_t>(m.size());
+    char* to = inline_;
+    if (len_ > sizeof inline_) to = heap_ = new char[len_];
+    if (len_ > 0) std::memcpy(to, m.data(), len_);
+    return true;
+  }
+
+  void clear() {
+    if (len_ > sizeof inline_) delete[] heap_;
+    len_ = 0;
+    count_ = 0;
+  }
+
+ private:
+  std::string_view first() const { return {len_ > sizeof inline_ ? heap_ : inline_, len_}; }
+
+  union {
+    char inline_[8];
+    char* heap_;
+  };
+  std::uint32_t len_ = 0;
+  std::uint32_t count_ = 0;
+};
+
 // Distributed verification echo: every node broadcasts its output digest
 // for `rounds` rounds; a receiver that misses a copy (drop / crashed
 // neighbor) or sees differing copies (corruption) cannot certify and
-// outputs "unverified". Crashed nodes never halt at all.
+// outputs "unverified". Crashed nodes never halt at all. Per-port state is
+// flat over the graph's port slots (CSR adjacency offsets).
 class EchoVerify final : public SyncAlgorithm {
  public:
-  EchoVerify(std::vector<std::string> digests, int rounds)
-      : digests_(std::move(digests)), rounds_(rounds) {}
+  EchoVerify(const std::vector<std::string>& digests, int rounds)
+      : digests_(digests), rounds_(rounds) {}
 
   void init(const Graph& g) override {
-    first_.assign(static_cast<std::size_t>(g.n()), {});
-    copies_.assign(static_cast<std::size_t>(g.n()), {});
+    off_ = g.raw_adj_off();
+    const auto slots = static_cast<std::size_t>(off_[static_cast<std::size_t>(g.n())]);
+    ports_ = std::vector<PortCopies>(slots);
     ok_.assign(static_cast<std::size_t>(g.n()), 1);
-    for (int v = 0; v < g.n(); ++v) {
-      first_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), "");
-      copies_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), 0);
-    }
   }
 
   void round(NodeCtx& ctx) override {
     const int v = ctx.node();
     const int r = ctx.round_number();
     if (r <= rounds_) ctx.broadcast(digests_[static_cast<std::size_t>(v)]);
+    PortCopies* ports = ports_.data() + off_[static_cast<std::size_t>(v)];
+    char& ok = ok_[static_cast<std::size_t>(v)];
+    const int deg = ctx.degree();
     if (r >= 2) {
-      for (int p = 0; p < ctx.degree(); ++p) {
+      for (int p = 0; p < deg; ++p) {
         if (!ctx.has_message(p)) continue;
-        const std::string& m = ctx.received(p);
-        auto& cnt = copies_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-        auto& ref = first_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)];
-        if (cnt == 0) {
-          ref = m;
-        } else if (m != ref) {
-          ok_[static_cast<std::size_t>(v)] = 0;  // corrupted copy
-        }
-        ++cnt;
+        if (!ports[p].record(ctx.received(p))) ok = 0;  // corrupted copy
       }
     }
     if (r == rounds_ + 1) {
-      for (int p = 0; p < ctx.degree(); ++p) {
-        if (copies_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)] != rounds_) {
-          ok_[static_cast<std::size_t>(v)] = 0;  // missing copy
-        }
+      for (int p = 0; p < deg; ++p) {
+        if (ports[p].count() != rounds_) ok = 0;  // missing copy
       }
-      ctx.halt(ok_[static_cast<std::size_t>(v)] != 0 ? "ok" : "unverified");
+      ctx.halt(ok != 0 ? "ok" : "unverified");
     }
   }
 
-  void on_recover(const Graph& g, int v) override {
+  void on_recover(const Graph& /*g*/, int v) override {
     // Blank state for a crash-recovery rejoin: the node restarts the echo
     // protocol. The copies it missed while down keep it from certifying
     // (counted as a detection), exactly like a crash-stop victim.
-    first_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), "");
-    copies_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(g.degree(v)), 0);
+    for (int s = off_[static_cast<std::size_t>(v)]; s < off_[static_cast<std::size_t>(v) + 1];
+         ++s) {
+      ports_[static_cast<std::size_t>(s)].clear();
+    }
     ok_[static_cast<std::size_t>(v)] = 1;
   }
 
  private:
-  std::vector<std::string> digests_;
+  const std::vector<std::string>& digests_;
   int rounds_;
-  std::vector<std::vector<std::string>> first_;
-  std::vector<std::vector<int>> copies_;
+  std::span<const int> off_;
+  std::vector<PortCopies> ports_;  // per port slot
   std::vector<char> ok_;
 };
 

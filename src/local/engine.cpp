@@ -1,6 +1,9 @@
 #include "local/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <memory>
 #include <sstream>
 
 #include "graph/distance.hpp"
@@ -11,19 +14,14 @@
 namespace lad {
 namespace {
 
-// Sorted-set union of `add` into `into`.
-void merge_sorted(std::vector<int>& into, const std::vector<int>& add) {
-  if (add.empty()) return;
-  std::vector<int> merged;
-  merged.reserve(into.size() + add.size());
-  std::set_union(into.begin(), into.end(), add.begin(), add.end(), std::back_inserter(merged));
-  into.swap(merged);
+// A provenance set as the bytes of its ints, for storage in an arena.
+std::string_view as_bytes(const std::vector<int>& set) {
+  return {reinterpret_cast<const char*>(set.data()), set.size() * sizeof(int)};
 }
 
 }  // namespace
 
 NodeId NodeCtx::id() const { return eng_.g_.id(v_); }
-int NodeCtx::degree() const { return eng_.g_.degree(v_); }
 int NodeCtx::n() const { return eng_.g_.n(); }
 int NodeCtx::max_degree() const { return eng_.g_.max_degree(); }
 
@@ -33,44 +31,39 @@ NodeId NodeCtx::neighbor_id(int port) const {
   return eng_.g_.id(nb[port]);
 }
 
-const std::string& NodeCtx::received(int port) const {
-  static const std::string kEmpty;
-  const int s = eng_.slot(v_, port);
-  if (eng_.audit_ && eng_.inbox_present_[s]) {
-    eng_.merge_provenance(v_, eng_.inbox_prov_[s]);
-  }
-  return eng_.inbox_present_[s] ? eng_.inbox_[s] : kEmpty;
-}
-
-bool NodeCtx::has_message(int port) const {
-  const int s = eng_.slot(v_, port);
-  // The presence bit is information originating at the sender; taint it too.
-  if (eng_.audit_ && eng_.inbox_present_[s]) {
-    eng_.merge_provenance(v_, eng_.inbox_prov_[s]);
-  }
-  return eng_.inbox_present_[s] != 0;
-}
-
-void NodeCtx::send(int port, std::string payload) {
-  const int s = eng_.slot(v_, port);
-  // Message-buffer allocation accounting (obs/profile.*): payloads beyond
-  // the 15-byte SSO capacity heap-allocate. Counted per send — the multiset
-  // of increments is a pure function of the run, so the totals are byte-
-  // deterministic at any thread count and land in the profile's
-  // message-exchange allocation column.
+void NodeCtx::send(int port, std::string_view payload) {
+  const auto s = static_cast<std::size_t>(eng_.slot(v_, port));
+  // Message-buffer allocation accounting (obs/profile.*): one increment per
+  // port-send whose payload is beyond the 15-byte small-string capacity, as
+  // when every port slot held its own std::string. The multiset of
+  // increments is a pure function of the run, so the totals are byte-
+  // deterministic at any thread count.
   LAD_TM({
     if (payload.size() > 15) {
       obs::core().alloc_msgbuf.add(1);
       obs::core().alloc_msgbuf_bytes.add(static_cast<long long>(payload.size()));
     }
   });
-  eng_.outbox_[s] = std::move(payload);
-  eng_.outbox_present_[s] = 1;
-  if (eng_.audit_) eng_.outbox_prov_[s] = eng_.prov_[v_];
+  eng_.out_[s] = eng_.put(eng_.send_arena(round_, chunk_), payload);
+  if (eng_.audit_) eng_.out_tag_[s] = eng_.tag_of(v_, round_, chunk_);
 }
 
-void NodeCtx::broadcast(const std::string& payload) {
-  for (int p = 0; p < degree(); ++p) send(p, payload);
+void NodeCtx::broadcast(std::string_view payload) {
+  const int deg = degree();
+  if (deg == 0) return;
+  LAD_TM({
+    if (payload.size() > 15) {
+      obs::core().alloc_msgbuf.add(deg);
+      obs::core().alloc_msgbuf_bytes.add(static_cast<long long>(payload.size()) * deg);
+    }
+  });
+  const auto first = static_cast<std::size_t>(eng_.slot(v_, 0));
+  const Engine::MsgRef m = eng_.put(eng_.send_arena(round_, chunk_), payload);
+  std::fill_n(eng_.out_.begin() + static_cast<std::ptrdiff_t>(first), deg, m);
+  if (eng_.audit_) {
+    const Engine::MsgRef tag = eng_.tag_of(v_, round_, chunk_);
+    std::fill_n(eng_.out_tag_.begin() + static_cast<std::ptrdiff_t>(first), deg, tag);
+  }
 }
 
 void NodeCtx::halt(std::string output) {
@@ -79,8 +72,85 @@ void NodeCtx::halt(std::string output) {
   eng_.halt_round_[v_] = round_;
 }
 
-void Engine::merge_provenance(int v, const std::vector<int>& origins) {
-  merge_sorted(prov_[static_cast<std::size_t>(v)], origins);
+char* Engine::Arena::grow(std::uint64_t n) {
+  if (size_ + n > cap_) {
+    const std::uint64_t cap = std::max<std::uint64_t>({size_ + n, 2 * cap_, 4096});
+    auto bigger = std::make_unique_for_overwrite<char[]>(cap);
+    if (size_ > 0) std::memcpy(bigger.get(), data_.get(), size_);
+    data_ = std::move(bigger);
+    cap_ = cap;
+  }
+  char* at = data_.get() + size_;
+  size_ += n;
+  return at;
+}
+
+std::uint32_t Engine::record_len(const char* record) {
+  std::uint32_t len = 0;
+  std::memcpy(&len, record, sizeof len);
+  return len;
+}
+
+std::uint64_t Engine::copy_record(const char* record, Arena& to) {
+  const std::uint64_t off = to.size();
+  const std::uint64_t n = sizeof(std::uint32_t) + record_len(record);
+  std::memcpy(to.grow(n), record, n);
+  return off;
+}
+
+Engine::MsgRef Engine::put(std::uint32_t arena, std::string_view bytes) {
+  if (bytes.size() > 0xffffffffu) {
+    LAD_CHECK_MSG(false,
+                  "a message of " << bytes.size() << " bytes exceeds the 4 GiB record limit");
+  }
+  Arena& a = arenas_[arena];
+  MsgRef r;
+  r.bits = (std::uint64_t{arena} << MsgRef::kArenaShift) | a.size();
+  const auto len = static_cast<std::uint32_t>(bytes.size());
+  char* at = a.grow(sizeof len + bytes.size());
+  std::memcpy(at, &len, sizeof len);
+  if (!bytes.empty()) std::memcpy(at + sizeof len, bytes.data(), bytes.size());
+  return r;
+}
+
+Engine::MsgRef Engine::tag_of(int v, int round, int chunk) {
+  // One snapshot per sending node per round: every port the node sends on
+  // shares it, unless a read in between grew the set.
+  Snapshot& s = snap_[static_cast<std::size_t>(v)];
+  if (s.stale || s.round != round) {
+    s.tag = put(send_arena(round, chunk), as_bytes(prov_[static_cast<std::size_t>(v)]));
+    s.round = round;
+    s.stale = false;
+  }
+  return s.tag;
+}
+
+void Engine::merge_provenance(int v, const MsgRef& tag) {
+  // Per-thread scratch: the tag's ints, then the union, which swaps into
+  // the node's set so buffers circulate instead of being reallocated.
+  thread_local std::vector<int> origins;
+  thread_local std::vector<int> merged;
+  const std::string_view bytes = view(tag);
+  origins.resize(bytes.size() / sizeof(int));
+  if (!bytes.empty()) std::memcpy(origins.data(), bytes.data(), bytes.size());
+  auto& into = prov_[static_cast<std::size_t>(v)];
+  merged.clear();
+  std::set_union(into.begin(), into.end(), origins.begin(), origins.end(),
+                 std::back_inserter(merged));
+  if (merged.size() == into.size()) return;  // nothing new
+  into.swap(merged);
+  snap_[static_cast<std::size_t>(v)].stale = true;
+}
+
+void Engine::reset_provenance(int v) {
+  // Initial knowledge: own ID/input plus the IDs of the port-ordered
+  // neighbors — exactly the radius-1 ball.
+  auto& pv = prov_[static_cast<std::size_t>(v)];
+  const auto nb = g_.neighbors(v);
+  pv.assign(nb.begin(), nb.end());
+  pv.push_back(v);
+  std::sort(pv.begin(), pv.end());
+  snap_[static_cast<std::size_t>(v)].stale = true;
 }
 
 void Engine::audit_round(int round) {
@@ -97,9 +167,12 @@ void Engine::audit_round(int round) {
     ++stats.active_nodes;
     total += static_cast<long long>(pv.size());
     stats.max_set_size = std::max(stats.max_set_size, static_cast<int>(pv.size()));
-    const auto& dv = dist_[static_cast<std::size_t>(v)];
+    // Ball-local containment: a BFS from v capped at `round` that stops
+    // once every origin is reached. An origin it misses escaped the ball;
+    // its exact distance, for the report, comes from a point query.
+    const LocalBfs ball(g_, v, round, {}, pv);
     for (const int o : pv) {
-      const int d = dv[static_cast<std::size_t>(o)];
+      const int d = ball.reached(o) ? ball.dist(o) : distance(g_, v, o);
       LAD_ASSERT_MSG(d != kUnreachable, "provenance crossed a component boundary");
       stats.max_radius = std::max(stats.max_radius, d);
       if (d > round) {
@@ -126,6 +199,148 @@ void Engine::audit_round(int round) {
   audit_log_.per_round.push_back(stats);
 }
 
+void Engine::build_twins() {
+  // The two port slots of an edge are each other's twins (graphs are
+  // simple, so an edge has exactly two). One pass over the incident-edge
+  // array pairs them through an m-sized first-seen table.
+  const auto inc = g_.raw_inc();
+  twin_.resize(inc.size());
+  std::vector<int> first(static_cast<std::size_t>(g_.m()), -1);
+  for (std::size_t s = 0; s < inc.size(); ++s) {
+    int& f = first[static_cast<std::size_t>(inc[s])];
+    if (f < 0) {
+      f = static_cast<int>(s);
+    } else {
+      twin_[s] = f;
+      twin_[static_cast<std::size_t>(f)] = static_cast<int>(s);
+    }
+  }
+}
+
+void Engine::step_chunk(SyncAlgorithm& alg, int round, int begin, int end, int c,
+                        bool& active) {
+  // The arena this chunk sends into last served round - 2, whose messages
+  // were all read in round - 1.
+  arenas_[send_arena(round, c)].clear();
+  for (int v = begin; v < end; ++v) {
+    if (halted_[v] || crashed_[v]) continue;
+    active = true;
+    NodeCtx ctx(*this, v, round, c);
+    alg.round(ctx);
+  }
+}
+
+void Engine::hold(Chunk& ck, int due, int slot, const MsgRef& msg, const MsgRef& tag) {
+  Pending p;
+  p.due = due;
+  p.slot = slot;
+  p.off = copy_record(record(msg), ck.store);
+  if (audit_) copy_record(record(tag), ck.store);
+  ck.pending.push_back(p);
+}
+
+void Engine::deliver_chunk(int round, int begin, int end, int c) {
+  // Receiver pull: slot t of receiver u takes the message its neighbor
+  // v = adj[t] left in the twin slot. Drop and delay decide first (a
+  // delayed message skips corruption and duplication, as it is not
+  // delivered now); then corrupt, which copies the payload into this
+  // chunk's receiver arena, and duplicate. Every decision is a pure hash
+  // of (round, v, u), so each chunk decides its own receivers' slots.
+  Chunk& ck = chunk_state_[static_cast<std::size_t>(c)];
+  const std::uint32_t recv = recv_arena(round, c);
+  arenas_[recv].clear();
+  const auto off = g_.raw_adj_off();
+  const auto adj = g_.raw_adj();
+  for (int u = begin; u < end; ++u) {
+    for (int t = off[u]; t < off[u + 1]; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      const auto si = static_cast<std::size_t>(twin_[ti]);
+      MsgRef m = out_[si];
+      if (!m.present()) {
+        in_[ti] = MsgRef{};
+        continue;
+      }
+      out_[si] = MsgRef{};
+      const MsgRef tag = audit_ ? out_tag_[si] : MsgRef{};
+      const int v = adj[ti];
+      if (faults_ != nullptr) {
+        if (faults_->drop_message(round, v, u)) {
+          // A drop only removes information, so provenance stays sound.
+          ++ck.faults.dropped;
+          in_[ti] = MsgRef{};
+          continue;
+        }
+        const int delay = faults_->delay_rounds(round, v, u);
+        if (delay > 0) {
+          // Held in transit: accounted (messages/bytes) at actual delivery.
+          // The payload keeps the sender's tag; reading it later only
+          // increases the round, so ball containment still holds.
+          ++ck.faults.delayed;
+          hold(ck, round + delay, t, m, tag);
+          in_[ti] = MsgRef{};
+          continue;
+        }
+      }
+      ck.messages += 1;
+      ck.bytes += record_len(record(m));
+      if (faults_ != nullptr) {
+        const std::string_view body = view(m);
+        ck.scratch.assign(body.data(), body.size());
+        if (faults_->corrupt_message(round, v, u, ck.scratch)) {
+          // A corrupted payload keeps the sender's tag: that over-approximates
+          // what the reader can learn, so ball containment still holds.
+          ++ck.faults.corrupted;
+          m = put(recv, ck.scratch);
+        }
+        if (faults_->duplicate_message(round, v, u)) {
+          // A stale copy of the (possibly corrupted) delivered payload
+          // arrives again next round; same provenance tag, so sound.
+          ++ck.faults.duplicated;
+          hold(ck, round + 1, t, m, tag);
+        }
+      }
+      in_[ti] = m;
+      if (audit_) in_tag_[ti] = tag;
+    }
+  }
+  replay_pending(ck, round, c);
+}
+
+void Engine::replay_pending(Chunk& ck, int round, int c) {
+  // Late deliveries due this round, in send order. A slot's entries come
+  // from one sender port, so this chunk-local list orders them exactly as
+  // one global send-order queue would. Fresh messages win port conflicts:
+  // a stale copy landing on an occupied port is discarded and counted,
+  // never overwrites. Landed payloads move to the receiver arena; the
+  // rest are compacted into the next store.
+  if (ck.pending.empty()) return;
+  Arena& recv = arenas_[recv_arena(round, c)];
+  const std::uint64_t recv_bits = std::uint64_t{recv_arena(round, c)} << MsgRef::kArenaShift;
+  ck.store_next.clear();
+  std::size_t kept = 0;
+  for (Pending p : ck.pending) {
+    const char* msg = ck.store.data() + p.off;
+    const char* tag = msg + sizeof(std::uint32_t) + record_len(msg);
+    if (p.due != round) {
+      p.off = copy_record(msg, ck.store_next);
+      if (audit_) copy_record(tag, ck.store_next);
+      ck.pending[kept++] = p;
+      continue;
+    }
+    const auto ti = static_cast<std::size_t>(p.slot);
+    if (in_[ti].present()) {
+      ++ck.faults.stale_discarded;
+      continue;
+    }
+    ck.messages += 1;
+    ck.bytes += record_len(msg);
+    in_[ti].bits = recv_bits | copy_record(msg, recv);
+    if (audit_) in_tag_[ti].bits = recv_bits | copy_record(tag, recv);
+  }
+  ck.pending.resize(kept);
+  std::swap(ck.store, ck.store_next);
+}
+
 RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
   // Telemetry is read-only observation: the span and the counters at the
   // end never feed back into the run, so enabling it cannot change a byte
@@ -136,17 +351,17 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
   // span it cannot influence outputs.
   LAD_TM(obs::FlightRecorder::instance().begin_run());
   const int n = g_.n();
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + g_.degree(v);
-  }
-  const int total_ports = offsets_[n];
-  const auto& offsets = offsets_;
+  const auto slots = static_cast<std::size_t>(2) * static_cast<std::size_t>(g_.m());
+  ThreadPool* pool = pool_ != nullptr && pool_->threads() > 1 ? pool_ : nullptr;
+  chunks_ = pool != nullptr ? pool->threads() : 1;
 
-  inbox_.assign(static_cast<std::size_t>(total_ports), "");
-  inbox_present_.assign(static_cast<std::size_t>(total_ports), 0);
-  outbox_.assign(static_cast<std::size_t>(total_ports), "");
-  outbox_present_.assign(static_cast<std::size_t>(total_ports), 0);
+  build_twins();
+  in_.assign(slots, MsgRef{});
+  out_.assign(slots, MsgRef{});
+  LAD_CHECK_MSG(4 * chunks_ <= 0xffff, "too many pool chunks for the message plane");
+  arenas_.resize(static_cast<std::size_t>(4 * chunks_));
+  for (Arena& a : arenas_) a.clear();
+  chunk_state_ = std::vector<Chunk>(static_cast<std::size_t>(chunks_));
   halted_.assign(static_cast<std::size_t>(n), 0);
   crashed_.assign(static_cast<std::size_t>(n), 0);
   outputs_.assign(static_cast<std::size_t>(n), "");
@@ -155,38 +370,16 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
 
   if (audit_) {
     audit_log_ = {};
-    // Initial knowledge: own ID/input plus the IDs of the port-ordered
-    // neighbors — exactly the radius-1 ball.
     prov_.assign(static_cast<std::size_t>(n), {});
-    for (int v = 0; v < n; ++v) {
-      auto& pv = prov_[static_cast<std::size_t>(v)];
-      const auto nb = g_.neighbors(v);
-      pv.assign(nb.begin(), nb.end());
-      pv.push_back(v);
-      std::sort(pv.begin(), pv.end());
-    }
-    inbox_prov_.assign(static_cast<std::size_t>(total_ports), {});
-    outbox_prov_.assign(static_cast<std::size_t>(total_ports), {});
-    dist_.assign(static_cast<std::size_t>(n), {});
-    for (int v = 0; v < n; ++v) {
-      dist_[static_cast<std::size_t>(v)] = bfs_distances(g_, v);
-    }
+    snap_.assign(static_cast<std::size_t>(n), Snapshot{});
+    for (int v = 0; v < n; ++v) reset_provenance(v);
+    in_tag_.assign(slots, MsgRef{});
+    out_tag_.assign(slots, MsgRef{});
   }
 
   alg.init(g_);
 
-  // Messages in transit beyond the synchronous one-round latency: delayed
-  // originals and stale duplicates, due at the delivery phase of `due`.
-  // Insertion order is the serial (sender, port) scan order, so replaying
-  // the queue is deterministic at any thread count.
-  struct PendingMsg {
-    int due = 0;
-    int slot = 0;  // receiver inbox slot
-    std::string payload;
-    std::vector<int> prov;
-  };
-  std::vector<PendingMsg> pending;
-
+  const auto off = g_.raw_adj_off();
   RunResult res;
   for (int round = 1; round <= max_rounds; ++round) {
     // One span per synchronous round (compute + audit + delivery). Short
@@ -215,157 +408,66 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
           // per-node state and the node re-converges from scratch.
           crashed_[v] = 0;
           ++fault_stats_.recovered_nodes;
-          for (int s = offsets_[v]; s < offsets_[v + 1]; ++s) {
-            inbox_present_[static_cast<std::size_t>(s)] = 0;
-            inbox_[static_cast<std::size_t>(s)].clear();
-            outbox_present_[static_cast<std::size_t>(s)] = 0;
-            outbox_[static_cast<std::size_t>(s)].clear();
-            if (audit_) {
-              inbox_prov_[static_cast<std::size_t>(s)].clear();
-              outbox_prov_[static_cast<std::size_t>(s)].clear();
-            }
+          for (int s = off[v]; s < off[v + 1]; ++s) {
+            in_[static_cast<std::size_t>(s)] = MsgRef{};
+            out_[static_cast<std::size_t>(s)] = MsgRef{};
           }
           alg.on_recover(g_, v);
-          if (audit_) {
-            // Blank state resets knowledge to the initial radius-1 ball.
-            auto& pv = prov_[static_cast<std::size_t>(v)];
-            const auto nb = g_.neighbors(v);
-            pv.assign(nb.begin(), nb.end());
-            pv.push_back(v);
-            std::sort(pv.begin(), pv.end());
-          }
+          if (audit_) reset_provenance(v);
         }
       }
     }
     // Compute phase. Node steps within a synchronous round are independent
     // (LOCAL-model semantics), and every per-node effect — outbox slots,
     // halt state, the reader-side provenance set — lands in slots owned by
-    // the executing node, so the steps may fan out over a thread pool with
-    // byte-identical results. The pool's static partition keeps the
-    // chunk -> node mapping deterministic; per-chunk accumulators are folded
-    // with order-independent reductions (OR / sum).
+    // the executing node, and its payloads in its chunk's send arena, so the
+    // steps may fan out over a thread pool with byte-identical results. The
+    // pool's static partition keeps the chunk -> node mapping deterministic.
     bool any_active = false;
     {
       // Phase span for the profiler: node-step compute time on the caller's
       // thread; pool dispatch additionally shows up as pool.chunk spans on
       // the executing workers.
       LAD_TM_SPAN(compute_span, "engine.compute", "engine");
-      auto step_nodes = [&](int begin, int end, bool& active) {
-        for (int v = begin; v < end; ++v) {
-          if (halted_[v] || crashed_[v]) continue;
-          active = true;
-          NodeCtx ctx(*this, v, round);
-          alg.round(ctx);
-        }
-      };
-      if (pool_ != nullptr && pool_->threads() > 1) {
-        std::vector<char> chunk_active(static_cast<std::size_t>(pool_->threads()), 0);
-        pool_->parallel_for(n, [&](int begin, int end, int c) {
+      if (pool != nullptr) {
+        std::vector<char> chunk_active(static_cast<std::size_t>(chunks_), 0);
+        pool->parallel_for(n, [&](int begin, int end, int c) {
           bool active = false;
-          step_nodes(begin, end, active);
+          step_chunk(alg, round, begin, end, c, active);
           chunk_active[static_cast<std::size_t>(c)] = active ? 1 : 0;
         });
         for (const char a : chunk_active) any_active = any_active || a != 0;
       } else {
-        step_nodes(0, n, any_active);
+        step_chunk(alg, round, 0, n, 0, any_active);
       }
     }
     if (!any_active) break;
     res.rounds = round;
     if (audit_) audit_round(round);
 
-    // Deliver: a message sent by v on port p arrives at u = nb(v)[p] on
-    // u's port q = port_of(u, v). The span covers the rest of the round
-    // body — delivery plus the late-delivery replay below — and closes
-    // before the round span (reverse declaration order), so the profiler
-    // attributes both to the message-exchange phase.
+    // Deliver, by receiver, on the same partition as the compute phase:
+    // each chunk fills its own nodes' inbox slots and replays its own
+    // pending list, and the per-chunk counters are folded in chunk order.
+    // The span closes before the round span (reverse declaration order),
+    // so the profiler attributes it to the message-exchange phase.
     LAD_TM_SPAN(deliver_span, "engine.deliver", "engine");
-    std::fill(inbox_present_.begin(), inbox_present_.end(), 0);
-    for (int v = 0; v < n; ++v) {
-      const auto nb = g_.neighbors(v);
-      for (int p = 0; p < static_cast<int>(nb.size()); ++p) {
-        const int s = offsets[v] + p;
-        if (!outbox_present_[s]) continue;
-        const int u = nb[p];
-        if (faults_ != nullptr && faults_->drop_message(round, v, u)) {
-          // A drop only removes information, so provenance stays sound.
-          ++fault_stats_.dropped;
-          outbox_present_[s] = 0;
-          outbox_[s].clear();
-          if (audit_) outbox_prov_[static_cast<std::size_t>(s)].clear();
-          continue;
-        }
-        const int q = g_.port_of(u, v);
-        LAD_ASSERT_MSG(q >= 0, "delivery to a non-neighbor port");
-        const int t = offsets[u] + q;
-        const int delay = faults_ != nullptr ? faults_->delay_rounds(round, v, u) : 0;
-        if (delay > 0) {
-          // Held in transit: accounted (messages/bytes) at actual delivery.
-          // The payload keeps the sender's tag; reading it later only
-          // increases the round, so ball containment still holds.
-          ++fault_stats_.delayed;
-          PendingMsg pm;
-          pm.due = round + delay;
-          pm.slot = t;
-          pm.payload = std::move(outbox_[s]);
-          if (audit_) pm.prov = std::move(outbox_prov_[static_cast<std::size_t>(s)]);
-          pending.push_back(std::move(pm));
-          outbox_present_[s] = 0;
-          outbox_[s].clear();
-          if (audit_) outbox_prov_[static_cast<std::size_t>(s)].clear();
-          continue;
-        }
-        res.messages += 1;
-        res.bytes += static_cast<long long>(outbox_[s].size());
-        inbox_[t] = std::move(outbox_[s]);
-        inbox_present_[t] = 1;
-        outbox_present_[s] = 0;
-        outbox_[s].clear();
-        if (faults_ != nullptr && faults_->corrupt_message(round, v, u, inbox_[t])) {
-          ++fault_stats_.corrupted;
-        }
-        if (audit_) {
-          // A corrupted payload keeps the sender's tag: that over-approximates
-          // what the reader can learn, so ball containment still holds.
-          inbox_prov_[static_cast<std::size_t>(t)] =
-              std::move(outbox_prov_[static_cast<std::size_t>(s)]);
-          outbox_prov_[static_cast<std::size_t>(s)].clear();
-        }
-        if (faults_ != nullptr && faults_->duplicate_message(round, v, u)) {
-          // A stale copy of the (possibly corrupted) delivered payload
-          // arrives again next round; same provenance tag, so sound.
-          ++fault_stats_.duplicated;
-          PendingMsg pm;
-          pm.due = round + 1;
-          pm.slot = t;
-          pm.payload = inbox_[t];
-          if (audit_) pm.prov = inbox_prov_[static_cast<std::size_t>(t)];
-          pending.push_back(std::move(pm));
-        }
-      }
+    if (pool != nullptr) {
+      pool->parallel_for(n,
+                         [&](int begin, int end, int c) { deliver_chunk(round, begin, end, c); });
+    } else {
+      deliver_chunk(round, 0, n, 0);
     }
-    // Late deliveries due this round, in insertion (send) order. Fresh
-    // messages win port conflicts: a stale copy landing on an occupied
-    // port is discarded and counted, never overwrites.
-    if (!pending.empty()) {
-      std::vector<PendingMsg> still_pending;
-      still_pending.reserve(pending.size());
-      for (auto& pm : pending) {
-        if (pm.due != round) {
-          still_pending.push_back(std::move(pm));
-          continue;
-        }
-        if (inbox_present_[pm.slot]) {
-          ++fault_stats_.stale_discarded;
-          continue;
-        }
-        res.messages += 1;
-        res.bytes += static_cast<long long>(pm.payload.size());
-        inbox_[static_cast<std::size_t>(pm.slot)] = std::move(pm.payload);
-        inbox_present_[static_cast<std::size_t>(pm.slot)] = 1;
-        if (audit_) inbox_prov_[static_cast<std::size_t>(pm.slot)] = std::move(pm.prov);
-      }
-      pending.swap(still_pending);
+    for (Chunk& ck : chunk_state_) {
+      res.messages += ck.messages;
+      res.bytes += ck.bytes;
+      fault_stats_.dropped += ck.faults.dropped;
+      fault_stats_.corrupted += ck.faults.corrupted;
+      fault_stats_.duplicated += ck.faults.duplicated;
+      fault_stats_.delayed += ck.faults.delayed;
+      fault_stats_.stale_discarded += ck.faults.stale_discarded;
+      ck.messages = 0;
+      ck.bytes = 0;
+      ck.faults = {};
     }
     // One flight-recorder sample per completed round: the recorder turns
     // these cumulative per-run totals into per-round deltas (deterministic
@@ -378,12 +480,12 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
   }
 
   res.all_halted = std::all_of(halted_.begin(), halted_.end(), [](char h) { return h != 0; });
-  res.outputs = outputs_;
-  res.halt_round = halt_round_;
-  if (faults_ != nullptr) res.crashed = crashed_;
+  res.outputs = std::move(outputs_);
+  res.halt_round = std::move(halt_round_);
+  if (faults_ != nullptr) res.crashed = std::move(crashed_);
 
-  // Message/round/fault accounting, folded once per run from the serial
-  // counters above — the totals are a pure function of the run, so they are
+  // Message/round/fault accounting, folded once per run from the counters
+  // above — the totals are a pure function of the run, so they are
   // byte-deterministic at any thread count.
   LAD_TM({
     auto& m = obs::core();

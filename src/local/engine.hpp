@@ -10,6 +10,14 @@
 // Nodes initially know: their own ID, their degree, their neighbors' IDs
 // (port-numbered with ID-sorted ports), the maximum degree Delta, and n.
 //
+// Message plane: a send appends its payload, length-prefixed, to a byte
+// arena owned by the sender's pool chunk and stores an 8-byte {arena,
+// offset} reference in the sender's port slot; a broadcast writes its
+// payload once and points every port at it. Delivery is receiver pull: each receiver slot t reads the
+// sender slot twin[t] of the same edge. A received payload is therefore a
+// std::string_view into an arena, valid until the receiving node's round()
+// returns — copy whatever must outlive the round.
+//
 // Audit mode (enable_audit) additionally tracks per-node information
 // provenance: the set of origin nodes whose initial state (ID, input,
 // advice) the node's view can depend on. Every message is tagged with its
@@ -20,8 +28,10 @@
 // indistinguishability audit that catches algorithms bypassing this API.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -45,15 +55,19 @@ class NodeCtx {
   /// ID of the neighbor on the given port (ports are ID-sorted).
   NodeId neighbor_id(int port) const;
 
-  /// Message received on `port` this round ("" if none).
-  const std::string& received(int port) const;
+  /// Message received on `port` this round (empty if none). The view
+  /// points into the engine's arenas and is valid until this node's
+  /// round() returns.
+  std::string_view received(int port) const;
   bool has_message(int port) const;
 
-  /// Sends `payload` to the neighbor on `port`, delivered next round.
-  void send(int port, std::string payload);
+  /// Sends `payload` to the neighbor on `port`, delivered next round. The
+  /// bytes are copied; a second send on the same port in one round
+  /// replaces the first.
+  void send(int port, std::string_view payload);
 
-  /// Sends the same payload on all ports.
-  void broadcast(const std::string& payload);
+  /// Sends the same payload on all ports (stored once).
+  void broadcast(std::string_view payload);
 
   /// Terminates this node with the given output; `round()` is not called on
   /// it again.
@@ -61,10 +75,12 @@ class NodeCtx {
 
  private:
   friend class Engine;
-  NodeCtx(Engine& eng, int v, int round) : eng_(eng), v_(v), round_(round) {}
+  NodeCtx(Engine& eng, int v, int round, int chunk)
+      : eng_(eng), v_(v), round_(round), chunk_(chunk) {}
   Engine& eng_;
   int v_;
   int round_;
+  int chunk_;  // pool chunk executing this node: selects the send arena
 };
 
 /// A distributed algorithm: `round` is invoked once per node per round.
@@ -109,8 +125,9 @@ struct RunResult {
 ///
 /// All hooks must be *deterministic pure functions* of their arguments
 /// (plus any seed baked into the implementation): the engine may consult
-/// them in any order, and reproducibility of fault campaigns depends on the
-/// answers not varying with iteration order. Faults are applied so that the
+/// them in any order and, when it has a thread pool, from several threads
+/// at once, and reproducibility of fault campaigns depends on the answers
+/// not varying with iteration order. Faults are applied so that the
 /// audit/provenance machinery stays sound: a dropped message removes
 /// information (never adds any); a corrupted, duplicated, or delayed
 /// payload keeps the sender's provenance tag, which over-approximates what
@@ -231,16 +248,17 @@ class Engine {
   /// Faults applied during the most recent run().
   const EngineFaultStats& fault_stats() const { return fault_stats_; }
 
-  /// Fans the compute phase of each round out over `pool` (non-owning; pass
-  /// nullptr to restore serial execution). Node steps within a synchronous
-  /// round are independent by definition of the model, and every per-node
-  /// effect (outbox slots, halt state, provenance set) lands in slots owned
-  /// by that node, so results are byte-identical to serial execution at any
-  /// thread count. Requirement on algorithms: round(ctx) must touch only
-  /// state belonging to ctx.node() (every SyncAlgorithm in this repository
-  /// keeps its state in vectors indexed by ctx.node(), which qualifies).
-  /// Message delivery and the audit pass stay serial — they are the
-  /// synchronization barrier between rounds.
+  /// Fans each round's node steps and its delivery pass out over `pool`
+  /// (non-owning; pass nullptr to restore serial execution). Node steps
+  /// within a synchronous round are independent by definition of the
+  /// model, and every per-node effect (send arena, outbox slots, halt
+  /// state, provenance set) lands in state owned by that node or its
+  /// chunk; delivery writes only the receiving chunk's inbox slots, arenas
+  /// and pending lists. Results are therefore byte-identical to serial
+  /// execution at any thread count. Requirement on algorithms: round(ctx)
+  /// must touch only state belonging to ctx.node() (every SyncAlgorithm in
+  /// this repository keeps its state in vectors indexed by ctx.node(),
+  /// which qualifies). Fault transitions and the audit pass stay serial.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Runs `alg` until all nodes halt or `max_rounds` elapse.
@@ -248,19 +266,108 @@ class Engine {
 
  private:
   friend class NodeCtx;
-  void merge_provenance(int v, const std::vector<int>& origins);
+
+  /// A message (or provenance tag) record: a 4-byte length, then the
+  /// bytes, at offset `bits & kOffMask` in arena `bits >> kArenaShift`.
+  /// bits == kNone means no message. A port slot is one of these, so
+  /// delivery moves 8 bytes per port.
+  struct MsgRef {
+    static constexpr int kArenaShift = 48;
+    static constexpr std::uint64_t kOffMask = (std::uint64_t{1} << kArenaShift) - 1;
+    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+    std::uint64_t bits = kNone;
+    bool present() const { return bits != kNone; }
+    std::uint32_t arena() const { return static_cast<std::uint32_t>(bits >> kArenaShift); }
+    std::uint64_t off() const { return bits & kOffMask; }
+  };
+
+  /// Append-only byte buffer, reused across rounds: clear() keeps the
+  /// capacity, and growth copies only the bytes in use (nothing is zeroed).
+  class Arena {
+   public:
+    const char* data() const { return data_.get(); }
+    std::uint64_t size() const { return size_; }
+    void clear() { size_ = 0; }
+    /// Appends `n` uninitialized bytes; returns where they start.
+    char* grow(std::uint64_t n);
+
+   private:
+    std::unique_ptr<char[]> data_;
+    std::uint64_t size_ = 0;
+    std::uint64_t cap_ = 0;
+  };
+
+  /// A delayed original or a stale duplicate in transit to receiver slot
+  /// `slot`, due at the delivery pass of round `due`. Its payload record,
+  /// then (audit only) its provenance-tag record, sit at `off` in the
+  /// receiving chunk's pending store.
+  struct Pending {
+    int due = 0;
+    int slot = 0;
+    std::uint64_t off = 0;
+  };
+
+  /// Per-chunk state of the delivery pass: the pending list (in send order)
+  /// with its record store, a scratch payload for the corruption hook, and
+  /// the counters the pass folds in chunk order.
+  struct Chunk {
+    std::vector<Pending> pending;
+    Arena store;
+    Arena store_next;
+    std::string scratch;
+    long long messages = 0;
+    long long bytes = 0;
+    EngineFaultStats faults;
+  };
+
+  /// The latest provenance snapshot a node sent: re-taken only when the
+  /// round changes or the node's set grew since.
+  struct Snapshot {
+    int round = 0;
+    bool stale = true;
+    MsgRef tag;
+  };
+
+  // Arena ids: send arenas (written by node steps) are [0, 2C), receiver
+  // arenas (corrupted copies and landed pending messages, written by the
+  // delivery pass) are [2C, 4C); generation round & 1 of chunk c.
+  std::uint32_t send_arena(int round, int chunk) const {
+    return static_cast<std::uint32_t>((round & 1) * chunks_ + chunk);
+  }
+  std::uint32_t recv_arena(int round, int chunk) const {
+    return static_cast<std::uint32_t>((2 + (round & 1)) * chunks_ + chunk);
+  }
+  MsgRef put(std::uint32_t arena, std::string_view bytes);
+  /// Appends a whole record (length prefix included) to `to`; returns its
+  /// offset there.
+  static std::uint64_t copy_record(const char* record, Arena& to);
+  static std::uint32_t record_len(const char* record);
+  const char* record(const MsgRef& r) const { return arenas_[r.arena()].data() + r.off(); }
+  std::string_view view(const MsgRef& r) const {
+    const char* rec = record(r);
+    return {rec + sizeof(std::uint32_t), record_len(rec)};
+  }
+  MsgRef tag_of(int v, int round, int chunk);
+  void merge_provenance(int v, const MsgRef& tag);
+  void reset_provenance(int v);
+  void build_twins();
+  void step_chunk(SyncAlgorithm& alg, int round, int begin, int end, int c, bool& active);
+  void deliver_chunk(int round, int begin, int end, int c);
+  void hold(Chunk& ck, int due, int slot, const MsgRef& msg, const MsgRef& tag);
+  void replay_pending(Chunk& ck, int round, int c);
   void audit_round(int round);
 
   const Graph& g_;
-  std::vector<std::string> inbox_;      // flattened: adj offset indexing
-  std::vector<char> inbox_present_;
-  std::vector<std::string> outbox_;
-  std::vector<char> outbox_present_;
+  int chunks_ = 1;
+  std::vector<int> twin_;      // receiver slot -> sender slot of the same edge
+  std::vector<MsgRef> in_;     // per port slot (CSR adjacency offsets)
+  std::vector<MsgRef> out_;
+  std::vector<Arena> arenas_;
+  std::vector<Chunk> chunk_state_;
   std::vector<char> halted_;
   std::vector<char> crashed_;
   std::vector<std::string> outputs_;
   std::vector<int> halt_round_;
-  std::vector<int> offsets_;  // CSR port offsets, size n+1
 
   const EngineFaultModel* faults_ = nullptr;
   EngineFaultStats fault_stats_;
@@ -269,16 +376,38 @@ class Engine {
   bool audit_ = false;
   bool audit_fail_fast_ = true;
   EngineAuditLog audit_log_;
-  std::vector<std::vector<int>> prov_;        // per node, sorted origin sets
-  std::vector<std::vector<int>> inbox_prov_;  // per slot, provenance tags
-  std::vector<std::vector<int>> outbox_prov_;
-  std::vector<std::vector<int>> dist_;  // all-pairs distances (audit only)
+  std::vector<std::vector<int>> prov_;  // per node, sorted origin sets
+  std::vector<Snapshot> snap_;          // per node
+  std::vector<MsgRef> in_tag_;          // per port slot, audit only
+  std::vector<MsgRef> out_tag_;
 
   int slot(int v, int port) const {
-    LAD_ASSERT(v >= 0 && v < static_cast<int>(offsets_.size()) - 1);
-    LAD_ASSERT(port >= 0 && offsets_[v] + port < offsets_[v + 1]);
-    return offsets_[v] + port;
+    const auto off = g_.raw_adj_off();
+    LAD_ASSERT(v >= 0 && v < g_.n());
+    LAD_ASSERT(port >= 0 && off[v] + port < off[v + 1]);
+    return off[v] + port;
   }
 };
+
+// The per-port reads are inline: an algorithm calls them once per port per
+// round, which makes them the hottest calls of a message-bound run.
+
+inline int NodeCtx::degree() const { return eng_.g_.degree(v_); }
+
+inline bool NodeCtx::has_message(int port) const {
+  const auto s = static_cast<std::size_t>(eng_.slot(v_, port));
+  if (!eng_.in_[s].present()) return false;
+  // The presence bit is information originating at the sender; taint it too.
+  if (eng_.audit_) eng_.merge_provenance(v_, eng_.in_tag_[s]);
+  return true;
+}
+
+inline std::string_view NodeCtx::received(int port) const {
+  const auto s = static_cast<std::size_t>(eng_.slot(v_, port));
+  const Engine::MsgRef& m = eng_.in_[s];
+  if (!m.present()) return {};
+  if (eng_.audit_) eng_.merge_provenance(v_, eng_.in_tag_[s]);
+  return eng_.view(m);
+}
 
 }  // namespace lad

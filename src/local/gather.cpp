@@ -37,8 +37,8 @@ struct Knowledge {
     return s;
   }
 
-  void merge_serialized(const std::string& s) {
-    std::istringstream is(s);
+  void merge_serialized(std::string_view s) {
+    std::istringstream is{std::string(s)};
     std::size_t nn = 0, ne = 0;
     is >> nn;
     for (std::size_t i = 0; i < nn; ++i) {
@@ -219,7 +219,7 @@ class BfsAlgorithm : public SyncAlgorithm {
     if (d == kUnreachable) {
       for (int p = 0; p < ctx.degree(); ++p) {
         if (!ctx.has_message(p)) continue;
-        const int du = std::stoi(ctx.received(p));
+        const int du = std::stoi(std::string(ctx.received(p)));
         if (d == kUnreachable || du + 1 < d) {
           d = du + 1;
           out_.parent[static_cast<std::size_t>(v)] = g_->neighbors(v)[p];

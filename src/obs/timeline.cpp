@@ -140,6 +140,7 @@ void WaitAccounting::fold_open_window_locked(std::uint64_t now_us) {
   window_.wait_us += wait_sum;
   window_.max_wait_us = std::max(window_.max_wait_us, max_wait);
   window_.busy_us += busy_sum;
+  window_.critical_us += max_busy;
   if (max_busy > window_.max_busy_us) {
     window_.max_busy_us = max_busy;
     window_.critical_tid = critical_tid;
@@ -244,7 +245,10 @@ void FlightRecorder::end_round(long long round, long long cum_messages, long lon
   s.workers = w.workers;
   if (w.workers >= 2 && w.busy_us > 0) {
     const double mean = static_cast<double>(w.busy_us) / static_cast<double>(w.workers);
-    s.imbalance = mean > 0 ? static_cast<double>(w.max_busy_us) / mean : 1.0;
+    // An engine round holds two dispatches (compute and delivery), each
+    // ending at a barrier, so its critical path is the sum of each
+    // dispatch's busiest worker; that sum is never below the mean.
+    s.imbalance = mean > 0 ? static_cast<double>(w.critical_us) / mean : 1.0;
   }
   s.critical_tid = w.critical_tid;
   s.ts_us = now;

@@ -65,9 +65,10 @@ class WaitAccounting {
     long long wait_us = 0;      // sum of per-worker barrier waits
     long long max_wait_us = 0;  // worst single worker barrier wait
     long long busy_us = 0;      // summed chunk execution time
-    long long max_busy_us = 0;  // busiest worker's chunk execution time
+    long long critical_us = 0;  // per dispatch, the busiest worker's time, summed
+    long long max_busy_us = 0;  // busiest worker's time in any one dispatch
     int workers = 0;            // most distinct workers in one dispatch
-    int critical_tid = -1;      // trace tid of the busiest worker
+    int critical_tid = -1;      // trace tid of that busiest worker
   };
 
   /// One worker's totals since the last reset().

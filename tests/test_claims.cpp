@@ -336,6 +336,7 @@ TEST(BenchDiff, SchemaV2DigestlessDocsStillDiff) {
 TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
   // Splitting needs a bipartite graph: the odd cycle's case throws inside
   // the pipeline, and the runner records it instead of abandoning the batch.
+  // At 2 threads each source also gets its parallel CSR rebuild case.
   std::vector<GraphSource> sources;
   for (const char* spec : {"cycle:64", "cycle:101"}) {
     const auto src = parse_graph_source(spec, nullptr);
@@ -343,7 +344,14 @@ TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
     sources.push_back(*src);
   }
   const auto res = bench::run_source_bench(sources, "splitting", {2});
-  ASSERT_EQ(res.cases.size(), 2u);
+  ASSERT_EQ(res.cases.size(), 4u);
+  for (const std::size_t i : {std::size_t{2}, std::size_t{3}}) {
+    const auto& csr = res.cases[i];
+    EXPECT_EQ(csr.name, "csr/" + sources[i - 2].spec);
+    EXPECT_TRUE(csr.error.empty()) << csr.error;
+    EXPECT_TRUE(csr.identical);
+    EXPECT_EQ(csr.graph_digest.size(), 16u);
+  }
   const auto& ok = res.cases[0];
   EXPECT_EQ(ok.name, "source/cycle:64/splitting");
   EXPECT_TRUE(ok.error.empty()) << ok.error;

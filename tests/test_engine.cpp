@@ -37,7 +37,7 @@ class NeighborSum : public SyncAlgorithm {
     long long sum = 0;
     for (int p = 0; p < ctx.degree(); ++p) {
       EXPECT_TRUE(ctx.has_message(p));
-      sum += std::stoll(ctx.received(p));
+      sum += std::stoll(std::string(ctx.received(p)));
     }
     ctx.halt(std::to_string(sum));
   }
@@ -112,7 +112,7 @@ class GatherIds : public SyncAlgorithm {
     if (ctx.round_number() == 1) mine.insert(ctx.id());
     for (int p = 0; p < ctx.degree(); ++p) {
       if (!ctx.has_message(p)) continue;
-      std::istringstream is(ctx.received(p));
+      std::istringstream is{std::string(ctx.received(p))};
       long long id = 0;
       while (is >> id) mine.insert(id);
     }

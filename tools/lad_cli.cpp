@@ -293,7 +293,9 @@ class AuditFlooder : public SyncAlgorithm {
   void round(NodeCtx& ctx) override {
     auto& k = known_[static_cast<std::size_t>(ctx.node())];
     for (int p = 0; p < ctx.degree(); ++p) {
-      if (ctx.has_message(p)) k += "|" + ctx.received(p);
+      if (!ctx.has_message(p)) continue;
+      k += '|';
+      k += ctx.received(p);
     }
     if (ctx.round_number() > radius_) {
       ctx.halt(k);
