@@ -154,7 +154,7 @@ Case source_case(const GraphSource& src, const Pipeline* p) {
   auto run = [src, p](int threads) {
     const LoadedGraph lg = load_graph_source(src);
     const Graph& g = lg.graph;
-    PipelineConfig cfg = p->sweep_config(g.n());
+    PipelineConfig cfg;
     cfg.seed = hash2(1, static_cast<std::uint64_t>(g.n()));
     const auto adv = p->encode(g, cfg);
     const auto out = p->decode(g, adv, cfg);
@@ -162,7 +162,7 @@ Case source_case(const GraphSource& src, const Pipeline* p) {
                   p->name() << " decode failed verification on " << lg.spec);
     const auto digests = p->node_digests(g, out);
     ThreadPool pool(threads);
-    const auto echo = faults::run_verification_echo(g, digests, /*echo_rounds=*/3,
+    const auto echo = faults::run_verification_echo(g, digests, faults::kEchoRounds,
                                                      /*faults=*/nullptr, &pool);
     LAD_CHECK_MSG(echo.unverified_nodes.empty(),
                   echo.unverified_nodes.size() << " nodes unverified by the echo on " << lg.spec);
@@ -381,12 +381,13 @@ BenchSuiteResult run_cases(const std::string& label, std::vector<Case> cases,
       for (auto& row : measure_case(c, thread_list, out.reps, with_metrics)) {
         out.cases.push_back(std::move(row));
       }
-    } catch (const ContractViolation& e) {
-      // A broken correctness property is a result, not a crash: one error
-      // row with no timing and no per-count rows, then the next case.
+    } catch (const std::logic_error& e) {
+      // A broken correctness property or a rejected input is a result, not
+      // a crash: one error row with no timing and no per-count rows.
       BenchCaseResult row;
       row.name = c.name;
       row.error = e.what();
+      row.rejected = dynamic_cast<const InadmissibleInput*>(&e) != nullptr;
       out.cases.push_back(std::move(row));
       if (with_metrics) obs::TraceRecorder::instance().clear();
     }

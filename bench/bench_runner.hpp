@@ -71,9 +71,10 @@ struct BenchCaseResult {
   /// exactly by `lad diff`.
   Counters counters;
   /// Non-empty on an error row (schema v7): the message of the
-  /// ContractViolation the case threw. An error row has no timing and no
-  /// per-thread-count rows.
+  /// ContractViolation or (`rejected`, not serialized) InadmissibleInput the
+  /// case threw. An error row has no timing and no per-thread-count rows.
   std::string error;
+  bool rejected = false;
 };
 
 struct BenchSuiteResult {
@@ -141,8 +142,9 @@ std::vector<std::string> bench_suite_names();
 /// attributes per-case counter snapshots (of the serial run) to each case —
 /// the `lad bench --trace` path. `reps` > 1 runs one discarded warmup then
 /// takes the min wall time over `reps` timed runs per case (the stable-axis
-/// timing `lad diff` gates on). A case that throws ContractViolation
-/// becomes one error row and the suite goes on. Throws on unknown suite
+/// timing `lad diff` gates on). A case that throws ContractViolation or
+/// InadmissibleInput becomes one error row and the suite goes on. Throws on
+/// unknown suite
 /// names (callers validate via bench_suite_names()).
 BenchSuiteResult run_bench_suite(const std::string& suite, const std::vector<int>& thread_list,
                                  bool with_metrics = false, int reps = 1);

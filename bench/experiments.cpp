@@ -579,7 +579,6 @@ faults::CampaignConfig r1_config(PipelineId decoder, faults::GraphFamily family,
   cc.n = n;
   cc.trials = trials;
   cc.seed = 7;
-  if (decoder == PipelineId::kSubexpLcl) cc.subexp.x = 60;
   return cc;
 }
 
@@ -604,11 +603,7 @@ std::vector<Case> r1() {
     if (id == PipelineId::kDeltaColoring) continue;
     const int base = id == PipelineId::kSubexpLcl ? 128 : 200;
     for (const int n : {base, 4 * base}) {
-      auto cc = r1_config(id, faults::GraphFamily::kCycle, n, 10);
-      // The §4 phase-code budget grows with x and the phase-color count
-      // with n, so x scales up with n for the encode to exist.
-      if (id == PipelineId::kSubexpLcl) cc.subexp.x = n >= 512 ? 150 : 60;
-      cases.push_back(campaign_case(cc, "/blast"));
+      cases.push_back(campaign_case(r1_config(id, faults::GraphFamily::kCycle, n, 10), "/blast"));
     }
   }
   for (const Pipeline* p : pipelines()) {

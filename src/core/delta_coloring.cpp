@@ -159,8 +159,10 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
   Labeling lab = Labeling::empty(g);
   lab.node_labels = psi;
 
-  for (int radius = params.repair_radius; radius <= params.max_repair_radius + 1; ++radius) {
-    LAD_CHECK_MSG(radius <= params.max_repair_radius,
+  const int cap =
+      params.max_repair_radius > 0 ? params.max_repair_radius : delta_repair_cap(delta);
+  for (int radius = params.repair_radius; radius <= cap + 1; ++radius) {
+    LAD_CHECK_MSG(radius <= cap,
                   "Δ-coloring repair failed up to max_repair_radius; "
                   "increase the budget or use a roomier instance");
     // Group uncolored nodes whose radius-R regions could interact; each
@@ -226,6 +228,8 @@ int repair_uncolored(const Graph& g, int delta, std::vector<int>& psi,
 }
 
 }  // namespace
+
+int delta_repair_cap(int max_degree) { return max_degree <= 2 ? 20 : 6; }
 
 DeltaColoringEncoding encode_delta_coloring_advice(const Graph& g,
                                                    const std::vector<int>& witness,

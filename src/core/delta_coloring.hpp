@@ -36,15 +36,21 @@ namespace lad {
 struct DeltaColoringParams {
   /// Ruling-set distance of the stage-1 clustering.
   int cluster_spacing = 12;
-  /// Initial and maximal radius of stage-3 repair regions.
+  /// Initial and maximal radius of stage-3 repair regions; a maximal
+  /// radius of 0 = delta_repair_cap(Δ).
   int repair_radius = 2;
-  int max_repair_radius = 6;
+  int max_repair_radius = 0;
   /// Advice-free local-fix passes (stage 2.5) before stage-3 repairs.
   int local_fix_passes = 6;
   /// Also produce a uniform 1-bit encoding of the composed schema.
   bool uniform_one_bit = false;
   std::uint64_t seed = 4242;
 };
+
+/// The repair cap for max_repair_radius = 0, from Δ (which every node
+/// knows): 6, or 20 when Δ <= 2, where recoloring a parity defect on a
+/// cycle can legitimately need a long repair reach.
+int delta_repair_cap(int max_degree);
 
 struct DeltaColoringEncoding {
   /// Variable-length schema: storage node -> tagged payload entries.

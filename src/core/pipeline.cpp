@@ -20,23 +20,6 @@ namespace {
 constexpr std::uint64_t kTagMembership = 0xed6e;
 constexpr std::uint64_t kWitnessSolverBudget = 50'000'000;
 
-// Even dimensions >= 4 (keeps grid/torus bipartite, torus 4-regular).
-struct GridDims {
-  int w = 0;
-  int h = 0;
-};
-
-GridDims grid_dims(int n) {
-  GridDims d;
-  d.w = static_cast<int>(std::sqrt(static_cast<double>(std::max(16, n))));
-  if (d.w % 2 != 0) --d.w;
-  d.w = std::max(d.w, 4);
-  d.h = (std::max(16, n) + d.w - 1) / d.w;
-  if (d.h % 2 != 0) ++d.h;
-  d.h = std::max(d.h, 4);
-  return d;
-}
-
 // The default claims sweep extended to 65536 and 262144, so the scaling fits
 // span three decades of n (256 -> 262144). For pipelines whose every stage
 // is near-linear on their instance family.
@@ -48,20 +31,22 @@ std::vector<int> three_decade_sweep(const std::vector<int>& base) {
   return ns;
 }
 
-int even_cycle_len(int n) {
-  int len = std::max(8, n);
-  if (len % 2 != 0) ++len;
-  return len;
+// The witness search of the solver-backed pipelines: "none exists" and "the
+// budget ran out first" are one rejection, as either leaves nothing to encode.
+Labeling witness_or_reject(const Pipeline& pl, const Graph& g, const LclProblem& p) {
+  auto solved = solve_lcl(g, p, kWitnessSolverBudget);
+  if (!solved.has_value()) {
+    throw InadmissibleInput(pl, std::string("a graph with a ") + p.name() + " found within " +
+                                    std::to_string(kWitnessSolverBudget) + " search steps");
+  }
+  return std::move(*solved);
 }
 
 // Witness for the coloring pipelines: BFS parity where the instance is
 // bipartite (the standard campaign families), the exact solver otherwise.
-std::vector<int> coloring_witness(const Graph& g, int colors) {
+std::vector<int> coloring_witness(const Pipeline& pl, const Graph& g, int colors) {
   if (is_bipartite(g)) return parity_witness(g);
-  const VertexColoringLcl p(colors);
-  const auto solved = solve_lcl(g, p, kWitnessSolverBudget);
-  LAD_CHECK_MSG(solved.has_value(), "no proper " << colors << "-coloring witness exists");
-  return solved->node_labels;
+  return witness_or_reject(pl, g, VertexColoringLcl(colors)).node_labels;
 }
 
 std::vector<std::string> label_digests(const std::vector<int>& labels) {
@@ -80,10 +65,9 @@ class OrientationPipeline final : public Pipeline {
   const char* paper_section() const override { return "§5"; }
   AdviceCarrier carrier() const override { return AdviceCarrier::kUniformBits; }
   SchemaType schema_type() const override { return SchemaType::kUniformFixedLength; }
-  const char* graph_requirements() const override { return "any graph"; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
-    return make_cycle(even_cycle_len(n), IdMode::kRandomDense, seed);
+    return even_cycle(n, seed);
   }
 
   std::vector<int> sweep_ns(const std::vector<int>& base) const override {
@@ -142,11 +126,17 @@ class SplittingPipeline final : public Pipeline {
   const char* paper_section() const override { return "§5-ext"; }
   AdviceCarrier carrier() const override { return AdviceCarrier::kUniformBits; }
   SchemaType schema_type() const override { return SchemaType::kUniformFixedLength; }
-  const char* graph_requirements() const override { return "bipartite, all degrees even"; }
+
+  void admit(const Graph& g) const override {
+    bool even = true;
+    for (int v = 0; v < g.n(); ++v) even = even && g.degree(v) % 2 == 0;
+    if (!even || !is_bipartite(g)) {
+      throw InadmissibleInput(*this, "a bipartite graph with all degrees even");
+    }
+  }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
-    const auto d = grid_dims(n);
-    return make_torus(d.w, d.h, IdMode::kRandomDense, seed);
+    return even_grid(n, seed, /*torus=*/true);
   }
 
   PipelineClaims claims() const override {
@@ -202,11 +192,9 @@ class ThreeColoringPipeline final : public Pipeline {
   const char* paper_section() const override { return "§7"; }
   AdviceCarrier carrier() const override { return AdviceCarrier::kUniformBits; }
   SchemaType schema_type() const override { return SchemaType::kUniformFixedLength; }
-  const char* graph_requirements() const override { return "3-colorable"; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
-    const auto d = grid_dims(n);
-    return make_grid(d.w, d.h, IdMode::kRandomDense, seed);
+    return even_grid(n, seed, /*torus=*/false);
   }
 
   std::vector<int> sweep_ns(const std::vector<int>& base) const override {
@@ -230,7 +218,8 @@ class ThreeColoringPipeline final : public Pipeline {
   PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.bits = encode_three_coloring_advice(g, coloring_witness(g, 3), cfg.three_coloring).bits;
+    adv.bits =
+        encode_three_coloring_advice(g, coloring_witness(*this, g, 3), cfg.three_coloring).bits;
     return adv;
   }
 
@@ -261,11 +250,27 @@ class DeltaColoringPipeline final : public Pipeline {
   const char* paper_section() const override { return "§6"; }
   AdviceCarrier carrier() const override { return AdviceCarrier::kVarSchema; }
   SchemaType schema_type() const override { return SchemaType::kVariableLength; }
-  const char* graph_requirements() const override { return "Δ-colorable (Brooks)"; }
+
+  // Δ-colorable, decided structurally: with Δ <= 2 the palette is 2 colors;
+  // with Δ >= 3 Brooks' theorem leaves K_{Δ+1} as the only obstruction, and
+  // a component of Δ + 1 nodes all of degree Δ is exactly that clique.
+  void admit(const Graph& g) const override {
+    const int delta = g.max_degree();
+    if (delta <= 2) {
+      if (!is_bipartite(g)) throw InadmissibleInput(*this, "a bipartite graph when Δ <= 2");
+      return;
+    }
+    const auto full = [&](int v) { return g.degree(v) == delta; };
+    for (const auto& members : connected_components(g).members) {
+      if (static_cast<int>(members.size()) == delta + 1 &&
+          std::all_of(members.begin(), members.end(), full)) {
+        throw InadmissibleInput(*this, "no K_" + std::to_string(delta + 1) + " component (Brooks)");
+      }
+    }
+  }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
-    const auto d = grid_dims(n);
-    return make_grid(d.w, d.h, IdMode::kRandomDense, seed);
+    return even_grid(n, seed, /*torus=*/false);
   }
 
   std::vector<int> sweep_ns(const std::vector<int>& base) const override {
@@ -294,8 +299,8 @@ class DeltaColoringPipeline final : public Pipeline {
   PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.var = encode_delta_coloring_advice(g, coloring_witness(g, std::max(2, g.max_degree())),
-                                           cfg.delta_coloring)
+    adv.var = encode_delta_coloring_advice(
+                  g, coloring_witness(*this, g, std::max(2, g.max_degree())), cfg.delta_coloring)
                   .advice;
     return adv;
   }
@@ -327,12 +332,9 @@ class SubexpLclPipeline final : public Pipeline {
   const char* paper_section() const override { return "§4"; }
   AdviceCarrier carrier() const override { return AdviceCarrier::kUniformBits; }
   SchemaType schema_type() const override { return SchemaType::kUniformFixedLength; }
-  const char* graph_requirements() const override {
-    return "subexponential growth (x scaled to n)";
-  }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
-    return make_cycle(even_cycle_len(n), IdMode::kRandomDense, seed);
+    return even_cycle(n, seed);
   }
 
   PipelineClaims claims() const override {
@@ -358,9 +360,10 @@ class SubexpLclPipeline final : public Pipeline {
   }
 
   PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
+    const Labeling witness = witness_or_reject(*this, g, subexp_demo_lcl());
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.bits = encode_subexp_lcl_advice(g, subexp_demo_lcl(), cfg.subexp).bits;
+    adv.bits = encode_subexp_lcl_advice(g, subexp_demo_lcl(), cfg.subexp, &witness).bits;
     return adv;
   }
 
@@ -391,10 +394,9 @@ class DecompressPipeline final : public Pipeline {
   const char* paper_section() const override { return "§1.5"; }
   AdviceCarrier carrier() const override { return AdviceCarrier::kNodeLabels; }
   SchemaType schema_type() const override { return SchemaType::kVariableLength; }
-  const char* graph_requirements() const override { return "any graph"; }
 
   Graph make_instance(int n, std::uint64_t seed) const override {
-    return make_cycle(even_cycle_len(n), IdMode::kRandomDense, seed);
+    return even_cycle(n, seed);
   }
 
   PipelineClaims claims() const override {
@@ -413,7 +415,7 @@ class DecompressPipeline final : public Pipeline {
     PipelineAdvice adv;
     adv.carrier = carrier();
     adv.labels =
-        compress_edge_set(g, hashed_edge_membership(g, cfg.seed, cfg.decompress_density),
+        compress_edge_set(g, hashed_edge_membership(g, cfg.seed, kDecompressDensity),
                           cfg.orientation)
             .labels;
     return adv;
@@ -437,7 +439,7 @@ class DecompressPipeline final : public Pipeline {
     // The instance is a pure function of (seed, edge IDs), so ground truth
     // is regenerable on any ID-preserving (sub)graph. Unknown edges are
     // excluded: they are the guarded decoder's explicitly flagged scope.
-    const auto truth = hashed_edge_membership(g, cfg.seed, cfg.decompress_density);
+    const auto truth = hashed_edge_membership(g, cfg.seed, kDecompressDensity);
     for (int e = 0; e < g.m(); ++e) {
       if (!out.edge_known.empty() && out.edge_known[static_cast<std::size_t>(e)] == 0) continue;
       if (out.edge_in_x[static_cast<std::size_t>(e)] != truth[static_cast<std::size_t>(e)]) {
@@ -471,6 +473,7 @@ class DecompressPipeline final : public Pipeline {
 
 PipelineAdvice Pipeline::encode(const Graph& g, const PipelineConfig& cfg) const {
   LAD_TM_SPAN(span, std::string("pipeline.encode/") + name(), "pipeline");
+  admit(g);
   PipelineAdvice adv = do_encode(g, cfg);
   LAD_TM({
     auto& m = obs::core();
@@ -573,6 +576,22 @@ const Pipeline* find_pipeline(std::string_view name) {
 const LclProblem& subexp_demo_lcl() {
   static const VertexColoringLcl problem(3);
   return problem;
+}
+
+Graph even_cycle(int n, std::uint64_t seed) {
+  const int len = std::max(8, n);
+  return make_cycle(len + len % 2, IdMode::kRandomDense, seed);
+}
+
+Graph even_grid(int n, std::uint64_t seed, bool torus) {
+  // At least 16 cells, so both sides come out >= 4.
+  const int cells = std::max(16, n);
+  int w = static_cast<int>(std::sqrt(static_cast<double>(cells)));
+  w -= w % 2;
+  int h = (cells + w - 1) / w;
+  h += h % 2;
+  return torus ? make_torus(w, h, IdMode::kRandomDense, seed)
+               : make_grid(w, h, IdMode::kRandomDense, seed);
 }
 
 std::vector<int> parity_witness(const Graph& g) {

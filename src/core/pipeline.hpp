@@ -7,6 +7,7 @@
 // its own six-way switch over hand-rolled encode/decode/verify calls. The
 // Pipeline interface factors that out:
 //
+//   * admit(g)              — the theorem's precondition, run by encode;
 //   * encode(g, cfg)        — the centralized prover (Definition 2's f);
 //                             witness/instance generation is internal and
 //                             seeded from cfg, so callers need no
@@ -33,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,8 +72,8 @@ enum class AdviceCarrier {
 };
 
 /// Knobs for every pipeline, bundled so registry consumers can thread one
-/// object through encode/decode/verify. Defaults reproduce the paper
-/// defaults of each pipeline.
+/// object through encode/decode/verify. Defaults reproduce the paper's;
+/// subexp.x and delta_coloring.max_repair_radius are derived from n and Δ.
 struct PipelineConfig {
   /// Seeds internal witness/instance generation (decompress membership).
   std::uint64_t seed = 1;
@@ -80,9 +82,10 @@ struct PipelineConfig {
   ThreeColoringParams three_coloring;
   DeltaColoringParams delta_coloring;
   SubexpLclParams subexp;
-  /// §1.5: density of the hashed membership set X that encode() compresses.
-  double decompress_density = 0.5;
 };
+
+/// §1.5: density of the hashed membership set X that encode() compresses.
+inline constexpr double kDecompressDensity = 0.5;
 
 /// Uniform advice carrier. Exactly one representation is populated,
 /// according to Pipeline::carrier().
@@ -138,18 +141,21 @@ class Pipeline {
   virtual AdviceCarrier carrier() const = 0;
   /// Definition 2 schema type of the advice this pipeline emits.
   virtual SchemaType schema_type() const = 0;
-  /// Human-readable instance preconditions ("bipartite, even degrees", ...).
-  virtual const char* graph_requirements() const = 0;
 
-  /// A graph family instance (seeded IDs) satisfying graph_requirements(),
-  /// with roughly `n` nodes — the uniform way for benches, smoke tests, and
-  /// audits to get a valid instance per pipeline.
+  /// The admission point (DESIGN.md §8.5), run by encode() before any
+  /// work: throws InadmissibleInput when g fails this pipeline's structural
+  /// precondition, in O(n + m). Accepts any graph unless overridden.
+  virtual void admit(const Graph& /*g*/) const {}
+
+  /// An admissible graph family instance (seeded IDs) with roughly `n`
+  /// nodes — the uniform way for benches, smoke tests, and audits to get a
+  /// valid instance per pipeline.
   virtual Graph make_instance(int n, std::uint64_t seed) const = 0;
 
   /// Claim hooks (the claims observatory, DESIGN.md §9.6): the growth
   /// classes and bounds this pipeline's theorem promises on make_instance
-  /// sweeps, and the config an n-point of such a sweep should run with
-  /// (subexp scales x to the family; everything else uses defaults).
+  /// sweeps, and the config every n-point of such a sweep runs with (subexp
+  /// pins one x for the whole sweep; everything else uses defaults).
   virtual PipelineClaims claims() const = 0;
   virtual PipelineConfig sweep_config(int /*n*/) const { return {}; }
 
@@ -166,8 +172,9 @@ class Pipeline {
   // encode/decode/verify counters live — one instrumentation point instead
   // of six copies per stage. Subclasses override the do_* hooks below.
 
-  /// Centralized prover. Generates any witness it needs internally (parity
-  /// witness on bipartite instances, exact solver otherwise), seeded by cfg.
+  /// Centralized prover. Runs admit(g), then generates any witness it needs
+  /// (parity on bipartite instances, else the exact solver, whose empty
+  /// search throws InadmissibleInput too), seeded by cfg.
   PipelineAdvice encode(const Graph& g, const PipelineConfig& cfg) const;
 
   /// Strict LOCAL decoder; throws ContractViolation on advice that is
@@ -192,6 +199,17 @@ class Pipeline {
                          const PipelineConfig& cfg) const = 0;
 };
 
+/// A pipeline's named rejection (DESIGN.md §8.5): the graph fails the
+/// theorem's structural precondition, or the witness search finds no
+/// witness within its budget. what() names the requirement. Unlike
+/// ContractViolation it signals no bug; every `lad` verb exits 2 on it.
+class InadmissibleInput : public std::invalid_argument {
+ public:
+  InadmissibleInput(const Pipeline& p, const std::string& requirement)
+      : std::invalid_argument(std::string(p.name()) + ": inadmissible input: requires " +
+                              requirement) {}
+};
+
 /// The six paper pipelines, in PipelineId order. Entries are static
 /// singletons — pointers stay valid for the program lifetime.
 const std::vector<const Pipeline*>& pipelines();
@@ -203,6 +221,13 @@ const Pipeline* find_pipeline(std::string_view name);
 /// The demonstration LCL of the subexp_lcl entry: the §4 construction is
 /// generic in the problem; campaigns and benches exercise 3-coloring.
 const LclProblem& subexp_demo_lcl();
+
+/// The instance shapes of make_instance and the fault campaigns, with
+/// about n nodes (seeded IDs): a cycle of even length >= 8, and a grid or
+/// torus with even sides >= 4 near sqrt(n). All are bipartite; the torus is
+/// 4-regular.
+Graph even_cycle(int n, std::uint64_t seed);
+Graph even_grid(int n, std::uint64_t seed, bool torus);
 
 /// Proper 2-coloring by BFS parity, the standard witness on the bipartite
 /// instance families (colors 1/2; requires bipartiteness, checked).

@@ -29,16 +29,13 @@ std::vector<int> canonical_two_coloring(const Graph& g) {
 }  // namespace
 
 SplittingEncoding encode_splitting_advice(const Graph& g, const SplittingParams& params) {
-  for (int v = 0; v < g.n(); ++v) {
-    LAD_CHECK_MSG(g.degree(v) % 2 == 0, "splitting requires even degrees, node " << g.id(v));
-  }
   const auto col = canonical_two_coloring(g);
 
   const auto trails = euler_partition(g);
   std::vector<char> needs(trails.size(), 0);
   int marked = 0;
   for (std::size_t t = 0; t < trails.size(); ++t) {
-    LAD_CHECK(trails[t].closed);
+    LAD_CHECK_MSG(trails[t].closed, "splitting requires even degrees");
     if (trails[t].length() > params.orientation.short_trail_threshold) {
       needs[t] = 1;
       ++marked;

@@ -372,9 +372,15 @@ int resolve_max_colors(const SubexpLclParams& p) {
 
 }  // namespace
 
+SubexpLclParams subexp_at_scale(SubexpLclParams params, int n) {
+  if (params.x == 0) params.x = n < 512 ? 60 : 150;
+  return params;
+}
+
 SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
-                                           const SubexpLclParams& params,
+                                           const SubexpLclParams& requested,
                                            const Labeling* witness) {
+  const SubexpLclParams params = subexp_at_scale(requested, g.n());
   const int x = params.x;
   const int y = x / 2;
   const int r = params.growth_r;
@@ -498,10 +504,11 @@ namespace {
 // stay unlabeled (-1) and are marked for the caller's repair pass.
 SubexpLclDecodeResult decode_subexp_lcl_impl(const Graph& g, const LclProblem& p,
                                              const std::vector<char>& bits,
-                                             const SubexpLclParams& params,
+                                             const SubexpLclParams& requested,
                                              std::vector<char>* failed) {
   LAD_CHECK_MSG(static_cast<int>(bits.size()) == g.n(),
                 "subexp advice has " << bits.size() << " bits for n = " << g.n());
+  const SubexpLclParams params = subexp_at_scale(requested, g.n());
   const int x = params.x;
   const int r = params.growth_r;
   const int rbar = p.radius();

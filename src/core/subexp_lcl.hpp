@@ -38,18 +38,24 @@
 namespace lad {
 
 struct SubexpLclParams {
-  int x = 100;         // base scale (paper's x)
+  int x = 0;           // base scale (paper's x); 0 = derived from n
   int growth_r = 2;    // paper's r (cluster margin)
   int sep_mult = 5;    // distance coloring uses distance sep_mult * x
   int max_colors = 0;  // decoder phase bound; 0 = 4 * sep_mult * x + 4
   std::int64_t solver_budget = 50'000'000;
 };
 
+/// `params` as encoder and decoder run them: x = 0 becomes a function of n,
+/// which every node knows — 60 below n = 512, then 150, because the
+/// distance-(5x) coloring uses more colors as n grows and their phase codes
+/// outgrow the y = x/2 path budget of x = 60.
+SubexpLclParams subexp_at_scale(SubexpLclParams params, int n);
+
 struct SubexpLclEncoding {
   std::vector<char> bits;  // uniform 1-bit advice
   int num_clusters = 0;
   int num_phase_colors = 0;  // colors actually used by the distance coloring
-  SubexpLclParams params;
+  SubexpLclParams params;  // as run: x resolved
 };
 
 /// Centralized prover: solves the LCL globally (or uses `witness` if given)

@@ -1,7 +1,6 @@
 #include "faults/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -10,7 +9,6 @@
 #include <string_view>
 #include <utility>
 
-#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "local/engine.hpp"
 #include "obs/export.hpp"
@@ -30,23 +28,6 @@ void merge_sorted_unique(std::vector<int>& into, const std::vector<int>& add) {
   into.insert(into.end(), add.begin(), add.end());
   std::sort(into.begin(), into.end());
   into.erase(std::unique(into.begin(), into.end()), into.end());
-}
-
-struct GridDims {
-  int w = 0;
-  int h = 0;
-};
-
-// Even dimensions >= 4 (keeps grid/torus bipartite, torus 4-regular).
-GridDims grid_dims(int n) {
-  GridDims d;
-  d.w = static_cast<int>(std::sqrt(static_cast<double>(std::max(16, n))));
-  if (d.w % 2 != 0) --d.w;
-  d.w = std::max(d.w, 4);
-  d.h = (std::max(16, n) + d.w - 1) / d.w;
-  if (d.h % 2 != 0) ++d.h;
-  d.h = std::max(d.h, 4);
-  return d;
 }
 
 // Routes the injector's advice attack through the carrier's channel: bit
@@ -75,7 +56,7 @@ void corrupt_pipeline_advice(FaultInjector& inj, const Graph& g, PipelineAdvice&
 bool silent_corruption(PipelineId id, const Graph& g, const robust::GuardedOutcome& res,
                        const PipelineConfig& cfg) {
   if (id != PipelineId::kDecompress) return !res.report.output_valid && !res.report.degraded();
-  const auto truth = hashed_edge_membership(g, cfg.seed, cfg.decompress_density);
+  const auto truth = hashed_edge_membership(g, cfg.seed, kDecompressDensity);
   for (int e = 0; e < g.m(); ++e) {
     const auto i = static_cast<std::size_t>(e);
     if (res.output.edge_known[i] != 0 && res.output.edge_in_x[i] != truth[i]) return true;
@@ -90,19 +71,12 @@ Graph build_campaign_graph(PipelineId decoder, GraphFamily& family, int n) {
     family = GraphFamily::kTorus;  // splitting needs even degrees
   }
   switch (family) {
-    case GraphFamily::kCycle: {
-      int len = std::max(8, n);
-      if (len % 2 != 0) ++len;  // even: bipartite, feasible for splitting
-      return make_cycle(len, IdMode::kRandomDense, kGraphShapeSeed);
-    }
-    case GraphFamily::kGrid: {
-      const auto d = grid_dims(n);
-      return make_grid(d.w, d.h, IdMode::kRandomDense, kGraphShapeSeed);
-    }
-    case GraphFamily::kTorus: {
-      const auto d = grid_dims(n);
-      return make_torus(d.w, d.h, IdMode::kRandomDense, kGraphShapeSeed);
-    }
+    case GraphFamily::kCycle:
+      return even_cycle(n, kGraphShapeSeed);
+    case GraphFamily::kGrid:
+      return even_grid(n, kGraphShapeSeed, /*torus=*/false);
+    case GraphFamily::kTorus:
+      return even_grid(n, kGraphShapeSeed, /*torus=*/true);
   }
   LAD_UNREACHABLE("unknown GraphFamily");
 }
@@ -253,7 +227,7 @@ obs::RunReport observe_run(const Pipeline& p, const Graph& g, const std::string&
       out = p.decode(g, adv, cfg);
       ok = p.verify(g, out, cfg);
       digests = p.node_digests(g, out);
-      echo_clean = run_verification_echo(g, digests, /*echo_rounds=*/3, /*faults=*/nullptr,
+      echo_clean = run_verification_echo(g, digests, kEchoRounds, /*faults=*/nullptr,
                                          threads > 1 ? &pool : nullptr)
                        .unverified_nodes.empty();
     };
@@ -346,10 +320,6 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
   const Pipeline& p = pipeline(config.decoder);
   PipelineConfig pcfg;
   pcfg.seed = config.seed;
-  pcfg.subexp = config.subexp;
-  // Δ = 2 instances are cramped: recoloring a parity defect on a cycle can
-  // legitimately need a long repair reach, so give the §6 machinery room.
-  pcfg.delta_coloring.max_repair_radius = 20;
 
   // One-time encode on the pristine graph (the prover is centralized and
   // fault-free; the adversary acts between encode and decode).
@@ -386,7 +356,7 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
     // output itself is unchanged, so no corruption can enter here).
     if (plan.any_engine_faults()) {
       const EchoResult echo =
-          run_verification_echo(g, digests, config.echo_rounds, &inj.engine_faults());
+          run_verification_echo(g, digests, kEchoRounds, &inj.engine_faults());
       rep.engine_dropped = echo.dropped;
       rep.engine_corrupted = echo.corrupted;
       rep.engine_duplicated = echo.duplicated;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "core/subexp_lcl.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/robust.hpp"
 #include "graph/graph.hpp"
@@ -47,6 +46,10 @@ std::optional<GraphFamily> parse_family(std::string_view name);
 /// seed field is ignored by campaigns (each trial derives its own).
 FaultPlan default_mixed_plan();
 
+/// Rounds of the engine-layer verification echo (>= 2 so that a single
+/// corrupted copy is caught by cross-round comparison).
+inline constexpr int kEchoRounds = 3;
+
 struct CampaignConfig {
   /// The pipeline under attack (registry id, core/pipeline.hpp).
   PipelineId decoder = PipelineId::kOrientation;
@@ -56,11 +59,6 @@ struct CampaignConfig {
   std::uint64_t seed = 1;
   FaultPlan plan = default_mixed_plan();
   robust::RepairPolicy policy;
-  /// §4 scale knob (kSubexpLcl only); campaigns keep x modest.
-  SubexpLclParams subexp;
-  /// Rounds of the engine-layer verification echo (>= 2 so that a single
-  /// corrupted copy is caught by cross-round comparison).
-  int echo_rounds = 3;
   /// Trials run on a ThreadPool of this many workers (1 = serial). Every
   /// trial is a pure function of (config, trial index) and reports are
   /// folded in trial order, so the summary is byte-identical at any count.

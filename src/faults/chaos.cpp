@@ -152,7 +152,6 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
             cc.plan = scale_plan(plan, rate);
             cc.policy = policy;
             cc.threads = cfg.threads;
-            if (decoder == PipelineId::kSubexpLcl) cc.subexp.x = 60;
 
             ChaosCell cell;
             cell.decoder = decoder;

@@ -942,7 +942,7 @@ PipelineAdvice guarded_encode(const Pipeline& p, const Graph& g, const PipelineC
   PipelineAdvice adv;
   adv.carrier = AdviceCarrier::kNodeLabels;
   adv.labels = guarded_compress_edge_set(
-      g, hashed_edge_membership(g, cfg.seed, cfg.decompress_density), cfg.orientation);
+      g, hashed_edge_membership(g, cfg.seed, kDecompressDensity), cfg.orientation);
   return adv;
 }
 

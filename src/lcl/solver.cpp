@@ -28,6 +28,7 @@ class Search {
     for (const Var& var : order_) slot_of(var) = -1;
   }
 
+  /// False (labels restored) if no completion exists or exhausted().
   bool run() {
     try {
       if (search()) {
@@ -46,6 +47,8 @@ class Search {
     restore();
     return false;
   }
+
+  bool exhausted() const { return steps_ > max_steps_; }
 
  private:
   // Orders variables by a BFS-like sweep so that constraints become fully
@@ -139,7 +142,7 @@ class Search {
     while (i < order_.size()) {
       const Var& var = order_[i];
       if (stack.size() == i) {
-        LAD_CHECK_MSG(++steps_ <= max_steps_, "solve_lcl: step budget exhausted");
+        if (++steps_ > max_steps_) return false;
         LAD_CHECK_MSG(slot_of(var) == -1, "free variable listed twice");
         stack.push_back({affected_checks(var), 1});
       }
@@ -170,8 +173,7 @@ class Search {
       if (i == 0) return false;
       --i;
     }
-    LAD_CHECK_MSG(++steps_ <= max_steps_, "solve_lcl: step budget exhausted");
-    return true;
+    return ++steps_ <= max_steps_;
   }
 
   const Graph& g_;
@@ -191,7 +193,9 @@ bool solve_lcl(const Graph& g, const LclProblem& p, Labeling& lab,
                const std::vector<int>& free_nodes, const std::vector<int>& free_edges,
                const std::vector<int>& check_nodes, std::int64_t max_steps) {
   Search s(g, p, lab, free_nodes, free_edges, check_nodes, max_steps);
-  return s.run();
+  const bool solved = s.run();
+  LAD_CHECK_MSG(!s.exhausted(), "solve_lcl: step budget exhausted");
+  return solved;
 }
 
 std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p, std::int64_t max_steps) {
@@ -199,7 +203,8 @@ std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p, std::int6
   std::vector<int> edges(static_cast<std::size_t>(g.m()));
   for (int e = 0; e < g.m(); ++e) edges[e] = e;
   Labeling lab = Labeling::empty(g);
-  if (!solve_lcl(g, p, lab, nodes, edges, nodes, max_steps)) return std::nullopt;
+  Search s(g, p, lab, nodes, edges, nodes, max_steps);
+  if (!s.run()) return std::nullopt;
   return lab;
 }
 

@@ -28,7 +28,9 @@ bool solve_lcl(const Graph& g, const LclProblem& p, Labeling& lab,
                const std::vector<int>& free_nodes, const std::vector<int>& free_edges,
                const std::vector<int>& check_nodes, std::int64_t max_steps = 50'000'000);
 
-/// Whole-graph convenience: all labels free, all constraints checked.
+/// Whole-graph witness search: all labels free, all constraints checked.
+/// nullopt if no labeling exists or the step budget runs out first — a
+/// witness search treats both as "no witness" (DESIGN.md §8.5).
 std::optional<Labeling> solve_lcl(const Graph& g, const LclProblem& p,
                                   std::int64_t max_steps = 50'000'000);
 

@@ -41,22 +41,4 @@ struct Ball {
 /// masked subgraph.
 Ball extract_ball(const Graph& g, int center, int radius, const NodeMask& mask = {});
 
-/// Tracks the number of LOCAL rounds a view-based decoder has consumed. The
-/// final round count of an algorithm run in the view API is the maximum
-/// radius it gathered (plus any explicit extra rounds it charges).
-class RoundLedger {
- public:
-  /// Records that some node gathered a radius-r ball.
-  void charge_radius(int r) { rounds_ = std::max(rounds_, r); }
-
-  /// Records r additional synchronous rounds after gathering.
-  void charge_extra(int r) { extra_ += r; }
-
-  int rounds() const { return rounds_ + extra_; }
-
- private:
-  int rounds_ = 0;
-  int extra_ = 0;
-};
-
 }  // namespace lad

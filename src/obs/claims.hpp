@@ -87,15 +87,15 @@ struct ClaimsReport {
 std::vector<int> default_sweep_ns();
 
 /// Runs one pipeline's real encode/decode/verify over the sweep.
-/// Instance configs come from Pipeline::sweep_config(n) with cfg.seed
-/// derived from `seed` so the sweep is deterministic.
+/// Instance configs come from Pipeline::sweep_config(n), the sweep's pinned
+/// overrides, with cfg.seed derived from `seed` so the sweep is deterministic.
 std::vector<SweepPoint> run_claim_sweep(const Pipeline& p, const std::vector<int>& ns,
                                         std::uint64_t seed = 1);
 
 /// Like run_claim_sweep, but the sweep points are explicit GraphSources
 /// (generated families, .ladg files, or edge lists) instead of
 /// make_instance sizes — the path by which imported graphs feed the
-/// scaling-law fitter. The graphs must satisfy p.graph_requirements();
+/// scaling-law fitter. A graph p does not admit throws InadmissibleInput;
 /// as with generated sweeps, verify() is the gate that catches mismatches.
 std::vector<SweepPoint> run_claim_sweep_sources(const Pipeline& p,
                                                 const std::vector<GraphSource>& sources,

@@ -20,8 +20,6 @@ class Stopwatch {
         .count();
   }
 
-  void restart() { t0_ = std::chrono::steady_clock::now(); }
-
  private:
   std::chrono::steady_clock::time_point t0_;
 };

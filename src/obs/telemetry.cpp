@@ -298,16 +298,6 @@ void TraceRecorder::clear() {
   }
 }
 
-std::size_t TraceRecorder::event_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t total = 0;
-  for (const auto& b : bufs_) {
-    std::lock_guard<std::mutex> blk(b->mu);
-    total += b->events.size();
-  }
-  return total;
-}
-
 long long TraceRecorder::dropped() const {
   std::lock_guard<std::mutex> lk(mu_);
   long long total = 0;

@@ -280,8 +280,7 @@ class TraceRecorder {
   /// spans are open.
   void clear();
 
-  /// Total events currently buffered / events dropped to the cap.
-  std::size_t event_count() const;
+  /// Events dropped to the cap.
   long long dropped() const;
 
   /// Events grouped by thread id (ascending), in per-thread record order.

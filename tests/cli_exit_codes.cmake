@@ -1,11 +1,12 @@
 # Pins the uniform `lad` exit-code convention (tools/lad_cli.cpp header):
 #   0 — success / checked property holds
-#   2 — usage error
+#   2 — usage error or inadmissible input, naming the requirement
 #   3 — soft failure (checked property does not hold)
 #   4 — hard failure (internal error, contract violation)
 # Soft-fail 3 is covered per-verb by cli_diff.cmake (the cli_diffbench and
 # cli_diffprof ctests) and cli_lint.cmake; this script pins the 0 / 2 / 4
-# corners every verb shares through main().
+# corners every verb shares through main(). cli_admission_matrix.cmake runs
+# the inadmissible-input side of 2 over every family and pipeline.
 #
 # Usage: cmake -DLAD_CLI=<path> -P cli_exit_codes.cmake
 if(NOT LAD_CLI)
@@ -18,6 +19,18 @@ function(expect_exit code)
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL ${code})
     message(FATAL_ERROR "`lad ${ARGN}` must exit ${code}, got ${rc}:\n${out}${err}")
+  endif()
+  set(out "${out}" PARENT_SCOPE)
+  set(err "${err}" PARENT_SCOPE)
+endfunction()
+
+# A graph outside a pipeline's theorem exits 2 with the failed requirement
+# on stderr — rejected at the admission point, not by a deep LAD_CHECK.
+function(expect_rejected requirement)
+  expect_exit(2 ${ARGN})
+  if(NOT err MATCHES "inadmissible input: requires ${requirement}" OR
+     err MATCHES "LAD_CHECK failed")
+    message(FATAL_ERROR "`lad ${ARGN}` must name '${requirement}' on stderr, got:\n${err}")
   endif()
 endfunction()
 
@@ -52,3 +65,17 @@ expect_exit(2 chaos --policies bogus)
 expect_exit(0 chaos --pipelines orientation --families cycle --models mixed
             --policies strict -n 48 --trials 2
             --out ${CMAKE_CURRENT_BINARY_DIR}/chaos_exit_scratch.md)
+
+# Inadmissible inputs exit 2 naming the requirement. A long even cycle is
+# admissible for delta_coloring: its repair cap, derived from Δ = 2, lets
+# the parity repair reach far enough.
+expect_rejected("a bipartite graph" profile splitting --graph cycle:101 --threads 1)
+expect_rejected("a graph with a vertex-3-coloring"
+                profile three_coloring --graph complete:6 --threads 1)
+expect_rejected("no K_5 component" profile delta_coloring --graph complete:5 --threads 1)
+expect_exit(0 profile delta_coloring --graph cycle:4096 --threads 1)
+# `lad bench` records a rejected source as the case's error row, exit 2.
+expect_exit(2 bench --graph cycle:101 --pipeline splitting --threads 1)
+if(NOT out MATCHES "ERROR: splitting: inadmissible input: requires a bipartite graph")
+  message(FATAL_ERROR "`lad bench` must print the rejection as an error row, got:\n${out}")
+endif()

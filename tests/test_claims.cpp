@@ -334,8 +334,9 @@ TEST(BenchDiff, SchemaV2DigestlessDocsStillDiff) {
 }
 
 TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
-  // Splitting needs a bipartite graph: the odd cycle's case throws inside
-  // the pipeline, and the runner records it instead of abandoning the batch.
+  // Splitting needs a bipartite graph: the odd cycle's case is rejected at
+  // the pipeline's admission point, and the runner records the rejection
+  // instead of abandoning the batch.
   // At 2 threads each source also gets its parallel CSR rebuild case.
   std::vector<GraphSource> sources;
   for (const char* spec : {"cycle:64", "cycle:101"}) {
@@ -360,7 +361,10 @@ TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
   EXPECT_EQ(ok.digest.size(), 16u);
   const auto& bad = res.cases[1];
   EXPECT_EQ(bad.name, "source/cycle:101/splitting");
-  EXPECT_NE(bad.error.find("is_bipartite"), std::string::npos) << bad.error;
+  EXPECT_NE(bad.error.find("splitting: inadmissible input: requires a bipartite graph"),
+            std::string::npos)
+      << bad.error;
+  EXPECT_TRUE(bad.rejected);
   EXPECT_TRUE(bad.digest.empty());
   EXPECT_EQ(bad.wall_ms_1, 0.0);
 }

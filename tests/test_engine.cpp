@@ -170,13 +170,5 @@ TEST(Ball, MaskRespected) {
   for (int i = 0; i < b.graph.n(); ++i) EXPECT_NE(b.to_parent[static_cast<std::size_t>(i)], 1);
 }
 
-TEST(Ball, RoundLedger) {
-  RoundLedger ledger;
-  ledger.charge_radius(3);
-  ledger.charge_radius(2);
-  ledger.charge_extra(4);
-  EXPECT_EQ(ledger.rounds(), 7);
-}
-
 }  // namespace
 }  // namespace lad

@@ -33,8 +33,7 @@ TEST(PipelineRegistry, CoversAllSixPipelinesWithUniqueNames) {
 TEST(PipelineRegistry, EncodeDecodeVerifyRoundTripsOnOwnInstances) {
   for (const Pipeline* p : pipelines()) {
     SCOPED_TRACE(p->name());
-    PipelineConfig cfg;
-    if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
+    const PipelineConfig cfg;
     const Graph g = p->make_instance(96, 3);
     const auto adv = p->encode(g, cfg);
     EXPECT_EQ(adv.carrier, p->carrier());
@@ -54,8 +53,7 @@ TEST(PipelineRegistry, GuardedDecodeIsCleanOnUncorruptedAdvice) {
   for (const Pipeline* p : pipelines()) {
     for (const auto& [n, seed] : {std::pair{96, 3}, std::pair{400, 4}}) {
       SCOPED_TRACE(std::string(p->name()) + " n=" + std::to_string(n));
-      PipelineConfig cfg;
-      if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
+      const PipelineConfig cfg;
       const Graph g = p->make_instance(n, seed);
       const auto adv = robust::guarded_encode(*p, g, cfg);
       const auto out = robust::guarded_decode(*p, g, adv, cfg);
@@ -102,6 +100,25 @@ TEST(PipelinePins, LargeInstanceDigestsAreStable) {
     EXPECT_EQ(out.rounds, pin.rounds);
     EXPECT_EQ(adv.stats(g.n()).total_bits, pin.total_bits);
   }
+}
+
+// Admission rejects with the named type before any work, and the knobs a
+// caller leaves at 0 are derived from n and Δ (DESIGN.md §8.5).
+TEST(PipelineAdmission, RejectsOutsideTheTheoremAndDerivesUnsetKnobs) {
+  const PipelineConfig cfg;
+  EXPECT_THROW(pipeline(PipelineId::kSplitting).encode(make_cycle(101), cfg), InadmissibleInput);
+  EXPECT_THROW(pipeline(PipelineId::kDeltaColoring).encode(make_complete(5), cfg),
+               InadmissibleInput);
+  EXPECT_THROW(pipeline(PipelineId::kThreeColoring).encode(make_complete(4), cfg),
+               InadmissibleInput);
+  // Δ = 2 derives a repair cap of 20, long enough for a 4096-cycle's parity.
+  EXPECT_NO_THROW(
+      pipeline(PipelineId::kDeltaColoring).encode(make_cycle(4096, IdMode::kRandomDense, 1), cfg));
+  EXPECT_EQ(subexp_at_scale({}, 511).x, 60);
+  EXPECT_EQ(subexp_at_scale({}, 512).x, 150);
+  EXPECT_EQ(subexp_at_scale(pipeline(PipelineId::kSubexpLcl).sweep_config(64).subexp, 64).x, 150);
+  EXPECT_EQ(delta_repair_cap(2), 20);
+  EXPECT_EQ(delta_repair_cap(3), 6);
 }
 
 TEST(PipelineHelpers, ParityWitnessIsProperOnBipartiteFamilies) {

@@ -26,10 +26,8 @@ CampaignConfig campaign_for(PipelineId decoder) {
   cfg.n = 200;
   cfg.trials = 100;
   cfg.seed = 2024;
-  if (decoder == PipelineId::kSubexpLcl) {
-    cfg.n = 128;
-    cfg.subexp.x = 60;  // keep the §4 cluster machinery small enough for 100 trials
-  }
+  // Keep the §4 cluster machinery (x derived from n) small enough for 100 trials.
+  if (decoder == PipelineId::kSubexpLcl) cfg.n = 128;
   return cfg;
 }
 
@@ -96,7 +94,7 @@ TEST(RobustDecoders, GuardedDecompressFlagsInsteadOfGuessing) {
   const Pipeline& p = pipeline(PipelineId::kDecompress);
   const Graph g = make_cycle(240, IdMode::kRandomDense, 6);
   const PipelineConfig cfg;
-  const auto x = hashed_edge_membership(g, cfg.seed, cfg.decompress_density);
+  const auto x = hashed_edge_membership(g, cfg.seed, kDecompressDensity);
   auto tampered = robust::guarded_encode(p, g, cfg);
 
   // Flip a membership bit inside one label, leaving its length intact.

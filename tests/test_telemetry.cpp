@@ -109,8 +109,7 @@ TEST(Telemetry, MetricsDeterministicAcrossThreadCounts) {
 
 TEST(Telemetry, OutputsIdenticalWithTelemetryOnAndOff) {
   for (const Pipeline* p : pipelines()) {
-    PipelineConfig cfg;
-    if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
+    const PipelineConfig cfg;
     const Graph g = p->make_instance(48, 5);
 
     obs::set_enabled(false);

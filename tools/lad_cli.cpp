@@ -18,7 +18,7 @@
 //
 // Exit-code convention, uniform across verbs (pinned by cli_exit_codes):
 //   0 — success / the checked property holds
-//   2 — usage error or unparseable input document
+//   2 — usage error or inadmissible input, naming the requirement
 //   3 — soft failure: the property checked does not hold (audit violation,
 //       claim FAIL, silent corruption, digest drift, new lint findings)
 //   4 — hard failure: internal error, contract violation, unlexable source
@@ -98,8 +98,8 @@ int usage() {
                "            telemetry counters in the JSON; --reps K times each case as\n"
                "            min-of-K after one warmup; a comma list --threads 1,2,4 emits\n"
                "            one \"case/t=K\" row per count; exit 3 if a thread count changes\n"
-               "            an output, 4 if a case breaks a contract (its error row is\n"
-               "            still written)\n"
+               "            an output, 2 if a pipeline rejects a --graph source, 4 if a\n"
+               "            case breaks a contract (error rows are still written)\n"
                "  lad profile <pipeline> [--graph SPEC] [--threads K[,K...]] [--reps R]\n"
                "            [--seed S] [--json FILE] [--out FILE] [--chrome FILE]\n"
                "            [--jsonl FILE] [--metrics FILE]\n"
@@ -138,7 +138,8 @@ int usage() {
                "            (DESIGN.md §10); default baseline ROOT/lint_baseline.json when\n"
                "            present; exit 0 clean, 3 new findings, 4 unlexable source\n"
                "  lad dot <source>\n"
-               "exit codes: 0 ok | 2 usage/parse | 3 checked property fails | 4 internal\n");
+               "exit codes: 0 ok | 2 usage error or inadmissible input, naming the\n"
+               "            requirement | 3 checked property fails | 4 internal\n");
   return 2;
 }
 
@@ -357,10 +358,8 @@ int cmd_audit(int argc, char** argv) {
     // 'forward' flips when its endpoint storage order does), so their
     // digests are rewritten tail-relative.
     auto instance = [&pipe](const Graph& gr) {
-      PipelineConfig cfg;
-      if (pipe->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
-      const auto adv = pipe->encode(gr, cfg);
-      const auto out = pipe->decode(gr, adv, cfg);
+      const auto adv = pipe->encode(gr, {});
+      const auto out = pipe->decode(gr, adv, {});
       DecodedInstance inst;
       inst.g = &gr;
       inst.advice = adv.node_strings(gr.n());
@@ -496,10 +495,11 @@ int cmd_bench(int argc, char** argv) {
               "speedup", "same");
   bool all_identical = true;
   bool any_error = false;
+  bool any_rejected = false;
   for (const auto& c : res.cases) {
     if (!c.error.empty()) {
       std::printf("%-34s ERROR: %s\n", c.name.c_str(), c.error.c_str());
-      any_error = true;
+      (c.rejected ? any_rejected : any_error) = true;
       continue;
     }
     std::printf("%-34s %8d %6d %10.2f %10.2f %7.2fx %5s\n", c.name.c_str(), c.n, c.rounds,
@@ -518,10 +518,11 @@ int cmd_bench(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
   // A case that broke a contract is a hard failure, reported only after
-  // every other case ran and the document is on disk. A thread count
-  // changing any output byte is a determinism-contract violation — fail
-  // loudly so CI catches it.
+  // every other case ran and the document is on disk; a rejected input is
+  // the usage class. A thread count changing any output byte is a
+  // determinism-contract violation — fail loudly so CI catches it.
   if (any_error) return 4;
+  if (any_rejected) return 2;
   return all_identical ? 0 : 3;
 }
 
@@ -588,7 +589,6 @@ int cmd_faultsim(int argc, char** argv) {
       return usage();
     }
   }
-  if (cfg.decoder == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
 
   const auto s = faults::run_fault_campaign(cfg);
   std::printf("%s\n", s.to_string().c_str());
@@ -894,7 +894,6 @@ int cmd_profile(int argc, char** argv) {
   }
   PipelineConfig cfg;
   cfg.seed = seed;
-  if (p->id() == PipelineId::kSubexpLcl) cfg.subexp.x = 60;
   const auto lg = load_source_or_complain(graph_spec, seed);
   if (!lg) return 2;
 
@@ -1070,9 +1069,10 @@ int main(int argc, char** argv) {
     if (cmd == "lint") return cmd_lint(argc - 2, argv + 2);
     if (cmd == "dot") return argc >= 3 ? cmd_dot(argv[2]) : usage();
   } catch (const std::exception& e) {
-    // Hard failure: a contract violation or any other internal error.
+    // A graph outside a pipeline's theorem is bad input (2); anything else
+    // is a hard failure: a contract violation or another internal error.
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 4;
+    return dynamic_cast<const InadmissibleInput*>(&e) != nullptr ? 2 : 4;
   }
   std::fprintf(stderr, "error: unknown verb '%s'\n", cmd.c_str());
   return usage();
