@@ -1,8 +1,10 @@
 #include "advice/trailcode.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <set>
+#include <span>
 
 #include "graph/rng.hpp"
 
@@ -73,28 +75,54 @@ struct Segment {
   BitString code;  // expanded marker for the payload at `start`
 };
 
-struct Found {
-  int direction = 0;
-  BitString payload;
-  int start_offset = 0;  // relative to the probe position
-  int length = 0;
+// Where a probe sees a parsed marker: the trail position of its first bit,
+// counted without wrapping, so on a closed trail a window that crosses the
+// wrap sees it outside [0, positions).
+struct Sighting {
+  int start = 0;
+  int marker = 0;  // index into the parsed markers
 };
 
-// All markers parsable from trail position pos within the walk window.
-std::vector<Found> scan_markers(const Trail& t, const std::vector<char>& bits, int pos,
-                                int walk_limit) {
-  std::vector<Found> out;
-  for (int off = -walk_limit; off <= walk_limit; ++off) {
+// Parses every (start, direction) with start in [first, last], in scan order
+// (start ascending, +1 before -1), appending each marker that parses.
+void parse_markers(const Trail& t, const std::vector<char>& bits, int first, int last,
+                   std::vector<TrailMarker>& markers, std::vector<Sighting>& seen) {
+  const int P = t.positions();
+  for (int start = first; start <= last; ++start) {
     for (const int d : {+1, -1}) {
       int len = 0;
-      auto payload = parse_marker(t, bits, pos + off, d, &len);
+      auto payload = parse_marker(t, bits, start, d, &len);
       if (!payload) continue;
-      const int far_end = off + d * (len - 1);
-      if (std::abs(far_end) > walk_limit) continue;  // must fit in window
-      out.push_back({d, std::move(*payload), off, len});
+      seen.push_back({start, static_cast<int>(markers.size())});
+      markers.push_back({d, t.closed ? ((start % P) + P) % P : start, len, std::move(*payload)});
     }
   }
-  return out;
+}
+
+// The selection rule of both decoders, over the markers a probe at `pos` may
+// see, given in scan order. A marker counts only when its first bit and its
+// far end both lie within walk_limit of pos; all counting markers must agree
+// on the direction; the winner has the smallest |start - pos| + length, the
+// first in scan order on a tie. Returns the winner's index in `seen`, or -1.
+int select_marker(std::span<const Sighting> seen, const std::vector<TrailMarker>& markers,
+                  int pos, int walk_limit) {
+  int best = -1;
+  int best_cost = 0;
+  int direction = 0;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const TrailMarker& m = markers[static_cast<std::size_t>(seen[i].marker)];
+    const int off = seen[i].start - pos;
+    const int far_end = off + m.direction * (m.length - 1);
+    if (std::abs(off) > walk_limit || std::abs(far_end) > walk_limit) continue;
+    if (direction == 0) direction = m.direction;
+    if (m.direction != direction) return -1;
+    const int cost = std::abs(off) + m.length;
+    if (best < 0 || cost < best_cost) {
+      best = static_cast<int>(i);
+      best_cost = cost;
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -333,26 +361,60 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
 std::optional<TrailDecode> decode_trail_mark(const Graph& g, const Trail& t, int pos,
                                              const std::vector<char>& bits, int walk_limit) {
   (void)g;
-  const auto found = scan_markers(t, bits, pos, walk_limit);
-  if (found.empty()) return std::nullopt;
-  // All markers in range must agree on the direction.
-  for (const auto& f : found) {
-    if (f.direction != found.front().direction) return std::nullopt;
-  }
-  const auto& best =
-      *std::min_element(found.begin(), found.end(), [](const Found& a, const Found& b) {
-        return std::abs(a.start_offset) + a.length < std::abs(b.start_offset) + b.length;
-      });
+  std::vector<TrailMarker> markers;
+  std::vector<Sighting> seen;
+  parse_markers(t, bits, pos - walk_limit, pos + walk_limit, markers, seen);
+  const int best = select_marker(seen, markers, pos, walk_limit);
+  if (best < 0) return std::nullopt;
+  const Sighting& s = seen[static_cast<std::size_t>(best)];
+  TrailMarker& m = markers[static_cast<std::size_t>(s.marker)];
+  const int off = s.start - pos;
   TrailDecode d;
-  d.direction = best.direction;
-  d.payload = best.payload;
-  const int P = t.positions();
-  int start = pos + best.start_offset;
-  if (t.closed) start = ((start % P) + P) % P;
-  d.marker_start = start;
-  d.steps = std::max(std::abs(best.start_offset),
-                     std::abs(best.start_offset + best.direction * (best.length - 1)));
+  d.direction = m.direction;
+  d.payload = std::move(m.payload);
+  d.marker_start = m.start;
+  d.steps = std::max(std::abs(off), std::abs(off + m.direction * (m.length - 1)));
   return d;
+}
+
+TrailMarkTable decode_trail_marks(const Trail& t, const std::vector<char>& bits,
+                                  int walk_limit) {
+  TrailMarkTable table;
+  const int P = t.positions();
+  table.chosen.assign(static_cast<std::size_t>(P), -1);
+  std::vector<Sighting> seen;
+  parse_markers(t, bits, 0, P - 1, table.markers, seen);
+  if (t.closed) {
+    // A window that crosses the wrap sees a marker again at start ± P, and
+    // a window longer than the trail sees it several times, as the
+    // per-position scan does: place every copy that lands in
+    // [-walk_limit, P - 1 + walk_limit], the union of all windows.
+    const int reach = (walk_limit + P - 1) / P;
+    std::vector<Sighting> copies;
+    for (int k = -reach; k <= reach; ++k) {
+      for (const Sighting& s : seen) {
+        const int start = s.start + k * P;
+        if (start < -walk_limit || start > P - 1 + walk_limit) continue;
+        copies.push_back({start, s.marker});
+      }
+    }
+    seen = std::move(copies);
+  }
+
+  // The window [pos - walk_limit, pos + walk_limit] slides over `seen`.
+  std::size_t first = 0;
+  std::size_t last = 0;
+  for (int pos = 0; pos < P; ++pos) {
+    while (first < seen.size() && seen[first].start < pos - walk_limit) ++first;
+    while (last < seen.size() && seen[last].start <= pos + walk_limit) ++last;
+    const std::span<const Sighting> window(seen.data() + first, last - first);
+    const int best = select_marker(window, table.markers, pos, walk_limit);
+    if (best >= 0) {
+      table.chosen[static_cast<std::size_t>(pos)] =
+          window[static_cast<std::size_t>(best)].marker;
+    }
+  }
+  return table;
 }
 
 }  // namespace lad

@@ -22,6 +22,13 @@
 // Markers may carry a per-segment payload (computed from the segment's
 // start position), used e.g. by the splitting schema to ship the 2-coloring
 // of the marker's start node.
+//
+// Two decoders read the markers back under one selection rule: among the
+// markers lying wholly within walk_limit steps of a position, the one with
+// the smallest |offset| + length wins, and markers read in opposite
+// directions leave the position undecoded. decode_trail_mark answers one
+// position by scanning its window; decode_trail_marks answers every position
+// of a trail from one parse of the whole trail.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +110,38 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
 /// walk_limit steps in both directions reading node bits and parse the
 /// nearest marker. All markers in range must agree on the direction (the
 /// encoder guarantees they do). Returns nullopt when no marker is in range.
+/// Costs 2·(2·walk_limit + 1) parse attempts: use it where a decoder reads
+/// one position of a trail, and decode_trail_marks where it reads them all.
 std::optional<TrailDecode> decode_trail_mark(const Graph& g, const Trail& t, int pos,
                                              const std::vector<char>& bits, int walk_limit);
+
+/// One marker that parses on a trail.
+struct TrailMarker {
+  /// +1: read in the trail's as-given direction; -1: reversed.
+  int direction = 0;
+  /// Trail position of the marker's first bit, in [0, positions).
+  int start = 0;
+  /// Trail positions the marker spans.
+  int length = 0;
+  BitString payload;
+};
+
+/// decode_trail_mark's answer at every position of one trail.
+struct TrailMarkTable {
+  /// Every (start, direction) that parses, start ascending, +1 before -1.
+  std::vector<TrailMarker> markers;
+  /// Per trail position: the index into `markers` of the marker
+  /// decode_trail_mark picks there, or -1 where it returns nullopt.
+  std::vector<int> chosen;
+};
+
+/// Whole-trail decode: parses every (start, direction) of t once, then slides
+/// the ±walk_limit window along the trail and applies decode_trail_mark's
+/// selection rule at each position. O(positions) parse attempts plus the
+/// markers each window holds, where decode_trail_mark at every position would
+/// cost 2·(2·walk_limit + 1) attempts per position. Each position's answer
+/// still depends only on the bits within walk_limit of it, so this is the
+/// same LOCAL decoder run at every node at once.
+TrailMarkTable decode_trail_marks(const Trail& t, const std::vector<char>& bits, int walk_limit);
 
 }  // namespace lad

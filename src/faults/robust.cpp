@@ -29,7 +29,8 @@ void sort_unique(std::vector<int>& v) {
 // color it implies at position 0). Positions whose own nearest marker is
 // missing or out-voted are the *repaired* positions — in the LOCAL model
 // these are exactly the nodes whose ball was hit, so their count bounds the
-// blast radius.
+// blast radius. Votes and audit read one whole-trail decode: each position's
+// entry is the per-node decode of its own ±walk_limit window.
 struct TrailRecovery {
   int direction = 0;       // resolved direction (+1 / -1)
   int base_bit = -1;       // majority color bit at position 0; -1 when no payload seen
@@ -41,25 +42,28 @@ struct TrailRecovery {
 // A splitting marker's payload is the color bit of its own start node, so
 // markers whose starts differ in parity carry different bits on clean
 // advice. Their vote is the color bit they imply at position 0.
-int position0_bit(const TrailDecode& d) {
-  return (d.payload.bit(0) ? 1 : 0) ^ (d.marker_start & 1);
-}
+int position0_bit(const TrailMarker& m) { return (m.payload.bit(0) ? 1 : 0) ^ (m.start & 1); }
 
 TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<char>& bits,
                             int walk_limit, int samples) {
   TrailRecovery rec;
   const int positions = t.positions();
   const int step = std::max(1, positions / std::max(1, samples));
+  const TrailMarkTable table = decode_trail_marks(t, bits, walk_limit);
+  const auto marker_at = [&](int pos) -> const TrailMarker* {
+    const int i = table.chosen[static_cast<std::size_t>(pos)];
+    return i < 0 ? nullptr : &table.markers[static_cast<std::size_t>(i)];
+  };
 
   int votes_fwd = 0;
   int votes_bwd = 0;
   int payload_one = 0;
   int payload_zero = 0;
   for (int pos = 0; pos < positions; pos += step) {
-    const auto d = decode_trail_mark(g, t, pos, bits, walk_limit);
-    if (!d.has_value()) continue;
-    (d->direction > 0 ? votes_fwd : votes_bwd) += 1;
-    if (!d->payload.empty()) (position0_bit(*d) != 0 ? payload_one : payload_zero) += 1;
+    const TrailMarker* m = marker_at(pos);
+    if (m == nullptr) continue;
+    (m->direction > 0 ? votes_fwd : votes_bwd) += 1;
+    if (!m->payload.empty()) (position0_bit(*m) != 0 ? payload_one : payload_zero) += 1;
   }
 
   if (votes_fwd == 0 && votes_bwd == 0) {
@@ -78,10 +82,10 @@ TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<ch
 
   // Per-position audit against the consensus.
   for (int pos = 0; pos < positions; ++pos) {
-    const auto d = decode_trail_mark(g, t, pos, bits, walk_limit);
-    const bool agrees = d.has_value() && d->direction == rec.direction &&
-                        (rec.base_bit < 0 || d->payload.empty() ||
-                         position0_bit(*d) == rec.base_bit);
+    const TrailMarker* m = marker_at(pos);
+    const bool agrees = m != nullptr && m->direction == rec.direction &&
+                        (rec.base_bit < 0 || m->payload.empty() ||
+                         position0_bit(*m) == rec.base_bit);
     if (!agrees) rec.bad_positions.push_back(pos);
   }
   return rec;

@@ -205,11 +205,13 @@ PipelineAdvice guarded_encode(const Pipeline& p, const Graph& g, const PipelineC
 /// Proof-guarded decode with local repair, for any registry pipeline. Never
 /// throws on corrupted advice: what it cannot repair it flags in the report.
 /// The trail decoders (orientation, splitting) take marker consensus per long
-/// trail; three_coloring and subexp_lcl run their tolerant decodes;
-/// delta_coloring drops malformed schema entries stage by stage; decompress
-/// verifies every label's guard (guarded_encode) and flags the edges of a
-/// label that fails it. Every output except decompress's is then checked by
-/// an independent local checker and repaired with repair_labeling_locally.
+/// trail, reading each position's own ±walk_limit decode from one whole-trail
+/// decode (decode_trail_marks); three_coloring and subexp_lcl run their
+/// tolerant decodes; delta_coloring drops malformed schema entries stage by
+/// stage; decompress verifies every label's guard (guarded_encode) and flags
+/// the edges of a label that fails it. Every output except decompress's is
+/// then checked by an independent local checker and repaired with
+/// repair_labeling_locally.
 GuardedOutcome guarded_decode(const Pipeline& p, const Graph& g, const PipelineAdvice& adv,
                               const PipelineConfig& cfg, const RepairPolicy& policy = {});
 

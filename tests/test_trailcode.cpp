@@ -1,12 +1,37 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "advice/trailcode.hpp"
 #include "graph/generators.hpp"
+#include "graph/rng.hpp"
+#include "reference_trailcode.hpp"
 
 namespace lad {
 namespace {
 
 std::vector<Trail> trails_of(const Graph& g) { return euler_partition(g); }
+
+std::vector<char> marks_on_long_trails(const std::vector<Trail>& trails, int min_length) {
+  std::vector<char> needs(trails.size(), 0);
+  for (std::size_t t = 0; t < trails.size(); ++t) needs[t] = trails[t].length() > min_length;
+  return needs;
+}
+
+Trail reversed(const Trail& t) {
+  Trail rev = t;
+  std::reverse(rev.nodes.begin(), rev.nodes.end());
+  std::reverse(rev.edges.begin(), rev.edges.end());
+  if (t.closed) {
+    // edges[i] must join nodes[i] and nodes[(i + 1) % L].
+    std::rotate(rev.edges.begin(), rev.edges.begin() + 1, rev.edges.end());
+  }
+  return rev;
+}
 
 TEST(TrailCode, MarkerLengths) {
   EXPECT_EQ(trail_marker_length(BitString{}), 9);
@@ -38,14 +63,7 @@ TEST(TrailCode, ReversedTrailDecodesReversedDirection) {
 
   // A decoder that reconstructed the trail in the opposite direction must
   // read the marker as direction -1 (same orientation of the cycle).
-  Trail rev = trails[0];
-  const int L = trails[0].length();
-  for (int i = 0; i < L; ++i) {
-    rev.nodes[static_cast<std::size_t>(i)] = trails[0].nodes[static_cast<std::size_t>(L - 1 - i)];
-    // edges[i] must join nodes[i] and nodes[i+1 mod L].
-    rev.edges[static_cast<std::size_t>(i)] =
-        trails[0].edges[static_cast<std::size_t>(((L - 2 - i) % L + L) % L)];
-  }
+  const Trail rev = reversed(trails[0]);
   const auto d = decode_trail_mark(g, rev, 0, code.bits, code.walk_limit);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->direction, -1);
@@ -188,11 +206,246 @@ TEST(TrailCode, NoMarkerMeansNoDecode) {
 TEST(TrailCode, ResampleRoundsReported) {
   const Graph g = make_random_regular(800, 4, 31);
   const auto trails = euler_partition(g);
-  std::vector<char> needs(trails.size(), 0);
-  for (std::size_t t = 0; t < trails.size(); ++t) needs[t] = trails[t].length() > 60 ? 1 : 0;
-  const auto code = encode_trail_marks(g, trails, needs, std::vector<BitString>(trails.size()));
+  const auto code = encode_trail_marks(g, trails, marks_on_long_trails(trails, 60),
+                                       std::vector<BitString>(trails.size()));
   EXPECT_GE(code.resample_rounds, 0);
   EXPECT_LT(code.resample_rounds, 50000);
+}
+
+
+// --- Differential oracle ------------------------------------------------------
+// decode_trail_mark and the whole-trail decode_trail_marks must give the
+// frozen per-position decoder's answer (reference_trailcode.hpp) at every
+// position of every trail below, under clean, lightly corrupted and random
+// bits, at the encoder's walk limit and at windows shorter than a marker.
+
+struct OracleTally {
+  long long positions = 0;
+  long long decoded = 0;
+};
+
+void expect_matches_reference(const Graph& g, const Trail& t, const std::vector<char>& bits,
+                              int walk_limit, OracleTally& tally) {
+  SCOPED_TRACE("walk_limit " + std::to_string(walk_limit));
+  const TrailMarkTable table = decode_trail_marks(t, bits, walk_limit);
+  ASSERT_EQ(table.chosen.size(), static_cast<std::size_t>(t.positions()));
+  for (std::size_t i = 1; i < table.markers.size(); ++i) {
+    const TrailMarker& a = table.markers[i - 1];
+    const TrailMarker& b = table.markers[i];
+    ASSERT_TRUE(a.start < b.start || (a.start == b.start && a.direction > b.direction))
+        << "markers out of scan order at " << i;
+  }
+  for (int pos = 0; pos < t.positions(); ++pos) {
+    const auto want = reference::decode_trail_mark(g, t, pos, bits, walk_limit);
+    const auto got = decode_trail_mark(g, t, pos, bits, walk_limit);
+    const int chosen = table.chosen[static_cast<std::size_t>(pos)];
+    ++tally.positions;
+    ASSERT_EQ(got.has_value(), want.has_value()) << "pos " << pos;
+    ASSERT_EQ(chosen >= 0, want.has_value()) << "pos " << pos;
+    if (!want) continue;
+    ++tally.decoded;
+    ASSERT_EQ(got->direction, want->direction) << "pos " << pos;
+    ASSERT_EQ(got->payload, want->payload) << "pos " << pos;
+    ASSERT_EQ(got->marker_start, want->marker_start) << "pos " << pos;
+    ASSERT_EQ(got->steps, want->steps) << "pos " << pos;
+    const TrailMarker& m = table.markers[static_cast<std::size_t>(chosen)];
+    ASSERT_EQ(m.direction, want->direction) << "pos " << pos;
+    ASSERT_EQ(m.payload, want->payload) << "pos " << pos;
+    ASSERT_EQ(m.start, want->marker_start) << "pos " << pos;
+    ASSERT_EQ(m.length, trail_marker_length(want->payload)) << "pos " << pos;
+  }
+}
+
+// The encoder's clean bits, the same with 1..5 flipped bits, and uniformly
+// random bits at densities 0.05, 0.15, ..., 0.95.
+std::vector<std::pair<std::string, std::vector<char>>> bit_variants(
+    const std::vector<char>& clean, std::uint64_t seed) {
+  std::vector<std::pair<std::string, std::vector<char>>> out;
+  out.emplace_back("clean", clean);
+  Rng rng(seed);
+  const auto n = static_cast<std::int64_t>(clean.size());
+  for (int flips = 1; flips <= 5; ++flips) {
+    std::vector<char> b = clean;
+    for (int i = 0; i < flips; ++i) {
+      char& c = b[static_cast<std::size_t>(rng.uniform(0, n - 1))];
+      c = c != 0 ? 0 : 1;
+    }
+    out.emplace_back(std::to_string(flips) + " flipped", std::move(b));
+  }
+  for (int twentieths = 1; twentieths <= 19; twentieths += 2) {
+    std::vector<char> b(clean.size());
+    for (char& c : b) c = rng.flip(twentieths / 20.0) ? 1 : 0;
+    out.emplace_back("density " + std::to_string(twentieths) + "/20", std::move(b));
+  }
+  return out;
+}
+
+// Every trail of `trails` against the reference, under every bit variant of
+// `clean`, at the encoder's walk limit and at windows of 12 and 30 positions
+// (shorter than or about one marker, so the far-end test decides).
+void expect_trails_match_reference(const Graph& g, const std::vector<Trail>& trails,
+                                   const std::vector<char>& clean, int walk_limit,
+                                   std::uint64_t seed, OracleTally& tally) {
+  for (const auto& [what, bits] : bit_variants(clean, seed)) {
+    SCOPED_TRACE(what);
+    for (std::size_t t = 0; t < trails.size(); ++t) {
+      SCOPED_TRACE("trail " + std::to_string(t));
+      for (const int w : {walk_limit, 12, 30}) {
+        expect_matches_reference(g, trails[t], bits, w, tally);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// Writes the marker for `payload` ('0'/'1' characters) onto t from `start`,
+// read in direction d. Returns its length.
+int write_marker(const Trail& t, std::vector<char>& bits, int start, int d,
+                 const std::string& payload) {
+  std::string code = "11110110";
+  for (const char c : payload) code += c == '1' ? "1110" : "110";
+  code += '0';
+  for (std::size_t k = 0; k < code.size(); ++k) {
+    const int node = t.node_at(start + d * static_cast<int>(k));
+    bits[static_cast<std::size_t>(node)] = code[k] == '1' ? 1 : 0;
+  }
+  return static_cast<int>(code.size());
+}
+
+TEST(TrailCodeOracle, ClosedTrailsLongerThanTheWindow) {
+  OracleTally tally;
+  const Graph cycle = make_cycle(400, IdMode::kRandomDense, 41);
+  const auto trails = euler_partition(cycle);
+  ASSERT_EQ(trails.size(), 1u);
+  for (const char* payload : {"", "0", "1"}) {
+    SCOPED_TRACE(std::string("payload '") + payload + "'");
+    const auto code = encode_trail_marks(cycle, trails, {1}, {BitString::parse(payload)});
+    ASSERT_LT(2 * code.walk_limit + 1, trails[0].positions());
+    expect_trails_match_reference(cycle, trails, code.bits, code.walk_limit, 7, tally);
+    if (HasFatalFailure()) return;
+  }
+  // Per-segment payloads, as splitting writes them.
+  const auto parity = [&](int t, int start) {
+    BitString b;
+    b.append(trails[static_cast<std::size_t>(t)].node_at(start) % 2 == 1);
+    return b;
+  };
+  const auto split = encode_trail_marks(cycle, trails, {1}, parity, 1);
+  expect_trails_match_reference(cycle, trails, split.bits, split.walk_limit, 8, tally);
+  if (HasFatalFailure()) return;
+
+  // Nodes on two trails each: stray 1s from the other trail's markers.
+  const Graph regular = make_random_regular(300, 4, 5);
+  const auto rtrails = euler_partition(regular);
+  const auto code = encode_trail_marks(regular, rtrails, marks_on_long_trails(rtrails, 60),
+                                       std::vector<BitString>(rtrails.size()));
+  expect_trails_match_reference(regular, rtrails, code.bits, code.walk_limit, 9, tally);
+  EXPECT_GT(tally.decoded, tally.positions / 8);
+}
+
+TEST(TrailCodeOracle, ClosedTrailsShorterThanTheWindow) {
+  // A window longer than the trail sees each marker at several offsets.
+  OracleTally tally;
+  const Graph cycle = make_cycle(60, IdMode::kRandomDense, 42);
+  const auto trails = euler_partition(cycle);
+  for (const char* payload : {"", "1"}) {
+    SCOPED_TRACE(std::string("payload '") + payload + "'");
+    const auto code = encode_trail_marks(cycle, trails, {1}, {BitString::parse(payload)});
+    ASSERT_GT(2 * code.walk_limit + 1, 4 * trails[0].positions());
+    expect_trails_match_reference(cycle, trails, code.bits, code.walk_limit, 10, tally);
+    if (HasFatalFailure()) return;
+  }
+  // The 12x12 torus of the decompress golden: the degree-scaled walk limit
+  // (256) exceeds every trail, so every window wraps.
+  const Graph torus = make_torus(12, 12, IdMode::kRandomDense, 7);
+  const auto ttrails = euler_partition(torus);
+  TrailCodeParams tp;
+  tp.spacing = degree_scaled_spacing(tp.spacing, torus.max_degree());
+  for (const char* payload : {"", "0"}) {
+    SCOPED_TRACE(std::string("torus payload '") + payload + "'");
+    const auto code =
+        encode_trail_marks(torus, ttrails, marks_on_long_trails(ttrails, 40),
+                           std::vector<BitString>(ttrails.size(), BitString::parse(payload)), tp);
+    for (const auto& t : ttrails) ASSERT_LT(t.positions(), 2 * code.walk_limit + 1);
+    expect_trails_match_reference(torus, ttrails, code.bits, code.walk_limit, 11, tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.decoded, tally.positions / 8);
+}
+
+TEST(TrailCodeOracle, OpenTrailsWithMarkersAtTheEnds) {
+  OracleTally tally;
+  const Graph path = make_path(350, IdMode::kRandomDense, 43);
+  const auto trails = euler_partition(path);
+  ASSERT_EQ(trails.size(), 1u);
+  for (const char* payload : {"", "1"}) {
+    SCOPED_TRACE(std::string("payload '") + payload + "'");
+    const auto code = encode_trail_marks(path, trails, {1}, {BitString::parse(payload)});
+    expect_trails_match_reference(path, trails, code.bits, code.walk_limit, 12, tally);
+    if (HasFatalFailure()) return;
+  }
+
+  // Hand-placed markers on a 48-node path: one read forward that ends on the
+  // last position, one read backward that ends on position 0, and one cut
+  // off by the trail's end, which must not parse.
+  const Graph shortp = make_path(48, IdMode::kRandomDense, 44);
+  const auto strails = euler_partition(shortp);
+  const Trail& t = strails[0];
+  const int P = t.positions();
+  std::vector<char> bits(static_cast<std::size_t>(shortp.n()), 0);
+  const int fwd = write_marker(t, bits, P - 13, +1, "1");
+  ASSERT_EQ(fwd, 13);
+  write_marker(t, bits, 11, -1, "0");
+  // Within 25 steps each end sees only its own marker; a 130-step window
+  // sees both, which disagree on the direction.
+  ASSERT_TRUE(reference::decode_trail_mark(shortp, t, P - 1, bits, 25).has_value());
+  ASSERT_TRUE(reference::decode_trail_mark(shortp, t, 0, bits, 25).has_value());
+  ASSERT_FALSE(reference::decode_trail_mark(shortp, t, 0, bits, 130).has_value());
+  expect_trails_match_reference(shortp, strails, bits, 25, 13, tally);
+  ASSERT_FALSE(HasFatalFailure());
+  expect_trails_match_reference(shortp, strails, bits, 130, 13, tally);
+  ASSERT_FALSE(HasFatalFailure());
+
+  std::vector<char> cut(static_cast<std::size_t>(shortp.n()), 0);
+  write_marker(t, cut, 0, +1, "");
+  const std::string truncated = "1111011011";
+  for (std::size_t k = 0; k < truncated.size(); ++k) {
+    const int pos = P - static_cast<int>(truncated.size()) + static_cast<int>(k);
+    cut[static_cast<std::size_t>(t.node_at(pos))] = truncated[k] == '1' ? 1 : 0;
+  }
+  ASSERT_EQ(decode_trail_marks(t, cut, 130).markers.size(), 1u);
+  for (const int w : {130, 20}) expect_matches_reference(shortp, t, cut, w, tally);
+
+  // Two markers from one start, read in both directions: a window that
+  // holds both far ends sees them disagree.
+  std::vector<char> twin(static_cast<std::size_t>(shortp.n()), 0);
+  write_marker(t, twin, 20, +1, "");
+  write_marker(t, twin, 20, -1, "");
+  ASSERT_EQ(decode_trail_marks(t, twin, 12).markers.size(), 2u);
+  for (const int w : {130, 12}) expect_matches_reference(shortp, t, twin, w, tally);
+  EXPECT_GT(tally.decoded, tally.positions / 8);
+}
+
+TEST(TrailCodeOracle, ReversedTrails) {
+  OracleTally tally;
+  const Graph cycle = make_cycle(260, IdMode::kRandomDense, 8);
+  const auto trails = euler_partition(cycle);
+  const auto code = encode_trail_marks(cycle, trails, {1}, {BitString::parse("1")});
+  const std::vector<Trail> rev = {reversed(trails[0])};
+  ASSERT_TRUE(is_valid_euler_partition(cycle, rev));
+  expect_trails_match_reference(cycle, rev, code.bits, code.walk_limit, 14, tally);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto table = decode_trail_marks(rev[0], code.bits, code.walk_limit);
+  ASSERT_FALSE(table.markers.empty());
+  for (const auto& m : table.markers) EXPECT_EQ(m.direction, -1);
+
+  const Graph path = make_path(200, IdMode::kRandomDense, 9);
+  const auto ptrails = euler_partition(path);
+  const auto pcode = encode_trail_marks(path, ptrails, {1}, {BitString{}});
+  const std::vector<Trail> prev = {reversed(ptrails[0])};
+  ASSERT_TRUE(is_valid_euler_partition(path, prev));
+  expect_trails_match_reference(path, prev, pcode.bits, pcode.walk_limit, 15, tally);
+  EXPECT_GT(tally.decoded, tally.positions / 8);
 }
 
 }  // namespace
