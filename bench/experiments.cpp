@@ -519,8 +519,7 @@ std::vector<Case> a1() {
       params.marker_spacing = spacing;
       const auto enc = encode_orientation_advice(g, params);
       CaseRun r = one_bit_row(g, enc.bits, 0);
-      r.counters.emplace_back("effective_spacing",
-                              degree_scaled_spacing(spacing, g.max_degree()));
+      r.counters.emplace_back("effective_spacing", trail_schema(g, params, 0).code.spacing);
       r.counters.emplace_back("resample_rounds", enc.resample_rounds);
       return r;
     });

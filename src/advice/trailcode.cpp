@@ -358,9 +358,8 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
       max_bits, params);
 }
 
-std::optional<TrailDecode> decode_trail_mark(const Graph& g, const Trail& t, int pos,
+std::optional<TrailDecode> decode_trail_mark(const Trail& t, int pos,
                                              const std::vector<char>& bits, int walk_limit) {
-  (void)g;
   std::vector<TrailMarker> markers;
   std::vector<Sighting> seen;
   parse_markers(t, bits, pos - walk_limit, pos + walk_limit, markers, seen);

@@ -29,6 +29,11 @@
 // directions leave the position undecoded. decode_trail_mark answers one
 // position by scanning its window; decode_trail_marks answers every position
 // of a trail from one parse of the whole trail.
+//
+// This layer takes its parameters from the caller. The §5 schemas take
+// theirs from one place, trail_schema() in core/orientation.hpp: the
+// Δ-scaled spacing, the walk limit, and the fixed jitter, re-sampling
+// budget and seed.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +117,7 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
 /// encoder guarantees they do). Returns nullopt when no marker is in range.
 /// Costs 2·(2·walk_limit + 1) parse attempts: use it where a decoder reads
 /// one position of a trail, and decode_trail_marks where it reads them all.
-std::optional<TrailDecode> decode_trail_mark(const Graph& g, const Trail& t, int pos,
+std::optional<TrailDecode> decode_trail_mark(const Trail& t, int pos,
                                              const std::vector<char>& bits, int walk_limit);
 
 /// One marker that parses on a trail.

@@ -132,7 +132,6 @@ ClusterColoringEncoding encode_cluster_coloring_advice(const Graph& g,
   const auto cluster_colors = color_cluster_graph(g, clustering);
 
   ClusterColoringEncoding enc;
-  enc.params = params;
   enc.num_clusters = static_cast<int>(clustering.centers.size());
   for (const int col : cluster_colors) {
     enc.num_cluster_colors = std::max(enc.num_cluster_colors, col);

@@ -8,7 +8,6 @@
 // only on Δ and the spacing parameter.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "advice/schema.hpp"
@@ -26,7 +25,6 @@ struct ClusterColoringEncoding {
   VarAdvice advice;  // one entry per cluster center (its cluster color)
   int num_clusters = 0;
   int num_cluster_colors = 0;
-  ClusterColoringParams params;
 };
 
 /// Centralized prover.

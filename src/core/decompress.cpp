@@ -16,20 +16,18 @@ std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int
   return out;
 }
 
-CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_x,
-                                    const OrientationParams& params) {
+CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_x) {
   LAD_CHECK(static_cast<int>(in_x.size()) == g.m());
-  const auto enc = encode_orientation_advice(g, params);
-  const auto dec = decode_orientation(g, enc.bits, params);
-  LAD_CHECK(is_balanced_orientation(g, dec.orientation, 1));
+  auto enc = encode_orientation_advice(g);
+  LAD_CHECK(is_balanced_orientation(g, enc.orientation, 1));
 
   CompressedEdgeSet c;
-  c.orientation_params = params;
+  c.orientation = std::move(enc.orientation);
   c.labels.resize(static_cast<std::size_t>(g.n()));
   for (int v = 0; v < g.n(); ++v) {
     BitString& label = c.labels[static_cast<std::size_t>(v)];
     label.append(enc.bits[static_cast<std::size_t>(v)] != 0);
-    for (const int e : outgoing_edges_sorted(g, dec.orientation, v)) {
+    for (const int e : outgoing_edges_sorted(g, c.orientation, v)) {
       label.append(in_x[static_cast<std::size_t>(e)] != 0);
     }
     const int budget = (g.degree(v) + 1) / 2 + 1;  // ceil(d/2) + 1
@@ -46,7 +44,7 @@ DecompressResult decompress_edge_set(const Graph& g, const CompressedEdgeSet& c)
     LAD_CHECK_MSG(!label.empty(), "empty compressed label at node " << g.id(v));
     advice_bits[static_cast<std::size_t>(v)] = label.bit(0);
   }
-  const auto dec = decode_orientation(g, advice_bits, c.orientation_params);
+  const auto dec = decode_orientation(g, advice_bits);
 
   DecompressResult res;
   res.in_x.assign(static_cast<std::size_t>(g.m()), 0);

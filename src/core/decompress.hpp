@@ -21,12 +21,15 @@ struct CompressedEdgeSet {
   /// Per-node label: [orientation advice bit] ++ [membership bit of each
   /// outgoing edge, heads ordered by ID]. Length = 1 + outdeg(v).
   Advice labels;
-  OrientationParams orientation_params;
+  /// The orientation the labels were written under: the encoder's planted
+  /// one, which decompression recovers. decompress_edge_set reads only
+  /// `labels`.
+  Orientation orientation;
 };
 
-/// Centralized compressor for an arbitrary X ⊆ E (in_x indexed by edge).
-CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_x,
-                                    const OrientationParams& params = {});
+/// Centralized compressor for an arbitrary X ⊆ E (in_x indexed by edge),
+/// over the default §5 orientation schema.
+CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_x);
 
 struct DecompressResult {
   std::vector<char> in_x;  // recovered membership, indexed by edge

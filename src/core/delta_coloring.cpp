@@ -238,7 +238,6 @@ DeltaColoringEncoding encode_delta_coloring_advice(const Graph& g,
   LAD_CHECK_MSG(is_proper_coloring(g, witness, delta), "witness is not a proper Δ-coloring");
 
   DeltaColoringEncoding enc;
-  enc.params = params;
 
   // Stage 1 (Lemma 6.3 schema): cluster colors at cluster centers.
   const auto cc = encode_cluster_coloring_advice(g, stage1_params(params));

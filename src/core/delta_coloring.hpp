@@ -24,7 +24,6 @@
 // eccentricity, both checked — see DESIGN.md).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "advice/schema.hpp"
@@ -44,7 +43,6 @@ struct DeltaColoringParams {
   int local_fix_passes = 6;
   /// Also produce a uniform 1-bit encoding of the composed schema.
   bool uniform_one_bit = false;
-  std::uint64_t seed = 4242;
 };
 
 /// The repair cap for max_repair_radius = 0, from Δ (which every node
@@ -61,7 +59,6 @@ struct DeltaColoringEncoding {
   int uniform_max_payload_bits = 0;
   int num_clusters = 0;
   int num_repairs = 0;
-  DeltaColoringParams params;
 };
 
 /// Centralized prover. `witness` must be a proper Δ-coloring of g (e.g. the

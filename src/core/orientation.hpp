@@ -20,9 +20,13 @@
 //
 // Decoding is a T(Δ)-round LOCAL algorithm (independent of n): walk your own
 // trails up to max(threshold, walk_limit) steps and orient.
+//
+// Everything both sides derive from the graph — the trails, which of them
+// carry markers, the Δ-scaled marker spacing and the walk radius — comes
+// from trail_schema(). The splitting schema (core/splitting.hpp) and the
+// guarded trail decoders (faults/robust.hpp) take theirs from it too.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "advice/trailcode.hpp"
@@ -32,23 +36,43 @@
 
 namespace lad {
 
+/// The two knobs of the §5 schema that experiments sweep (E8, A1).
 struct OrientationParams {
   /// Trails up to this length are oriented by the canonical ID rule.
   int short_trail_threshold = 40;
   /// Target spacing between markers along long trails (sparsity knob:
-  /// larger spacing = sparser 1s = more decoding rounds).
+  /// larger spacing = sparser 1s = more decoding rounds), scaled with Δ.
   int marker_spacing = 40;
-  int marker_jitter = 10;
-  int max_resample_rounds = 50000;
-  std::uint64_t seed = 12345;
 };
 
+/// The §5 trail schema of a graph: a function of g's local port pairing,
+/// Δ and OrientationParams only, so every node computes the same one.
+struct TrailSchema {
+  std::vector<Trail> trails;  // euler_partition(g)
+  /// Per trail: 1 when longer than short_trail_threshold (it carries markers).
+  std::vector<char> marked;
+  int num_marked = 0;
+  /// Marker code: degree_scaled_spacing of marker_spacing, plus the fixed
+  /// jitter (10), re-sampling budget (50,000) and seed (12345).
+  TrailCodeParams code;
+  /// Decoder walk radius on a marked trail (trail_walk_limit).
+  int walk_limit = 0;
+};
+
+/// The schema for markers carrying `payload_bits`-bit payloads (0 for the
+/// orientation, 1 for splitting's base color). Throws ContractViolation when
+/// short_trail_threshold is too small for the longest such marker.
+TrailSchema trail_schema(const Graph& g, const OrientationParams& params, int payload_bits);
+
 struct OrientationEncoding {
-  std::vector<char> bits;   // uniform 1-bit advice, one bit per node
-  int walk_limit = 0;       // decoder trail-walk radius for marked trails
+  std::vector<char> bits;  // uniform 1-bit advice, one bit per node
+  /// The orientation the advice plants: marked trails in their as-given
+  /// direction, short ones by the canonical ID rule. decode_orientation
+  /// returns exactly this, since re-sampling leaves every marker that parses
+  /// on a marked trail a planted forward one.
+  Orientation orientation;
   int num_marked_trails = 0;
   int resample_rounds = 0;  // constructive-LLL cost paid by the encoder
-  OrientationParams params;
 };
 
 /// Centralized prover (Definition 2's function f): computes the

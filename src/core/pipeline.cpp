@@ -85,16 +85,16 @@ class OrientationPipeline final : public Pipeline {
     return c;
   }
 
-  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
+  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& /*cfg*/) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.bits = encode_orientation_advice(g, cfg.orientation).bits;
+    adv.bits = encode_orientation_advice(g).bits;
     return adv;
   }
 
   PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
-                        const PipelineConfig& cfg) const override {
-    const auto res = decode_orientation(g, adv.bits, cfg.orientation);
+                        const PipelineConfig& /*cfg*/) const override {
+    const auto res = decode_orientation(g, adv.bits);
     PipelineOutput out;
     out.orientation = res.orientation;
     out.rounds = res.rounds;
@@ -149,16 +149,16 @@ class SplittingPipeline final : public Pipeline {
     return c;
   }
 
-  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
+  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& /*cfg*/) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.bits = encode_splitting_advice(g, cfg.splitting).bits;
+    adv.bits = encode_splitting_advice(g).bits;
     return adv;
   }
 
   PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
-                        const PipelineConfig& cfg) const override {
-    const auto res = decode_splitting(g, adv.bits, cfg.splitting);
+                        const PipelineConfig& /*cfg*/) const override {
+    const auto res = decode_splitting(g, adv.bits);
     PipelineOutput out;
     out.edge_color = res.edge_color;
     out.node_color = res.node_color;
@@ -215,17 +215,16 @@ class ThreeColoringPipeline final : public Pipeline {
     return c;
   }
 
-  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
+  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& /*cfg*/) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.bits =
-        encode_three_coloring_advice(g, coloring_witness(*this, g, 3), cfg.three_coloring).bits;
+    adv.bits = encode_three_coloring_advice(g, coloring_witness(*this, g, 3)).bits;
     return adv;
   }
 
   PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
-                        const PipelineConfig& cfg) const override {
-    const auto res = decode_three_coloring(g, adv.bits, cfg.three_coloring);
+                        const PipelineConfig& /*cfg*/) const override {
+    const auto res = decode_three_coloring(g, adv.bits);
     PipelineOutput out;
     out.node_color = res.coloring;
     out.rounds = res.rounds;
@@ -296,18 +295,18 @@ class DeltaColoringPipeline final : public Pipeline {
     return c;
   }
 
-  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& cfg) const override {
+  PipelineAdvice do_encode(const Graph& g, const PipelineConfig& /*cfg*/) const override {
     PipelineAdvice adv;
     adv.carrier = carrier();
-    adv.var = encode_delta_coloring_advice(
-                  g, coloring_witness(*this, g, std::max(2, g.max_degree())), cfg.delta_coloring)
-                  .advice;
+    adv.var =
+        encode_delta_coloring_advice(g, coloring_witness(*this, g, std::max(2, g.max_degree())))
+            .advice;
     return adv;
   }
 
   PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
-                        const PipelineConfig& cfg) const override {
-    const auto res = decode_delta_coloring(g, adv.var, cfg.delta_coloring);
+                        const PipelineConfig& /*cfg*/) const override {
+    const auto res = decode_delta_coloring(g, adv.var);
     PipelineOutput out;
     out.node_color = res.coloring;
     out.rounds = res.rounds;
@@ -415,17 +414,14 @@ class DecompressPipeline final : public Pipeline {
     PipelineAdvice adv;
     adv.carrier = carrier();
     adv.labels =
-        compress_edge_set(g, hashed_edge_membership(g, cfg.seed, kDecompressDensity),
-                          cfg.orientation)
-            .labels;
+        compress_edge_set(g, hashed_edge_membership(g, cfg.seed, kDecompressDensity)).labels;
     return adv;
   }
 
   PipelineOutput do_decode(const Graph& g, const PipelineAdvice& adv,
-                        const PipelineConfig& cfg) const override {
+                        const PipelineConfig& /*cfg*/) const override {
     CompressedEdgeSet c;
     c.labels = adv.labels;
-    c.orientation_params = cfg.orientation;
     const auto res = decompress_edge_set(g, c);
     PipelineOutput out;
     out.edge_in_x = res.in_x;

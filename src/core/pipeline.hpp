@@ -71,16 +71,13 @@ enum class AdviceCarrier {
   kNodeLabels,   // per-node bit-strings (Advice)
 };
 
-/// Knobs for every pipeline, bundled so registry consumers can thread one
-/// object through encode/decode/verify. Defaults reproduce the paper's;
-/// subexp.x and delta_coloring.max_repair_radius are derived from n and Δ.
+/// What a registry caller may set: the instance seed and the §4 scale.
+/// Every other parameter of the six pipelines is a constant or is derived
+/// from n and Δ by the stage that reads it (DESIGN.md §8.5).
 struct PipelineConfig {
   /// Seeds internal witness/instance generation (decompress membership).
   std::uint64_t seed = 1;
-  OrientationParams orientation;
-  SplittingParams splitting;
-  ThreeColoringParams three_coloring;
-  DeltaColoringParams delta_coloring;
+  /// subexp.x = 0 is derived from n (subexp_at_scale).
   SubexpLclParams subexp;
 };
 

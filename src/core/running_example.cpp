@@ -41,7 +41,6 @@ RunningExampleEncoding encode_running_example(const Graph& g,
   const auto col = canonical_two_coloring(g);
 
   RunningExampleEncoding enc;
-  enc.params = params;
 
   // Π_v: one 1-bit color hint on a ruling set.
   for (const int a : ruling_set(g, params.color_anchor_spacing, g.nodes_by_id())) {

@@ -39,7 +39,6 @@ struct RunningExampleEncoding {
   VarAdvice advice;               // composed Π_v (id 0) + Π_o (id 1) entries
   std::vector<char> uniform_bits;  // set when uniform_one_bit
   int uniform_max_payload_bits = 0;
-  RunningExampleParams params;
 };
 
 /// Prover for Π. Requires: bipartite, all degrees even, connected enough

@@ -9,6 +9,10 @@
 namespace lad {
 namespace {
 
+// Components without any marked trail are gathered whole; this bounds the
+// depth a gather may reach.
+constexpr int kGatherBound = 1000;
+
 // Canonical bipartition 2-coloring: in each component, the side containing
 // the smallest-ID node gets color 1. Both prover and (for gathered small
 // components) decoder use this rule.
@@ -28,71 +32,48 @@ std::vector<int> canonical_two_coloring(const Graph& g) {
 
 }  // namespace
 
-SplittingEncoding encode_splitting_advice(const Graph& g, const SplittingParams& params) {
+SplittingEncoding encode_splitting_advice(const Graph& g) {
   const auto col = canonical_two_coloring(g);
-
-  const auto trails = euler_partition(g);
-  std::vector<char> needs(trails.size(), 0);
-  int marked = 0;
-  for (std::size_t t = 0; t < trails.size(); ++t) {
-    LAD_CHECK_MSG(trails[t].closed, "splitting requires even degrees");
-    if (trails[t].length() > params.orientation.short_trail_threshold) {
-      needs[t] = 1;
-      ++marked;
-    }
-  }
-
-  TrailCodeParams tp;
-  tp.spacing = degree_scaled_spacing(params.orientation.marker_spacing, g.max_degree());
-  tp.jitter = params.orientation.marker_jitter;
-  tp.max_resample_rounds = params.orientation.max_resample_rounds;
-  tp.seed = params.orientation.seed;
+  const TrailSchema s = trail_schema(g, {}, 1);
+  for (const auto& t : s.trails) LAD_CHECK_MSG(t.closed, "splitting requires even degrees");
 
   // Payload: the 2-color of the marker's start node (bit 1 <=> color 2).
   auto payload_fn = [&](int t, int start) {
-    const int start_node = trails[static_cast<std::size_t>(t)].node_at(start);
+    const int start_node = s.trails[static_cast<std::size_t>(t)].node_at(start);
     BitString b;
     b.append(col[static_cast<std::size_t>(start_node)] == 2);
     return b;
   };
-  auto code = encode_trail_marks(g, trails, needs, payload_fn, 1, tp);
+  auto code = encode_trail_marks(g, s.trails, s.marked, payload_fn, 1, s.code);
 
   SplittingEncoding enc;
   enc.bits = std::move(code.bits);
-  enc.num_marked_trails = marked;
-  enc.params = params;
+  enc.num_marked_trails = s.num_marked;
   return enc;
 }
 
-SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& bits,
-                                       const SplittingParams& params) {
+SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& bits) {
   LAD_CHECK_MSG(static_cast<int>(bits.size()) == g.n(),
                 "splitting advice has " << bits.size() << " bits for n = " << g.n());
-  TrailCodeParams tp;
-  tp.spacing = degree_scaled_spacing(params.orientation.marker_spacing, g.max_degree());
-  tp.jitter = params.orientation.marker_jitter;
-  BitString one_bit;
-  one_bit.append(true);
-  const int walk_limit = trail_walk_limit(tp, trail_marker_length(one_bit));
-
-  const auto trails = euler_partition(g);
+  const TrailSchema s = trail_schema(g, {}, 1);
   SplittingDecodeResult res;
   res.edge_color.assign(static_cast<std::size_t>(g.m()), 0);
   res.node_color.assign(static_cast<std::size_t>(g.n()), 0);
   Orientation orient(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
 
   int rounds = 0;
-  for (const auto& t : trails) {
+  for (std::size_t i = 0; i < s.trails.size(); ++i) {
+    const Trail& t = s.trails[i];
     const int L = t.length();
     int dir;
-    if (L <= params.orientation.short_trail_threshold) {
+    if (!s.marked[i]) {
       dir = canonical_trail_direction(g, t) ? +1 : -1;
       rounds = std::max(rounds, L);
     } else {
-      const auto d = decode_trail_mark(g, t, 0, bits, walk_limit);
+      const auto d = decode_trail_mark(t, 0, bits, s.walk_limit);
       LAD_CHECK_MSG(d.has_value(), "no marker decodable on a long trail");
       dir = d->direction;
-      rounds = std::max(rounds, walk_limit);
+      rounds = std::max(rounds, s.walk_limit);
       // Color every node of the trail by parity from the marker start.
       LAD_CHECK_MSG(!d->payload.empty(), "splitting marker carries no base-color payload");
       const int base = d->payload.bit(0) ? 2 : 1;
@@ -105,8 +86,7 @@ SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& 
   }
 
   std::vector<std::vector<int>> too_deep;
-  rounds = std::max(rounds, propagate_splitting_colors(g, res.node_color, walk_limit,
-                                                       params.gather_bound, too_deep));
+  rounds = std::max(rounds, propagate_splitting_colors(g, res.node_color, s.walk_limit, too_deep));
   LAD_CHECK_MSG(too_deep.empty(), "component without markers exceeds gather bound");
 
   // Edge colors: an edge takes its tail's node color.
@@ -120,7 +100,7 @@ SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& 
 }
 
 int propagate_splitting_colors(const Graph& g, std::vector<int>& node_color, int walk_limit,
-                               int gather_bound, std::vector<std::vector<int>>& too_deep) {
+                               std::vector<std::vector<int>>& too_deep) {
   int rounds = 0;
   const auto comps = connected_components(g);
   for (const auto& members : comps.members) {
@@ -137,7 +117,7 @@ int propagate_splitting_colors(const Graph& g, std::vector<int>& node_color, int
       for (const int v : members) {
         node_color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
       }
-      if (diam_bound > gather_bound) too_deep.push_back(members);
+      if (diam_bound > kGatherBound) too_deep.push_back(members);
       rounds = std::max(rounds, 2 * diam_bound);
       continue;
     }
@@ -165,7 +145,7 @@ int propagate_splitting_colors(const Graph& g, std::vector<int>& node_color, int
   return rounds;
 }
 
-EdgeColoringResult edge_color_bipartite_regular(const Graph& g, const SplittingParams& params) {
+EdgeColoringResult edge_color_bipartite_regular(const Graph& g) {
   const int delta = g.max_degree();
   LAD_CHECK_MSG(delta >= 1 && (delta & (delta - 1)) == 0, "Δ must be a power of two");
   for (int v = 0; v < g.n(); ++v) {
@@ -207,8 +187,8 @@ EdgeColoringResult edge_color_bipartite_regular(const Graph& g, const SplittingP
         to_parent[static_cast<std::size_t>(se)] = e;
       }
 
-      const auto enc = encode_splitting_advice(sub, params);
-      const auto dec = decode_splitting(sub, enc.bits, params);
+      const auto enc = encode_splitting_advice(sub);
+      const auto dec = decode_splitting(sub, enc.bits);
       LAD_CHECK(is_splitting(sub, dec.edge_color));
       level_rounds = std::max(level_rounds, dec.rounds);
       for (int v = 0; v < g.n(); ++v) {

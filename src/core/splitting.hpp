@@ -9,7 +9,9 @@
 // split. The advice is the orientation trail-marking of §5 where each
 // marker's payload additionally carries the 2-color of the marker's start
 // node (still one bit per node in total); nodes recover their own color by
-// walking to a marker and counting parity.
+// walking to a marker and counting parity. The trails, marker code and walk
+// radius are trail_schema(g, {}, 1) (core/orientation.hpp): the orientation
+// schema's defaults with a 1-bit payload.
 #pragma once
 
 #include <vector>
@@ -19,21 +21,13 @@
 
 namespace lad {
 
-struct SplittingParams {
-  OrientationParams orientation;
-  /// Components without any marked trail are gathered whole and 2-colored
-  /// canonically; their diameter is charged as rounds.
-  int gather_bound = 1000;
-};
-
 struct SplittingEncoding {
   std::vector<char> bits;  // uniform 1-bit advice
   int num_marked_trails = 0;
-  SplittingParams params;
 };
 
 /// Centralized prover. Requires: every degree even, graph bipartite.
-SplittingEncoding encode_splitting_advice(const Graph& g, const SplittingParams& params = {});
+SplittingEncoding encode_splitting_advice(const Graph& g);
 
 struct SplittingDecodeResult {
   std::vector<int> edge_color;  // 1 = red, 2 = blue
@@ -42,19 +36,18 @@ struct SplittingDecodeResult {
 };
 
 /// LOCAL decoder: orientation + marker color payloads + parity propagation.
-SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& bits,
-                                       const SplittingParams& params = {});
+SplittingDecodeResult decode_splitting(const Graph& g, const std::vector<char>& bits);
 
 /// decode_splitting's parity propagation. Every node still uncolored (0) in
 /// `node_color` takes the color of the nearest colored node of its
 /// component, flipped once per hop (the graph is bipartite). A component
 /// with no colored node is gathered whole and colored by BFS parity from its
-/// smallest-ID node; the members of each such component deeper than
-/// `gather_bound` are appended to `too_deep`, one list per component.
+/// smallest-ID node; the members of each such component deeper than the
+/// gather bound (1000) are appended to `too_deep`, one list per component.
 /// Returns the rounds charged: walk_limit plus the distance for a
 /// propagated node, twice the depth for a gathered component.
 int propagate_splitting_colors(const Graph& g, std::vector<int>& node_color, int walk_limit,
-                               int gather_bound, std::vector<std::vector<int>>& too_deep);
+                               std::vector<std::vector<int>>& too_deep);
 
 /// Δ-edge-coloring of a bipartite Δ-regular graph, Δ = 2^k, by recursive
 /// splitting (each color class of Π_i is split again, log Δ levels). This is
@@ -69,7 +62,6 @@ struct EdgeColoringResult {
   int rounds = 0;  // sum of per-level decode rounds
 };
 
-EdgeColoringResult edge_color_bipartite_regular(const Graph& g,
-                                                const SplittingParams& params = {});
+EdgeColoringResult edge_color_bipartite_regular(const Graph& g);
 
 }  // namespace lad

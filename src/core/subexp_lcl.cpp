@@ -1,6 +1,7 @@
 #include "core/subexp_lcl.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "graph/components.hpp"
@@ -13,6 +14,10 @@ namespace lad {
 namespace {
 
 constexpr int kPreamble[8] = {1, 1, 1, 1, 0, 1, 1, 0};
+// The paper's r: the cluster margin beyond the Lemma 4.3 radius.
+constexpr int kGrowthR = 2;
+// Step budget of every solve_lcl call (global witness, cluster completions).
+constexpr std::int64_t kSolverBudget = 50'000'000;
 
 int label_width(int k) {
   if (k <= 1) return 0;
@@ -229,14 +234,14 @@ std::vector<Cluster> recover_clusters(const Graph& g, const std::vector<char>& b
       Cluster c;
       c.center = v;
       c.color = color;
-      carve_cluster(LocalBfs(g, v, 2 * p.x + p.growth_r, unassigned), p.x, p.growth_r, c);
+      carve_cluster(LocalBfs(g, v, 2 * p.x + kGrowthR, unassigned), p.x, kGrowthR, c);
       found.push_back(std::move(c));
     }
     std::vector<int>().swap(candidates);
     for (const auto& c : found) {
       for (const int u : c.members) unassigned[u] = 0;
       // Residual balls of nodes within 2x of the carved cluster changed.
-      const LocalBfs near(g, c.center, 4 * p.x + p.growth_r + 1);
+      const LocalBfs near(g, c.center, 4 * p.x + kGrowthR + 1);
       for (const int u : near.nodes()) {
         if (bitp[u] && unassigned[u] && !dirty[u]) {
           dirty[u] = 1;
@@ -366,8 +371,9 @@ std::vector<char> nonisolated_ones(const Graph& g, const std::vector<char>& bits
   return bitp;
 }
 
+// The decoder's phase bound.
 int resolve_max_colors(const SubexpLclParams& p) {
-  return p.max_colors > 0 ? p.max_colors : 4 * p.sep_mult * p.x + 4;
+  return 4 * SubexpLclParams::sep_mult * p.x + 4;
 }
 
 }  // namespace
@@ -383,16 +389,15 @@ SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
   const SubexpLclParams params = subexp_at_scale(requested, g.n());
   const int x = params.x;
   const int y = x / 2;
-  const int r = params.growth_r;
-  LAD_CHECK(x >= 16 && r >= 1);
+  const int r = kGrowthR;
+  LAD_CHECK(x >= 16);
   const int max_colors = resolve_max_colors(params);
 
   SubexpLclEncoding enc;
-  enc.params = params;
   enc.bits.assign(static_cast<std::size_t>(g.n()), 0);
 
   // Phase colors: a distance-(sep_mult*x) coloring.
-  const auto colors = distance_coloring(g, params.sep_mult * x);
+  const auto colors = distance_coloring(g, SubexpLclParams::sep_mult * x);
   enc.num_phase_colors = num_colors(colors);
   LAD_CHECK_MSG(enc.num_phase_colors <= max_colors,
                 "distance coloring used " << enc.num_phase_colors << " > max_colors "
@@ -467,7 +472,7 @@ SubexpLclEncoding encode_subexp_lcl_advice(const Graph& g, const LclProblem& p,
   if (witness != nullptr) {
     ell = *witness;
   } else {
-    auto solved = solve_lcl(g, p, params.solver_budget);
+    auto solved = solve_lcl(g, p, kSolverBudget);
     LAD_CHECK_MSG(solved.has_value(), "LCL " << p.name() << " unsolvable on this graph");
     ell = std::move(*solved);
   }
@@ -510,7 +515,7 @@ SubexpLclDecodeResult decode_subexp_lcl_impl(const Graph& g, const LclProblem& p
                 "subexp advice has " << bits.size() << " bits for n = " << g.n());
   const SubexpLclParams params = subexp_at_scale(requested, g.n());
   const int x = params.x;
-  const int r = params.growth_r;
+  const int r = kGrowthR;
   const int rbar = p.radius();
   const int max_colors = resolve_max_colors(params);
 
@@ -585,7 +590,7 @@ SubexpLclDecodeResult decode_subexp_lcl_impl(const Graph& g, const LclProblem& p
       std::sort(check_nodes.begin(), check_nodes.end());
     }
     LAD_CHECK_MSG(solve_lcl(g, p, lab, free_nodes, free_edges, check_nodes,
-                            params.solver_budget),
+                            kSolverBudget),
                   "cluster/residual completion infeasible");
   };
 

@@ -1,13 +1,13 @@
 // §4 — Any LCL on graphs of subexponential growth is solvable with 1 bit of
 // advice per node in O(1) rounds (Theorem 4.1).
 //
-// Construction (the paper's, with tunable constants):
+// Construction (the paper's; x is the one tunable constant):
 //   * distance-(sep_mult·x) coloring of the nodes; colors are processed in
 //     ascending phases;
 //   * in phase i every still-unassigned node v of color i with
 //     |N_=2x(v)| > 0 in the residual graph G_i becomes a cluster center;
 //     the Lemma 4.3 radius α_v ∈ [x, 2x] bounds the border against the
-//     interior, and the cluster is N_<=α_v+r(v) in G_i;
+//     interior, and the cluster is N_<=α_v+r(v) in G_i (r = 2);
 //   * the center's phase color i is written in 1-bits along a BFS path of
 //     length y = x/2 inside the cluster, as
 //       B'' = 11110110 · map(0 -> 110, 1 -> 1110 over bits(i)) · 0;
@@ -18,7 +18,7 @@
 //     decoder tells them apart, exactly as in the paper);
 //   * nodes never assigned to a cluster see their whole residual component
 //     within 2x and complete by brute force; cluster interiors complete by
-//     brute force respecting the pinned rings.
+//     brute force respecting the pinned rings (each solve within 50M steps).
 //
 // The advice can be made arbitrarily sparse by growing x (E8 measures the
 // ones-ratio as a function of x).
@@ -29,7 +29,6 @@
 // hundreds and million-node instances — see EXPERIMENTS.md.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -38,11 +37,10 @@
 namespace lad {
 
 struct SubexpLclParams {
-  int x = 0;           // base scale (paper's x); 0 = derived from n
-  int growth_r = 2;    // paper's r (cluster margin)
-  int sep_mult = 5;    // distance coloring uses distance sep_mult * x
-  int max_colors = 0;  // decoder phase bound; 0 = 4 * sep_mult * x + 4
-  std::int64_t solver_budget = 50'000'000;
+  int x = 0;  // base scale (paper's x); 0 = derived from n
+  /// The distance coloring uses distance sep_mult · x; the decoder's phase
+  /// bound is 4 · sep_mult · x + 4 colors.
+  static constexpr int sep_mult = 5;
 };
 
 /// `params` as encoder and decoder run them: x = 0 becomes a function of n,
@@ -55,7 +53,6 @@ struct SubexpLclEncoding {
   std::vector<char> bits;  // uniform 1-bit advice
   int num_clusters = 0;
   int num_phase_colors = 0;  // colors actually used by the distance coloring
-  SubexpLclParams params;  // as run: x resolved
 };
 
 /// Centralized prover: solves the LCL globally (or uses `witness` if given)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 
 #include "graph/checkers.hpp"
@@ -12,6 +13,9 @@
 
 namespace lad {
 namespace {
+
+// Candidate anchors tried per ruling node before the encoder gives up.
+constexpr int kMaxCandidateTries = 64;
 
 // One half of a group: {w} or an adjacent pair {x, y}.
 using Half = std::vector<int>;
@@ -77,6 +81,34 @@ std::vector<int> classify_bits(const Graph& g, const std::vector<char>& bits) {
   return type;
 }
 
+// The schema's radii, all functions of Δ (which every node knows); encoder
+// and decoder derive them alike.
+struct ThreeColoringDerived {
+  // Radius around a ruling-set node within which candidate group halves are
+  // searched: Δ + 2 (the paper's Lemma 7.2 radius is Δ).
+  int candidate_radius = 0;
+  int group_radius = 0;  // group members lie within this C-distance of r
+  int ruling_alpha = 0;  // pairwise group separation
+  int reach = 0;         // every large-component node finds a group within this
+  // Components of G_{2,3} with diameter above this are "large" and receive
+  // parity groups: 2·ruling_alpha (the paper's 4000Δ^9; any value >=
+  // ruling_alpha works, with correctness checked by the encoder).
+  int large_component_diameter = 0;
+};
+
+ThreeColoringDerived derive_three_coloring_radii(const Graph& g) {
+  ThreeColoringDerived d;
+  const int delta = std::max(1, g.max_degree());
+  d.candidate_radius = delta + 2;
+  // Anchors are tried within candidate_radius of r, halves within another
+  // candidate_radius, plus 1 for pair partners.
+  d.group_radius = 2 * d.candidate_radius + 1;
+  d.ruling_alpha = 4 * d.group_radius + 4;
+  d.reach = d.ruling_alpha + d.group_radius;  // domination + group offset
+  d.large_component_diameter = 2 * d.ruling_alpha;
+  return d;
+}
+
 }  // namespace
 
 std::vector<int> normalize_to_greedy(const Graph& g, std::vector<int> coloring) {
@@ -101,29 +133,13 @@ std::vector<int> normalize_to_greedy(const Graph& g, std::vector<int> coloring) 
   return coloring;
 }
 
-ThreeColoringDerived derive_three_coloring_radii(const Graph& g, const ThreeColoringParams& p) {
-  ThreeColoringDerived d;
-  const int delta = std::max(1, g.max_degree());
-  d.candidate_radius = p.candidate_radius > 0 ? p.candidate_radius : delta + 2;
-  // Anchors are tried within candidate_radius of r, halves within another
-  // candidate_radius, plus 1 for pair partners.
-  d.group_radius = 2 * d.candidate_radius + 1;
-  d.ruling_alpha = 4 * d.group_radius + 4;
-  d.reach = d.ruling_alpha + d.group_radius;  // domination + group offset
-  d.large_component_diameter = p.large_component_diameter > 0 ? p.large_component_diameter
-                                                              : 2 * d.ruling_alpha;
-  return d;
-}
-
 ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
-                                                   const std::vector<int>& witness,
-                                                   const ThreeColoringParams& params) {
-  const auto d = derive_three_coloring_radii(g, params);
+                                                   const std::vector<int>& witness) {
+  const auto d = derive_three_coloring_radii(g);
   const auto phi = normalize_to_greedy(g, witness);
   LAD_CHECK(is_proper_coloring(g, phi, 3));
 
   ThreeColoringEncoding enc;
-  enc.params = params;
   enc.greedy_phi = phi;
   enc.bits.assign(static_cast<std::size_t>(g.n()), 0);
   for (int v = 0; v < g.n(); ++v) {
@@ -176,7 +192,7 @@ ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
       const auto anchors = ball_nodes(g, r, d.candidate_radius, mask23);
       int tries = 0;
       for (const int v : anchors) {
-        if (++tries > params.max_candidate_tries) break;
+        if (++tries > kMaxCandidateTries) break;
         auto s = select_half(g, phi, mask23, v, d.candidate_radius,
                              [&](const Half& h) { return fresh(h, {}); });
         if (!s) continue;
@@ -237,11 +253,10 @@ namespace {
 // uncolored (0) and is marked in `failed` for the caller's repair pass.
 ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
                                                      const std::vector<char>& bits,
-                                                     const ThreeColoringParams& params,
                                                      std::vector<char>* failed) {
   LAD_CHECK_MSG(static_cast<int>(bits.size()) == g.n(),
                 "three-coloring advice has " << bits.size() << " bits for n = " << g.n());
-  const auto d = derive_three_coloring_radii(g, params);
+  const auto d = derive_three_coloring_radii(g);
   const auto type = classify_bits(g, bits);
 
   ThreeColoringDecodeResult res;
@@ -383,21 +398,19 @@ ThreeColoringDecodeResult decode_three_coloring_impl(const Graph& g,
 
 }  // namespace
 
-ThreeColoringDecodeResult decode_three_coloring(const Graph& g, const std::vector<char>& bits,
-                                                const ThreeColoringParams& params) {
+ThreeColoringDecodeResult decode_three_coloring(const Graph& g, const std::vector<char>& bits) {
   LAD_CHECK_MSG(static_cast<int>(bits.size()) == g.n(),
                 "3-coloring schema is one bit per node");
-  return decode_three_coloring_impl(g, bits, params, nullptr);
+  return decode_three_coloring_impl(g, bits, nullptr);
 }
 
 ThreeColoringDecodeResult decode_three_coloring_tolerant(const Graph& g,
                                                          const std::vector<char>& bits,
-                                                         std::vector<char>& failed,
-                                                         const ThreeColoringParams& params) {
+                                                         std::vector<char>& failed) {
   LAD_CHECK_MSG(static_cast<int>(bits.size()) == g.n(),
                 "3-coloring schema is one bit per node");
   failed.assign(static_cast<std::size_t>(g.n()), 0);
-  return decode_three_coloring_impl(g, bits, params, &failed);
+  return decode_three_coloring_impl(g, bits, &failed);
 }
 
 }  // namespace lad

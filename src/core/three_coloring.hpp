@@ -23,43 +23,16 @@
 // 2-colored canonically.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace lad {
 
-struct ThreeColoringParams {
-  /// Components of G_{2,3} with diameter above this are "large" and receive
-  /// parity groups (paper: 4000Δ^9; any value >= ruling_alpha works for the
-  /// construction, with correctness checked by the encoder).
-  int large_component_diameter = 0;  // 0 = derive from the other parameters
-  /// Radius around a ruling-set node within which candidate group halves
-  /// are searched (paper's Lemma 7.2 radius is Δ).
-  int candidate_radius = 0;  // 0 = Δ + 2
-  /// Candidate anchors tried per ruling node before giving up.
-  int max_candidate_tries = 64;
-  std::uint64_t seed = 777;
-};
-
-struct ThreeColoringDerived {
-  int candidate_radius = 0;
-  int group_radius = 0;    // group members lie within this C-distance of r
-  int ruling_alpha = 0;    // pairwise group separation
-  int reach = 0;           // every large-component node finds a group within this
-  int large_component_diameter = 0;
-};
-
-/// Resolves the derived radii for a given graph (shared by encoder/decoder).
-ThreeColoringDerived derive_three_coloring_radii(const Graph& g, const ThreeColoringParams& p);
-
 struct ThreeColoringEncoding {
   std::vector<char> bits;        // uniform 1-bit advice
   std::vector<int> greedy_phi;   // the greedy witness coloring (diagnostics)
   int num_groups = 0;
-  ThreeColoringParams params;
 };
 
 /// Centralized prover. `witness` must be a proper 3-coloring of g (the
@@ -67,8 +40,7 @@ struct ThreeColoringEncoding {
 /// the generator, or any coloring found offline — 3-coloring is NP-hard, and
 /// Definition 2 places no bound on the prover.
 ThreeColoringEncoding encode_three_coloring_advice(const Graph& g,
-                                                   const std::vector<int>& witness,
-                                                   const ThreeColoringParams& params = {});
+                                                   const std::vector<int>& witness);
 
 struct ThreeColoringDecodeResult {
   std::vector<int> coloring;  // proper 3-coloring, values 1..3
@@ -77,17 +49,16 @@ struct ThreeColoringDecodeResult {
 
 /// LOCAL decoder (poly(Δ) rounds). Throws ContractViolation on advice that
 /// is locally detectably inconsistent.
-ThreeColoringDecodeResult decode_three_coloring(const Graph& g, const std::vector<char>& bits,
-                                                const ThreeColoringParams& params = {});
+ThreeColoringDecodeResult decode_three_coloring(const Graph& g, const std::vector<char>& bits);
 
 /// Fault-tolerant decoder: inconsistencies are contained to their natural
 /// scope (the component for canonical 2-coloring, the node for parity
 /// lookup) instead of aborting the run. Affected nodes stay uncolored (0)
 /// and are marked in `failed` (resized to n) for a later repair pass; a
 /// wrong-sized bit vector still throws, as no per-node containment exists.
-ThreeColoringDecodeResult decode_three_coloring_tolerant(
-    const Graph& g, const std::vector<char>& bits, std::vector<char>& failed,
-    const ThreeColoringParams& params = {});
+ThreeColoringDecodeResult decode_three_coloring_tolerant(const Graph& g,
+                                                         const std::vector<char>& bits,
+                                                         std::vector<char>& failed);
 
 /// Rewrites a proper coloring into a greedy one (colors only decrease).
 std::vector<int> normalize_to_greedy(const Graph& g, std::vector<int> coloring);

@@ -73,7 +73,6 @@ bool chaos_repair_policy(const std::string& name, robust::RepairPolicy& out) {
   if (name == "backoff") {
     robust::RepairPolicy p;
     p.max_retries = 3;
-    p.retry_backoff = 2;
     p.advice_free_fallback = true;
     out = p;
     return true;
@@ -81,7 +80,6 @@ bool chaos_repair_policy(const std::string& name, robust::RepairPolicy& out) {
   if (name == "budgeted") {
     robust::RepairPolicy p;
     p.max_retries = 2;
-    p.retry_backoff = 2;
     p.repair_node_budget = 64;
     p.repair_round_deadline = 24;
     p.advice_free_fallback = true;

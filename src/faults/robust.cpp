@@ -19,6 +19,14 @@
 namespace lad::robust {
 namespace {
 
+// Repair radii: the first attempt, the cap (a region still infeasible there
+// is flagged) and the multiplier of the backoff schedule.
+constexpr int kRepairRadius = 2;
+constexpr int kMaxRepairRadius = 8;
+constexpr int kRetryBackoff = 2;
+// Marker votes sampled per long trail for the consensus direction.
+constexpr int kTrailSamples = 16;
+
 void sort_unique(std::vector<int>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -45,10 +53,10 @@ struct TrailRecovery {
 int position0_bit(const TrailMarker& m) { return (m.payload.bit(0) ? 1 : 0) ^ (m.start & 1); }
 
 TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<char>& bits,
-                            int walk_limit, int samples) {
+                            int walk_limit) {
   TrailRecovery rec;
   const int positions = t.positions();
-  const int step = std::max(1, positions / std::max(1, samples));
+  const int step = std::max(1, positions / kTrailSamples);
   const TrailMarkTable table = decode_trail_marks(t, bits, walk_limit);
   const auto marker_at = [&](int pos) -> const TrailMarker* {
     const int i = table.chosen[static_cast<std::size_t>(pos)];
@@ -242,21 +250,19 @@ void RobustnessReport::finalize_degradation(int n) {
 namespace {
 
 // Attempt radii for one region under `policy`: legacy linear escalation
-// (max_retries == 0), or exponential backoff capped at max_repair_radius
+// (max_retries == 0), or exponential backoff capped at kMaxRepairRadius
 // with at most max_retries attempts beyond the first.
 std::vector<int> repair_radius_schedule(const RepairPolicy& policy) {
   std::vector<int> rads;
   if (policy.max_retries <= 0) {
-    for (int r = policy.repair_radius; r <= policy.max_repair_radius; ++r) rads.push_back(r);
+    for (int r = kRepairRadius; r <= kMaxRepairRadius; ++r) rads.push_back(r);
     return rads;
   }
-  long long r = std::max(1, policy.repair_radius);
-  const long long backoff = std::max(2, policy.retry_backoff);
+  int r = kRepairRadius;
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
-    const int capped = static_cast<int>(std::min<long long>(r, policy.max_repair_radius));
-    rads.push_back(capped);
-    if (capped >= policy.max_repair_radius) break;
-    r *= backoff;
+    rads.push_back(std::min(r, kMaxRepairRadius));
+    if (r >= kMaxRepairRadius) break;
+    r *= kRetryBackoff;
   }
   return rads;
 }
@@ -302,7 +308,7 @@ void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
   bool comps_built = false;
   std::vector<char> comp_resolved;
 
-  for (const auto& group : group_by_distance(g, bad, 2 * policy.repair_radius + 1)) {
+  for (const auto& group : group_by_distance(g, bad, 2 * kRepairRadius + 1)) {
     bool repaired = false;
     bool budget_hit = false;
     bool deadline_hit = false;
@@ -488,31 +494,26 @@ namespace {
 // whose nearest marker is missing or disagrees are repaired from the
 // consensus; a trail with no decodable marker at all falls back to the
 // advice-free canonical direction (still a valid orientation).
-GuardedOutcome guarded_decode_orientation(const Graph& g, const std::vector<char>& bits,
-                                          const OrientationParams& params,
-                                          const RepairPolicy& policy) {
+GuardedOutcome guarded_decode_orientation(const Graph& g, const std::vector<char>& bits) {
   GuardedOutcome out;
   Orientation& orientation = out.output.orientation;
   const auto b = normalize_bits(g, bits, out.report);
-
-  TrailCodeParams tp;
-  tp.spacing = degree_scaled_spacing(params.marker_spacing, g.max_degree());
-  tp.jitter = params.marker_jitter;
-  const int walk_limit = trail_walk_limit(tp, trail_marker_length(BitString{}));
+  const TrailSchema s = trail_schema(g, {}, 0);
 
   orientation.assign(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
   int rounds = 0;
-  for (const auto& t : euler_partition(g)) {
-    if (t.length() <= params.short_trail_threshold) {
+  for (std::size_t i = 0; i < s.trails.size(); ++i) {
+    const Trail& t = s.trails[i];
+    if (!s.marked[i]) {
       orient_trail(g, t, canonical_trail_direction(g, t) ? +1 : -1, orientation);
       rounds = std::max(rounds, t.length());
       continue;
     }
-    const auto rec = recover_trail(g, t, b, walk_limit, policy.trail_samples);
+    const auto rec = recover_trail(g, t, b, s.walk_limit);
     if (rec.fallback || rec.disagreement) ++out.report.detected_violations;
     orient_trail(g, t, rec.direction, orientation);
     for (const int pos : rec.bad_positions) out.report.repaired_nodes.push_back(t.node_at(pos));
-    rounds = std::max(rounds, rec.fallback ? t.positions() : walk_limit);
+    rounds = std::max(rounds, rec.fallback ? t.positions() : s.walk_limit);
   }
   sort_unique(out.report.repaired_nodes);
 
@@ -552,33 +553,27 @@ class SplittingLcl final : public LclProblem {
 // propagation, per-node balance verification and local edge-color repair
 // with the exact solver.
 GuardedOutcome guarded_decode_splitting(const Graph& g, const std::vector<char>& bits,
-                                        const SplittingParams& params,
                                         const RepairPolicy& policy) {
   GuardedOutcome out;
   std::vector<int>& edge_color = out.output.edge_color;
   std::vector<int>& node_color = out.output.node_color;
   const auto b = normalize_bits(g, bits, out.report);
-
-  TrailCodeParams tp;
-  tp.spacing = degree_scaled_spacing(params.orientation.marker_spacing, g.max_degree());
-  tp.jitter = params.orientation.marker_jitter;
-  BitString one_bit;
-  one_bit.append(true);
-  const int walk_limit = trail_walk_limit(tp, trail_marker_length(one_bit));
+  const TrailSchema s = trail_schema(g, {}, 1);
 
   edge_color.assign(static_cast<std::size_t>(g.m()), 0);
   node_color.assign(static_cast<std::size_t>(g.n()), 0);
   Orientation orient(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
 
   int rounds = 0;
-  for (const auto& t : euler_partition(g)) {
+  for (std::size_t i = 0; i < s.trails.size(); ++i) {
+    const Trail& t = s.trails[i];
     const int L = t.length();
-    if (L <= params.orientation.short_trail_threshold) {
+    if (!s.marked[i]) {
       orient_trail(g, t, canonical_trail_direction(g, t) ? +1 : -1, orient);
       rounds = std::max(rounds, L);
       continue;
     }
-    const auto rec = recover_trail(g, t, b, walk_limit, policy.trail_samples);
+    const auto rec = recover_trail(g, t, b, s.walk_limit);
     if (rec.fallback || rec.disagreement) ++out.report.detected_violations;
     orient_trail(g, t, rec.direction, orient);
     for (const int pos : rec.bad_positions) out.report.repaired_nodes.push_back(t.node_at(pos));
@@ -591,14 +586,13 @@ GuardedOutcome guarded_decode_splitting(const Graph& g, const std::vector<char>&
       // nodes take colors from the propagation phase below.
       ++out.report.detected_violations;
     }
-    rounds = std::max(rounds, walk_limit);
+    rounds = std::max(rounds, s.walk_limit);
   }
 
   // A marker-less component too deep to gather is a detection here, where
   // the strict decoder rejects the advice.
   std::vector<std::vector<int>> too_deep;
-  rounds = std::max(rounds, propagate_splitting_colors(g, node_color, walk_limit,
-                                                       params.gather_bound, too_deep));
+  rounds = std::max(rounds, propagate_splitting_colors(g, node_color, s.walk_limit, too_deep));
   for (const auto& members : too_deep) {
     ++out.report.detected_violations;
     for (const int v : members) out.report.repaired_nodes.push_back(v);
@@ -670,7 +664,6 @@ void finish_guarded_coloring(const Graph& g, int num_colors, const std::vector<i
 // §7 three-coloring decoder via the tolerant decode, proper-coloring
 // verification, and local recoloring repair.
 GuardedOutcome guarded_decode_three_coloring(const Graph& g, const std::vector<char>& bits,
-                                             const ThreeColoringParams& params,
                                              const RepairPolicy& policy) {
   GuardedOutcome out;
   const auto b = normalize_bits(g, bits, out.report);
@@ -678,7 +671,7 @@ GuardedOutcome guarded_decode_three_coloring(const Graph& g, const std::vector<c
   std::vector<char> failed_mask;
   std::vector<int> failed;
   try {
-    auto res = decode_three_coloring_tolerant(g, b, failed_mask, params);
+    auto res = decode_three_coloring_tolerant(g, b, failed_mask);
     out.output.node_color = std::move(res.coloring);
     out.report.rounds = res.rounds;
   } catch (const ContractViolation&) {
@@ -702,7 +695,6 @@ GuardedOutcome guarded_decode_three_coloring(const Graph& g, const std::vector<c
 // nodes — runs; a final proper-coloring verification and local recoloring
 // pass covers whatever remains.
 GuardedOutcome guarded_decode_delta_coloring(const Graph& g, const VarAdvice& advice,
-                                             const DeltaColoringParams& params,
                                              const RepairPolicy& policy) {
   GuardedOutcome out;
   const int delta = std::max(1, g.max_degree());
@@ -756,7 +748,7 @@ GuardedOutcome guarded_decode_delta_coloring(const Graph& g, const VarAdvice& ad
       input = &staged;
     }
     try {
-      auto res = decode_delta_coloring(g, *input, params);
+      auto res = decode_delta_coloring(g, *input);
       out.output.node_color = std::move(res.coloring);
       out.report.rounds = res.rounds;
       decoded = true;
@@ -840,32 +832,24 @@ std::uint16_t label_guard(const Graph& g, int v, bool orientation_bit,
 }
 
 // The §1.5 compressor plus one label_guard per label.
-Advice guarded_compress_edge_set(const Graph& g, const std::vector<char>& in_x,
-                                 const OrientationParams& params) {
-  Advice labels = compress_edge_set(g, in_x, params).labels;
-  std::vector<char> bits(static_cast<std::size_t>(g.n()), 0);
+Advice guarded_compress_edge_set(const Graph& g, const std::vector<char>& in_x) {
+  CompressedEdgeSet c = compress_edge_set(g, in_x);
   for (int v = 0; v < g.n(); ++v) {
-    bits[static_cast<std::size_t>(v)] = labels[static_cast<std::size_t>(v)].bit(0);
-  }
-  const auto dec = decode_orientation(g, bits, params);
-  for (int v = 0; v < g.n(); ++v) {
-    BitString& label = labels[static_cast<std::size_t>(v)];
-    const auto out = outgoing_edges_sorted(g, dec.orientation, v);
+    BitString& label = c.labels[static_cast<std::size_t>(v)];
+    const auto out = outgoing_edges_sorted(g, c.orientation, v);
     BitString memberships;
     for (int i = 0; i < static_cast<int>(out.size()); ++i) memberships.append(label.bit(1 + i));
     const std::uint16_t guard = label_guard(g, v, label.bit(0), out, memberships);
     label.append(BitString::fixed_width(guard, kDecompressGuardBits));
   }
-  return labels;
+  return std::move(c.labels);
 }
 
 // §1.5 decompressor: the orientation bits go through the guarded orientation
 // decoder, then every label's guard is verified. Membership bits cannot be
 // repaired, only surfaced, so a label that fails its guard is flagged and
 // its edges reported unknown.
-GuardedOutcome guarded_decompress_edge_set(const Graph& g, const Advice& labels,
-                                           const OrientationParams& params,
-                                           const RepairPolicy& policy) {
+GuardedOutcome guarded_decompress_edge_set(const Graph& g, const Advice& labels) {
   GuardedOutcome out;
   std::vector<char>& in_x = out.output.edge_in_x;
   std::vector<char>& edge_known = out.output.edge_known;
@@ -892,7 +876,7 @@ GuardedOutcome guarded_decompress_edge_set(const Graph& g, const Advice& labels,
     advice_bits[static_cast<std::size_t>(v)] = label.bit(0) ? 1 : 0;
   }
 
-  const auto oriented = guarded_decode_orientation(g, advice_bits, params, policy);
+  const auto oriented = guarded_decode_orientation(g, advice_bits);
   out.report.detected_violations += oriented.report.detected_violations;
   for (const int v : oriented.report.repaired_nodes) out.report.repaired_nodes.push_back(v);
 
@@ -945,8 +929,8 @@ PipelineAdvice guarded_encode(const Pipeline& p, const Graph& g, const PipelineC
   if (p.id() != PipelineId::kDecompress) return p.encode(g, cfg);
   PipelineAdvice adv;
   adv.carrier = AdviceCarrier::kNodeLabels;
-  adv.labels = guarded_compress_edge_set(
-      g, hashed_edge_membership(g, cfg.seed, kDecompressDensity), cfg.orientation);
+  adv.labels =
+      guarded_compress_edge_set(g, hashed_edge_membership(g, cfg.seed, kDecompressDensity));
   return adv;
 }
 
@@ -959,22 +943,22 @@ GuardedOutcome guarded_decode(const Pipeline& p, const Graph& g, const PipelineA
   GuardedOutcome out;
   switch (p.id()) {
     case PipelineId::kOrientation:
-      out = guarded_decode_orientation(g, adv.bits, cfg.orientation, policy);
+      out = guarded_decode_orientation(g, adv.bits);
       break;
     case PipelineId::kSplitting:
-      out = guarded_decode_splitting(g, adv.bits, cfg.splitting, policy);
+      out = guarded_decode_splitting(g, adv.bits, policy);
       break;
     case PipelineId::kThreeColoring:
-      out = guarded_decode_three_coloring(g, adv.bits, cfg.three_coloring, policy);
+      out = guarded_decode_three_coloring(g, adv.bits, policy);
       break;
     case PipelineId::kDeltaColoring:
-      out = guarded_decode_delta_coloring(g, adv.var, cfg.delta_coloring, policy);
+      out = guarded_decode_delta_coloring(g, adv.var, policy);
       break;
     case PipelineId::kSubexpLcl:
       out = guarded_decode_subexp_lcl(g, subexp_demo_lcl(), adv.bits, cfg.subexp, policy);
       break;
     case PipelineId::kDecompress:
-      out = guarded_decompress_edge_set(g, adv.labels, cfg.orientation, policy);
+      out = guarded_decompress_edge_set(g, adv.labels);
       break;
   }
   out.report.decoder = p.name();

@@ -38,29 +38,19 @@
 
 namespace lad::robust {
 
-/// Repair policy framework (DESIGN.md §11). The first four fields are the
-/// original knobs; the rest bound the work repair may do and select the
-/// fallback-ladder rung taken when those bounds are hit. Every default
-/// reproduces the legacy behavior exactly (unbounded linear escalation,
-/// no budgets, flag on failure), so existing goldens are unaffected.
+/// Repair policy framework (DESIGN.md §11.2). Repair first re-solves a
+/// region at radius 2 and escalates to at most radius 8; a region still
+/// infeasible there is flagged. The fields bound the work repair may do and
+/// select the fallback-ladder rung taken when those bounds are hit. Every
+/// default reproduces the legacy behavior exactly (linear escalation, no
+/// budgets, flag on failure), so existing goldens are unaffected.
 struct RepairPolicy {
-  /// Initial ball radius around a rejecting region.
-  int repair_radius = 2;
-  /// Escalation bound; a region still infeasible here is flagged.
-  int max_repair_radius = 8;
   /// Backtracking budget per region re-solve.
   std::int64_t solver_budget = 2'000'000;
-  /// Marker votes sampled per long trail for the consensus direction.
-  int trail_samples = 16;
-
   /// Retry cap per region beyond the first attempt. 0 = legacy linear
-  /// escalation (radius + 1 per attempt, unlimited attempts up to
-  /// max_repair_radius). k > 0 = at most k retries with exponential radius
-  /// backoff: repair_radius, *retry_backoff, ... capped at
-  /// max_repair_radius.
+  /// escalation (radius 2, 3, ..., 8). k > 0 = at most k retries with the
+  /// radius doubling each time (2, 4, 8).
   int max_retries = 0;
-  /// Radius multiplier between attempts when max_retries > 0.
-  int retry_backoff = 2;
   /// Global repair budget: total region nodes one run may re-solve across
   /// all attempts (0 = unlimited). Exhausted regions skip local repair and
   /// fall down the ladder.
@@ -182,7 +172,7 @@ int blast_radius(const Graph& g, const std::vector<int>& sites,
 /// Local repair: clusters `bad_nodes`, re-solves the ball around each
 /// cluster with `p` under a pinned boundary at escalating radius, and
 /// applies successful completions to `lab`. Nodes of regions that stay
-/// infeasible at policy.max_repair_radius keep their labels cleared and are
+/// infeasible at the maximum radius (8) keep their labels cleared and are
 /// flagged. Appends to report.regions / repaired_nodes / flagged_nodes.
 void repair_labeling_locally(const Graph& g, const LclProblem& p, Labeling& lab,
                              const std::vector<int>& bad_nodes, const RepairPolicy& policy,
@@ -204,8 +194,9 @@ PipelineAdvice guarded_encode(const Pipeline& p, const Graph& g, const PipelineC
 
 /// Proof-guarded decode with local repair, for any registry pipeline. Never
 /// throws on corrupted advice: what it cannot repair it flags in the report.
-/// The trail decoders (orientation, splitting) take marker consensus per long
-/// trail, reading each position's own ±walk_limit decode from one whole-trail
+/// The trail decoders (orientation, splitting) read the strict decoders'
+/// trail_schema and take marker consensus per long trail (16 sampled votes),
+/// reading each position's own ±walk_limit decode from one whole-trail
 /// decode (decode_trail_marks); three_coloring and subexp_lcl run their
 /// tolerant decodes; delta_coloring drops malformed schema entries stage by
 /// stage; decompress verifies every label's guard (guarded_encode) and flags

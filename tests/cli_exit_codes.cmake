@@ -53,6 +53,15 @@ endforeach()
 expect_exit(2 faultsim orientation cycle 64 5 1 --targeting bogus)
 expect_exit(2 faultsim orientation cycle 64 5 1 --policy bogus)
 expect_exit(2 faultsim orientation cycle 64 5 1 --no-such-flag)
+# Malformed numbers are usage errors too, never a 0-trial campaign that
+# reports "no silent corruption" without testing anything.
+expect_exit(2 faultsim orientation cycle 64x 5 1)
+expect_exit(2 faultsim orientation cycle 100 abc)
+expect_exit(2 faultsim orientation cycle 100 0)
+expect_exit(2 faultsim orientation cycle 100 5 xyz)
+expect_exit(2 faultsim orientation cycle 64 5 1 --dup 7)
+expect_exit(2 faultsim orientation cycle 64 5 1 --delay 1.5)
+expect_exit(2 faultsim orientation cycle 64 5 1 --delay -0.1)
 expect_exit(0 faultsim orientation cycle 64 5 1
             --crash-recovery 2 --dup 0.02 --delay 0.02 --max-delay 2
             --targeting high_degree --burst 1 --burst-radius 1 --policy budgeted)

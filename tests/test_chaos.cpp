@@ -187,7 +187,6 @@ TEST(FallbackLadder, RetryBackoffCountsAttemptsAndFlagsTheInfeasible) {
   for (int v = 0; v < g.n(); ++v) lab.node_labels[static_cast<std::size_t>(v)] = v % 2 + 1;
   robust::RepairPolicy policy;
   policy.max_retries = 2;
-  policy.retry_backoff = 2;
   robust::RobustnessReport rep;
   robust::repair_labeling_locally(g, p, lab, {0}, policy, rep);
   EXPECT_EQ(rep.degradation.retries, 2);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "advice/advice.hpp"
 #include "core/orientation.hpp"
 #include "graph/generators.hpp"
@@ -109,6 +112,47 @@ TEST(Orientation, EncodeAndDecodeAreDeterministic) {
   const auto da = decode_orientation(g, a.bits);
   const auto db = decode_orientation(g, a.bits);
   EXPECT_EQ(da.orientation, db.orientation);
+}
+
+// The §1.5 compressor writes memberships under the encoder's planted
+// orientation without decoding it, which is sound only if the decoder
+// recovers exactly that orientation. Re-sampling guarantees it: every
+// marker that parses on a marked trail is a planted forward one. Checked
+// on the E2 families, Δ = 3..6, the E8 spacing sweep and A1's mixed union.
+TEST(Orientation, DecoderRecoversThePlantedOrientation) {
+  struct Instance {
+    std::string name;
+    Graph g;
+    OrientationParams params;
+  };
+  std::vector<Instance> instances = {
+      {"cycle", make_cycle(2000, IdMode::kRandomDense, 7), {}},
+      {"torus", make_torus(40, 50, IdMode::kRandomDense, 7), {}},
+      {"grid", make_grid(40, 50, IdMode::kRandomDense, 7), {}},
+  };
+  for (const int d : {3, 4, 5, 6}) {
+    instances.push_back({"regular-" + std::to_string(d), make_random_regular(2400, d, 7), {}});
+  }
+  const Graph long_cycle = make_cycle(40000, IdMode::kRandomDense, 11);
+  for (const int spacing : {40, 120, 360, 1080, 3240}) {
+    OrientationParams params;
+    params.marker_spacing = spacing;
+    instances.push_back({"spacing=" + std::to_string(spacing), long_cycle, params});
+  }
+  const Graph mixed = disjoint_union({make_cycle(2000), make_cycle(60), make_cycle(90),
+                                      make_cycle(120), make_grid(30, 30)},
+                                     IdMode::kRandomDense, 8);
+  for (const int threshold : {40, 100, 400}) {
+    OrientationParams params;
+    params.short_trail_threshold = threshold;
+    instances.push_back({"mixed/threshold=" + std::to_string(threshold), mixed, params});
+  }
+  for (const auto& [name, g, params] : instances) {
+    SCOPED_TRACE(name);
+    const auto enc = encode_orientation_advice(g, params);
+    EXPECT_EQ(decode_orientation(g, enc.bits, params).orientation, enc.orientation);
+    EXPECT_TRUE(is_balanced_orientation(g, enc.orientation, 1));
+  }
 }
 
 TEST(Orientation, SingleNodeAndEmpty) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "faults/robust.hpp"
@@ -64,25 +65,18 @@ TEST(PipelineRegistry, GuardedDecodeIsCleanOnUncorruptedAdvice) {
   }
 }
 
-// Output pins at n ≈ 10⁵, run the way `lad bench --graph SPEC --pipeline P`
-// runs them: the fingerprint of the per-node output digests, the rounds and
-// the total advice bits. Splitting has none: on torus:316x316@1 its encoder
-// exhausts the trail-mark re-sampling budget (ROADMAP 5(e)).
-TEST(PipelinePins, LargeInstanceDigestsAreStable) {
-  struct Pin {
-    const char* pipeline;
-    const char* spec;
-    const char* fingerprint;
-    int rounds;
-    long long total_bits;
-  };
-  const Pin pins[] = {
-      {"three_coloring", "grid:316x316@1", "a845b603411b75a7", 1, 99856},
-      {"delta_coloring", "torus:316x316@1", "b8850d96bf141fb5", 61, 25659},
-      {"subexp_lcl", "cycle:100000@1", "26c52fa430c52029", 908115, 100000},
-      {"decompress", "torus:316x316@1", "d2c89e60b639d64e", 257, 299568},
-      {"orientation", "cycle:100000@1", "31ecac3182a2861b", 130, 100000},
-  };
+// Output pins, run the way `lad bench --graph SPEC --pipeline P` runs them:
+// the fingerprint of the per-node output digests, the rounds and the total
+// advice bits.
+struct Pin {
+  const char* pipeline;
+  const char* spec;
+  const char* fingerprint;
+  int rounds;
+  long long total_bits;
+};
+
+void expect_pins(const std::vector<Pin>& pins) {
   for (const Pin& pin : pins) {
     SCOPED_TRACE(std::string(pin.pipeline) + " on " + pin.spec);
     const Pipeline* p = find_pipeline(pin.pipeline);
@@ -100,6 +94,31 @@ TEST(PipelinePins, LargeInstanceDigestsAreStable) {
     EXPECT_EQ(out.rounds, pin.rounds);
     EXPECT_EQ(adv.stats(g.n()).total_bits, pin.total_bits);
   }
+}
+
+// At n ≈ 10⁵. Splitting has none: on torus:316x316@1 its encoder exhausts
+// the trail-mark re-sampling budget (ROADMAP 1(b)).
+TEST(PipelinePins, LargeInstanceDigestsAreStable) {
+  expect_pins({
+      {"three_coloring", "grid:316x316@1", "a845b603411b75a7", 1, 99856},
+      {"delta_coloring", "torus:316x316@1", "b8850d96bf141fb5", 61, 25659},
+      {"subexp_lcl", "cycle:100000@1", "26c52fa430c52029", 908115, 100000},
+      {"decompress", "torus:316x316@1", "d2c89e60b639d64e", 257, 299568},
+      {"orientation", "cycle:100000@1", "31ecac3182a2861b", 130, 100000},
+  });
+}
+
+// At n = 16384, where all six run (splitting included) in about a second
+// together, so the sanitizer job runs them too.
+TEST(PipelinePins, ReducedInstanceDigestsAreStable) {
+  expect_pins({
+      {"orientation", "cycle:16384@1", "8d7ee0c33138aabc", 130, 16384},
+      {"decompress", "torus:128x128@1", "6c5fdcfbfb96c433", 257, 49152},
+      {"splitting", "torus:128x128@1", "9dc728e0cd23d694", 262, 16384},
+      {"delta_coloring", "torus:128x128@1", "f532c238444a8355", 61, 3513},
+      {"three_coloring", "grid:128x128@1", "8a9992fd19268a8e", 1, 16384},
+      {"subexp_lcl", "cycle:16384@1", "931bfb1a61814363", 908115, 16384},
+  });
 }
 
 // Admission rejects with the named type before any work, and the knobs a

@@ -7,9 +7,9 @@
 namespace lad {
 namespace {
 
-void round_trip(const Graph& g, const SplittingParams& params = {}) {
-  const auto enc = encode_splitting_advice(g, params);
-  const auto dec = decode_splitting(g, enc.bits, params);
+void round_trip(const Graph& g) {
+  const auto enc = encode_splitting_advice(g);
+  const auto dec = decode_splitting(g, enc.bits);
   EXPECT_TRUE(is_splitting(g, dec.edge_color));
   EXPECT_TRUE(is_proper_coloring(g, dec.node_color, 2));
 }

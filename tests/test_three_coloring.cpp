@@ -10,11 +10,10 @@
 namespace lad {
 namespace {
 
-void round_trip(const Graph& g, const std::vector<int>& witness,
-                const ThreeColoringParams& params = {}) {
-  const auto enc = encode_three_coloring_advice(g, witness, params);
+void round_trip(const Graph& g, const std::vector<int>& witness) {
+  const auto enc = encode_three_coloring_advice(g, witness);
   ASSERT_EQ(static_cast<int>(enc.bits.size()), g.n());
-  const auto dec = decode_three_coloring(g, enc.bits, params);
+  const auto dec = decode_three_coloring(g, enc.bits);
   EXPECT_TRUE(is_proper_coloring(g, dec.coloring, 3));
 }
 

@@ -47,7 +47,7 @@ TEST(TrailCode, DecodeFromEveryPositionOfCycle) {
   std::vector<BitString> payloads = {BitString::parse("10")};
   const auto code = encode_trail_marks(g, trails, needs, payloads);
   for (int pos = 0; pos < trails[0].length(); ++pos) {
-    const auto d = decode_trail_mark(g, trails[0], pos, code.bits, code.walk_limit);
+    const auto d = decode_trail_mark(trails[0], pos, code.bits, code.walk_limit);
     ASSERT_TRUE(d.has_value()) << "pos " << pos;
     EXPECT_EQ(d->direction, +1);
     EXPECT_EQ(d->payload, BitString::parse("10"));
@@ -64,7 +64,7 @@ TEST(TrailCode, ReversedTrailDecodesReversedDirection) {
   // A decoder that reconstructed the trail in the opposite direction must
   // read the marker as direction -1 (same orientation of the cycle).
   const Trail rev = reversed(trails[0]);
-  const auto d = decode_trail_mark(g, rev, 0, code.bits, code.walk_limit);
+  const auto d = decode_trail_mark(rev, 0, code.bits, code.walk_limit);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->direction, -1);
 }
@@ -76,7 +76,7 @@ TEST(TrailCode, OpenTrailCovered) {
   const auto code = encode_trail_marks(g, trails, {1}, {BitString::parse("1")});
   const int P = static_cast<int>(trails[0].nodes.size());
   for (int pos = 0; pos < P; pos += 7) {
-    const auto d = decode_trail_mark(g, trails[0], pos, code.bits, code.walk_limit);
+    const auto d = decode_trail_mark(trails[0], pos, code.bits, code.walk_limit);
     ASSERT_TRUE(d.has_value()) << "pos " << pos;
     EXPECT_EQ(d->direction, +1);
   }
@@ -96,7 +96,7 @@ TEST(TrailCode, PerSegmentPayloads) {
   const auto code =
       encode_trail_marks(g, trails, {1}, payload_fn, 1, TrailCodeParams{});
   for (int pos = 0; pos < trails[0].length(); pos += 11) {
-    const auto d = decode_trail_mark(g, trails[0], pos, code.bits, code.walk_limit);
+    const auto d = decode_trail_mark(trails[0], pos, code.bits, code.walk_limit);
     ASSERT_TRUE(d.has_value());
     const int node =
         trails[0].nodes[static_cast<std::size_t>(d->marker_start % trails[0].length())];
@@ -113,7 +113,7 @@ TEST(TrailCode, MultipleTrailsNoCrosstalk) {
   std::vector<BitString> payloads = {BitString::parse("0"), BitString::parse("1")};
   const auto code = encode_trail_marks(g, trails, {1, 1}, payloads);
   for (int t = 0; t < 2; ++t) {
-    const auto d = decode_trail_mark(g, trails[static_cast<std::size_t>(t)], 0, code.bits,
+    const auto d = decode_trail_mark(trails[static_cast<std::size_t>(t)], 0, code.bits,
                                      code.walk_limit);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->payload, payloads[static_cast<std::size_t>(t)]);
@@ -140,7 +140,7 @@ TEST(TrailCode, SharedNodesResampled) {
   for (std::size_t t = 0; t < trails.size(); ++t) {
     if (!needs[t]) continue;
     for (int pos = 0; pos < trails[t].length(); pos += 13) {
-      const auto d = decode_trail_mark(g, trails[t], pos, code.bits, code.walk_limit);
+      const auto d = decode_trail_mark(trails[t], pos, code.bits, code.walk_limit);
       ASSERT_TRUE(d.has_value());
       EXPECT_EQ(d->direction, +1);
     }
@@ -189,7 +189,7 @@ TEST(TrailCode, EveryPositionDecodesWithPayloads) {
   const auto trails = euler_partition(g);
   const auto code = encode_trail_marks(g, trails, {1}, {BitString::parse("1101")});
   for (int pos = 0; pos < trails[0].length(); ++pos) {
-    const auto d = decode_trail_mark(g, trails[0], pos, code.bits, code.walk_limit);
+    const auto d = decode_trail_mark(trails[0], pos, code.bits, code.walk_limit);
     ASSERT_TRUE(d.has_value()) << pos;
     EXPECT_EQ(d->direction, +1);
     EXPECT_EQ(d->payload, BitString::parse("1101"));
@@ -200,7 +200,7 @@ TEST(TrailCode, NoMarkerMeansNoDecode) {
   const Graph g = make_cycle(100);
   const auto trails = euler_partition(g);
   const std::vector<char> zeros(static_cast<std::size_t>(g.n()), 0);
-  EXPECT_FALSE(decode_trail_mark(g, trails[0], 0, zeros, 100).has_value());
+  EXPECT_FALSE(decode_trail_mark(trails[0], 0, zeros, 100).has_value());
 }
 
 TEST(TrailCode, ResampleRoundsReported) {
@@ -237,7 +237,7 @@ void expect_matches_reference(const Graph& g, const Trail& t, const std::vector<
   }
   for (int pos = 0; pos < t.positions(); ++pos) {
     const auto want = reference::decode_trail_mark(g, t, pos, bits, walk_limit);
-    const auto got = decode_trail_mark(g, t, pos, bits, walk_limit);
+    const auto got = decode_trail_mark(t, pos, bits, walk_limit);
     const int chosen = table.chosen[static_cast<std::size_t>(pos)];
     ++tally.positions;
     ASSERT_EQ(got.has_value(), want.has_value()) << "pos " << pos;

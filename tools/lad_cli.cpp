@@ -32,6 +32,7 @@
 // file (graph/io.hpp §12 format), or a ".txt" edge list, on every verb that
 // reads a graph. An unknown source exits 2 naming the offender.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -156,6 +157,17 @@ std::vector<std::string> split_csv(const std::string& s) {
   }
   if (!cur.empty()) out.push_back(cur);
   return out;
+}
+
+// Whole-token parse of a number: "abc", "12x" and "" fail instead of
+// reading as 0 or 12.
+template <typename T>
+std::optional<T> parse_number(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
 }
 
 // `--threads 1,2,4`: every count >= 1; empty on any bad token.
@@ -539,13 +551,41 @@ int cmd_faultsim(int argc, char** argv) {
   faults::CampaignConfig cfg;
   cfg.decoder = p->id();
   cfg.family = *family;
-  cfg.n = std::atoi(argv[2]);
-  if (cfg.n < 8) return usage();
+  const auto n = parse_number<int>(argv[2]);
+  if (!n || *n < 8) return usage();
+  cfg.n = *n;
   cfg.trials = 20;
   cfg.seed = 1;
   int i = 3;
-  if (i < argc && argv[i][0] != '-') cfg.trials = std::atoi(argv[i++]);
-  if (i < argc && argv[i][0] != '-') cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[i++]));
+  // A campaign of zero trials would report "no silent corruption" without
+  // testing anything, so the count must be a positive integer.
+  if (i < argc && argv[i][0] != '-') {
+    const char* tok = argv[i++];
+    const auto trials = parse_number<int>(tok);
+    if (!trials || *trials < 1) {
+      std::fprintf(stderr, "error: trial count '%s' is not a positive integer\n", tok);
+      return 2;
+    }
+    cfg.trials = *trials;
+  }
+  if (i < argc && argv[i][0] != '-') {
+    const char* tok = argv[i++];
+    const auto seed = parse_number<std::uint64_t>(tok);
+    if (!seed) {
+      std::fprintf(stderr, "error: seed '%s' is not a number\n", tok);
+      return 2;
+    }
+    cfg.seed = *seed;
+  }
+  const auto probability = [](const char* tok, double& out) {
+    const auto p = parse_number<double>(tok);
+    if (!p || !(*p >= 0.0 && *p <= 1.0)) {
+      std::fprintf(stderr, "error: probability '%s' is not in [0, 1]\n", tok);
+      return false;
+    }
+    out = *p;
+    return true;
+  };
   // Fault/policy knobs all default to the legacy plan, so the flag-free
   // invocation stays byte-identical to the pinned faultsim goldens.
   for (; i < argc; ++i) {
@@ -554,11 +594,9 @@ int cmd_faultsim(int argc, char** argv) {
       cfg.plan.engine.crash_recovery_rounds = std::atoi(argv[++i]);
       if (cfg.plan.engine.crash_recovery_rounds < 0) return usage();
     } else if (a == "--dup" && i + 1 < argc) {
-      cfg.plan.engine.message_duplicate_prob = std::atof(argv[++i]);
-      if (cfg.plan.engine.message_duplicate_prob < 0.0) return usage();
+      if (!probability(argv[++i], cfg.plan.engine.message_duplicate_prob)) return 2;
     } else if (a == "--delay" && i + 1 < argc) {
-      cfg.plan.engine.message_delay_prob = std::atof(argv[++i]);
-      if (cfg.plan.engine.message_delay_prob < 0.0) return usage();
+      if (!probability(argv[++i], cfg.plan.engine.message_delay_prob)) return 2;
     } else if (a == "--max-delay" && i + 1 < argc) {
       cfg.plan.engine.max_delay_rounds = std::atoi(argv[++i]);
       if (cfg.plan.engine.max_delay_rounds < 1) return usage();
