@@ -15,7 +15,6 @@
 #include "graph/io.hpp"
 #include "local/gather.hpp"
 #include "obs/export.hpp"
-#include "obs/json_mini.hpp"
 #include "obs/profile.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/timeline.hpp"
@@ -257,12 +256,6 @@ std::vector<Case> suite_cases(const std::string& suite) {
   return {};
 }
 
-std::string fmt(double v, int prec) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
-  return buf;
-}
-
 /// 16-hex-digit splitmix fold of the raw (potentially huge) case digest —
 /// platform-independent, cheap to diff, and still byte-sensitive.
 std::string fingerprint(const std::string& bytes) {
@@ -282,12 +275,14 @@ std::vector<std::string> bench_suite_names() {
 
 namespace {
 
-/// One case's rows: min-of-K serial timing, then one row per listed thread
+/// One case: min-of-K serial timing, then one timing per listed thread
 /// count (digest-compared against the serial run), with optional telemetry
 /// attribution. Throws whatever the case throws.
-std::vector<BenchCaseResult> measure_case(const Case& c, const std::vector<int>& thread_list,
-                                          int reps, bool with_metrics) {
-  CaseRun serial;
+BenchCaseResult measure_case(const Case& c, const std::vector<int>& thread_list, int reps,
+                             bool with_metrics) {
+  BenchCaseResult res;
+  res.name = c.name;
+  CaseRun& serial = res.det;
   // Min-of-K timing: one discarded warmup (page-cache / allocator / CPU
   // governor effects land there), then the min over reps timed runs —
   // the most repeatable point statistic of a right-skewed wall-time
@@ -295,60 +290,32 @@ std::vector<BenchCaseResult> measure_case(const Case& c, const std::vector<int>&
   // same serial CaseRun and the metric snapshot of the last rep is the
   // metric snapshot of all of them.
   if (reps > 1) c.run(1);
-  double wall_ms_1 = std::numeric_limits<double>::infinity();
+  res.wall_ms_1 = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     if (with_metrics) obs::MetricsRegistry::instance().reset();
-    wall_ms_1 = std::min(wall_ms_1, time_ms([&] { serial = c.run(1); }));
+    res.wall_ms_1 = std::min(res.wall_ms_1, time_ms([&] { serial = c.run(1); }));
   }
-  std::vector<obs::MetricValue> metrics;
-  std::string top_phase;
-  double serial_fraction = -1;
   if (with_metrics) {
-    metrics = obs::MetricsRegistry::instance().snapshot(/*skip_zero=*/true);
-    top_phase = obs::top_phase_from_trace();
-    serial_fraction = obs::serial_split_from_trace().serial_fraction;
+    res.metrics = obs::MetricsRegistry::instance().snapshot(/*skip_zero=*/true);
+    res.top_phase = obs::top_phase_from_trace();
+    res.serial_fraction = obs::serial_split_from_trace().serial_fraction;
     obs::TraceRecorder::instance().clear();
   }
-  const std::string digest = fingerprint(serial.digest);
-  // One row per listed count, named "case/t=K" only when the list has more
-  // than one entry — single-count documents keep their schema-v4 case
-  // names, so existing baselines stay comparable.
-  const bool multi = thread_list.size() > 1;
-
-  std::vector<BenchCaseResult> rows;
-  for (std::size_t ti = 0; ti < thread_list.size(); ++ti) {
-    const int t = thread_list[ti];
-    BenchCaseResult res;
-    res.name = multi ? c.name + "/t=" + std::to_string(t) : c.name;
-    res.threads = t;
-    res.top_phase = top_phase;
-    res.serial_fraction = serial_fraction;
-    if (ti == 0) res.metrics = metrics;  // attributed once per case
-    res.wall_ms_1 = wall_ms_1;
-    res.digest = digest;
+  for (const int t : thread_list) {
+    ThreadRun run{t, res.wall_ms_1, 1.0, true};
     if (t > 1) {
       CaseRun parallel;
-      res.wall_ms = std::numeric_limits<double>::infinity();
+      run.wall_ms = std::numeric_limits<double>::infinity();
       for (int rep = 0; rep < reps; ++rep) {
-        res.wall_ms = std::min(res.wall_ms, time_ms([&] { parallel = c.run(t); }));
+        run.wall_ms = std::min(run.wall_ms, time_ms([&] { parallel = c.run(t); }));
       }
-      res.identical = parallel.digest == serial.digest;
-    } else {
-      res.wall_ms = res.wall_ms_1;
-      res.identical = true;
+      run.identical = parallel.digest == serial.digest;
+      run.speedup_vs_1 = run.wall_ms > 0 ? res.wall_ms_1 / run.wall_ms : 1.0;
     }
-    res.n = serial.n;
-    res.m = serial.m;
-    res.rounds = serial.rounds;
-    res.bits_per_node = serial.bits_per_node;
-    res.total_bits = serial.total_bits;
-    res.source = serial.source;
-    res.graph_digest = serial.graph_digest;
-    res.counters = serial.counters;
-    res.speedup_vs_1 = res.wall_ms > 0 ? res.wall_ms_1 / res.wall_ms : 1.0;
-    rows.push_back(std::move(res));
+    res.runs.push_back(run);
   }
-  return rows;
+  serial.digest = fingerprint(serial.digest);
+  return res;
 }
 
 /// The shared measurement loop behind both the suite registry and the
@@ -364,7 +331,6 @@ BenchSuiteResult run_cases(const std::string& label, std::vector<Case> cases,
   out.suite = label;
   out.threads = *std::max_element(thread_list.begin(), thread_list.end());
   out.hardware_threads = ThreadPool::default_threads();
-  out.schema_version = obs::kBenchSchemaVersion;
   out.git_commit = obs::kGitCommit;
   out.timestamp = obs::iso8601_utc_now();
   out.reps = std::max(1, reps);
@@ -378,12 +344,10 @@ BenchSuiteResult run_cases(const std::string& label, std::vector<Case> cases,
 
   for (const auto& c : cases) {
     try {
-      for (auto& row : measure_case(c, thread_list, out.reps, with_metrics)) {
-        out.cases.push_back(std::move(row));
-      }
+      out.cases.push_back(measure_case(c, thread_list, out.reps, with_metrics));
     } catch (const std::logic_error& e) {
       // A broken correctness property or a rejected input is a result, not
-      // a crash: one error row with no timing and no per-count rows.
+      // a crash: one error row with no timing.
       BenchCaseResult row;
       row.name = c.name;
       row.error = e.what();
@@ -424,65 +388,56 @@ BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,
   return run_cases("source", std::move(cases), thread_list, with_metrics, reps);
 }
 
-std::string BenchSuiteResult::to_json() const {
-  // Every string goes through the escaper: names and sources carry
-  // user-supplied GraphSource paths.
-  const auto str = [](const std::string& v) { return "\"" + obs::jsonmini::json_escape(v) + "\""; };
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema_version\": " << schema_version << ",\n"
-     << "  \"git_commit\": " << str(git_commit) << ",\n"
-     << "  \"timestamp\": " << str(timestamp) << ",\n"
-     << "  \"suite\": " << str(suite) << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"hardware_threads\": " << hardware_threads << ",\n"
-     << "  \"reps\": " << reps << ",\n"
-     << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto& c = cases[i];
-    const char* sep = i + 1 < cases.size() ? ",\n" : "\n";
-    if (!c.error.empty()) {
-      os << "    {\"name\": " << str(c.name) << ", \"error\": " << str(c.error) << "}" << sep;
-      continue;
-    }
-    os << "    {\"name\": " << str(c.name) << ", \"n\": " << c.n << ", \"m\": " << c.m
-       << ", \"rounds\": " << c.rounds << ", \"bits_per_node\": " << fmt(c.bits_per_node, 4)
-       << ", \"total_bits\": " << c.total_bits << ", \"wall_ms_1t\": " << fmt(c.wall_ms_1, 3)
-       << ", \"wall_ms\": " << fmt(c.wall_ms, 3) << ", \"speedup_vs_1\": "
-       << fmt(c.speedup_vs_1, 3) << ", \"identical\": " << (c.identical ? "true" : "false")
-       << ", \"digest\": " << str(c.digest) << ", \"threads\": " << c.threads;
-    if (!c.top_phase.empty()) {
-      os << ", \"top_phase\": " << str(c.top_phase);
-    }
-    if (c.serial_fraction >= 0) {
-      os << ", \"serial_fraction\": " << fmt(c.serial_fraction, 4);
-    }
-    if (!c.source.empty()) {
-      os << ", \"source\": " << str(c.source) << ", \"graph_digest\": " << str(c.graph_digest);
-    }
-    if (!c.metrics.empty()) {
-      os << ", \"metrics\": {";
-      for (std::size_t j = 0; j < c.metrics.size(); ++j) {
-        os << str(c.metrics[j].name) << ": " << c.metrics[j].value
-           << (j + 1 < c.metrics.size() ? ", " : "");
-      }
-      os << "}";
-    }
-    if (!c.counters.empty()) {
-      // %.17g round-trips every double exactly, so `lad diff` can compare
-      // counters as deterministic fields.
-      os << ", \"counters\": {";
-      for (std::size_t j = 0; j < c.counters.size(); ++j) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", c.counters[j].second);
-        os << (j > 0 ? ", " : "") << str(c.counters[j].first) << ": " << buf;
-      }
-      os << "}";
-    }
-    os << "}" << sep;
+obs::RunRecord BenchCaseResult::record() const {
+  using namespace obs::jsonmini;
+  obs::RunRecord rec{name, json_object(), {}};
+  if (!error.empty()) {
+    rec.deterministic.add("error", json_string(error));
+    return rec;
   }
-  os << "  ]\n}\n";
-  return os.str();
+  rec.deterministic.add("n", json_int(det.n))
+      .add("m", json_int(det.m))
+      .add("rounds", json_int(det.rounds))
+      .add("bits_per_node", json_fixed(det.bits_per_node, 4))
+      .add("total_bits", json_int(det.total_bits))
+      .add("digest", json_string(det.digest));
+  if (!det.source.empty()) {
+    rec.deterministic.add("source", json_string(det.source))
+        .add("graph_digest", json_string(det.graph_digest));
+  }
+  if (!det.counters.empty()) {
+    // %.17g round-trips every double exactly.
+    JsonValue counters = json_object();
+    for (const auto& [key, value] : det.counters) counters.add(key, json_exact(value));
+    rec.deterministic.add("counters", std::move(counters));
+  }
+  const auto row = [](const ThreadRun& r) {
+    return json_object()
+        .add("threads", json_int(r.threads))
+        .add("wall_ms", json_fixed(r.wall_ms, 3))
+        .add("speedup_vs_1", json_fixed(r.speedup_vs_1, 3))
+        .add("identical", json_bool(r.identical));
+  };
+  JsonValue serial = row({1, wall_ms_1, 1.0, true});
+  if (!top_phase.empty()) serial.add("top_phase", json_string(top_phase));
+  if (serial_fraction >= 0) serial.add("serial_fraction", json_fixed(serial_fraction, 4));
+  if (!metrics.empty()) {
+    JsonValue m = json_object();
+    for (const obs::MetricValue& v : metrics) m.add(v.name, json_int(v.value));
+    serial.add("metrics", std::move(m));
+  }
+  rec.measured.push_back(std::move(serial));
+  for (const ThreadRun& r : runs) {
+    if (r.threads > 1) rec.measured.push_back(row(r));
+  }
+  return rec;
+}
+
+std::string BenchSuiteResult::to_json() const {
+  obs::RunDocument doc{obs::run_metadata(git_commit, timestamp, suite, hardware_threads, reps),
+                       {}};
+  for (const BenchCaseResult& c : cases) doc.records.push_back(c.record());
+  return doc.to_json();
 }
 
 }  // namespace lad::bench

@@ -4,8 +4,8 @@
 // case runs once serially (min of K timed reps), then once per listed
 // thread count, and the runner checks that every run produced the same
 // output bytes (the determinism contract of the parallel layer). The
-// result renders as one machine-readable JSON document that `lad diff`
-// grades against a baseline.
+// result renders as one run document (obs/diff.hpp), one record per case,
+// that `lad diff` grades against a baseline.
 //
 // Suites: e1..e9, r1, b1 and a1 are the EXPERIMENTS.md rows, one case per
 // row (bench/experiments.cpp): the paper's quantities land in the row
@@ -22,59 +22,78 @@
 
 #include "faults/campaign.hpp"
 #include "graph/source.hpp"
+#include "obs/diff.hpp"
 #include "obs/telemetry.hpp"
 
 namespace lad::bench {
 
-/// Named measurements of one case beyond the fixed row fields (schema v7),
-/// in insertion order: clusters, ones ratio, fault counts, ...
+/// Named measurements of one case beyond the fixed record fields, in
+/// insertion order: clusters, ones ratio, fault counts, ...
 using Counters = std::vector<std::pair<std::string, double>>;
 
-struct BenchCaseResult {
-  std::string name;  // e.g. "orientation/n=256"
+/// One execution of a case: everything the runner compares across thread
+/// counts and reports, minus the timing.
+struct CaseRun {
+  std::string digest;  // byte-deterministic output rendering
   int n = 0;
   int m = 0;
   int rounds = 0;            // LOCAL rounds of the measured decode (0: n/a)
   double bits_per_node = 0;  // advice cost (0 where no advice is measured)
   long long total_bits = 0;
-  double wall_ms_1 = 0;     // wall time of the whole batch at 1 thread (min of reps)
-  double wall_ms = 0;       // ... at the requested thread count (min of reps)
-  double speedup_vs_1 = 0;  // wall_ms_1 / wall_ms
-  bool identical = true;    // multi-thread outputs byte-identical to serial
-  /// 64-bit splitmix fingerprint (hex) of the serial output bytes — the
-  /// machine-portable structural axis `lad diff` compares exactly.
-  std::string digest;
-  /// Graph provenance (schema v4), populated on source-driven cases only:
-  /// the canonical GraphSource spec this case ran on, and the CSR digest
-  /// of the loaded graph (graph_digest_hex) — byte-identical across
-  /// load-from-.ladg, in-memory generation, and parallel reconstruction.
+  /// Graph provenance, on source-driven cases only: the canonical
+  /// GraphSource spec this case ran on, and the CSR digest of the loaded
+  /// graph (graph_digest_hex) — byte-identical across load-from-.ladg,
+  /// in-memory generation, and parallel reconstruction.
   std::string source;
   std::string graph_digest;
-  /// Thread count this row measured (schema v5). With a thread list
-  /// (`--threads 1,2,4`) each case emits one row per count, named
-  /// "case/t=K"; with a single count the name is unchanged.
-  int threads = 1;
-  /// Hottest profiling phase of the serial run (schema v5; empty unless
-  /// with_metrics): obs::top_phase_from_trace() over the case's spans —
-  /// provenance for PERF-generated.md, never diffed.
-  std::string top_phase;
-  /// Measured serial fraction of the serial run (schema v6; negative unless
-  /// with_metrics): obs::serial_split_from_trace() over the case's spans —
-  /// the Amdahl `s` that bounds the speedup_vs_1 column. Provenance only,
-  /// never diffed.
-  double serial_fraction = -1;
-  /// Telemetry counters attributed to the serial run of this case (empty
-  /// unless the suite ran with with_metrics; zero-valued metrics skipped).
-  /// With a thread list, only the case's first row carries them.
-  std::vector<obs::MetricValue> metrics;
-  /// The case's own measurements (schema v7): deterministic, compared
-  /// exactly by `lad diff`.
+  /// The case's own measurements: deterministic, compared exactly by
+  /// `lad diff`.
   Counters counters;
-  /// Non-empty on an error row (schema v7): the message of the
-  /// ContractViolation or (`rejected`, not serialized) InadmissibleInput the
-  /// case threw. An error row has no timing and no per-thread-count rows.
+};
+
+/// A named case; run(threads) executes it at that pool size.
+struct Case {
+  std::string name;
+  std::function<CaseRun(int threads)> run;
+};
+
+/// One listed thread count's timing of a case.
+struct ThreadRun {
+  int threads = 1;
+  double wall_ms = 0;       // min of reps
+  double speedup_vs_1 = 0;  // wall_ms_1 / wall_ms
+  bool identical = true;    // outputs byte-identical to the serial run
+};
+
+struct BenchCaseResult {
+  std::string name;  // e.g. "orientation/n=256"
+  /// The serial run; its digest is the 64-bit splitmix fingerprint (hex) of
+  /// the output bytes — the machine-portable axis `lad diff` compares.
+  CaseRun det;
+  /// Non-empty on an error row: the message of the ContractViolation or
+  /// (`rejected`) InadmissibleInput the case threw. An error row has no
+  /// timing.
   std::string error;
   bool rejected = false;
+  /// Wall time of the whole batch at 1 thread (min of reps).
+  double wall_ms_1 = 0;
+  /// One timing per listed thread count, in list order.
+  std::vector<ThreadRun> runs;
+  /// Hottest profiling phase of the serial run (empty unless with_metrics):
+  /// obs::top_phase_from_trace() over the case's spans.
+  std::string top_phase;
+  /// Measured serial fraction of the serial run (negative unless
+  /// with_metrics): obs::serial_split_from_trace() over the case's spans —
+  /// the Amdahl `s` that bounds the speedup_vs_1 column.
+  double serial_fraction = -1;
+  /// Telemetry counters attributed to the serial run (empty unless the
+  /// suite ran with with_metrics; zero-valued metrics skipped).
+  std::vector<obs::MetricValue> metrics;
+
+  /// The case's run-document record: `det` (or {"error"}) as the
+  /// deterministic object; as measured rows the serial run (with the
+  /// metrics-run provenance), then each listed count above 1.
+  obs::RunRecord record() const;
 };
 
 struct BenchSuiteResult {
@@ -84,41 +103,18 @@ struct BenchSuiteResult {
   /// std::thread::hardware_concurrency at run time — the honest context for
   /// the speedup numbers (a 1-core container cannot show real speedups).
   int hardware_threads = 1;
-  /// Document format version (obs::kBenchSchemaVersion) — bump on any
-  /// field change so downstream dashboards can dispatch.
-  int schema_version = 0;
   /// `git describe --always --dirty` of the built tree (obs::kGitCommit).
   std::string git_commit;
   /// ISO-8601 UTC wall time the suite started.
   std::string timestamp;
   /// Timing repetitions per case (`lad bench --reps K`): one discarded
-  /// warmup, then wall_ms_1 / wall_ms are the min over K timed runs.
+  /// warmup, then every wall time is the min over K timed runs.
   int reps = 1;
   std::vector<BenchCaseResult> cases;
 
-  /// Deterministic except for the wall-time and timestamp fields.
+  /// The run document (obs/diff.hpp): one record per case. Deterministic
+  /// except for the wall-time and timestamp fields.
   std::string to_json() const;
-};
-
-/// One execution of a case: everything the runner compares across thread
-/// counts and reports, minus the timing.
-struct CaseRun {
-  std::string digest;  // byte-deterministic output rendering
-  int n = 0;
-  int m = 0;
-  int rounds = 0;
-  double bits_per_node = 0;
-  long long total_bits = 0;
-  /// Provenance (source-driven cases only; see BenchCaseResult).
-  std::string source;
-  std::string graph_digest;
-  Counters counters;
-};
-
-/// A named case; run(threads) executes it at that pool size.
-struct Case {
-  std::string name;
-  std::function<CaseRun(int threads)> run;
 };
 
 /// Fault-campaign case named "campaign/<pipeline>/<family>/n=<n><tag>": the
@@ -135,9 +131,8 @@ std::vector<Case> experiment_cases(const std::string& suite);
 std::vector<std::string> bench_suite_names();
 
 /// Runs one suite (`lad bench <suite> --threads 1,2,4`): each case is
-/// measured serially, then each listed count re-runs it and emits its own
-/// "case/t=K" row (single-count lists keep the plain case name), so a
-/// scaling curve lands in one JSON document. Entries <= 0 mean
+/// measured serially, then each listed count above 1 re-runs it, so a
+/// scaling curve lands in one record. Entries <= 0 mean
 /// ThreadPool::default_threads(). `with_metrics` enables telemetry and
 /// attributes per-case counter snapshots (of the serial run) to each case —
 /// the `lad bench --trace` path. `reps` > 1 runs one discarded warmup then
@@ -155,8 +150,8 @@ BenchSuiteResult run_bench_suite(const std::string& suite, const std::vector<int
 /// serially; the multi-thread re-run rebuilds it through
 /// Graph::Builder::build(pool), so `identical` certifies the parallel
 /// construction determinism contract on that exact graph. Cases record
-/// provenance (canonical spec + graph digest, the schema-v4 fields); a
-/// pipeline that rejects a graph yields an error row. Throws on an unknown
+/// provenance (canonical spec + graph digest); a pipeline that rejects a
+/// graph yields an error row. Throws on an unknown
 /// pipeline name (callers validate via find_pipeline()); source load
 /// failures surface as GraphIoError.
 BenchSuiteResult run_source_bench(const std::vector<GraphSource>& sources,

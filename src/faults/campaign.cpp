@@ -215,6 +215,7 @@ obs::RunReport observe_run(const Pipeline& p, const Graph& g, const std::string&
   report.reps = reps;
   report.git_commit = obs::kGitCommit;
   report.timestamp = obs::iso8601_utc_now();
+  report.hardware_threads = ThreadPool::default_threads();
   for (const int threads : thread_counts) {
     ThreadPool pool(threads);
     PipelineAdvice adv;

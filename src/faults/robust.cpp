@@ -44,6 +44,9 @@ struct TrailRecovery {
   int base_bit = -1;       // majority color bit at position 0; -1 when no payload seen
   bool fallback = false;   // no marker decoded anywhere -> canonical direction
   bool disagreement = false;
+  /// LOCAL rounds the recovery needs: a decoded marker lies within the walk
+  /// limit, while the canonical-direction fallback walks the whole trail.
+  int rounds = 0;
   std::vector<int> bad_positions;
 };
 
@@ -55,6 +58,7 @@ int position0_bit(const TrailMarker& m) { return (m.payload.bit(0) ? 1 : 0) ^ (m
 TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<char>& bits,
                             int walk_limit) {
   TrailRecovery rec;
+  rec.rounds = walk_limit;
   const int positions = t.positions();
   const int step = std::max(1, positions / kTrailSamples);
   const TrailMarkTable table = decode_trail_marks(t, bits, walk_limit);
@@ -76,6 +80,7 @@ TrailRecovery recover_trail(const Graph& g, const Trail& t, const std::vector<ch
 
   if (votes_fwd == 0 && votes_bwd == 0) {
     rec.fallback = true;
+    rec.rounds = positions;
     rec.direction = canonical_trail_direction(g, t) ? +1 : -1;
     for (int pos = 0; pos < positions; ++pos) rec.bad_positions.push_back(pos);
     return rec;
@@ -513,7 +518,7 @@ GuardedOutcome guarded_decode_orientation(const Graph& g, const std::vector<char
     if (rec.fallback || rec.disagreement) ++out.report.detected_violations;
     orient_trail(g, t, rec.direction, orientation);
     for (const int pos : rec.bad_positions) out.report.repaired_nodes.push_back(t.node_at(pos));
-    rounds = std::max(rounds, rec.fallback ? t.positions() : s.walk_limit);
+    rounds = std::max(rounds, rec.rounds);
   }
   sort_unique(out.report.repaired_nodes);
 
@@ -586,7 +591,7 @@ GuardedOutcome guarded_decode_splitting(const Graph& g, const std::vector<char>&
       // nodes take colors from the propagation phase below.
       ++out.report.detected_violations;
     }
-    rounds = std::max(rounds, s.walk_limit);
+    rounds = std::max(rounds, rec.rounds);
   }
 
   // A marker-less component too deep to gather is a detection here, where

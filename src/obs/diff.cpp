@@ -5,16 +5,15 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json_mini.hpp"
-#include "obs/profile.hpp"  // parse_run_json, diff_run
+#include "obs/version.hpp"
 
 namespace lad::obs {
 namespace {
 
 using jsonmini::JsonParser;
 using jsonmini::JsonValue;
-using jsonmini::json_escape;
 using jsonmini::num_field;
+using jsonmini::render_json;
 using jsonmini::str_field;
 
 std::string fmt_ms(double v) {
@@ -23,106 +22,107 @@ std::string fmt_ms(double v) {
   return buf;
 }
 
-std::string fmt4(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
+RunRecord parse_record(JsonValue& r) {
+  if (r.kind != JsonValue::Kind::kObject) {
+    throw std::runtime_error("run document: record is not an object");
+  }
+  RunRecord rec;
+  rec.name = str_field(r, "name");
+  const auto fail = [&rec](const std::string& why) {
+    throw std::runtime_error("run document: record \"" + rec.name + "\": " + why);
+  };
+  JsonValue* det = r.find("deterministic");
+  if (det == nullptr || det->kind != JsonValue::Kind::kObject) {
+    fail("missing \"deterministic\" object");
+  }
+  rec.deterministic = std::move(*det);
+  JsonValue* measured = r.find("measured");
+  if (measured == nullptr || measured->kind != JsonValue::Kind::kArray) {
+    fail("missing \"measured\" array");
+  }
+  for (JsonValue& row : measured->array) {
+    if (row.kind != JsonValue::Kind::kObject) fail("measured row is not an object");
+    num_field(row, "threads");
+    num_field(row, "wall_ms");
+    rec.measured.push_back(std::move(row));
+  }
+  return rec;
 }
 
-// Counters compare as one exact field: name=value pairs in document order,
-// each value rendered exactly (%.17g, the writer's format).
-std::string render_counters(const BenchCaseRow& row) {
-  std::string out;
-  for (const auto& [name, value] : row.counters) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += (out.empty() ? "" : ", ") + name + "=" + buf;
+const RunRecord* find_record(const RunDocument& doc, const std::string& name) {
+  for (const RunRecord& r : doc.records) {
+    if (r.name == name) return &r;
   }
-  return out;
+  return nullptr;
 }
 
-// Shared parse body: the strict path (`lad diff`) requires every
-// field of the diffable format; the lenient path (`lad report`'s
-// trajectory table) lets any schema generation through with defaults.
-BenchDoc parse_bench_json_impl(const std::string& text, bool strict) {
-  const JsonValue root = JsonParser(text, "bench JSON").parse();
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("bench JSON: top level is not an object");
+const JsonValue* row_at(const RunRecord& rec, double threads) {
+  for (const JsonValue& row : rec.measured) {
+    if (row.find("threads")->number == threads) return &row;
   }
-  BenchDoc doc;
-  doc.schema_version =
-      static_cast<int>(num_field(root, "schema_version", /*required=*/strict, 1));
-  if (strict && doc.schema_version < 2) {
-    throw std::runtime_error("bench JSON: schema_version " +
-                             std::to_string(doc.schema_version) +
-                             " predates the diffable format (need >= 2)");
-  }
-  doc.git_commit = str_field(root, "git_commit", strict);
-  doc.timestamp = str_field(root, "timestamp", strict);
-  doc.suite = str_field(root, "suite", strict);
-  doc.threads = static_cast<int>(num_field(root, "threads", strict));
-  doc.hardware_threads = static_cast<int>(num_field(root, "hardware_threads", strict));
-  doc.reps = static_cast<int>(num_field(root, "reps", /*required=*/false, 1));
+  return nullptr;
+}
 
-  const JsonValue* cases = root.find("cases");
-  if (cases == nullptr || cases->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("bench JSON: missing \"cases\" array");
-  }
-  for (const JsonValue& c : cases->array) {
-    if (c.kind != JsonValue::Kind::kObject) {
-      throw std::runtime_error("bench JSON: case entry is not an object");
-    }
-    BenchCaseRow row;
-    row.name = str_field(c, "name", true);
-    row.error = str_field(c, "error", /*required=*/false);
-    if (!row.error.empty()) {
-      doc.cases.push_back(std::move(row));  // an error row has no other field
-      continue;
-    }
-    row.n = static_cast<int>(num_field(c, "n", strict));
-    row.m = static_cast<int>(num_field(c, "m", strict));
-    row.rounds = static_cast<int>(num_field(c, "rounds", strict));
-    row.bits_per_node = num_field(c, "bits_per_node", strict);
-    row.total_bits = static_cast<long long>(num_field(c, "total_bits", strict));
-    row.wall_ms_1 = num_field(c, "wall_ms_1t", strict);
-    row.wall_ms = num_field(c, "wall_ms", strict);
-    row.digest = str_field(c, "digest", /*required=*/false);
-    row.source = str_field(c, "source", /*required=*/false);
-    row.graph_digest = str_field(c, "graph_digest", /*required=*/false);
-    row.threads = static_cast<int>(num_field(c, "threads", /*required=*/false, 1));
-    row.top_phase = str_field(c, "top_phase", /*required=*/false);
-    if (const JsonValue* m = c.find("metrics"); m != nullptr) {
-      if (m->kind != JsonValue::Kind::kObject) {
-        throw std::runtime_error("bench JSON: \"metrics\" is not an object");
-      }
-      for (const auto& [k, v] : m->object) {
-        row.metrics[k] = static_cast<long long>(v.number);
-      }
-    }
-    if (const JsonValue* ctr = c.find("counters"); ctr != nullptr) {
-      if (ctr->kind != JsonValue::Kind::kObject) {
-        throw std::runtime_error("bench JSON: \"counters\" is not an object");
-      }
-      for (const auto& [k, v] : ctr->object) {
-        if (v.kind != JsonValue::Kind::kNumber) {
-          throw std::runtime_error("bench JSON: counter \"" + k + "\" is not a number");
-        }
-        row.counters.emplace_back(k, v.number);
-      }
-    }
-    doc.cases.push_back(std::move(row));
-  }
-  return doc;
+std::string meta_text(const RunDocument& doc, const char* key) {
+  const JsonValue* v = doc.meta.find(key);
+  return v == nullptr ? std::string{} : v->string;
 }
 
 }  // namespace
 
-BenchDoc parse_bench_json(const std::string& text) {
-  return parse_bench_json_impl(text, /*strict=*/true);
+std::string RunDocument::to_json() const {
+  JsonValue root = meta;
+  JsonValue rows = jsonmini::json_array();
+  for (const RunRecord& r : records) {
+    rows.array.push_back(jsonmini::json_object()
+                             .add("name", jsonmini::json_string(r.name))
+                             .add("deterministic", r.deterministic)
+                             .add("measured", jsonmini::json_array(r.measured)));
+  }
+  root.add("records", std::move(rows));
+  return render_json(root) + "\n";
 }
 
-BenchDoc parse_bench_json_lenient(const std::string& text) {
-  return parse_bench_json_impl(text, /*strict=*/false);
+JsonValue run_metadata(const std::string& git_commit, const std::string& timestamp,
+                       const std::string& suite, int hardware_threads, int reps) {
+  return jsonmini::json_object()
+      .add("schema_version", jsonmini::json_int(kSchemaVersion))
+      .add("git_commit", jsonmini::json_string(git_commit))
+      .add("timestamp", jsonmini::json_string(timestamp))
+      .add("suite", jsonmini::json_string(suite))
+      .add("hardware_threads", jsonmini::json_int(hardware_threads))
+      .add("reps", jsonmini::json_int(reps));
+}
+
+RunDocument parse_run_document(const std::string& text) {
+  JsonValue root = JsonParser(text, "run document").parse();
+  if (root.kind != JsonValue::Kind::kObject) {
+    throw std::runtime_error("run document: top level is not an object");
+  }
+  const JsonValue* version = root.find("schema_version");
+  if (version == nullptr || version->kind != JsonValue::Kind::kNumber ||
+      version->string != std::to_string(kSchemaVersion)) {
+    throw std::runtime_error("run document: schema_version " +
+                             (version == nullptr ? "missing" : "'" + version->string + "'") +
+                             ", expected " + std::to_string(kSchemaVersion));
+  }
+  str_field(root, "suite");
+  RunDocument doc;
+  doc.meta = jsonmini::json_object();
+  bool has_records = false;
+  for (auto& [key, value] : root.object) {
+    if (key != "records") {
+      doc.meta.add(key, std::move(value));
+      continue;
+    }
+    if (value.kind != JsonValue::Kind::kArray) {
+      throw std::runtime_error("run document: \"records\" is not an array");
+    }
+    has_records = true;
+    for (JsonValue& r : value.array) doc.records.push_back(parse_record(r));
+  }
+  if (!has_records) throw std::runtime_error("run document: missing \"records\" array");
+  return doc;
 }
 
 std::string perf_trajectory_markdown(const std::vector<BenchGeneration>& generations) {
@@ -136,21 +136,18 @@ std::string perf_trajectory_markdown(const std::vector<BenchGeneration>& generat
     os << "No BENCH_*.json generations found.\n";
     return os.str();
   }
-  // Union of case names in first-seen order, so rows stay stable as
+  // Union of record names in first-seen order, so rows stay stable as
   // generations add cases.
   std::vector<std::string> names;
   for (const auto& gen : generations) {
-    for (const auto& c : gen.doc.cases) {
-      if (std::find(names.begin(), names.end(), c.name) == names.end()) {
-        names.push_back(c.name);
-      }
+    for (const auto& r : gen.doc.records) {
+      if (std::find(names.begin(), names.end(), r.name) == names.end()) names.push_back(r.name);
     }
   }
   os << "| case |";
   for (const auto& gen : generations) {
-    os << " " << gen.label << " (v" << gen.doc.schema_version;
-    if (!gen.doc.suite.empty()) os << ", " << gen.doc.suite;
-    os << ") |";
+    os << " " << gen.label << " (v" << meta_text(gen.doc, "schema_version") << ", "
+       << meta_text(gen.doc, "suite") << ") |";
   }
   os << "\n|---|";
   for (std::size_t i = 0; i < generations.size(); ++i) os << "---|";
@@ -158,15 +155,14 @@ std::string perf_trajectory_markdown(const std::vector<BenchGeneration>& generat
   for (const auto& name : names) {
     os << "| " << name << " |";
     for (const auto& gen : generations) {
-      const auto it =
-          std::find_if(gen.doc.cases.begin(), gen.doc.cases.end(),
-                       [&name](const BenchCaseRow& c) { return c.name == name; });
-      if (it == gen.doc.cases.end()) {
-        os << " — |";
-      } else if (!it->error.empty()) {
+      const RunRecord* r = find_record(gen.doc, name);
+      const JsonValue* serial = r == nullptr ? nullptr : row_at(*r, 1);
+      if (serial != nullptr) {
+        os << " " << fmt_ms(serial->find("wall_ms")->number) << " |";
+      } else if (r != nullptr && r->deterministic.find("error") != nullptr) {
         os << " error |";
       } else {
-        os << " " << fmt_ms(it->wall_ms_1) << " |";
+        os << " — |";
       }
     }
     os << "\n";
@@ -199,19 +195,21 @@ std::string DiffResult::to_text() const {
 }
 
 std::string DiffResult::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"exit\": " << static_cast<int>(status()) << ",\n  \"compared\": " << compared
-     << ",\n  \"findings\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const auto& f = findings[i];
-    os << "    {\"where\": \"" << json_escape(f.where) << "\", \"field\": \""
-       << json_escape(f.field) << "\", \"severity\": "
-       << (f.severity == DiffStatus::kRegression ? "\"regression\"" : "\"mismatch\"")
-       << ", \"detail\": \"" << json_escape(f.detail) << "\"}"
-       << (i + 1 < findings.size() ? "," : "") << "\n";
+  JsonValue rows = jsonmini::json_array();
+  for (const auto& f : findings) {
+    const bool regression = f.severity == DiffStatus::kRegression;
+    rows.array.push_back(jsonmini::json_object()
+                             .add("where", jsonmini::json_string(f.where))
+                             .add("field", jsonmini::json_string(f.field))
+                             .add("severity", jsonmini::json_string(regression ? "regression"
+                                                                               : "mismatch"))
+                             .add("detail", jsonmini::json_string(f.detail)));
   }
-  os << "  ]\n}\n";
-  return os.str();
+  return render_json(jsonmini::json_object()
+                         .add("exit", jsonmini::json_int(static_cast<int>(status())))
+                         .add("compared", jsonmini::json_int(compared))
+                         .add("findings", std::move(rows))) +
+         "\n";
 }
 
 void DiffResult::exact(const std::string& where, const std::string& field,
@@ -221,9 +219,46 @@ void DiffResult::exact(const std::string& where, const std::string& field,
                       DiffStatus::kMismatch});
 }
 
-void DiffResult::exact(const std::string& where, const std::string& field, long long baseline,
-                       long long candidate) {
-  exact(where, field, std::to_string(baseline), std::to_string(candidate));
+void DiffResult::exact_tree(const std::string& where, const std::string& path,
+                            const JsonValue& baseline, const JsonValue& candidate) {
+  using Kind = JsonValue::Kind;
+  if (baseline.kind != candidate.kind) {
+    exact(where, path, render_json(baseline), render_json(candidate));
+    return;
+  }
+  if (baseline.kind == Kind::kArray) {
+    const std::size_t b = baseline.array.size();
+    const std::size_t c = candidate.array.size();
+    if (b != c) exact(where, path, std::to_string(b) + " entries", std::to_string(c) + " entries");
+    for (std::size_t i = 0; i < std::min(b, c); ++i) {
+      exact_tree(where, path + "[" + std::to_string(i) + "]", baseline.array[i],
+                 candidate.array[i]);
+    }
+    return;
+  }
+  if (baseline.kind != Kind::kObject) {
+    // Strings by value, numbers by the token as written, booleans rendered.
+    const bool text = baseline.kind == Kind::kString || baseline.kind == Kind::kNumber;
+    exact(where, path, text ? baseline.string : render_json(baseline),
+          text ? candidate.string : render_json(candidate));
+    return;
+  }
+  const auto at = [&path](const std::string& key) { return path.empty() ? key : path + "." + key; };
+  for (const auto& [key, b] : baseline.object) {
+    const JsonValue* c = candidate.find(key);
+    if (c == nullptr) {
+      findings.push_back({where, at(key), "present in baseline, missing from candidate",
+                          DiffStatus::kMismatch});
+    } else {
+      exact_tree(where, at(key), b, *c);
+    }
+  }
+  for (const auto& [key, c] : candidate.object) {
+    if (baseline.find(key) == nullptr) {
+      findings.push_back({where, at(key), "present in candidate, missing from baseline",
+                          DiffStatus::kMismatch});
+    }
+  }
 }
 
 void DiffResult::timing(const std::string& where, const std::string& field, double baseline_ms,
@@ -238,57 +273,32 @@ void DiffResult::timing(const std::string& where, const std::string& field, doub
                       DiffStatus::kRegression});
 }
 
-DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& candidate,
-                      const DiffOptions& opts) {
+DiffResult diff_run_documents(const RunDocument& baseline, const RunDocument& candidate,
+                              const DiffOptions& opts) {
   DiffResult res;
-  res.exact("", "suite", baseline.suite, candidate.suite);
-  if (!res.findings.empty()) return res;  // different suites: case rows are incomparable
-
-  const auto find = [](const BenchDoc& doc, const std::string& name) -> const BenchCaseRow* {
-    for (const auto& c : doc.cases) {
-      if (c.name == name) return &c;
-    }
-    return nullptr;
-  };
-  // Optional provenance (digest, source, graph digest) is compared only
-  // when both documents carry it.
-  const auto both = [&res](const std::string& where, const char* field, const std::string& b,
-                           const std::string& c) {
-    if (!b.empty() && !c.empty()) res.exact(where, field, b, c);
-  };
-  for (const auto& base : baseline.cases) {
-    const BenchCaseRow* cand = find(candidate, base.name);
+  res.exact("", "suite", meta_text(baseline, "suite"), meta_text(candidate, "suite"));
+  for (const RunRecord& base : baseline.records) {
+    const RunRecord* cand = find_record(candidate, base.name);
     if (cand == nullptr) {
-      res.findings.push_back({base.name, "cases",
-                              "case present in baseline but missing from candidate",
+      res.findings.push_back({base.name, "records",
+                              "record present in baseline but missing from candidate",
                               DiffStatus::kMismatch});
       continue;
     }
-    // An error row on either side carries nothing else to compare.
-    if (!base.error.empty() || !cand->error.empty()) {
-      res.exact(base.name, "error", base.error, cand->error);
-      continue;
+    res.exact_tree(base.name, "", base.deterministic, cand->deterministic);
+    for (const JsonValue& row : base.measured) {
+      const double threads = row.find("threads")->number;
+      if (const JsonValue* other = row_at(*cand, threads); other != nullptr) {
+        res.timing(base.name, "t=" + row.find("threads")->string + " wall_ms",
+                   row.find("wall_ms")->number, other->find("wall_ms")->number, opts);
+      }
     }
-    res.exact(base.name, "n", base.n, cand->n);
-    res.exact(base.name, "m", base.m, cand->m);
-    res.exact(base.name, "rounds", base.rounds, cand->rounds);
-    res.exact(base.name, "total_bits", base.total_bits, cand->total_bits);
-    // The writer prints 4 decimals, so the rendered form is the exact value.
-    res.exact(base.name, "bits_per_node", fmt4(base.bits_per_node), fmt4(cand->bits_per_node));
-    both(base.name, "digest", base.digest, cand->digest);
-    both(base.name, "source", base.source, cand->source);
-    both(base.name, "graph_digest", base.graph_digest, cand->graph_digest);
-    // Counters exist from schema v7 on; older documents have none to compare.
-    if (baseline.schema_version >= 7 && candidate.schema_version >= 7) {
-      res.exact(base.name, "counters", render_counters(base), render_counters(*cand));
-    }
-    res.timing(base.name, "wall_ms_1t", base.wall_ms_1, cand->wall_ms_1, opts);
   }
-  for (const auto& cand : candidate.cases) {
-    if (find(baseline, cand.name) == nullptr) {
+  for (const RunRecord& cand : candidate.records) {
+    if (find_record(baseline, cand.name) == nullptr) {
       res.findings.push_back(
-          {cand.name, "cases",
-           "case present in candidate but missing from baseline (rebaseline needed)",
+          {cand.name, "records",
+           "record present in candidate but missing from baseline (rebaseline needed)",
            DiffStatus::kMismatch});
     }
   }
@@ -297,16 +307,7 @@ DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& candidate,
 
 DiffResult diff_documents(const std::string& baseline, const std::string& candidate,
                           const DiffOptions& opts) {
-  const auto is_run_record = [](const std::string& text) {
-    const JsonValue root = JsonParser(text, "diff input").parse();
-    return root.kind == JsonValue::Kind::kObject && root.find("deterministic") != nullptr;
-  };
-  const bool base_run = is_run_record(baseline);
-  if (base_run != is_run_record(candidate)) {
-    throw std::runtime_error("cannot diff a bench document against a run record");
-  }
-  if (base_run) return diff_run(parse_run_json(baseline), parse_run_json(candidate), opts);
-  return diff_bench(parse_bench_json(baseline), parse_bench_json(candidate), opts);
+  return diff_run_documents(parse_run_document(baseline), parse_run_document(candidate), opts);
 }
 
 }  // namespace lad::obs

@@ -5,17 +5,20 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/diff.hpp"
 #include "obs/json_mini.hpp"
 #include "obs/timeline.hpp"
 
 namespace lad::obs {
 namespace {
 
-using jsonmini::JsonParser;
 using jsonmini::JsonValue;
-using jsonmini::json_escape;
-using jsonmini::num_field;
-using jsonmini::str_field;
+using jsonmini::json_array;
+using jsonmini::json_bool;
+using jsonmini::json_fixed;
+using jsonmini::json_int;
+using jsonmini::json_object;
+using jsonmini::json_string;
 
 std::string fmt3(double v) {
   char buf[48];
@@ -57,47 +60,98 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-const char* bool_text(bool b) { return b ? "true" : "false"; }
-
-// One-line renderings of the deterministic rows: what the exact-field
-// comparator sees, so a finding names every column that moved.
-std::string row_text(const PhaseAlloc& p) {
-  return p.phase + ": " + std::to_string(p.allocs) + " allocs / " +
-         std::to_string(p.alloc_bytes) + " B";
+JsonValue deterministic_object(const RunDeterministic& d) {
+  JsonValue phases = json_array();
+  for (const PhaseAlloc& p : d.phases) {
+    phases.array.push_back(json_object()
+                               .add("phase", json_string(p.phase))
+                               .add("allocs", json_int(p.allocs))
+                               .add("alloc_bytes", json_int(p.alloc_bytes)));
+  }
+  JsonValue rounds = json_array();
+  for (const RoundDelta& r : d.rounds) {
+    rounds.array.push_back(json_object()
+                               .add("round", json_int(r.round))
+                               .add("messages", json_int(r.messages))
+                               .add("bytes", json_int(r.bytes))
+                               .add("faults", json_int(r.faults))
+                               .add("repairs", json_int(r.repairs))
+                               .add("allocs", json_int(r.allocs))
+                               .add("alloc_bytes", json_int(r.alloc_bytes)));
+  }
+  return json_object()
+      .add("pipeline", json_string(d.pipeline))
+      .add("source", json_string(d.source))
+      .add("graph_digest", json_string(d.graph_digest))
+      .add("n", json_int(d.n))
+      .add("m", json_int(d.m))
+      .add("seed", jsonmini::json_number(std::to_string(d.seed)))
+      .add("decode_rounds", json_int(d.decode_rounds))
+      .add("verify_ok", json_bool(d.verify_ok))
+      .add("output_digest", json_string(d.output_digest))
+      .add("advice_bits", json_int(d.advice_bits))
+      .add("engine_messages", json_int(d.engine_messages))
+      .add("engine_message_bits", json_int(d.engine_message_bits))
+      .add("phases", std::move(phases))
+      .add("rounds", std::move(rounds));
 }
 
-std::string row_text(const RoundDelta& r) {
-  return "round " + std::to_string(r.round) + ": messages " + std::to_string(r.messages) +
-         ", bytes " + std::to_string(r.bytes) + ", faults " + std::to_string(r.faults) +
-         ", repairs " + std::to_string(r.repairs) + ", allocs " + std::to_string(r.allocs) +
-         "/" + std::to_string(r.alloc_bytes) + " B";
-}
-
-/// Every field of the deterministic slice through the exact comparator.
-void diff_slices(DiffResult& res, const RunDeterministic& b, const RunDeterministic& c) {
-  res.exact("", "pipeline", b.pipeline, c.pipeline);
-  res.exact("", "source", b.source, c.source);
-  res.exact("", "graph_digest", b.graph_digest, c.graph_digest);
-  res.exact("", "n", b.n, c.n);
-  res.exact("", "m", b.m, c.m);
-  res.exact("", "seed", std::to_string(b.seed), std::to_string(c.seed));
-  res.exact("", "decode_rounds", b.decode_rounds, c.decode_rounds);
-  res.exact("", "verify_ok", bool_text(b.verify_ok), bool_text(c.verify_ok));
-  res.exact("", "output_digest", b.output_digest, c.output_digest);
-  res.exact("", "advice_bits", b.advice_bits, c.advice_bits);
-  res.exact("", "engine_messages", b.engine_messages, c.engine_messages);
-  res.exact("", "engine_message_bits", b.engine_message_bits, c.engine_message_bits);
-  res.exact("", "phases", static_cast<long long>(b.phases.size()),
-            static_cast<long long>(c.phases.size()));
-  for (std::size_t i = 0; i < std::min(b.phases.size(), c.phases.size()); ++i) {
-    res.exact("", "phases." + b.phases[i].phase, row_text(b.phases[i]), row_text(c.phases[i]));
+JsonValue measured_object(const RunMeasured& r) {
+  JsonValue phases = json_array();
+  for (const PhaseTime& p : r.phases) {
+    phases.array.push_back(json_object()
+                               .add("phase", json_string(p.phase))
+                               .add("self_ms", json_fixed(p.self_ms, 3))
+                               .add("pct", json_fixed(p.pct, 1))
+                               .add("spans", json_int(p.spans)));
   }
-  res.exact("", "rounds", static_cast<long long>(b.rounds.size()),
-            static_cast<long long>(c.rounds.size()));
-  for (std::size_t i = 0; i < std::min(b.rounds.size(), c.rounds.size()); ++i) {
-    res.exact("", "rounds[" + std::to_string(b.rounds[i].round) + "]", row_text(b.rounds[i]),
-              row_text(c.rounds[i]));
+  JsonValue cells = json_array();
+  for (const CostCell& c : r.cells) {
+    cells.array.push_back(json_object()
+                              .add("phase", json_string(c.phase))
+                              .add("tid", json_int(c.tid))
+                              .add("self_ms", json_fixed(c.self_ms, 3))
+                              .add("spans", json_int(c.spans)));
   }
+  JsonValue thread_rows = json_array();
+  for (const ThreadRow& t : r.thread_rows) {
+    thread_rows.array.push_back(json_object()
+                                    .add("tid", json_int(t.tid))
+                                    .add("name", json_string(t.name))
+                                    .add("busy_ms", json_fixed(t.busy_ms, 3))
+                                    .add("idle_ms", json_fixed(t.idle_ms, 3))
+                                    .add("chunks", json_int(t.chunks))
+                                    .add("steal", json_int(t.steal)));
+  }
+  JsonValue rounds = json_array();
+  for (const RoundWait& w : r.rounds) {
+    rounds.array.push_back(json_object()
+                               .add("round", json_int(w.round))
+                               .add("wall_ms", json_fixed(w.wall_ms, 3))
+                               .add("dispatch_us", json_fixed(w.dispatch_us, 1))
+                               .add("queue_us", json_fixed(w.queue_us, 1))
+                               .add("wait_us", json_fixed(w.wait_us, 1))
+                               .add("max_wait_us", json_fixed(w.max_wait_us, 1))
+                               .add("workers", json_int(w.workers))
+                               .add("imbalance", json_fixed(w.imbalance, 3))
+                               .add("critical_tid", json_int(w.critical_tid)));
+  }
+  return json_object()
+      .add("threads", json_int(r.threads))
+      .add("wall_ms", json_fixed(r.total_ms, 3))
+      .add("imbalance", json_fixed(r.imbalance, 2))
+      .add("serial_ms", json_fixed(r.serial_ms, 3))
+      .add("compute_ms", json_fixed(r.compute_ms, 3))
+      .add("serial_fraction", json_fixed(r.serial_fraction, 3))
+      .add("predicted_max_speedup", json_fixed(r.predicted_max_speedup, 3))
+      .add("measured_speedup", json_fixed(r.measured_speedup, 3))
+      .add("trace_events", json_int(r.trace_events))
+      .add("trace_dropped", json_int(r.trace_dropped))
+      .add("flight_dropped", json_int(r.flight_dropped))
+      .add("phases", std::move(phases))
+      .add("cells", std::move(cells))
+      .add("thread_rows", std::move(thread_rows))
+      .add("rounds", std::move(rounds));
 }
 
 }  // namespace
@@ -317,7 +371,7 @@ void RunReport::add_run(const RunDeterministic& slice, RunMeasured row) {
     // §8 contract: the deterministic slice agrees exactly across thread
     // counts. A divergence is a determinism bug, not noise.
     DiffResult d;
-    diff_slices(d, det, slice);
+    d.exact_tree("", "", deterministic_object(det), deterministic_object(slice));
     if (!d.findings.empty()) {
       throw std::runtime_error("deterministic slice diverged between " +
                                std::to_string(runs.front().threads) + "t and " +
@@ -347,108 +401,15 @@ void RunReport::add_run(const RunDeterministic& slice, RunMeasured row) {
 // JSON
 
 std::string RunReport::deterministic_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "    \"run_schema_version\": " << kRunSchemaVersion << ",\n";
-  os << "    \"pipeline\": \"" << json_escape(det.pipeline) << "\",\n";
-  os << "    \"source\": \"" << json_escape(det.source) << "\",\n";
-  os << "    \"graph_digest\": \"" << json_escape(det.graph_digest) << "\",\n";
-  os << "    \"n\": " << det.n << ",\n";
-  os << "    \"m\": " << det.m << ",\n";
-  os << "    \"seed\": " << det.seed << ",\n";
-  os << "    \"decode_rounds\": " << det.decode_rounds << ",\n";
-  os << "    \"verify_ok\": " << bool_text(det.verify_ok) << ",\n";
-  os << "    \"output_digest\": \"" << json_escape(det.output_digest) << "\",\n";
-  os << "    \"advice_bits\": " << det.advice_bits << ",\n";
-  os << "    \"engine_messages\": " << det.engine_messages << ",\n";
-  os << "    \"engine_message_bits\": " << det.engine_message_bits << ",\n";
-  os << "    \"phases\": [\n";
-  for (std::size_t i = 0; i < det.phases.size(); ++i) {
-    const PhaseAlloc& p = det.phases[i];
-    os << "      {\"phase\": \"" << json_escape(p.phase) << "\", \"allocs\": " << p.allocs
-       << ", \"alloc_bytes\": " << p.alloc_bytes << "}" << (i + 1 < det.phases.size() ? "," : "")
-       << "\n";
-  }
-  os << "    ],\n";
-  os << "    \"rounds\": [\n";
-  for (std::size_t i = 0; i < det.rounds.size(); ++i) {
-    const RoundDelta& r = det.rounds[i];
-    os << "      {\"round\": " << r.round << ", \"messages\": " << r.messages
-       << ", \"bytes\": " << r.bytes << ", \"faults\": " << r.faults
-       << ", \"repairs\": " << r.repairs << ", \"allocs\": " << r.allocs
-       << ", \"alloc_bytes\": " << r.alloc_bytes << "}" << (i + 1 < det.rounds.size() ? "," : "")
-       << "\n";
-  }
-  os << "    ]\n";
-  os << "  }";
-  return os.str();
+  return jsonmini::render_json(deterministic_object(det));
 }
 
 std::string RunReport::to_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"deterministic\": " << deterministic_json() << ",\n";
-  os << "  \"git_commit\": \"" << json_escape(git_commit) << "\",\n";
-  os << "  \"timestamp\": \"" << json_escape(timestamp) << "\",\n";
-  os << "  \"measured\": {\n";
-  os << "    \"reps\": " << reps << ",\n";
-  os << "    \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunMeasured& r = runs[i];
-    os << "      {\n";
-    os << "        \"threads\": " << r.threads << ",\n";
-    os << "        \"total_ms\": " << fmt3(r.total_ms) << ",\n";
-    os << "        \"imbalance\": " << fmt2(r.imbalance) << ",\n";
-    os << "        \"serial_ms\": " << fmt3(r.serial_ms) << ",\n";
-    os << "        \"compute_ms\": " << fmt3(r.compute_ms) << ",\n";
-    os << "        \"serial_fraction\": " << fmt3(r.serial_fraction) << ",\n";
-    os << "        \"predicted_max_speedup\": " << fmt3(r.predicted_max_speedup) << ",\n";
-    os << "        \"measured_speedup\": " << fmt3(r.measured_speedup) << ",\n";
-    os << "        \"trace_events\": " << r.trace_events << ",\n";
-    os << "        \"trace_dropped\": " << r.trace_dropped << ",\n";
-    os << "        \"flight_dropped\": " << r.flight_dropped << ",\n";
-    os << "        \"phases\": [\n";
-    for (std::size_t j = 0; j < r.phases.size(); ++j) {
-      const PhaseTime& p = r.phases[j];
-      os << "          {\"phase\": \"" << json_escape(p.phase) << "\", \"self_ms\": "
-         << fmt3(p.self_ms) << ", \"pct\": " << fmt1(p.pct) << ", \"spans\": " << p.spans << "}"
-         << (j + 1 < r.phases.size() ? "," : "") << "\n";
-    }
-    os << "        ],\n";
-    os << "        \"cells\": [\n";
-    for (std::size_t j = 0; j < r.cells.size(); ++j) {
-      const CostCell& c = r.cells[j];
-      os << "          {\"phase\": \"" << json_escape(c.phase) << "\", \"tid\": " << c.tid
-         << ", \"self_ms\": " << fmt3(c.self_ms) << ", \"spans\": " << c.spans << "}"
-         << (j + 1 < r.cells.size() ? "," : "") << "\n";
-    }
-    os << "        ],\n";
-    os << "        \"thread_rows\": [\n";
-    for (std::size_t j = 0; j < r.thread_rows.size(); ++j) {
-      const ThreadRow& t = r.thread_rows[j];
-      os << "          {\"tid\": " << t.tid << ", \"name\": \"" << json_escape(t.name)
-         << "\", \"busy_ms\": " << fmt3(t.busy_ms) << ", \"idle_ms\": " << fmt3(t.idle_ms)
-         << ", \"chunks\": " << t.chunks << ", \"steal\": " << t.steal << "}"
-         << (j + 1 < r.thread_rows.size() ? "," : "") << "\n";
-    }
-    os << "        ],\n";
-    os << "        \"rounds\": [\n";
-    for (std::size_t j = 0; j < r.rounds.size(); ++j) {
-      const RoundWait& w = r.rounds[j];
-      os << "          {\"round\": " << w.round << ", \"wall_ms\": " << fmt3(w.wall_ms)
-         << ", \"dispatch_us\": " << fmt1(w.dispatch_us) << ", \"queue_us\": "
-         << fmt1(w.queue_us) << ", \"wait_us\": " << fmt1(w.wait_us) << ", \"max_wait_us\": "
-         << fmt1(w.max_wait_us) << ", \"workers\": " << w.workers << ", \"imbalance\": "
-         << fmt3(w.imbalance) << ", \"critical_tid\": " << w.critical_tid << "}"
-         << (j + 1 < r.rounds.size() ? "," : "") << "\n";
-    }
-    os << "        ]\n";
-    os << "      }" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  os << "    ]\n";
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
+  RunRecord rec{det.pipeline, deterministic_object(det), {}};
+  for (const RunMeasured& r : runs) rec.measured.push_back(measured_object(r));
+  RunDocument doc{run_metadata(git_commit, timestamp, "profile", hardware_threads, reps), {}};
+  doc.records.push_back(std::move(rec));
+  return doc.to_json();
 }
 
 // ---------------------------------------------------------------------------
@@ -551,85 +512,6 @@ std::string RunReport::to_markdown() const {
     }
   }
   return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Parsing and diffing
-
-RunReport parse_run_json(const std::string& text) {
-  const JsonValue root = JsonParser(text, "run record").parse();
-  const JsonValue* det = root.find("deterministic");
-  if (det == nullptr || det->kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error("run record: missing \"deterministic\" object");
-  }
-  const int version = static_cast<int>(num_field(*det, "run_schema_version", true));
-  if (version < 1 || version > kRunSchemaVersion) {
-    throw std::runtime_error("run record: unsupported run_schema_version " +
-                             std::to_string(version));
-  }
-  const auto integer = [](const JsonValue& obj, const char* key) {
-    return static_cast<long long>(num_field(obj, key, true));
-  };
-  const auto array = [](const JsonValue& obj, const char* key) -> const std::vector<JsonValue>& {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
-      throw std::runtime_error(std::string("run record: missing \"") + key + "\" array");
-    }
-    return v->array;
-  };
-  RunReport rep;
-  RunDeterministic& d = rep.det;
-  d.pipeline = str_field(*det, "pipeline", true);
-  d.source = str_field(*det, "source", true);
-  d.graph_digest = str_field(*det, "graph_digest", true);
-  d.n = integer(*det, "n");
-  d.m = integer(*det, "m");
-  d.seed = static_cast<std::uint64_t>(integer(*det, "seed"));
-  d.decode_rounds = integer(*det, "decode_rounds");
-  const JsonValue* ok = det->find("verify_ok");
-  if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-    throw std::runtime_error("run record: missing boolean \"verify_ok\"");
-  }
-  d.verify_ok = ok->boolean;
-  d.output_digest = str_field(*det, "output_digest", true);
-  d.advice_bits = integer(*det, "advice_bits");
-  d.engine_messages = integer(*det, "engine_messages");
-  d.engine_message_bits = integer(*det, "engine_message_bits");
-  for (const JsonValue& p : array(*det, "phases")) {
-    d.phases.push_back({str_field(p, "phase", true), integer(p, "allocs"),
-                        integer(p, "alloc_bytes")});
-  }
-  for (const JsonValue& r : array(*det, "rounds")) {
-    d.rounds.push_back({integer(r, "round"), integer(r, "messages"), integer(r, "bytes"),
-                        integer(r, "faults"), integer(r, "repairs"), integer(r, "allocs"),
-                        integer(r, "alloc_bytes")});
-  }
-  rep.git_commit = str_field(root, "git_commit", false);
-  rep.timestamp = str_field(root, "timestamp", false);
-  if (const JsonValue* meas = root.find("measured"); meas != nullptr) {
-    rep.reps = static_cast<int>(num_field(*meas, "reps", false, 1));
-    for (const JsonValue& r : array(*meas, "runs")) {
-      RunMeasured row;
-      row.threads = static_cast<int>(integer(r, "threads"));
-      row.total_ms = num_field(r, "total_ms", true);
-      rep.runs.push_back(std::move(row));
-    }
-  }
-  return rep;
-}
-
-DiffResult diff_run(const RunReport& baseline, const RunReport& candidate,
-                    const DiffOptions& opts) {
-  DiffResult res;
-  diff_slices(res, baseline.det, candidate.det);
-  for (const RunMeasured& b : baseline.runs) {
-    for (const RunMeasured& c : candidate.runs) {
-      if (c.threads == b.threads) {
-        res.timing("t=" + std::to_string(b.threads), "total_ms", b.total_ms, c.total_ms, opts);
-      }
-    }
-  }
-  return res;
 }
 
 }  // namespace lad::obs

@@ -25,8 +25,8 @@
 // The record separates *deterministic structure* (identity, allocation
 // rows, per-round deltas — byte-identical across reruns and thread counts;
 // what `lad diff` gates exactly, exit 4) from *measured timings* (compared
-// only with tolerance, exit 3). The same split and exit codes grade bench
-// documents (obs/diff.hpp).
+// only with tolerance, exit 3). It is written as a one-record run document
+// (obs/diff.hpp), the layout bench documents share.
 #pragma once
 
 #include <cstdint>
@@ -35,15 +35,9 @@
 #include <utility>
 #include <vector>
 
-#include "obs/diff.hpp"
 #include "obs/telemetry.hpp"
 
 namespace lad::obs {
-
-/// Bumped whenever the run-record JSON layout changes incompatibly.
-/// v1: "deterministic" object (identity + allocation rows + round series)
-/// and "measured" object (one row per thread count).
-inline constexpr int kRunSchemaVersion = 1;
 
 /// The six phases, in canonical (report) order. The last entry, "other",
 /// absorbs spans outside the explicit mapping (harness scaffolding).
@@ -166,7 +160,7 @@ struct RoundWait {
 /// One measured row: the last rep at one thread count.
 struct RunMeasured {
   int threads = 1;
-  double total_ms = 0;  // min-of-reps end-to-end wall time
+  double total_ms = 0;  // min-of-reps end-to-end wall time ("wall_ms" in JSON)
   double imbalance = 1.0;
   double serial_ms = 0;
   double compute_ms = 0;
@@ -188,6 +182,7 @@ struct RunReport {
   int reps = 1;
   std::string git_commit;
   std::string timestamp;
+  int hardware_threads = 1;
 
   /// Adds one thread count's row. The first call sets the deterministic
   /// slice; every later one must match it exactly — a divergence is a §8
@@ -195,9 +190,11 @@ struct RunReport {
   /// columns of every row.
   void add_run(const RunDeterministic& slice, RunMeasured row);
 
-  /// Exactly the nested "deterministic" object of to_json(): the byte-
-  /// stable slice CI diffs across thread counts.
+  /// The record's "deterministic" object: the byte-stable slice CI diffs
+  /// across thread counts.
   std::string deterministic_json() const;
+  /// A one-record run document (suite "profile", record named after the
+  /// pipeline).
   std::string to_json() const;
   /// Amdahl summary, round series, and per-thread-count cost centers
   /// (PERF page).
@@ -212,17 +209,5 @@ void reset_instruments();
 /// engine message totals, allocation rows and round series, and returns
 /// the measured row.
 RunMeasured capture_instruments(int threads, double total_ms, RunDeterministic& slice);
-
-/// Parses a `lad profile --json` record. Measured rows carry only their
-/// thread count and total_ms (what the differ grades). Throws
-/// std::runtime_error on malformed input or an unknown run_schema_version.
-RunReport parse_run_json(const std::string& text);
-
-/// Structural diff of two run records: every deterministic field exact
-/// (MISMATCH, exit 4); total_ms per matching thread count gated by
-/// baseline + max(tol_ms, tol_rel·baseline) (REGRESSION, exit 3). Thread
-/// counts present on one side only are not timed.
-DiffResult diff_run(const RunReport& baseline, const RunReport& candidate,
-                    const DiffOptions& opts = {});
 
 }  // namespace lad::obs

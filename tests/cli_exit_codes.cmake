@@ -88,3 +88,22 @@ expect_exit(2 bench --graph cycle:101 --pipeline splitting --threads 1)
 if(NOT out MATCHES "ERROR: splitting: inadmissible input: requires a bipartite graph")
   message(FATAL_ERROR "`lad bench` must print the rejection as an error row, got:\n${out}")
 endif()
+
+# Every numeric argument is read as a whole token: a malformed one exits 2
+# naming itself on stderr, instead of running with 0 or a truncated prefix.
+function(expect_malformed token)
+  expect_exit(2 ${ARGN})
+  if(NOT err MATCHES "'${token}'")
+    message(FATAL_ERROR "`lad ${ARGN}` must name '${token}' on stderr, got:\n${err}")
+  endif()
+endfunction()
+
+expect_malformed(abc chaos --pipelines orientation --families cycle --models mixed
+                 --policies strict -n 48 --trials 2 --seed abc)
+expect_malformed(1x bench smoke --threads 1x)
+expect_malformed(2z profile orientation --graph cycle:64 --reps 2z)
+expect_malformed(xyz verify-claims --seed xyz)
+expect_malformed(256x report --ns 256x,512,1024)
+expect_malformed(3r audit cycle:64 gather 3r)
+expect_malformed(2q faultsim orientation cycle 64 5 1 --burst 2q)
+expect_malformed(fast diff a.json b.json --tol-ms fast)

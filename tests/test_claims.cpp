@@ -8,11 +8,14 @@
 //   2. The claim registry is assembled from the Pipeline registry, one
 //      claim set per pipeline, and a real (small-n) sweep of every
 //      pipeline conforms to its declared classes.
-//   3. The bench-diff sentinel round-trips the bench writer's own JSON and
-//      grades perturbations with the documented severities; the runner
-//      turns a case's contract violation into an error row.
+//   3. The run document round-trips both writers (bench and profile)
+//      through the one parser, and the one differ grades perturbations at
+//      every depth with the documented severities without knowing any
+//      field; the runner turns a case's contract violation into an error
+//      row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -20,10 +23,13 @@
 
 #include "bench/bench_runner.hpp"
 #include "core/pipeline.hpp"
+#include "faults/campaign.hpp"
 #include "graph/source.hpp"
-#include "obs/diff.hpp"
 #include "obs/claims.hpp"
+#include "obs/diff.hpp"
 #include "obs/fit.hpp"
+#include "obs/profile.hpp"
+#include "obs/version.hpp"
 
 namespace lad {
 namespace {
@@ -191,26 +197,42 @@ TEST(Claims, FailedVerificationFailsTheClaim) {
   EXPECT_FALSE(report.pass());
 }
 
-// --- bench diff ------------------------------------------------------------
+// --- run documents and the differ ----------------------------------------
 
-obs::BenchDoc tiny_doc() {
-  obs::BenchDoc doc;
-  doc.schema_version = 7;
-  doc.suite = "smoke";
-  doc.reps = 3;
-  obs::BenchCaseRow row;
-  row.name = "orientation/n=96";
-  row.n = 96;
-  row.m = 96;
-  row.rounds = 130;
-  row.bits_per_node = 1.0;
-  row.total_bits = 192;
-  row.wall_ms_1 = 10.0;
-  row.wall_ms = 8.0;
-  row.digest = "4a12e85475579ad0";
-  row.counters = {{"ones_ratio", 0.0625}, {"marked_trails", 1}};
-  doc.cases.push_back(row);
-  return doc;
+using obs::jsonmini::JsonValue;
+using obs::jsonmini::json_int;
+using obs::jsonmini::json_number;
+using obs::jsonmini::json_string;
+
+// One bench case as the runner reports it: serial and 2-thread timings,
+// counters.
+bench::BenchSuiteResult tiny_suite() {
+  bench::BenchSuiteResult res;
+  res.suite = "smoke";
+  res.reps = 3;
+  bench::BenchCaseResult c;
+  c.name = "orientation/n=96";
+  c.det.n = 96;
+  c.det.m = 96;
+  c.det.rounds = 130;
+  c.det.bits_per_node = 1.0;
+  c.det.total_bits = 192;
+  c.det.digest = "4a12e85475579ad0";
+  c.det.counters = {{"ones_ratio", 0.0625}, {"marked_trails", 1}};
+  c.wall_ms_1 = 10.0;
+  c.runs = {{2, 8.0, 1.25, true}};
+  res.cases.push_back(c);
+  return res;
+}
+
+obs::RunDocument tiny_doc() { return obs::parse_run_document(tiny_suite().to_json()); }
+
+JsonValue& det_leaf(obs::RunDocument& doc, const std::string& key) {
+  return *doc.records.at(0).deterministic.find(key);
+}
+
+void set_wall_ms(obs::RunDocument& doc, std::size_t row, const char* token) {
+  *doc.records.at(0).measured.at(row).find("wall_ms") = json_number(token);
 }
 
 TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
@@ -220,42 +242,59 @@ TEST(BenchDiff, RoundTripsTheWritersOwnJson) {
   // JSON metacharacters " and \.
   auto quoted = res.cases.front();
   quoted.name = "orientation/q\"x\\y.ladg";
-  quoted.source = "q\"x\\y.ladg";
-  quoted.graph_digest = "0123456789abcdef";
+  quoted.det.source = "q\"x\\y.ladg";
+  quoted.det.graph_digest = "0123456789abcdef";
   res.cases.push_back(quoted);
   // Counters are written with %.17g, so a non-terminating binary fraction
   // must come back bit-identical.
   auto counted = res.cases.front();
   counted.name = "subexp_lcl/mis/cycle/n=2000";
-  counted.counters = {{"ones_ratio", 1.0 / 3.0}, {"clusters", 17}, {"max_blast_radius", 0}};
+  counted.det.counters = {{"ones_ratio", 1.0 / 3.0}, {"clusters", 17}, {"max_blast_radius", 0}};
   res.cases.push_back(counted);
   // An error row carries the message and nothing else.
   bench::BenchCaseResult failed;
   failed.name = "edge_coloring/bipartite-regular/delta=8";
   failed.error = "LAD_CHECK failed: round < budget \"quoted\" \\ — exhausted";
   res.cases.push_back(failed);
-  const auto doc = obs::parse_bench_json(res.to_json());
-  EXPECT_EQ(doc.schema_version, res.schema_version);
-  EXPECT_EQ(doc.suite, "smoke");
-  EXPECT_EQ(doc.reps, 2);
-  ASSERT_EQ(doc.cases.size(), res.cases.size());
-  for (std::size_t i = 0; i < doc.cases.size(); ++i) {
-    EXPECT_EQ(doc.cases[i].name, res.cases[i].name);
-    EXPECT_EQ(doc.cases[i].source, res.cases[i].source);
-    EXPECT_EQ(doc.cases[i].digest, res.cases[i].digest);
-    EXPECT_EQ(doc.cases[i].rounds, res.cases[i].rounds);
-    EXPECT_EQ(doc.cases[i].error, res.cases[i].error);
-    ASSERT_EQ(doc.cases[i].counters.size(), res.cases[i].counters.size()) << res.cases[i].name;
-    for (std::size_t j = 0; j < doc.cases[i].counters.size(); ++j) {
-      EXPECT_EQ(doc.cases[i].counters[j].first, res.cases[i].counters[j].first);
-      EXPECT_EQ(doc.cases[i].counters[j].second, res.cases[i].counters[j].second);
+  const std::string json = res.to_json();
+  const auto doc = obs::parse_run_document(json);
+  EXPECT_EQ(doc.to_json(), json);  // the parser and the writer are inverses
+  EXPECT_EQ(doc.meta.find("schema_version")->string, std::to_string(obs::kSchemaVersion));
+  EXPECT_EQ(doc.meta.find("suite")->string, "smoke");
+  EXPECT_EQ(doc.meta.find("reps")->string, "2");
+  ASSERT_EQ(doc.records.size(), res.cases.size());
+  for (std::size_t i = 0; i < doc.records.size(); ++i) {
+    const auto& rec = doc.records[i];
+    const auto& c = res.cases[i];
+    EXPECT_EQ(rec.name, c.name);
+    const JsonValue& det = rec.deterministic;
+    if (!c.error.empty()) {
+      ASSERT_EQ(det.object.size(), 1u);
+      EXPECT_EQ(det.find("error")->string, c.error);
+      EXPECT_TRUE(rec.measured.empty());
+      continue;
     }
+    EXPECT_EQ(det.find("digest")->string, c.det.digest);
+    EXPECT_EQ(det.find("rounds")->string, std::to_string(c.det.rounds));
+    if (const JsonValue* src = det.find("source"); src != nullptr) {
+      EXPECT_EQ(src->string, c.det.source);
+    } else {
+      EXPECT_TRUE(c.det.source.empty());
+    }
+    const JsonValue* counters = det.find("counters");
+    ASSERT_EQ(counters != nullptr ? counters->object.size() : 0u, c.det.counters.size()) << c.name;
+    for (std::size_t j = 0; j < c.det.counters.size(); ++j) {
+      EXPECT_EQ(counters->object[j].first, c.det.counters[j].first);
+      EXPECT_EQ(std::stod(counters->object[j].second.string), c.det.counters[j].second);
+    }
+    // At --threads 1 the serial row is the only measured row.
+    ASSERT_EQ(rec.measured.size(), 1u);
+    EXPECT_EQ(rec.measured[0].find("threads")->string, "1");
   }
-  EXPECT_EQ(doc.cases.back().n, 0);  // nothing but name and error
-  const auto diff = obs::diff_bench(doc, doc);
+  const auto diff = obs::diff_run_documents(doc, doc);
   EXPECT_EQ(diff.status(), obs::DiffStatus::kClean);
-  // Every row but the error row is timed.
-  EXPECT_EQ(diff.compared, static_cast<int>(doc.cases.size()) - 1);
+  // Every record but the error row is timed.
+  EXPECT_EQ(diff.compared, static_cast<int>(doc.records.size()) - 1);
 }
 
 TEST(BenchDiff, RepsDoNotChangeDeterministicFields) {
@@ -263,74 +302,83 @@ TEST(BenchDiff, RepsDoNotChangeDeterministicFields) {
   const auto thrice = bench::run_bench_suite("smoke", {1}, false, 3);
   ASSERT_EQ(once.cases.size(), thrice.cases.size());
   for (std::size_t i = 0; i < once.cases.size(); ++i) {
-    EXPECT_EQ(once.cases[i].digest, thrice.cases[i].digest) << once.cases[i].name;
-    EXPECT_EQ(once.cases[i].rounds, thrice.cases[i].rounds);
-    EXPECT_EQ(once.cases[i].total_bits, thrice.cases[i].total_bits);
+    EXPECT_EQ(once.cases[i].det.digest, thrice.cases[i].det.digest) << once.cases[i].name;
+    EXPECT_EQ(once.cases[i].det.rounds, thrice.cases[i].det.rounds);
+    EXPECT_EQ(once.cases[i].det.total_bits, thrice.cases[i].det.total_bits);
   }
 }
 
 TEST(BenchDiff, GradesTimingAsRegression) {
   const auto base = tiny_doc();
   auto cand = tiny_doc();
-  cand.cases[0].wall_ms_1 = 1000.0;
+  set_wall_ms(cand, 0, "1000.000");
   obs::DiffOptions opts;
   opts.tol_ms = 100.0;
   opts.tol_rel = 0.5;
-  const auto diff = obs::diff_bench(base, cand, opts);
+  const auto diff = obs::diff_run_documents(base, cand, opts);
   EXPECT_EQ(diff.status(), obs::DiffStatus::kRegression);
+  ASSERT_EQ(diff.findings.size(), 1u);
+  EXPECT_EQ(diff.findings[0].field, "t=1 wall_ms");
+  EXPECT_EQ(diff.compared, 2);  // both shared thread counts are timed
   // Within tolerance: clean.
-  cand.cases[0].wall_ms_1 = 60.0;
-  EXPECT_EQ(obs::diff_bench(base, cand, opts).status(), obs::DiffStatus::kClean);
+  set_wall_ms(cand, 0, "60.000");
+  EXPECT_EQ(obs::diff_run_documents(base, cand, opts).status(), obs::DiffStatus::kClean);
 }
 
 TEST(BenchDiff, GradesDeterministicDivergenceAsMismatch) {
   const auto base = tiny_doc();
-  for (const char* field : {"rounds", "total_bits", "digest", "n", "counters", "error"}) {
+  for (const char* key : {"rounds", "total_bits", "digest", "n"}) {
     auto cand = tiny_doc();
-    if (std::string(field) == "rounds") cand.cases[0].rounds = 131;
-    if (std::string(field) == "total_bits") cand.cases[0].total_bits = 200;
-    if (std::string(field) == "digest") cand.cases[0].digest = "ffffffffffffffff";
-    if (std::string(field) == "n") cand.cases[0].n = 97;
-    if (std::string(field) == "counters") cand.cases[0].counters[0].second = 0.0626;
-    if (std::string(field) == "error") cand.cases[0].error = "LAD_CHECK failed: x";
-    const auto diff = obs::diff_bench(base, cand);
-    EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch) << field;
-    ASSERT_EQ(diff.findings.size(), 1u) << field;
-    EXPECT_EQ(diff.findings[0].field, field);
+    JsonValue& leaf = det_leaf(cand, key);
+    leaf = leaf.kind == JsonValue::Kind::kString ? json_string("ffffffffffffffff")
+                                                 : json_int(std::stoll(leaf.string) + 1);
+    const auto diff = obs::diff_run_documents(base, cand);
+    EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch) << key;
+    ASSERT_EQ(diff.findings.size(), 1u) << key;
+    EXPECT_EQ(diff.findings[0].field, key);
   }
+  auto counters = tiny_doc();
+  *det_leaf(counters, "counters").find("ones_ratio") = json_number("0.0626");
+  const auto cdiff = obs::diff_run_documents(base, counters);
+  ASSERT_EQ(cdiff.findings.size(), 1u);
+  EXPECT_EQ(cdiff.findings[0].field, "counters.ones_ratio");
+
+  // A case that turned into an error row is a mismatch naming the error;
+  // two error rows differ exactly in their messages.
+  auto failed = tiny_doc();
+  failed.records[0].deterministic = obs::jsonmini::json_object().add(
+      "error", json_string("LAD_CHECK failed: x"));
+  failed.records[0].measured.clear();
+  const auto ediff = obs::diff_run_documents(base, failed);
+  EXPECT_EQ(ediff.status(), obs::DiffStatus::kMismatch);
+  EXPECT_TRUE(std::any_of(ediff.findings.begin(), ediff.findings.end(),
+                          [](const obs::Finding& f) { return f.field == "error"; }));
+  auto failed_other = failed;
+  det_leaf(failed_other, "error") = json_string("LAD_CHECK failed: y");
+  const auto mdiff = obs::diff_run_documents(failed, failed_other);
+  ASSERT_EQ(mdiff.findings.size(), 1u);
+  EXPECT_EQ(mdiff.findings[0].field, "error");
+
   // Mismatch outranks a simultaneous regression in the exit code.
   auto cand = tiny_doc();
-  cand.cases[0].rounds = 131;
-  cand.cases[0].wall_ms_1 = 1e6;
-  EXPECT_EQ(obs::diff_bench(base, cand).status(), obs::DiffStatus::kMismatch);
+  det_leaf(cand, "rounds") = json_int(131);
+  set_wall_ms(cand, 0, "1000000.000");
+  EXPECT_EQ(obs::diff_run_documents(base, cand).status(), obs::DiffStatus::kMismatch);
 }
 
 TEST(BenchDiff, CaseSetChangesAreMismatches) {
   const auto base = tiny_doc();
   auto cand = tiny_doc();
-  cand.cases[0].name = "orientation/n=128";
-  const auto diff = obs::diff_bench(base, cand);
+  cand.records[0].name = "orientation/n=128";
+  const auto diff = obs::diff_run_documents(base, cand);
   EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch);
   EXPECT_EQ(diff.findings.size(), 2u);  // missing from candidate + extra in candidate
 
   auto other_suite = tiny_doc();
-  other_suite.suite = "e2";
-  const auto sdiff = obs::diff_bench(base, other_suite);
+  *other_suite.meta.find("suite") = json_string("e2");
+  const auto sdiff = obs::diff_run_documents(base, other_suite);
   EXPECT_EQ(sdiff.status(), obs::DiffStatus::kMismatch);
   EXPECT_EQ(sdiff.findings[0].field, "suite");
-}
-
-TEST(BenchDiff, SchemaV2DigestlessDocsStillDiff) {
-  // Pre-digest (schema 2) documents: digest comparison is skipped, the
-  // other deterministic fields still have teeth.
-  auto base = tiny_doc();
-  base.schema_version = 2;
-  base.cases[0].digest.clear();
-  auto cand = tiny_doc();
-  cand.cases[0].digest.clear();
-  EXPECT_EQ(obs::diff_bench(base, cand).status(), obs::DiffStatus::kClean);
-  cand.cases[0].rounds = 7;
-  EXPECT_EQ(obs::diff_bench(base, cand).status(), obs::DiffStatus::kMismatch);
 }
 
 TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
@@ -350,33 +398,129 @@ TEST(BenchRunner, ContractViolationBecomesAnErrorRow) {
     const auto& csr = res.cases[i];
     EXPECT_EQ(csr.name, "csr/" + sources[i - 2].spec);
     EXPECT_TRUE(csr.error.empty()) << csr.error;
-    EXPECT_TRUE(csr.identical);
-    EXPECT_EQ(csr.graph_digest.size(), 16u);
+    ASSERT_EQ(csr.runs.size(), 1u);
+    EXPECT_TRUE(csr.runs[0].identical);
+    EXPECT_EQ(csr.det.graph_digest.size(), 16u);
   }
   const auto& ok = res.cases[0];
   EXPECT_EQ(ok.name, "source/cycle:64/splitting");
   EXPECT_TRUE(ok.error.empty()) << ok.error;
-  EXPECT_EQ(ok.n, 64);
-  EXPECT_TRUE(ok.identical);
-  EXPECT_EQ(ok.digest.size(), 16u);
+  EXPECT_EQ(ok.det.n, 64);
+  ASSERT_EQ(ok.runs.size(), 1u);
+  EXPECT_TRUE(ok.runs[0].identical);
+  EXPECT_EQ(ok.det.digest.size(), 16u);
+  // Its record holds the serial row and the 2-thread row.
+  const auto ok_rec = ok.record();
+  ASSERT_EQ(ok_rec.measured.size(), 2u);
+  EXPECT_EQ(ok_rec.measured[1].find("threads")->string, "2");
   const auto& bad = res.cases[1];
   EXPECT_EQ(bad.name, "source/cycle:101/splitting");
   EXPECT_NE(bad.error.find("splitting: inadmissible input: requires a bipartite graph"),
             std::string::npos)
       << bad.error;
   EXPECT_TRUE(bad.rejected);
-  EXPECT_TRUE(bad.digest.empty());
+  EXPECT_TRUE(bad.det.digest.empty());
   EXPECT_EQ(bad.wall_ms_1, 0.0);
+  // Its record is {"error"} with no measured rows.
+  const auto bad_rec = bad.record();
+  ASSERT_EQ(bad_rec.deterministic.object.size(), 1u);
+  EXPECT_EQ(bad_rec.deterministic.find("error")->string, bad.error);
+  EXPECT_TRUE(bad_rec.measured.empty());
 }
 
 TEST(BenchDiff, ParserRejectsGarbageAndOldSchemas) {
-  EXPECT_THROW(obs::parse_bench_json("not json"), std::runtime_error);
-  EXPECT_THROW(obs::parse_bench_json("{\"schema_version\": 3}"), std::runtime_error);
-  EXPECT_THROW(obs::parse_bench_json(
-                   "{\"schema_version\": 1, \"git_commit\": \"x\", \"timestamp\": \"t\", "
+  EXPECT_THROW(obs::parse_run_document("not json"), std::runtime_error);
+  EXPECT_THROW(obs::parse_run_document("{\"schema_version\": 8}"), std::runtime_error);
+  EXPECT_THROW(obs::parse_run_document(
+                   "{\"schema_version\": 7, \"git_commit\": \"x\", \"timestamp\": \"t\", "
                    "\"suite\": \"smoke\", \"threads\": 1, \"hardware_threads\": 1, "
                    "\"cases\": []}"),
                std::runtime_error);
+  // A measured row must carry its thread count and wall time.
+  EXPECT_THROW(obs::parse_run_document(
+                   "{\"schema_version\": 8, \"suite\": \"s\", \"records\": [{\"name\": \"a\", "
+                   "\"deterministic\": {}, \"measured\": [{\"threads\": 1}]}]}"),
+               std::runtime_error);
+}
+
+// Both producers' documents, self-diffed and then perturbed one leaf at a
+// time at every depth: each change is exactly one MISMATCH naming its path.
+TEST(RunDocument, OneLeafChangeAtEveryDepthIsOneNamedMismatch) {
+  const auto bench_doc =
+      obs::parse_run_document(bench::run_bench_suite("smoke", {1}, false, 1).to_json());
+  const Pipeline* p = find_pipeline("orientation");
+  ASSERT_NE(p, nullptr);
+  const auto lg = load_graph_source(*parse_graph_source("cycle:512", nullptr));
+  auto report = faults::observe_run(*p, lg.graph, lg.spec, {}, {1}, 1);
+  obs::reset_instruments();
+  const auto run_doc = obs::parse_run_document(report.to_json());
+  for (const auto* doc : {&bench_doc, &run_doc}) {
+    EXPECT_EQ(obs::diff_run_documents(*doc, *doc).status(), obs::DiffStatus::kClean);
+  }
+
+  const auto one_finding = [](const obs::RunDocument& base, const obs::RunDocument& cand,
+                              const std::string& path) {
+    const auto diff = obs::diff_run_documents(base, cand);
+    EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch) << path;
+    ASSERT_EQ(diff.findings.size(), 1u) << path << "\n" << diff.to_text();
+    EXPECT_EQ(diff.findings[0].field, path);
+  };
+  const auto bump = [](JsonValue& leaf) { leaf = json_int(std::stoll(leaf.string) + 1); };
+
+  // A top-level key, and counters.<name> (the campaign case has counters).
+  auto top = bench_doc;
+  det_leaf(top, "digest") = json_string("0000000000000000");
+  one_finding(bench_doc, top, "digest");
+  auto counter = bench_doc;
+  JsonValue* counters = counter.records.back().deterministic.find("counters");
+  ASSERT_NE(counters, nullptr);
+  bump(*counters->find("detected"));
+  one_finding(bench_doc, counter, "counters.detected");
+
+  // rounds[i].<field>, and an array length.
+  auto round = run_doc;
+  bump(*det_leaf(round, "rounds").array.at(2).find("messages"));
+  one_finding(run_doc, round, "rounds[2].messages");
+  auto shorter = run_doc;
+  det_leaf(shorter, "rounds").array.pop_back();
+  one_finding(run_doc, shorter, "rounds");
+}
+
+TEST(RunDocument, SeedsDifferingPast2To53AreAMismatch) {
+  // 2^53 + 1 and 2^53 are the same double; their tokens are not.
+  auto base = tiny_doc();
+  base.records[0].deterministic.add("seed", json_number("9007199254740993"));
+  auto cand = tiny_doc();
+  cand.records[0].deterministic.add("seed", json_number("9007199254740992"));
+  ASSERT_EQ(det_leaf(base, "seed").number, det_leaf(cand, "seed").number);
+  const auto diff = obs::diff_run_documents(base, cand);
+  EXPECT_EQ(diff.status(), obs::DiffStatus::kMismatch);
+  ASSERT_EQ(diff.findings.size(), 1u);
+  EXPECT_EQ(diff.findings[0].field, "seed");
+  // The same holds through the text of a document.
+  EXPECT_EQ(obs::diff_documents(base.to_json(), cand.to_json()).status(),
+            obs::DiffStatus::kMismatch);
+}
+
+TEST(RunDocument, AnUnseenDeterministicKeyIsDiffed) {
+  // A producer adds a key (here a nested per-stage object) without any
+  // parser or differ edit: it parses, self-diffs clean and is graded.
+  const auto with = [](const char* peak) {
+    using obs::jsonmini::json_object;
+    auto doc = tiny_doc();
+    JsonValue encode = json_object().add("peak_rss_kb", json_number(peak));
+    doc.records[0].deterministic.add("stages", json_object().add("encode", std::move(encode)));
+    return obs::parse_run_document(doc.to_json());
+  };
+  EXPECT_EQ(obs::diff_run_documents(with("2048"), with("2048")).status(),
+            obs::DiffStatus::kClean);
+  const auto diff = obs::diff_run_documents(with("2048"), with("4096"));
+  ASSERT_EQ(diff.findings.size(), 1u);
+  EXPECT_EQ(diff.findings[0].field, "stages.encode.peak_rss_kb");
+  // Present on one side only is a mismatch too.
+  const auto added = obs::diff_run_documents(tiny_doc(), with("2048"));
+  ASSERT_EQ(added.findings.size(), 1u);
+  EXPECT_EQ(added.findings[0].field, "stages");
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // subset our own writers emit. These tests pin both directions of that
 // bargain — everything the writers produce parses exactly, and everything
 // outside the subset (or malformed) is a hard, located parse error rather
-// than a silent best guess. Also pins the lenient bench parser and the
-// perf-trajectory table built on top of it (`lad report`).
+// than a silent best guess. Also pins the perf-trajectory table `lad
+// report` builds from the run-document parser, and that every checked-in
+// BENCH_*.json parses.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,10 +41,10 @@ TEST(JsonMini, ParsesScalarsArraysAndNestedObjects) {
     "empty_arr": []
   })");
   ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
-  EXPECT_EQ(str_field(root, "s", true), "hello");
+  EXPECT_EQ(str_field(root, "s"), "hello");
   EXPECT_TRUE(root.find("t")->boolean);
   EXPECT_FALSE(root.find("f")->boolean);
-  EXPECT_EQ(num_field(root, "i", true), 42.0);
+  EXPECT_EQ(num_field(root, "i"), 42.0);
 
   const JsonValue* nested = root.find("nested");
   ASSERT_NE(nested, nullptr);
@@ -129,63 +133,82 @@ TEST(JsonMini, RejectsStructuralErrors) {
 
 TEST(JsonMini, FieldHelpersValidateKindAndPresence) {
   const JsonValue root = parse(R"({"num": 3, "str": "x"})");
-  EXPECT_EQ(num_field(root, "num", true), 3.0);
-  EXPECT_EQ(str_field(root, "str", true), "x");
-  EXPECT_EQ(num_field(root, "missing", /*required=*/false, 99.0), 99.0);
-  EXPECT_EQ(str_field(root, "missing", /*required=*/false), "");
-  EXPECT_THROW(num_field(root, "missing", /*required=*/true), std::runtime_error);
-  EXPECT_THROW(str_field(root, "missing", /*required=*/true), std::runtime_error);
-  EXPECT_THROW(num_field(root, "str", /*required=*/true), std::runtime_error);
-  EXPECT_THROW(str_field(root, "num", /*required=*/true), std::runtime_error);
+  EXPECT_EQ(num_field(root, "num"), 3.0);
+  EXPECT_EQ(str_field(root, "str"), "x");
+  EXPECT_THROW(num_field(root, "missing"), std::runtime_error);
+  EXPECT_THROW(str_field(root, "missing"), std::runtime_error);
+  EXPECT_THROW(num_field(root, "str"), std::runtime_error);
+  EXPECT_THROW(str_field(root, "num"), std::runtime_error);
 }
 
-// --- Lenient bench parsing and the perf trajectory -------------------------
+TEST(JsonMini, NumbersKeepTheirTokensAndRenderBack) {
+  // A token survives a parse/render round trip exactly, including digits a
+  // double cannot hold (2^53 + 1) and trailing zeros.
+  const std::string text =
+      "{\"seed\": 9007199254740993, \"ratio\": 0.33333333333333331, \"bits\": 1.0000}";
+  const JsonValue root = parse(text);
+  EXPECT_EQ(root.find("seed")->string, "9007199254740993");
+  EXPECT_EQ(root.find("bits")->string, "1.0000");
+  EXPECT_DOUBLE_EQ(root.find("bits")->number, 1.0);
+  EXPECT_EQ(obs::jsonmini::render_json(root), text);
+  // The layout: flat containers on one line, anything deeper one member
+  // per line.
+  const std::string nested = "{\n  \"rows\": [\n    {\"a\": 1},\n    {\"b\": [2, 3]}\n  ]\n}";
+  EXPECT_EQ(obs::jsonmini::render_json(parse(nested)), nested);
+}
 
-TEST(JsonMini, LenientBenchParserAcceptsPreSchemaGenerations) {
-  // A v1-era document: no schema_version, no suite, cases carry only a
-  // name and serial wall time. Strict parsing must refuse it; the lenient
-  // path (the `lad report` trajectory) defaults everything but the name.
-  const std::string v1 = R"({
-    "cases": [
-      {"name": "alpha", "wall_ms_1t": 12.5},
-      {"name": "beta"}
-    ]
-  })";
-  EXPECT_THROW(obs::parse_bench_json(v1), std::runtime_error);
-  const auto doc = obs::parse_bench_json_lenient(v1);
-  EXPECT_EQ(doc.schema_version, 1);
-  ASSERT_EQ(doc.cases.size(), 2u);
-  EXPECT_EQ(doc.cases[0].name, "alpha");
-  EXPECT_DOUBLE_EQ(doc.cases[0].wall_ms_1, 12.5);
-  EXPECT_EQ(doc.cases[1].name, "beta");
-  // A case without even a name stays a hard error on both paths.
-  EXPECT_THROW(obs::parse_bench_json_lenient(R"({"cases": [{"n": 4}]})"), std::runtime_error);
+// --- The perf trajectory and the checked-in generations --------------------
+
+obs::RunDocument trajectory_doc(const std::string& suite, const std::string& records) {
+  return obs::parse_run_document(R"({"schema_version": 8, "suite": ")" + suite +
+                                 R"(", "records": [)" + records + "]}");
 }
 
 TEST(JsonMini, PerfTrajectoryTableUnionsCasesAcrossGenerations) {
   obs::BenchGeneration g1;
   g1.label = "pr3";
-  g1.doc = obs::parse_bench_json_lenient(
-      R"({"cases": [{"name": "alpha", "wall_ms_1t": 10.0}]})");
+  g1.doc = trajectory_doc("all", R"({"name": "alpha", "deterministic": {},
+      "measured": [{"threads": 1, "wall_ms": 10.0}, {"threads": 8, "wall_ms": 2.0}]})");
   obs::BenchGeneration g2;
   g2.label = "pr4";
-  g2.doc = obs::parse_bench_json_lenient(
-      R"({"schema_version": 4, "suite": "smoke", "cases": [
-            {"name": "alpha", "wall_ms_1t": 8.0},
-            {"name": "gamma", "wall_ms_1t": 3.0}]})");
+  g2.doc = trajectory_doc("smoke", R"({"name": "alpha", "deterministic": {},
+      "measured": [{"threads": 1, "wall_ms": 8.0}]},
+      {"name": "gamma", "deterministic": {}, "measured": [{"threads": 1, "wall_ms": 3.0}]},
+      {"name": "delta", "deterministic": {"error": "x"}, "measured": []})");
 
   const std::string md = obs::perf_trajectory_markdown({g1, g2});
   EXPECT_NE(md.find("## Perf trajectory"), std::string::npos);
-  EXPECT_NE(md.find("pr3 (v1)"), std::string::npos);
-  EXPECT_NE(md.find("pr4 (v4, smoke)"), std::string::npos);
-  // Union rows in first-seen order; cases absent from a generation render
-  // as an em-dash cell, not a zero.
+  EXPECT_NE(md.find("pr3 (v8, all)"), std::string::npos);
+  EXPECT_NE(md.find("pr4 (v8, smoke)"), std::string::npos);
+  // Union rows in first-seen order, each cell the 1-thread wall time;
+  // records absent from a generation render as an em-dash cell, not a
+  // zero, and error rows as "error".
   EXPECT_NE(md.find("| alpha | 10.000 | 8.000 |"), std::string::npos);
   EXPECT_NE(md.find("| gamma | — | 3.000 |"), std::string::npos);
+  EXPECT_NE(md.find("| delta | — | error |"), std::string::npos);
   EXPECT_LT(md.find("| alpha |"), md.find("| gamma |"));
 
   const std::string empty = obs::perf_trajectory_markdown({});
   EXPECT_NE(empty.find("No BENCH_"), std::string::npos);
+}
+
+TEST(JsonMini, EveryCheckedInBenchGenerationParses) {
+  // `lad report` skips a BENCH_*.json it cannot parse with only a warning;
+  // here that is a failure. Each file is also in the writer's own layout.
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(LAD_SOURCE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) != 0 || !name.ends_with(".json")) continue;
+    ++files;
+    std::ifstream in(entry.path());
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    obs::RunDocument doc;
+    ASSERT_NO_THROW(doc = obs::parse_run_document(ss.str())) << name;
+    EXPECT_FALSE(doc.records.empty()) << name;
+    EXPECT_EQ(doc.to_json(), ss.str()) << name;
+  }
+  EXPECT_GE(files, 1);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 //      counts (1, 2, 8) for real pipeline workloads — the slice `lad diff`
 //      and the CI profile-smoke job gate exactly — and a cross-thread-count
 //      divergence throws instead of averaging.
-//   3. The record round-trips through parse_run_json, and diff_run maps
-//      drift to the shared exit-code convention: 0 clean, 3 timing
-//      regression (tolerance-gated), 4 structural mismatch.
+//   3. The record round-trips through the one run-document parser, and the
+//      one differ maps drift to the shared exit-code convention: 0 clean, 3
+//      timing regression (tolerance-gated), 4 structural mismatch.
 //
 // The per-round instruments the record is built from (wait accounting,
 // flight recorder, Amdahl) are pinned in tests/test_timeline.cpp.
@@ -164,69 +164,87 @@ TEST(Profile, JsonRoundTripsThroughParser) {
   const auto report = observe("orientation", {1, 2});
   ASSERT_EQ(report.runs.size(), 2u);
   const std::string json = report.to_json();
-  // The deterministic slice is embedded verbatim in the full document.
-  EXPECT_NE(json.find(report.deterministic_json()), std::string::npos);
-
-  const auto doc = obs::parse_run_json(json);
-  EXPECT_EQ(doc.deterministic_json(), report.deterministic_json());
-  EXPECT_EQ(doc.det.phases.size(), obs::phase_taxonomy().size());
-  EXPECT_EQ(doc.reps, report.reps);
-  ASSERT_EQ(doc.runs.size(), 2u);
-  for (std::size_t i = 0; i < doc.runs.size(); ++i) {
-    EXPECT_EQ(doc.runs[i].threads, report.runs[i].threads);
-    EXPECT_NEAR(doc.runs[i].total_ms, report.runs[i].total_ms, 5e-4);
+  const auto doc = obs::parse_run_document(json);
+  EXPECT_EQ(doc.to_json(), json);
+  EXPECT_EQ(doc.meta.find("suite")->string, "profile");
+  EXPECT_EQ(doc.meta.find("reps")->string, std::to_string(report.reps));
+  ASSERT_EQ(doc.records.size(), 1u);
+  const auto& rec = doc.records[0];
+  EXPECT_EQ(rec.name, "orientation");
+  // The deterministic slice reads back byte for byte.
+  EXPECT_EQ(obs::jsonmini::render_json(rec.deterministic), report.deterministic_json());
+  EXPECT_EQ(rec.deterministic.find("phases")->array.size(), obs::phase_taxonomy().size());
+  ASSERT_EQ(rec.measured.size(), 2u);
+  for (std::size_t i = 0; i < rec.measured.size(); ++i) {
+    EXPECT_EQ(rec.measured[i].find("threads")->number, report.runs[i].threads);
+    EXPECT_NEAR(rec.measured[i].find("wall_ms")->number, report.runs[i].total_ms, 5e-4);
   }
 
-  EXPECT_THROW(obs::parse_run_json("{}"), std::runtime_error);
-  EXPECT_THROW(obs::parse_run_json("not json"), std::runtime_error);
+  EXPECT_THROW(obs::parse_run_document("{}"), std::runtime_error);
+  EXPECT_THROW(obs::parse_run_document("not json"), std::runtime_error);
 }
 
 TEST(Profile, DiffFollowsExitCodeConvention) {
-  auto base = obs::parse_run_json(observe("orientation", {1, 2}).to_json());
-  base.runs[0].total_ms = 10.0;
-  base.runs[1].total_ms = 5.0;
+  using obs::jsonmini::JsonValue;
+  auto base = obs::parse_run_document(observe("orientation", {1, 2}).to_json());
+  auto& rec = base.records.at(0);
+  *rec.measured.at(0).find("wall_ms") = obs::jsonmini::json_number("10.000");
+  *rec.measured.at(1).find("wall_ms") = obs::jsonmini::json_number("5.000");
+  const auto det = [](obs::RunDocument& doc) -> JsonValue& {
+    return doc.records.at(0).deterministic;
+  };
+  const auto bump = [](JsonValue& leaf) {
+    leaf = obs::jsonmini::json_int(std::stoll(leaf.string) + 1);
+  };
 
   obs::DiffOptions tight;
   tight.tol_ms = 1.0;
   tight.tol_rel = 0.0;
-  EXPECT_EQ(obs::diff_run(base, base, tight).status(), obs::DiffStatus::kClean);
+  EXPECT_EQ(obs::diff_run_documents(base, base, tight).status(), obs::DiffStatus::kClean);
 
   // Thread counts present on only one side are not timed.
   auto fewer = base;
-  fewer.runs.pop_back();
-  EXPECT_EQ(obs::diff_run(base, fewer, tight).status(), obs::DiffStatus::kClean);
+  fewer.records[0].measured.pop_back();
+  EXPECT_EQ(obs::diff_run_documents(base, fewer, tight).status(), obs::DiffStatus::kClean);
 
   // Deterministic drift: structural mismatch (exit 4), named field.
   auto digest_drift = base;
-  digest_drift.det.output_digest = "0000000000000000";
-  const auto mism = obs::diff_run(base, digest_drift, tight);
+  *det(digest_drift).find("output_digest") = obs::jsonmini::json_string("0000000000000000");
+  const auto mism = obs::diff_run_documents(base, digest_drift, tight);
   EXPECT_EQ(mism.status(), obs::DiffStatus::kMismatch);
   EXPECT_NE(mism.to_text().find("output_digest"), std::string::npos);
 
   auto alloc_drift = base;
-  ASSERT_FALSE(alloc_drift.det.phases.empty());
-  alloc_drift.det.phases[0].allocs += 1;
-  EXPECT_EQ(obs::diff_run(base, alloc_drift, tight).status(), obs::DiffStatus::kMismatch);
+  ASSERT_FALSE(det(alloc_drift).find("phases")->array.empty());
+  bump(*det(alloc_drift).find("phases")->array[0].find("allocs"));
+  EXPECT_EQ(obs::diff_run_documents(base, alloc_drift, tight).status(),
+            obs::DiffStatus::kMismatch);
 
   auto round_drift = base;
-  ASSERT_FALSE(round_drift.det.rounds.empty());
-  round_drift.det.rounds.front().messages += 1;
-  EXPECT_EQ(obs::diff_run(base, round_drift, tight).status(), obs::DiffStatus::kMismatch);
+  ASSERT_FALSE(det(round_drift).find("rounds")->array.empty());
+  bump(*det(round_drift).find("rounds")->array[0].find("messages"));
+  EXPECT_EQ(obs::diff_run_documents(base, round_drift, tight).status(),
+            obs::DiffStatus::kMismatch);
 
   // Timing drift at one thread count beyond tolerance: regression (exit
   // 3); absorbed by a generous tolerance: clean.
   auto slow = base;
-  slow.runs[1].total_ms += 1000.0;
-  const auto reg = obs::diff_run(base, slow, tight);
+  *slow.records[0].measured[1].find("wall_ms") = obs::jsonmini::json_number("1005.000");
+  const auto reg = obs::diff_run_documents(base, slow, tight);
   EXPECT_EQ(reg.status(), obs::DiffStatus::kRegression);
-  EXPECT_NE(reg.to_text().find("t=2 [total_ms]"), std::string::npos);
+  EXPECT_NE(reg.to_text().find("orientation [t=2 wall_ms]"), std::string::npos);
   obs::DiffOptions loose;
   loose.tol_ms = 100000.0;
-  EXPECT_EQ(obs::diff_run(base, slow, loose).status(), obs::DiffStatus::kClean);
+  EXPECT_EQ(obs::diff_run_documents(base, slow, loose).status(), obs::DiffStatus::kClean);
 
-  // A run record never diffs against a bench document.
-  EXPECT_THROW(obs::diff_documents(base.to_json(), R"({"schema_version": 6, "cases": []})"),
-               std::runtime_error);
+  // A run record against a bench document is graded like any pair: the
+  // suites and the record sets differ (exit 4).
+  const auto mixed = obs::diff_documents(
+      base.to_json(),
+      R"({"schema_version": 8, "suite": "smoke", "records": [{"name": "orientation/n=96",
+          "deterministic": {"n": 96}, "measured": [{"threads": 1, "wall_ms": 1.0}]}]})");
+  EXPECT_EQ(mixed.status(), obs::DiffStatus::kMismatch);
+  EXPECT_NE(mixed.to_text().find("[records]"), std::string::npos);
 
   // Exit codes are the enum values — the CLI returns status() directly.
   EXPECT_EQ(static_cast<int>(obs::DiffStatus::kClean), 0);

@@ -10,11 +10,15 @@
 //     degraded), so the assertions are not vacuous.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/orientation.hpp"
 #include "core/three_coloring.hpp"
 #include "faults/campaign.hpp"
 #include "faults/robust.hpp"
 #include "graph/generators.hpp"
+#include "graph/source.hpp"
 
 namespace lad::faults {
 namespace {
@@ -141,6 +145,30 @@ TEST(RobustDecoders, GuardedDecodersSurviveEmptyBits) {
   const auto d = robust::guarded_decode(pipeline(PipelineId::kDecompress), g, empty, cfg);
   EXPECT_GT(d.report.detected_violations, 0);
   EXPECT_FALSE(d.report.output_valid);
+}
+
+TEST(RobustDecoders, TrailFallbackIsChargedTheWholeTrail) {
+  // All-zero advice decodes no marker, so every marked trail falls back to
+  // its advice-free canonical direction, which needs the whole trail: both
+  // trail decoders charge it its positions, not the walk limit, which here
+  // exceeds every trail.
+  const auto src = parse_graph_source("torus:16x16", nullptr);
+  ASSERT_TRUE(src.has_value());
+  const Graph g = load_graph_source(*src).graph;
+  const TrailSchema schema = trail_schema(g, {}, /*payload_bits=*/1);
+  int longest = 0;
+  for (std::size_t i = 0; i < schema.trails.size(); ++i) {
+    const Trail& t = schema.trails[i];
+    longest = std::max(longest, schema.marked[i] != 0 ? t.positions() : t.length());
+  }
+  ASSERT_GT(schema.walk_limit, longest);
+
+  const PipelineAdvice zeros = uniform_bits(std::vector<char>(static_cast<std::size_t>(g.n()), 0));
+  const PipelineConfig cfg;
+  const auto o = robust::guarded_decode(pipeline(PipelineId::kOrientation), g, zeros, cfg);
+  const auto s = robust::guarded_decode(pipeline(PipelineId::kSplitting), g, zeros, cfg);
+  EXPECT_EQ(o.report.rounds, longest);
+  EXPECT_EQ(s.report.rounds, longest);
 }
 
 }  // namespace

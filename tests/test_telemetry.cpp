@@ -313,20 +313,22 @@ TEST(Telemetry, PrometheusExportRoundTrips) {
 
 TEST(Telemetry, BenchJsonCarriesSchemaVersionAndMetrics) {
   const auto res = bench::run_bench_suite("smoke", {2}, /*with_metrics=*/true);
-  EXPECT_EQ(res.schema_version, obs::kBenchSchemaVersion);
   EXPECT_FALSE(res.git_commit.empty());
   EXPECT_FALSE(res.timestamp.empty());
   const std::string json = res.to_json();
-  EXPECT_NE(json.find("\"schema_version\": "), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": " + std::to_string(obs::kSchemaVersion)),
+            std::string::npos);
   EXPECT_NE(json.find("\"git_commit\": "), std::string::npos);
   EXPECT_NE(json.find("\"timestamp\": "), std::string::npos);
   EXPECT_EQ(res.reps, 1);
   EXPECT_NE(json.find("\"reps\": 1"), std::string::npos);
   ASSERT_FALSE(res.cases.empty());
   for (const auto& c : res.cases) {
-    EXPECT_TRUE(c.identical) << c.name;
-    EXPECT_EQ(c.digest.size(), 16u) << c.name << " digest must be a 64-bit hex fingerprint";
+    for (const auto& r : c.runs) EXPECT_TRUE(r.identical) << c.name;
+    EXPECT_EQ(c.det.digest.size(), 16u) << c.name << " digest must be a 64-bit hex fingerprint";
     EXPECT_FALSE(c.metrics.empty()) << c.name << " has no attributed metrics";
+    // The metrics belong to the serial run, so they sit on its measured row.
+    EXPECT_NE(c.record().measured.front().find("metrics"), nullptr) << c.name;
   }
   EXPECT_FALSE(obs::enabled()) << "bench --trace must restore the telemetry switch";
   obs::MetricsRegistry::instance().reset();

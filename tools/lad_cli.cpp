@@ -37,7 +37,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -97,8 +99,8 @@ int usage() {
                "            (default orientation) per graph source, with the multi-thread\n"
                "            re-run rebuilding the CSR in parallel; --trace embeds per-case\n"
                "            telemetry counters in the JSON; --reps K times each case as\n"
-               "            min-of-K after one warmup; a comma list --threads 1,2,4 emits\n"
-               "            one \"case/t=K\" row per count; exit 3 if a thread count changes\n"
+               "            min-of-K after one warmup; a comma list --threads 1,2,4 times\n"
+               "            each case at every count; exit 3 if a thread count changes\n"
                "            an output, 2 if a pipeline rejects a --graph source, 4 if a\n"
                "            case breaks a contract (error rows are still written)\n"
                "  lad profile <pipeline> [--graph SPEC] [--threads K[,K...]] [--reps R]\n"
@@ -123,11 +125,10 @@ int usage() {
                "            explicit graph sources instead (needs --family and >= 3\n"
                "            sources); exit 0 = all claims hold\n"
                "  lad diff <baseline.json> <candidate.json> [--tol-ms X] [--tol-rel R]\n"
-               "            [--json]   structural diff of two bench documents or two run\n"
-               "            records: deterministic fields exactly (case set, rounds, bits,\n"
-               "            digests, counters, errors, allocation rows, round series), wall\n"
-               "            time with tolerance; exit 0 clean, 3 timing regression, 4\n"
-               "            structural mismatch, 2 on a bench-vs-run pair\n"
+               "            [--json]   structural diff of two run documents (bench or\n"
+               "            profile): the suite, the record names and every deterministic\n"
+               "            leaf exactly, wall time per shared thread count with tolerance;\n"
+               "            exit 0 clean, 3 timing regression, 4 structural mismatch\n"
                "  lad report [--out FILE] [--ns n1,n2,...] [--seed S]\n"
                "            regenerates the claims-conformance report (markdown) from the\n"
                "            real encode/decode/verify stack; default out:\n"
@@ -170,15 +171,40 @@ std::optional<T> parse_number(const std::string& s) {
   return v;
 }
 
-// `--threads 1,2,4`: every count >= 1; empty on any bad token.
-std::vector<int> parse_thread_list(const std::string& s) {
-  std::vector<int> out;
-  for (const auto& tok : split_csv(s)) {
-    const int t = std::atoi(tok.c_str());
-    if (t < 1) return {};
-    out.push_back(t);
+// Reads `what`'s value `tok` into `out` when it is a whole-token number in
+// [lo, hi]; otherwise names the token on stderr and returns false, and the
+// caller exits 2.
+template <typename T>
+bool read_number(const char* what, const std::string& tok, T& out,
+                 T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
+  const auto v = parse_number<T>(tok);
+  if (v && *v >= lo && *v <= hi) {
+    out = *v;
+    return true;
   }
-  return out;
+  std::ostringstream range;
+  if (hi != std::numeric_limits<T>::max()) {
+    range << " in [" << lo << ", " << hi << "]";
+  } else if (lo != std::numeric_limits<T>::lowest()) {
+    range << " >= " << lo;
+  }
+  std::fprintf(stderr, "error: %s '%s' is not a number%s\n", what, tok.c_str(),
+               range.str().c_str());
+  return false;
+}
+
+// A comma list of whole numbers >= lo (`--threads 1,2,4`, `--ns 256,512`).
+bool read_number_list(const char* what, const std::string& s, std::vector<int>& out, int lo) {
+  std::vector<int> list;
+  for (const auto& tok : split_csv(s)) {
+    if (!read_number(what, tok, list.emplace_back(), lo)) return false;
+  }
+  if (list.empty()) {
+    std::fprintf(stderr, "error: %s list '%s' is empty\n", what, s.c_str());
+    return false;
+  }
+  out = std::move(list);
+  return true;
 }
 
 // The unified GraphSource front door for the migrated verbs: parse + load,
@@ -330,8 +356,8 @@ int cmd_audit(int argc, char** argv) {
   const std::string which = argv[1];
 
   if (which == "gather") {
-    const int radius = argc >= 3 ? std::atoi(argv[2]) : 3;
-    if (radius < 0) return usage();
+    int radius = 3;
+    if (argc >= 3 && !read_number("gather radius", argv[2], radius, 0)) return 2;
     AuditFlooder alg(radius);
     Engine eng(g);
     eng.enable_audit(/*fail_fast=*/false);
@@ -451,13 +477,11 @@ int cmd_bench(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--threads" && i + 1 < argc) {
-      // Comma list (schema v5): each count re-runs the batch and emits its
-      // own "case/t=K" row, so a scaling curve lands in one document.
-      thread_list = parse_thread_list(argv[++i]);
-      if (thread_list.empty()) return usage();
+      // Comma list: each count re-runs the batch and becomes one measured
+      // row of the case's record, so a scaling curve lands in one document.
+      if (!read_number_list("--threads", argv[++i], thread_list, 1)) return 2;
     } else if (a == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-      if (reps < 1) return usage();
+      if (!read_number("--reps", argv[++i], reps, 1)) return 2;
     } else if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (a == "--graph" && i + 1 < argc) {
@@ -514,14 +538,19 @@ int cmd_bench(int argc, char** argv) {
       (c.rejected ? any_rejected : any_error) = true;
       continue;
     }
-    std::printf("%-34s %8d %6d %10.2f %10.2f %7.2fx %5s\n", c.name.c_str(), c.n, c.rounds,
-                c.wall_ms_1, c.wall_ms, c.speedup_vs_1, c.identical ? "yes" : "NO");
-    if (!c.counters.empty()) {
-      std::printf("   ");
-      for (const auto& [name, value] : c.counters) std::printf(" %s=%g", name.c_str(), value);
-      std::printf("\n");
+    // One line per listed count, named "case/t=K" when there are several.
+    for (const bench::ThreadRun& r : c.runs) {
+      const std::string name =
+          c.runs.size() > 1 ? c.name + "/t=" + std::to_string(r.threads) : c.name;
+      std::printf("%-34s %8d %6d %10.2f %10.2f %7.2fx %5s\n", name.c_str(), c.det.n,
+                  c.det.rounds, c.wall_ms_1, r.wall_ms, r.speedup_vs_1, r.identical ? "yes" : "NO");
+      if (!c.det.counters.empty()) {
+        std::printf("   ");
+        for (const auto& [key, value] : c.det.counters) std::printf(" %s=%g", key.c_str(), value);
+        std::printf("\n");
+      }
+      all_identical = all_identical && r.identical;
     }
-    all_identical = all_identical && c.identical;
   }
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -551,55 +580,34 @@ int cmd_faultsim(int argc, char** argv) {
   faults::CampaignConfig cfg;
   cfg.decoder = p->id();
   cfg.family = *family;
-  const auto n = parse_number<int>(argv[2]);
-  if (!n || *n < 8) return usage();
-  cfg.n = *n;
+  if (!read_number("n", argv[2], cfg.n, 8)) return 2;
   cfg.trials = 20;
   cfg.seed = 1;
   int i = 3;
   // A campaign of zero trials would report "no silent corruption" without
   // testing anything, so the count must be a positive integer.
-  if (i < argc && argv[i][0] != '-') {
-    const char* tok = argv[i++];
-    const auto trials = parse_number<int>(tok);
-    if (!trials || *trials < 1) {
-      std::fprintf(stderr, "error: trial count '%s' is not a positive integer\n", tok);
-      return 2;
-    }
-    cfg.trials = *trials;
+  if (i < argc && argv[i][0] != '-' && !read_number("trial count", argv[i++], cfg.trials, 1)) {
+    return 2;
   }
-  if (i < argc && argv[i][0] != '-') {
-    const char* tok = argv[i++];
-    const auto seed = parse_number<std::uint64_t>(tok);
-    if (!seed) {
-      std::fprintf(stderr, "error: seed '%s' is not a number\n", tok);
-      return 2;
-    }
-    cfg.seed = *seed;
-  }
-  const auto probability = [](const char* tok, double& out) {
-    const auto p = parse_number<double>(tok);
-    if (!p || !(*p >= 0.0 && *p <= 1.0)) {
-      std::fprintf(stderr, "error: probability '%s' is not in [0, 1]\n", tok);
-      return false;
-    }
-    out = *p;
-    return true;
-  };
+  if (i < argc && argv[i][0] != '-' && !read_number("seed", argv[i++], cfg.seed)) return 2;
   // Fault/policy knobs all default to the legacy plan, so the flag-free
   // invocation stays byte-identical to the pinned faultsim goldens.
   for (; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--crash-recovery" && i + 1 < argc) {
-      cfg.plan.engine.crash_recovery_rounds = std::atoi(argv[++i]);
-      if (cfg.plan.engine.crash_recovery_rounds < 0) return usage();
+      if (!read_number("--crash-recovery", argv[++i], cfg.plan.engine.crash_recovery_rounds, 0)) {
+        return 2;
+      }
     } else if (a == "--dup" && i + 1 < argc) {
-      if (!probability(argv[++i], cfg.plan.engine.message_duplicate_prob)) return 2;
+      if (!read_number("--dup", argv[++i], cfg.plan.engine.message_duplicate_prob, 0.0, 1.0)) {
+        return 2;
+      }
     } else if (a == "--delay" && i + 1 < argc) {
-      if (!probability(argv[++i], cfg.plan.engine.message_delay_prob)) return 2;
+      if (!read_number("--delay", argv[++i], cfg.plan.engine.message_delay_prob, 0.0, 1.0)) {
+        return 2;
+      }
     } else if (a == "--max-delay" && i + 1 < argc) {
-      cfg.plan.engine.max_delay_rounds = std::atoi(argv[++i]);
-      if (cfg.plan.engine.max_delay_rounds < 1) return usage();
+      if (!read_number("--max-delay", argv[++i], cfg.plan.engine.max_delay_rounds, 1)) return 2;
     } else if (a == "--targeting" && i + 1 < argc) {
       const std::string t = argv[++i];
       if (t == "uniform") {
@@ -613,11 +621,9 @@ int cmd_faultsim(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--burst" && i + 1 < argc) {
-      cfg.plan.graph.burst_count = std::atoi(argv[++i]);
-      if (cfg.plan.graph.burst_count < 0) return usage();
+      if (!read_number("--burst", argv[++i], cfg.plan.graph.burst_count, 0)) return 2;
     } else if (a == "--burst-radius" && i + 1 < argc) {
-      cfg.plan.graph.burst_radius = std::atoi(argv[++i]);
-      if (cfg.plan.graph.burst_radius < 0) return usage();
+      if (!read_number("--burst-radius", argv[++i], cfg.plan.graph.burst_radius, 0)) return 2;
     } else if (a == "--policy" && i + 1 < argc) {
       if (!faults::chaos_repair_policy(argv[++i], cfg.policy)) {
         std::fprintf(stderr, "error: unknown repair policy '%s'\n", argv[i]);
@@ -675,9 +681,9 @@ int cmd_chaos(int argc, char** argv) {
       }
     } else if (a == "--rates" && i + 1 < argc) {
       for (const auto& tok : split_csv(argv[++i])) {
-        const int r = std::atoi(tok.c_str());
-        if (r < 1 || r > 1000) return usage();
-        cfg.rate_percents.push_back(r);
+        if (!read_number("--rates entry", tok, cfg.rate_percents.emplace_back(), 1, 1000)) {
+          return 2;
+        }
       }
     } else if (a == "--policies" && i + 1 < argc) {
       for (const auto& tok : split_csv(argv[++i])) {
@@ -689,16 +695,13 @@ int cmd_chaos(int argc, char** argv) {
         cfg.policies.push_back(tok);
       }
     } else if (a == "-n" && i + 1 < argc) {
-      cfg.n = std::atoi(argv[++i]);
-      if (cfg.n < 8) return usage();
+      if (!read_number("-n", argv[++i], cfg.n, 8)) return 2;
     } else if (a == "--trials" && i + 1 < argc) {
-      cfg.trials = std::atoi(argv[++i]);
-      if (cfg.trials < 1) return usage();
+      if (!read_number("--trials", argv[++i], cfg.trials, 1)) return 2;
     } else if (a == "--seed" && i + 1 < argc) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!read_number("--seed", argv[++i], cfg.seed)) return 2;
     } else if (a == "--threads" && i + 1 < argc) {
-      cfg.threads = std::atoi(argv[++i]);
-      if (cfg.threads < 1) return usage();
+      if (!read_number("--threads", argv[++i], cfg.threads, 1)) return 2;
     } else if (a == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (a == "--json" && i + 1 < argc) {
@@ -738,22 +741,6 @@ int cmd_chaos(int argc, char** argv) {
   return report.pass() ? 0 : 3;
 }
 
-// Parses "256,512,1024" into sweep sizes; empty result = parse error.
-std::vector<int> parse_ns_list(const std::string& s) {
-  std::vector<int> ns;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const auto comma = s.find(',', pos);
-    const std::string tok = s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const int n = std::atoi(tok.c_str());
-    if (n < 8) return {};
-    ns.push_back(n);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return ns;
-}
-
 // Shared option parsing for the two claims-observatory commands
 // (verify-claims and report differ only in output form).
 struct ClaimsArgs {
@@ -777,8 +764,11 @@ ClaimsArgs parse_claims_args(int argc, char** argv) {
     if (a == "--family" && i + 1 < argc) {
       args.family = argv[++i];
     } else if (a == "--ns" && i + 1 < argc) {
-      args.ns = parse_ns_list(argv[++i]);
       args.ns_explicit = true;
+      if (!read_number_list("--ns", argv[++i], args.ns, 8)) {
+        args.ok = false;
+        return args;
+      }
       if (args.ns.size() < 3) {
         std::fprintf(stderr, "error: --ns needs at least 3 comma-separated sizes >= 8\n");
         args.ok = false;
@@ -794,7 +784,10 @@ ClaimsArgs parse_claims_args(int argc, char** argv) {
         args.sources.push_back(*src);
       }
     } else if (a == "--seed" && i + 1 < argc) {
-      args.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!read_number("--seed", argv[++i], args.seed)) {
+        args.ok = false;
+        return args;
+      }
     } else if (a == "--json") {
       args.json = true;
     } else if (a == "--out" && i + 1 < argc) {
@@ -854,9 +847,9 @@ int cmd_report(int argc, char** argv) {
   out << report.to_markdown();
 
   // Perf trajectory: every checked-in BENCH_*.json generation in the
-  // working directory, lenient-parsed (schema v1 through v6 all render),
-  // appended as one serial-wall-time table per case. A malformed document
-  // degrades to a warning — the claims report itself is the contract.
+  // working directory, appended as one serial-wall-time table per case. A
+  // document that does not parse degrades to a warning — the claims report
+  // itself is the contract (and a tier-1 test parses every checked-in one).
   std::vector<std::string> bench_files;
   try {
     for (const auto& entry : std::filesystem::directory_iterator(".")) {
@@ -875,7 +868,7 @@ int cmd_report(int argc, char** argv) {
     std::ostringstream ss;
     ss << in.rdbuf();
     try {
-      generations.push_back({name, obs::parse_bench_json_lenient(ss.str())});
+      generations.push_back({name, obs::parse_run_document(ss.str())});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "warning: skipping %s: %s\n", name.c_str(), e.what());
     }
@@ -909,13 +902,11 @@ int cmd_profile(int argc, char** argv) {
     if (a == "--graph" && i + 1 < argc) {
       graph_spec = argv[++i];
     } else if (a == "--threads" && i + 1 < argc) {
-      thread_list = parse_thread_list(argv[++i]);
-      if (thread_list.empty()) return usage();
+      if (!read_number_list("--threads", argv[++i], thread_list, 1)) return 2;
     } else if (a == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-      if (reps < 1) return usage();
+      if (!read_number("--reps", argv[++i], reps, 1)) return 2;
     } else if (a == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!read_number("--seed", argv[++i], seed)) return 2;
     } else if (a == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (a == "--out" && i + 1 < argc) {
@@ -964,8 +955,8 @@ int cmd_profile(int argc, char** argv) {
   return report.det.verify_ok ? 0 : 3;
 }
 
-// One differ for both document kinds (DESIGN.md §9.7): bench documents and
-// run records, graded by the same 0/3/4 convention; a mixed pair exits 2.
+// One differ for every run document (DESIGN.md §9.7), bench or profile,
+// graded by the 0/3/4 convention; a document that does not parse exits 2.
 int cmd_diff(int argc, char** argv) {
   if (argc < 2) return usage();
   obs::DiffOptions opts;
@@ -973,11 +964,9 @@ int cmd_diff(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--tol-ms" && i + 1 < argc) {
-      opts.tol_ms = std::atof(argv[++i]);
-      if (opts.tol_ms < 0) return usage();
+      if (!read_number("--tol-ms", argv[++i], opts.tol_ms, 0.0)) return 2;
     } else if (a == "--tol-rel" && i + 1 < argc) {
-      opts.tol_rel = std::atof(argv[++i]);
-      if (opts.tol_rel < 0) return usage();
+      if (!read_number("--tol-rel", argv[++i], opts.tol_rel, 0.0)) return 2;
     } else if (a == "--json") {
       json = true;
     } else {
