@@ -31,6 +31,9 @@ class BitString {
 
   void append(bool b) { bits_.push_back(b ? 1 : 0); }
   void append(const BitString& other);
+  /// Sizes the storage for `count` bits, so appends up to that size do not
+  /// reallocate.
+  void reserve(int count) { bits_.reserve(static_cast<std::size_t>(count)); }
 
   /// Overwrites bit i (bounds-checked even in release builds: callers are
   /// typically fault injectors working on untrusted positions).

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <set>
+#include <limits>
 #include <span>
 
 #include "graph/rng.hpp"
@@ -32,39 +31,49 @@ BitString expand_marker(const BitString& payload) {
   return b;
 }
 
-// Parses a marker whose first bit sits at absolute trail position `start`,
-// read in direction d. On success stores the marker length (in positions).
-std::optional<BitString> parse_marker(const Trail& t, const std::vector<char>& bits, int start,
-                                      int d, int* length_out) {
+// Reads the marker whose first bit sits at absolute trail position `start`,
+// in direction d. Returns its length in positions, or 0 when none parses
+// there. The payload is appended to *payload when one is given; *reach, when
+// given, receives how many positions the attempt read, the only positions
+// whose bits the answer depends on.
+int read_marker(const Trail& t, const std::vector<char>& bits, int start, int d,
+                BitString* payload, int* reach) {
+  const int P = t.positions();
+  int read_to = 0;
   auto read = [&](int k) -> int {
-    const int node = t.node_at(start + d * k);
-    if (node < 0) return -1;
-    return bits[static_cast<std::size_t>(node)] ? 1 : 0;
+    read_to = k + 1;
+    int pos = start + d * k;
+    if (pos < 0 || pos >= P) {
+      if (!t.closed) return -1;
+      pos = ((pos % P) + P) % P;
+    }
+    return bits[static_cast<std::size_t>(t.nodes[static_cast<std::size_t>(pos)])] ? 1 : 0;
   };
-  for (int j = 0; j < 8; ++j) {
-    if (read(j) != kPreamble[j]) return std::nullopt;
-  }
-  BitString payload;
-  int j = 8;
-  while (true) {
-    const int b0 = read(j);
-    if (b0 == -1) return std::nullopt;
-    if (b0 == 0) {
-      if (length_out != nullptr) *length_out = j + 1;
-      return payload;
+  auto parse = [&]() -> int {
+    for (int j = 0; j < 8; ++j) {
+      if (read(j) != kPreamble[j]) return 0;
     }
-    if (read(j + 1) != 1) return std::nullopt;
-    const int b2 = read(j + 2);
-    if (b2 == 0) {
-      payload.append(false);
-      j += 3;
-    } else if (b2 == 1 && read(j + 3) == 0) {
-      payload.append(true);
-      j += 4;
-    } else {
-      return std::nullopt;
+    int j = 8;
+    while (true) {
+      const int b0 = read(j);
+      if (b0 == -1) return 0;
+      if (b0 == 0) return j + 1;
+      if (read(j + 1) != 1) return 0;
+      const int b2 = read(j + 2);
+      if (b2 == 0) {
+        if (payload != nullptr) payload->append(false);
+        j += 3;
+      } else if (b2 == 1 && read(j + 3) == 0) {
+        if (payload != nullptr) payload->append(true);
+        j += 4;
+      } else {
+        return 0;
+      }
     }
-  }
+  };
+  const int length = parse();
+  if (reach != nullptr) *reach = read_to;
+  return length;
 }
 
 struct Segment {
@@ -73,6 +82,326 @@ struct Segment {
   int start = 0;
   int jitter = 0;  // legal re-sampling window around `nominal`
   BitString code;  // expanded marker for the payload at `start`
+};
+
+// The offenders of a segment placement, kept up to date as segments move:
+// the algorithmic LLL re-checks only the events a move touched.
+//
+// A placement is valid iff (a) segments use pairwise-disjoint node sets with
+// no repeated node inside a segment, and (b) on every marked trail the
+// markers that parse are exactly the planted segments, read forward. Stray
+// 1s (a segment node occurring again elsewhere on a marked trail) are
+// harmless unless they combine into a spurious parse. The offenders are
+//   * while (a) fails: every segment covering a node that is covered twice,
+//     by two segments or twice by one;
+//   * otherwise: the owners of the 1-bits in the span of every spurious
+//     marker, one that parses anywhere but at a planted start read forward.
+//     Once (a) holds, each planted marker's nodes carry its code alone, so it
+//     always parses.
+//
+// State, in flat arrays over the marked trails' positions laid end to end:
+// per node, how many segment positions cover it and how many of those carry
+// a 1 (its bit is ones > 0), and its positions; per position, the covering
+// segment (segments on one trail never overlap, by the spacing) and whether
+// a spurious marker starts there in either direction. A move updates the
+// counts of its old and new span in place. The first time (a) holds, every
+// start on a 1-bit is parsed; a start on a 0-bit reads one position and
+// never parses. From then on every position of a node whose bit flipped is
+// dirty, and before the next answer under (b) every start whose read could
+// reach a dirty position is re-parsed. No cached parse read further than
+// reach_ positions, which bounds that window.
+class Offenders {
+ public:
+  Offenders(const Graph& g, const std::vector<Trail>& trails,
+            const std::vector<char>& needs_marks, const std::vector<Segment>& segs,
+            std::vector<char>& bits)
+      : trails_(trails),
+        segs_(segs),
+        bits_(bits),
+        node_(static_cast<std::size_t>(g.n())),
+        base_(trails.size(), -1) {
+    first_.push_back(0);
+    for (std::size_t t = 0; t < trails.size(); ++t) {
+      if (!needs_marks[t]) continue;
+      base_[t] = first_.back();
+      marked_.push_back(static_cast<int>(t));
+      const long long end = static_cast<long long>(first_.back()) + trails[t].positions();
+      LAD_CHECK_MSG(end <= std::numeric_limits<int>::max() / 2, "marked trails too long");
+      first_.push_back(static_cast<int>(end));
+    }
+    const auto total = static_cast<std::size_t>(first_.back());
+    next_.resize(total);
+    owner_.assign(total, -1);
+    flags_.assign(total, 0);
+    for (std::size_t k = 0; k < marked_.size(); ++k) {
+      const auto& nodes = trails_[static_cast<std::size_t>(marked_[k])].nodes;
+      for (std::size_t p = 0; p < nodes.size(); ++p) {
+        const int pos = first_[k] + static_cast<int>(p);
+        int& head = node_[static_cast<std::size_t>(nodes[p])].first;
+        next_[static_cast<std::size_t>(pos)] = head;
+        head = pos;
+      }
+    }
+
+    // The initial placement and its bits; parse_all() parses them.
+    for (std::size_t i = 0; i < segs.size(); ++i) drop(static_cast<int>(i));
+    for (const int v : touched_) bits_[static_cast<std::size_t>(v)] = 1;
+    touched_.clear();
+  }
+
+  /// Takes segment i off its trail, before it moves.
+  void lift(int i) { cover(i, -1); }
+  /// Puts segment i back, at its new start.
+  void drop(int i) { cover(i, +1); }
+
+  /// The current offenders, ascending.
+  const std::vector<int>& current() {
+    settle();
+    bad_.clear();
+    if (shared_ > 0) {
+      std::erase_if(shared_nodes_,
+                    [&](int v) { return node_[static_cast<std::size_t>(v)].cover < 2; });
+      std::sort(shared_nodes_.begin(), shared_nodes_.end());
+      shared_nodes_.erase(std::unique(shared_nodes_.begin(), shared_nodes_.end()),
+                          shared_nodes_.end());
+      for (const int v : shared_nodes_) {
+        for (int pos = node_[static_cast<std::size_t>(v)].first; pos >= 0; pos = next_[pos]) {
+          if (owner_[pos] >= 0) bad_.push_back(owner_[pos]);
+        }
+      }
+    } else {
+      shared_nodes_.clear();
+      if (parsed_) {
+        flush();
+      } else {
+        parse_all();
+      }
+      std::erase_if(spurious_, [&](int key) {
+        return (flags_[static_cast<std::size_t>(key >> 1)] & spurious_flag(key & 1)) == 0;
+      });
+      for (const int key : spurious_) blame(key);
+    }
+    std::sort(bad_.begin(), bad_.end());
+    bad_.erase(std::unique(bad_.begin(), bad_.end()), bad_.end());
+    return bad_;
+  }
+
+ private:
+  struct NodeState {
+    int first = -1;  // one of its positions; next_ links the others, -1 ends
+    int cover = 0;   // segment positions on it
+    int ones = 0;    // ... that carry a 1
+  };
+
+  // flags_ bits per position. A direction index is 0 for +1, 1 for -1.
+  static constexpr std::uint8_t kDirty = 1;    // its node's bit flipped since the last flush
+  static constexpr std::uint8_t kRestart = 2;  // a segment start moved here or away
+  static std::uint8_t spurious_flag(int dir) { return static_cast<std::uint8_t>(4 << dir); }
+
+  // The index into marked_ of the trail holding global position pos.
+  std::size_t trail_of(int pos) const {
+    return static_cast<std::size_t>(std::upper_bound(first_.begin(), first_.end(), pos) -
+                                    first_.begin() - 1);
+  }
+
+  bool planted(int pos) const {
+    const int i = owner_[static_cast<std::size_t>(pos)];
+    if (i < 0) return false;
+    const Segment& seg = segs_[static_cast<std::size_t>(i)];
+    return base_[static_cast<std::size_t>(seg.trail)] + seg.start == pos;
+  }
+
+  void mark(int pos, std::uint8_t flag, std::vector<int>& list) {
+    std::uint8_t& f = flags_[static_cast<std::size_t>(pos)];
+    if ((f & flag) != 0) return;
+    f |= flag;
+    list.push_back(pos);
+  }
+
+  // Adds (sign +1) or removes (-1) segment i's span.
+  void cover(int i, int sign) {
+    const Segment& seg = segs_[static_cast<std::size_t>(i)];
+    const Trail& t = trails_[static_cast<std::size_t>(seg.trail)];
+    const int base = base_[static_cast<std::size_t>(seg.trail)];
+    const int P = t.positions();
+    mark(base + seg.start, kRestart, restarts_);
+    for (int j = 0; j < seg.code.size(); ++j) {
+      const int p = t.closed ? (seg.start + j) % P : seg.start + j;
+      const auto pos = static_cast<std::size_t>(base + p);
+      const int v = t.nodes[static_cast<std::size_t>(p)];
+      NodeState& s = node_[static_cast<std::size_t>(v)];
+      if (sign > 0) {
+        LAD_ASSERT_MSG(owner_[pos] < 0, "marker segments overlap on a trail");
+        owner_[pos] = i;
+        if (++s.cover == 2) {
+          ++shared_;
+          shared_nodes_.push_back(v);
+        }
+      } else {
+        owner_[pos] = -1;
+        if (s.cover-- == 2) --shared_;
+      }
+      if (seg.code.bit(j)) {
+        s.ones += sign;
+        if (s.ones == (sign > 0 ? 1 : 0)) touched_.push_back(v);
+      }
+    }
+  }
+
+  // Writes the bits of the nodes whose ones count crossed zero, and marks
+  // every position of a node whose bit flipped dirty.
+  void settle() {
+    for (const int v : touched_) {
+      const NodeState& s = node_[static_cast<std::size_t>(v)];
+      const char bit = s.ones > 0 ? 1 : 0;
+      char& b = bits_[static_cast<std::size_t>(v)];
+      if (b == bit) continue;
+      b = bit;
+      for (int pos = s.first; pos >= 0; pos = next_[pos]) mark(pos, kDirty, dirty_);
+    }
+    touched_.clear();
+  }
+
+  // Parses the start at position p of trail t (whose first global position
+  // is base) read in direction d, and records whether a spurious marker
+  // starts there.
+  void parse(const Trail& t, int base, int p, int d) {
+    const auto pos = static_cast<std::size_t>(base + p);
+    const int dir = d > 0 ? 0 : 1;
+    const std::uint8_t spurious = spurious_flag(dir);
+    bool is_spurious = false;
+    if (bits_[static_cast<std::size_t>(t.nodes[static_cast<std::size_t>(p)])] != 0) {
+      int reach = 0;
+      const int len = read_marker(t, bits_, p, d, nullptr, &reach);
+      reach_ = std::max(reach_, reach);
+      is_spurious = len > 0 && !(d > 0 && planted(base + p));
+    }
+    if (is_spurious && (flags_[pos] & spurious) == 0) spurious_.push_back(2 * (base + p) + dir);
+    if (is_spurious) {
+      flags_[pos] |= spurious;
+    } else {
+      flags_[pos] &= static_cast<std::uint8_t>(~spurious);
+    }
+  }
+
+  // The first parse, once no node is shared: every start on a 1-bit, each
+  // of which lies in exactly one segment's span. It stands in for every
+  // dirty position marked before it.
+  void parse_all() {
+    for (const int pos : dirty_) flags_[static_cast<std::size_t>(pos)] = 0;
+    for (const int pos : restarts_) flags_[static_cast<std::size_t>(pos)] = 0;
+    dirty_.clear();
+    restarts_.clear();
+    for (const Segment& seg : segs_) {
+      const Trail& t = trails_[static_cast<std::size_t>(seg.trail)];
+      for (int j = 0; j < seg.code.size(); ++j) {
+        if (!seg.code.bit(j)) continue;
+        const int v = t.node_at(seg.start + j);
+        for (int pos = node_[static_cast<std::size_t>(v)].first; pos >= 0; pos = next_[pos]) {
+          const std::size_t k = trail_of(pos);
+          const Trail& on = trails_[static_cast<std::size_t>(marked_[k])];
+          parse(on, first_[k], pos - first_[k], +1);
+          parse(on, first_[k], pos - first_[k], -1);
+        }
+      }
+    }
+    parsed_ = true;
+  }
+
+  // Re-parses every start whose cached read could reach a dirty position,
+  // and the forward read at every start a segment moved to or away from.
+  // parse() is idempotent between two moves, so a start seen twice costs
+  // only time.
+  void flush() {
+    const int r = reach_;
+    std::sort(dirty_.begin(), dirty_.end());
+    for (std::size_t i = 0; i < dirty_.size();) {
+      const std::size_t k = trail_of(dirty_[i]);
+      std::size_t end = i;
+      while (end < dirty_.size() && dirty_[end] < first_[k + 1]) ++end;
+      const Trail& t = trails_[static_cast<std::size_t>(marked_[k])];
+      if (t.closed && r >= t.positions()) {
+        for (int p = 0; p < t.positions(); ++p) {
+          parse(t, first_[k], p, +1);
+          parse(t, first_[k], p, -1);
+        }
+      } else {
+        // A forward read from [q - r + 1, q] and a backward read from
+        // [q, q + r - 1] may reach q.
+        parse_windows(t, k, {dirty_.data() + i, end - i}, 1 - r, 0, +1);
+        parse_windows(t, k, {dirty_.data() + i, end - i}, 0, r - 1, -1);
+      }
+      for (; i < end; ++i) {
+        flags_[static_cast<std::size_t>(dirty_[i])] &= static_cast<std::uint8_t>(~kDirty);
+      }
+    }
+    for (const int pos : restarts_) {
+      const std::size_t k = trail_of(pos);
+      parse(trails_[static_cast<std::size_t>(marked_[k])], first_[k], pos - first_[k], +1);
+      flags_[static_cast<std::size_t>(pos)] &= static_cast<std::uint8_t>(~kRestart);
+    }
+    dirty_.clear();
+    restarts_.clear();
+  }
+
+  // Parses in direction d every start of the union of [q + lo, q + hi] over
+  // the positions q of `dirty`, ascending, all on the k-th marked trail t.
+  void parse_windows(const Trail& t, std::size_t k, std::span<const int> dirty, int lo, int hi,
+                     int d) {
+    const int P = t.positions();
+    int next = std::numeric_limits<int>::min();  // first start not yet parsed
+    for (const int pos : dirty) {
+      const int q = pos - first_[k];
+      int from = std::max(q + lo, next);
+      int to = q + hi;
+      if (!t.closed) {
+        from = std::max(from, 0);
+        to = std::min(to, P - 1);
+      }
+      for (int s = from; s <= to; ++s) {
+        parse(t, first_[k], s < 0 ? s + P : (s >= P ? s - P : s), d);
+      }
+      next = std::max(next, to + 1);
+    }
+  }
+
+  // Adds the owners of the 1-bits in a spurious marker's span.
+  void blame(int key) {
+    const int pos = key >> 1;
+    const int d = (key & 1) != 0 ? -1 : +1;
+    const std::size_t k = trail_of(pos);
+    const Trail& t = trails_[static_cast<std::size_t>(marked_[k])];
+    const int p = pos - first_[k];
+    const int len = read_marker(t, bits_, p, d, nullptr, nullptr);
+    for (int j = 0; j < len; ++j) {
+      const int v = t.node_at(p + d * j);
+      if (bits_[static_cast<std::size_t>(v)] == 0) continue;
+      for (int at = node_[static_cast<std::size_t>(v)].first; at >= 0; at = next_[at]) {
+        if (owner_[at] >= 0) bad_.push_back(owner_[at]);
+      }
+    }
+  }
+
+  const std::vector<Trail>& trails_;
+  const std::vector<Segment>& segs_;
+  std::vector<char>& bits_;
+  std::vector<NodeState> node_;
+  std::vector<int> base_;    // per trail: its first global position, or -1
+  std::vector<int> marked_;  // the marked trails, in order
+  std::vector<int> first_;   // per marked trail: its first global position; then the total
+  std::vector<int> next_;    // per position: the next position of the same node, or -1
+  std::vector<int> owner_;   // per position: the covering segment, or -1
+  std::vector<std::uint8_t> flags_;  // per position
+  int shared_ = 0;                   // nodes covered at least twice
+  bool parsed_ = false;              // parse_all() has run
+  int reach_ = 1;                    // longest read of any parse so far
+  std::vector<int> shared_nodes_;    // nodes that became shared (some may no longer be)
+  std::vector<int> touched_;         // nodes whose ones count crossed zero
+  std::vector<int> dirty_;           // positions flagged kDirty
+  std::vector<int> restarts_;        // positions flagged kRestart
+  std::vector<int> spurious_;        // keys 2·position + direction of spurious markers
+                                     // (some may no longer be)
+  std::vector<int> bad_;
 };
 
 // Where a probe sees a parsed marker: the trail position of its first bit,
@@ -90,11 +419,11 @@ void parse_markers(const Trail& t, const std::vector<char>& bits, int first, int
   const int P = t.positions();
   for (int start = first; start <= last; ++start) {
     for (const int d : {+1, -1}) {
-      int len = 0;
-      auto payload = parse_marker(t, bits, start, d, &len);
-      if (!payload) continue;
+      BitString payload;
+      const int len = read_marker(t, bits, start, d, &payload, nullptr);
+      if (len == 0) continue;
       seen.push_back({start, static_cast<int>(markers.size())});
-      markers.push_back({d, t.closed ? ((start % P) + P) % P : start, len, std::move(*payload)});
+      markers.push_back({d, t.closed ? ((start % P) + P) % P : start, len, std::move(payload)});
     }
   }
 }
@@ -222,104 +551,9 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
     return std::clamp(start, 0, P - max_len);
   };
 
-  // expected[t][pos]: bit that position pos of marked trail t must carry.
-  std::vector<std::vector<char>> expected(trails.size());
-
-  auto write_round = [&]() {
-    std::fill(out.bits.begin(), out.bits.end(), 0);
-    for (std::size_t t = 0; t < trails.size(); ++t) {
-      if (needs_marks[t]) expected[t].assign(static_cast<std::size_t>(trails[t].positions()), 0);
-    }
-    for (const auto& seg : segs) {
-      const Trail& t = trails[static_cast<std::size_t>(seg.trail)];
-      const int P = t.positions();
-      for (int j = 0; j < seg.code.size(); ++j) {
-        if (!seg.code.bit(j)) continue;
-        const int pos = t.closed ? ((seg.start + j) % P) : (seg.start + j);
-        out.bits[static_cast<std::size_t>(t.node_at(pos))] = 1;
-        expected[static_cast<std::size_t>(seg.trail)][static_cast<std::size_t>(pos)] = 1;
-      }
-    }
-  };
-
-  // A placement is valid iff (a) segments use pairwise-disjoint node sets
-  // with no repeated node inside a segment, and (b) on every marked trail,
-  // the set of parseable markers equals exactly the planted segments (read
-  // forward, with the planted payload). Stray 1s — a segment node occurring
-  // again elsewhere on a marked trail — are harmless unless they corrupt a
-  // planted marker or combine into a spurious parse; (b) tests precisely
-  // that, which is the property the decoder relies on.
-  auto violations = [&]() {
-    std::set<int> bad;
-    std::vector<int> owner(static_cast<std::size_t>(g.n()), -1);
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      const auto& seg = segs[i];
-      const Trail& t = trails[static_cast<std::size_t>(seg.trail)];
-      std::set<int> mine;
-      for (int j = 0; j < seg.code.size(); ++j) {
-        const int node = t.node_at(seg.start + j);
-        if (!mine.insert(node).second) bad.insert(static_cast<int>(i));
-        if (owner[node] >= 0 && owner[node] != static_cast<int>(i)) {
-          bad.insert(static_cast<int>(i));
-          bad.insert(owner[node]);
-        }
-        owner[node] = static_cast<int>(i);
-      }
-    }
-    if (!bad.empty()) return bad;
-
-    // Planted marker starts per trail.
-    std::vector<std::map<int, const Segment*>> planted(trails.size());
-    for (const auto& seg : segs) {
-      planted[static_cast<std::size_t>(seg.trail)][seg.start] = &seg;
-    }
-    auto blame_span = [&](const Trail& t, int start, int d, int len, std::set<int>* sink) {
-      for (int j = 0; j < len; ++j) {
-        const int node = t.node_at(start + d * j);
-        if (node >= 0 && out.bits[static_cast<std::size_t>(node)] && owner[node] >= 0) {
-          sink->insert(owner[node]);
-        }
-      }
-    };
-    for (std::size_t ti = 0; ti < trails.size(); ++ti) {
-      if (!needs_marks[ti]) continue;
-      const Trail& t = trails[ti];
-      const int P = t.positions();
-      std::set<const Segment*> seen;
-      for (int pos = 0; pos < P; ++pos) {
-        for (const int d : {+1, -1}) {
-          int len = 0;
-          const auto payload = parse_marker(t, out.bits, pos, d, &len);
-          if (!payload) continue;
-          const auto it = planted[ti].find(pos);
-          const bool genuine =
-              d == +1 && it != planted[ti].end() && expand_marker(*payload) == it->second->code;
-          if (genuine) {
-            seen.insert(it->second);
-          } else {
-            blame_span(t, pos, d, len, &bad);  // spurious marker
-          }
-        }
-      }
-      for (const auto& [start, seg] : planted[ti]) {
-        if (seen.count(seg)) continue;
-        // The planted marker got corrupted: blame whoever wrote the
-        // unexpected 1s in its span, plus the segment itself.
-        bad.insert(static_cast<int>(seg - segs.data()));
-        for (int j = 0; j < seg->code.size(); ++j) {
-          const int node = t.node_at(start + j);
-          if (out.bits[static_cast<std::size_t>(node)] != (seg->code.bit(j) ? 1 : 0)) {
-            if (owner[node] >= 0) bad.insert(owner[node]);
-          }
-        }
-      }
-    }
-    return bad;
-  };
-
+  Offenders offenders(g, trails, needs_marks, segs, out.bits);
   for (int round = 0; round <= params.max_resample_rounds; ++round) {
-    write_round();
-    const auto bad = violations();
+    const std::vector<int>& bad = offenders.current();
     if (bad.empty()) {
       out.resample_rounds = round;
       return out;
@@ -335,8 +569,10 @@ TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
       auto& seg = segs[static_cast<std::size_t>(i)];
       const int jit = std::max(params.jitter, seg.jitter);
       const int delta = static_cast<int>(rng.uniform(-jit, jit));
+      offenders.lift(i);
       seg.start = clamp_start(seg, seg.nominal + delta);
       seg.code = make_code(seg.trail, seg.start);
+      offenders.drop(i);
       moved = true;
     }
   }

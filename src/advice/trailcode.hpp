@@ -14,10 +14,14 @@
 //     orientation) even when the payload is empty.
 //   * Stray 1s (the same node can occur on several trails, and every node
 //     carries a globally visible bit) are eliminated constructively: the
-//     encoder re-samples segment positions along their trails until no
-//     marked trail carries a bit that differs from its planted pattern —
-//     the algorithmic counterpart of the paper's Lovász-Local-Lemma
-//     shifting argument.
+//     encoder re-samples segment positions along their trails until no two
+//     segments share a node and no marker parses on a marked trail except
+//     the planted ones — the algorithmic counterpart of the paper's
+//     Lovász-Local-Lemma shifting argument. As in the algorithmic LLL, a
+//     round re-checks only what its moves touched: the offender set is kept
+//     up to date in flat per-node and per-position arrays, and only the parse
+//     windows around the nodes whose bits a move flipped, on every marked
+//     trail through them, are re-parsed.
 //
 // Markers may carry a per-segment payload (computed from the segment's
 // start position), used e.g. by the splitting schema to ship the 2-coloring
@@ -100,6 +104,8 @@ using SegmentPayloadFn = std::function<BitString(int t, int start)>;
 /// Writes markers on every trail with needs_marks[t] != 0. All markers are
 /// written in the trail's as-given direction. Payloads must have at most
 /// max_payload_bits bits. Throws if the re-sampling budget is exhausted.
+/// Keeps no state between calls; its working arrays, a few bytes per node
+/// and per marked-trail position, are freed when it returns.
 TrailCode encode_trail_marks(const Graph& g, const std::vector<Trail>& trails,
                              const std::vector<char>& needs_marks,
                              const SegmentPayloadFn& payload_fn, int max_payload_bits,

@@ -1,20 +1,6 @@
 #include "core/decompress.hpp"
 
-#include <algorithm>
-
 namespace lad {
-
-std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int v) {
-  std::vector<int> out;
-  // incident_edges is already aligned with ID-sorted neighbors.
-  const auto inc = g.incident_edges(v);
-  for (const int e : inc) {
-    const bool outgoing = (o[static_cast<std::size_t>(e)] == EdgeDir::kForward && g.edge_u(e) == v) ||
-                          (o[static_cast<std::size_t>(e)] == EdgeDir::kBackward && g.edge_v(e) == v);
-    if (outgoing) out.push_back(e);
-  }
-  return out;
-}
 
 CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_x) {
   LAD_CHECK(static_cast<int>(in_x.size()) == g.m());
@@ -26,11 +12,12 @@ CompressedEdgeSet compress_edge_set(const Graph& g, const std::vector<char>& in_
   c.labels.resize(static_cast<std::size_t>(g.n()));
   for (int v = 0; v < g.n(); ++v) {
     BitString& label = c.labels[static_cast<std::size_t>(v)];
-    label.append(enc.bits[static_cast<std::size_t>(v)] != 0);
-    for (const int e : outgoing_edges_sorted(g, c.orientation, v)) {
-      label.append(in_x[static_cast<std::size_t>(e)] != 0);
-    }
     const int budget = (g.degree(v) + 1) / 2 + 1;  // ceil(d/2) + 1
+    label.reserve(budget);
+    label.append(enc.bits[static_cast<std::size_t>(v)] != 0);
+    for (const int e : g.incident_edges(v)) {
+      if (is_outgoing(g, c.orientation, e, v)) label.append(in_x[static_cast<std::size_t>(e)] != 0);
+    }
     LAD_CHECK_MSG(label.size() <= budget, "compressed label exceeds ceil(d/2)+1 bits");
   }
   return c;
@@ -49,13 +36,14 @@ DecompressResult decompress_edge_set(const Graph& g, const CompressedEdgeSet& c)
   DecompressResult res;
   res.in_x.assign(static_cast<std::size_t>(g.m()), 0);
   for (int v = 0; v < g.n(); ++v) {
-    const auto out = outgoing_edges_sorted(g, dec.orientation, v);
     const BitString& label = c.labels[static_cast<std::size_t>(v)];
-    LAD_CHECK_MSG(label.size() == 1 + static_cast<int>(out.size()),
-                  "label length mismatch at node " << g.id(v));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (label.bit(1 + static_cast<int>(i))) res.in_x[static_cast<std::size_t>(out[i])] = 1;
+    int i = 1;  // the label bit of v's next outgoing edge
+    for (const int e : g.incident_edges(v)) {
+      if (!is_outgoing(g, dec.orientation, e, v)) continue;
+      if (i < label.size() && label.bit(i)) res.in_x[static_cast<std::size_t>(e)] = 1;
+      ++i;
     }
+    LAD_CHECK_MSG(label.size() == i, "label length mismatch at node " << g.id(v));
   }
   res.rounds = dec.rounds + 1;  // +1: tails inform heads of membership
   return res;

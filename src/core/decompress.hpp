@@ -41,9 +41,14 @@ struct DecompressResult {
 /// heads in one extra round.
 DecompressResult decompress_edge_set(const Graph& g, const CompressedEdgeSet& c);
 
-/// Outgoing edges of v under orientation o, heads ordered by ID: the order
-/// of v's membership bits in its compressed label.
-std::vector<int> outgoing_edges_sorted(const Graph& g, const Orientation& o, int v);
+/// True iff edge e, incident to v, leaves v under orientation o. v's
+/// membership bits follow its outgoing edges in incident_edges(v) order,
+/// which is the order of the heads' IDs.
+inline bool is_outgoing(const Graph& g, const Orientation& o, int e, int v) {
+  const EdgeDir dir = o[static_cast<std::size_t>(e)];
+  return (dir == EdgeDir::kForward && g.edge_u(e) == v) ||
+         (dir == EdgeDir::kBackward && g.edge_v(e) == v);
+}
 
 /// Bits the trivial encoding (one bit per incident edge) stores at v.
 int trivial_bits_at(const Graph& g, int v);

@@ -836,12 +836,21 @@ std::uint16_t label_guard(const Graph& g, int v, bool orientation_bit,
   return static_cast<std::uint16_t>(h & 0xffffu);
 }
 
+// v's outgoing edges under o, in the order of its membership bits.
+void outgoing_edges(const Graph& g, const Orientation& o, int v, std::vector<int>& out) {
+  out.clear();
+  for (const int e : g.incident_edges(v)) {
+    if (is_outgoing(g, o, e, v)) out.push_back(e);
+  }
+}
+
 // The §1.5 compressor plus one label_guard per label.
 Advice guarded_compress_edge_set(const Graph& g, const std::vector<char>& in_x) {
   CompressedEdgeSet c = compress_edge_set(g, in_x);
+  std::vector<int> out;
   for (int v = 0; v < g.n(); ++v) {
     BitString& label = c.labels[static_cast<std::size_t>(v)];
-    const auto out = outgoing_edges_sorted(g, c.orientation, v);
+    outgoing_edges(g, c.orientation, v, out);
     BitString memberships;
     for (int i = 0; i < static_cast<int>(out.size()); ++i) memberships.append(label.bit(1 + i));
     const std::uint16_t guard = label_guard(g, v, label.bit(0), out, memberships);
@@ -885,9 +894,10 @@ GuardedOutcome guarded_decompress_edge_set(const Graph& g, const Advice& labels)
   out.report.detected_violations += oriented.report.detected_violations;
   for (const int v : oriented.report.repaired_nodes) out.report.repaired_nodes.push_back(v);
 
+  std::vector<int> outgoing;
   for (int v = 0; v < g.n(); ++v) {
     const BitString& label = labels[static_cast<std::size_t>(v)];
-    const auto outgoing = outgoing_edges_sorted(g, oriented.output.orientation, v);
+    outgoing_edges(g, oriented.output.orientation, v, outgoing);
     const int expected = 1 + static_cast<int>(outgoing.size()) + kDecompressGuardBits;
     bool ok = label.size() == expected;
     BitString memberships;

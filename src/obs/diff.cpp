@@ -128,7 +128,7 @@ RunDocument parse_run_document(const std::string& text) {
 std::string perf_trajectory_markdown(const std::vector<BenchGeneration>& generations) {
   std::ostringstream os;
   os << "## Perf trajectory\n\n"
-     << "Serial wall time (`wall_ms_1t`, min-of-reps, milliseconds) per case\n"
+     << "Serial wall time (the 1-thread row's `wall_ms`, min-of-reps, milliseconds) per case\n"
      << "across the checked-in bench generations. Wall times are\n"
      << "machine-dependent: read the column-to-column *shape*, not the\n"
      << "absolute numbers, and use `lad diff` for gating.\n\n";

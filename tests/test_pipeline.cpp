@@ -66,12 +66,15 @@ TEST(PipelineRegistry, GuardedDecodeIsCleanOnUncorruptedAdvice) {
 }
 
 // Output pins, run the way `lad bench --graph SPEC --pipeline P` runs them:
-// the fingerprint of the per-node output digests, the rounds and the total
-// advice bits.
+// the fingerprint of the per-node output digests, the fingerprint of the
+// per-node advice strings, the rounds and the total advice bits. The advice
+// fingerprint is the one that sees where the §5 markers sit: every valid
+// marker placement decodes to the same planted output.
 struct Pin {
   const char* pipeline;
   const char* spec;
   const char* fingerprint;
+  const char* advice_fingerprint;
   int rounds;
   long long total_bits;
 };
@@ -91,6 +94,7 @@ void expect_pins(const std::vector<Pin>& pins) {
     const auto out = p->decode(g, adv, cfg);
     EXPECT_TRUE(p->verify(g, out, cfg));
     EXPECT_EQ(obs::fingerprint_hex(p->node_digests(g, out)), pin.fingerprint);
+    EXPECT_EQ(obs::fingerprint_hex(adv.node_strings(g.n())), pin.advice_fingerprint);
     EXPECT_EQ(out.rounds, pin.rounds);
     EXPECT_EQ(adv.stats(g.n()).total_bits, pin.total_bits);
   }
@@ -100,11 +104,11 @@ void expect_pins(const std::vector<Pin>& pins) {
 // the trail-mark re-sampling budget (ROADMAP 1(b)).
 TEST(PipelinePins, LargeInstanceDigestsAreStable) {
   expect_pins({
-      {"three_coloring", "grid:316x316@1", "a845b603411b75a7", 1, 99856},
-      {"delta_coloring", "torus:316x316@1", "b8850d96bf141fb5", 61, 25659},
-      {"subexp_lcl", "cycle:100000@1", "26c52fa430c52029", 908115, 100000},
-      {"decompress", "torus:316x316@1", "d2c89e60b639d64e", 257, 299568},
-      {"orientation", "cycle:100000@1", "31ecac3182a2861b", 130, 100000},
+      {"three_coloring", "grid:316x316@1", "a845b603411b75a7", "a6e2224d088d3c97", 1, 99856},
+      {"delta_coloring", "torus:316x316@1", "b8850d96bf141fb5", "51d24709021b3b55", 61, 25659},
+      {"subexp_lcl", "cycle:100000@1", "26c52fa430c52029", "f153f9995f1a8f07", 908115, 100000},
+      {"decompress", "torus:316x316@1", "d2c89e60b639d64e", "f5dc629ce3c5266f", 257, 299568},
+      {"orientation", "cycle:100000@1", "31ecac3182a2861b", "a5ee7518c48a9b87", 130, 100000},
   });
 }
 
@@ -112,12 +116,12 @@ TEST(PipelinePins, LargeInstanceDigestsAreStable) {
 // together, so the sanitizer job runs them too.
 TEST(PipelinePins, ReducedInstanceDigestsAreStable) {
   expect_pins({
-      {"orientation", "cycle:16384@1", "8d7ee0c33138aabc", 130, 16384},
-      {"decompress", "torus:128x128@1", "6c5fdcfbfb96c433", 257, 49152},
-      {"splitting", "torus:128x128@1", "9dc728e0cd23d694", 262, 16384},
-      {"delta_coloring", "torus:128x128@1", "f532c238444a8355", 61, 3513},
-      {"three_coloring", "grid:128x128@1", "8a9992fd19268a8e", 1, 16384},
-      {"subexp_lcl", "cycle:16384@1", "931bfb1a61814363", 908115, 16384},
+      {"orientation", "cycle:16384@1", "8d7ee0c33138aabc", "3a91a3a399a96667", 130, 16384},
+      {"decompress", "torus:128x128@1", "6c5fdcfbfb96c433", "80912169d85e01e5", 257, 49152},
+      {"splitting", "torus:128x128@1", "9dc728e0cd23d694", "2df20bb67b0a5feb", 262, 16384},
+      {"delta_coloring", "torus:128x128@1", "f532c238444a8355", "aeb61292ca5006b6", 61, 3513},
+      {"three_coloring", "grid:128x128@1", "8a9992fd19268a8e", "eacbfc3a1c1d326f", 1, 16384},
+      {"subexp_lcl", "cycle:16384@1", "931bfb1a61814363", "d01800fc70ceeedd", 908115, 16384},
   });
 }
 

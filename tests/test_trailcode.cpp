@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "advice/trailcode.hpp"
+#include "core/orientation.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
 #include "reference_trailcode.hpp"
@@ -446,6 +449,171 @@ TEST(TrailCodeOracle, ReversedTrails) {
   ASSERT_TRUE(is_valid_euler_partition(path, prev));
   expect_trails_match_reference(path, prev, pcode.bits, pcode.walk_limit, 15, tally);
   EXPECT_GT(tally.decoded, tally.positions / 8);
+}
+
+// --- Frozen-encoder oracle -------------------------------------------------
+// encode_trail_marks keeps its offender set up to date as segments move; the
+// frozen encoder (reference_trailcode.hpp) rewrites every bit and re-parses
+// every marked trail each round. Both must name the same offenders in every
+// round, so both draw the same random moves and end with the same bits and
+// round count, or throw the same budget error.
+
+struct EncodeOutcome {
+  std::optional<TrailCode> code;
+  std::string error;  // the thrown message after its "— ", if it threw
+};
+
+template <typename Encode>
+EncodeOutcome run_encoder(Encode encode) {
+  EncodeOutcome o;
+  try {
+    o.code = encode();
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    const std::string dash = "— ";
+    const auto at = what.find(dash);
+    o.error = at == std::string::npos ? what : what.substr(at + dash.size());
+  }
+  return o;
+}
+
+struct EncoderTally {
+  int throws = 0;
+  long long rounds = 0;
+  reference::ReferencePhases phases;
+};
+
+void expect_encoder_matches_reference(const Graph& g, const std::vector<Trail>& trails,
+                                      const std::vector<char>& marks,
+                                      const SegmentPayloadFn& payload_fn, int max_payload_bits,
+                                      const TrailCodeParams& params, EncoderTally& tally) {
+  const EncodeOutcome want = run_encoder([&] {
+    return reference::encode_trail_marks(g, trails, marks, payload_fn, max_payload_bits, params,
+                                         &tally.phases);
+  });
+  const EncodeOutcome got = run_encoder(
+      [&] { return encode_trail_marks(g, trails, marks, payload_fn, max_payload_bits, params); });
+  ASSERT_EQ(got.code.has_value(), want.code.has_value()) << got.error << " / " << want.error;
+  if (!want.code) {
+    ++tally.throws;
+    EXPECT_EQ(got.error, want.error);
+    return;
+  }
+  tally.rounds += want.code->resample_rounds;
+  EXPECT_EQ(got.code->resample_rounds, want.code->resample_rounds);
+  EXPECT_EQ(got.code->walk_limit, want.code->walk_limit);
+  EXPECT_TRUE(got.code->bits == want.code->bits) << "advice bits differ";
+}
+
+// Every encode that succeeds here ends within a few hundred rounds; the
+// budget is cut so that the ones that exhaust it throw in test time.
+constexpr int kOracleBudget = 3000;
+
+// The §5 schema's trails, marks and parameters (trail_schema) with one
+// constant payload per trail.
+void expect_schema_matches_reference(const Graph& g, const char* payload, EncoderTally& tally) {
+  const BitString bits = BitString::parse(payload);
+  TrailSchema s = trail_schema(g, {}, bits.size());
+  s.code.max_resample_rounds = kOracleBudget;
+  const SegmentPayloadFn fn = [&bits](int, int) { return bits; };
+  expect_encoder_matches_reference(g, s.trails, s.marked, fn, bits.size(), s.code, tally);
+}
+
+// Splitting's payload: the 2-color of each segment's start node, so a move
+// can change the marker's length.
+SegmentPayloadFn start_color_payload(const Graph& g, const std::vector<Trail>& trails,
+                                     std::vector<int>& color) {
+  color.assign(static_cast<std::size_t>(g.n()), -1);
+  for (int root = 0; root < g.n(); ++root) {
+    if (color[static_cast<std::size_t>(root)] >= 0) continue;
+    color[static_cast<std::size_t>(root)] = 0;
+    std::deque<int> queue = {root};
+    while (!queue.empty()) {
+      const int v = queue.front();
+      queue.pop_front();
+      for (const int w : g.neighbors(v)) {
+        int& c = color[static_cast<std::size_t>(w)];
+        if (c >= 0) continue;
+        c = 1 - color[static_cast<std::size_t>(v)];
+        queue.push_back(w);
+      }
+    }
+  }
+  return [&trails, &color](int t, int start) {
+    const int node = trails[static_cast<std::size_t>(t)].node_at(start);
+    BitString b;
+    b.append(color[static_cast<std::size_t>(node)] == 1);
+    return b;
+  };
+}
+
+TEST(TrailCodeOracle, EncoderMatchesFrozenEncoder) {
+  EncoderTally tally;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // One closed trail; a torus's closed trails, each node on two; a grid's
+    // open trails between its odd-degree border nodes.
+    for (const char* payload : {"", "1", "01"}) {
+      SCOPED_TRACE(std::string("payload '") + payload + "'");
+      expect_schema_matches_reference(make_cycle(3000, IdMode::kRandomDense, seed), payload, tally);
+      expect_schema_matches_reference(make_torus(48, 48, IdMode::kRandomDense, seed), payload,
+                                      tally);
+      expect_schema_matches_reference(make_grid(48, 48, IdMode::kRandomDense, seed), payload,
+                                      tally);
+      if (HasFatalFailure()) return;
+    }
+    for (int delta = 3; delta <= 8; ++delta) {
+      SCOPED_TRACE("random regular, delta " + std::to_string(delta));
+      expect_schema_matches_reference(make_random_regular(2000, delta, seed), "", tally);
+      if (HasFatalFailure()) return;
+    }
+    // Splitting's start-dependent payload.
+    const Graph split = make_bipartite_regular(640, 4, seed);
+    TrailSchema s = trail_schema(split, {}, 1);
+    s.code.max_resample_rounds = kOracleBudget;
+    std::vector<int> color;
+    expect_encoder_matches_reference(split, s.trails, s.marked,
+                                     start_color_payload(split, s.trails, color), 1, s.code,
+                                     tally);
+    if (HasFatalFailure()) return;
+  }
+  // Stray-rich placements: on a torus with sequential IDs the trails are
+  // staircases that cross at every node, and at a spacing below the
+  // Δ-scaled one the stray 1s keep forming new spurious markers after the
+  // shared nodes are gone, so most rounds re-parse only around moved
+  // segments.
+  for (const int side : {48, 56, 64, 80}) {
+    SCOPED_TRACE("sequential torus, side " + std::to_string(side));
+    const Graph torus = make_torus(side, side, IdMode::kSequential);
+    for (const char* payload : {"0", "1", "11"}) {
+      SCOPED_TRACE(std::string("payload '") + payload + "'");
+      const BitString bits = BitString::parse(payload);
+      TrailSchema s = trail_schema(torus, {}, bits.size());
+      s.code.spacing = 40;
+      s.code.max_resample_rounds = kOracleBudget;
+      expect_encoder_matches_reference(torus, s.trails, s.marked,
+                                       [&bits](int, int) { return bits; }, bits.size(), s.code,
+                                       tally);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // e7's failing Δ = 8 instance: a segment that repeats a node inside its
+  // own marker on a short closed trail keeps the search from ever ending.
+  const Graph e7 = make_bipartite_regular(640, 8, 17);
+  TrailSchema s = trail_schema(e7, {}, 1);
+  s.code.max_resample_rounds = kOracleBudget;
+  std::vector<int> color;
+  const int throws = tally.throws;
+  expect_encoder_matches_reference(e7, s.trails, s.marked, start_color_payload(e7, s.trails, color),
+                                   1, s.code, tally);
+  EXPECT_EQ(tally.throws, throws + 1);
+
+  // Both branches of the offender rule fired; the one that blames a planted
+  // marker which no longer parses cannot (see advice/trailcode.cpp).
+  EXPECT_GT(tally.phases.shared_node_rounds, 0);
+  EXPECT_GT(tally.phases.spurious_marker_rounds, 0);
+  EXPECT_EQ(tally.phases.lost_marker_rounds, 0);
+  EXPECT_GT(tally.rounds, 0);
 }
 
 }  // namespace
