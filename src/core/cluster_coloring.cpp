@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "baselines/linial.hpp"
@@ -28,29 +29,30 @@ Clustering assign_clusters(const Graph& g, std::vector<int> centers) {
   c.cluster_of.assign(static_cast<std::size_t>(g.n()), -1);
 
   // One multi-source BFS, then a layer-order DP: a node's min-ID nearest
-  // center is the minimum of its BFS parents' choices.
+  // center is the minimum of its BFS parents' choices. Centers are sorted
+  // by ID, so the smallest center index is the smallest center ID. A node
+  // reads only the layer before its own, so any order by distance gives
+  // the same result; a counting pass makes one.
   const auto dist = bfs_distances_multi(g, centers);
-  std::map<NodeId, int> center_index;
-  for (std::size_t i = 0; i < centers.size(); ++i) {
-    center_index[g.id(centers[i])] = static_cast<int>(i);
-  }
-
-  std::vector<int> order(g.nodes().begin(), g.nodes().end());
-  std::sort(order.begin(), order.end(), [&](int a, int b) { return dist[a] < dist[b]; });
-  std::vector<NodeId> choice(static_cast<std::size_t>(g.n()), -1);
-  for (const int v : order) {
+  for (const int v : g.nodes()) {
     LAD_CHECK_MSG(dist[v] != kUnreachable, "node not covered by any cluster center");
-    if (dist[v] == 0) {
-      choice[v] = g.id(v);
-    } else {
-      for (const int u : g.neighbors(v)) {
-        if (dist[u] == dist[v] - 1 && (choice[v] == -1 || choice[u] < choice[v])) {
-          choice[v] = choice[u];
-        }
+    c.max_radius = std::max(c.max_radius, dist[v]);
+  }
+  std::vector<int> start(static_cast<std::size_t>(c.max_radius) + 2, 0);
+  for (const int d : dist) ++start[static_cast<std::size_t>(d) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<int> order(static_cast<std::size_t>(g.n()));
+  for (const int v : g.nodes()) order[static_cast<std::size_t>(start[dist[v]]++)] = v;
+
+  for (std::size_t i = 0; i < centers.size(); ++i) c.cluster_of[centers[i]] = static_cast<int>(i);
+  for (const int v : order) {
+    if (dist[v] == 0) continue;
+    int& choice = c.cluster_of[v];
+    for (const int u : g.neighbors(v)) {
+      if (dist[u] == dist[v] - 1 && (choice == -1 || c.cluster_of[u] < choice)) {
+        choice = c.cluster_of[u];
       }
     }
-    c.cluster_of[v] = center_index.at(choice[v]);
-    c.max_radius = std::max(c.max_radius, dist[v]);
   }
   return c;
 }

@@ -591,13 +591,9 @@ Graph even_grid(int n, std::uint64_t seed, bool torus) {
 }
 
 std::vector<int> parity_witness(const Graph& g) {
-  std::vector<int> col(static_cast<std::size_t>(g.n()), 0);
-  for (const auto& members : connected_components(g).members) {
-    const LocalBfs bfs(g, *std::min_element(members.begin(), members.end()));
-    for (const int v : members) col[static_cast<std::size_t>(v)] = 1 + bfs.dist(v) % 2;
-  }
-  LAD_CHECK_MSG(is_proper_coloring(g, col, 2), "parity witness requires a bipartite graph");
-  return col;
+  auto col = two_coloring(g, g.nodes());
+  LAD_CHECK_MSG(col.has_value(), "parity witness requires a bipartite graph");
+  return std::move(*col);
 }
 
 std::vector<char> hashed_edge_membership(const Graph& g, std::uint64_t seed, double density) {

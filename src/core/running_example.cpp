@@ -4,7 +4,6 @@
 #include <map>
 
 #include "advice/uniform.hpp"
-#include "graph/checkers.hpp"
 #include "graph/components.hpp"
 #include "graph/distance.hpp"
 #include "graph/euler.hpp"
@@ -17,20 +16,6 @@ namespace {
 constexpr int kSchemaNodeColor = 0;   // Π_v entries
 constexpr int kSchemaOrientation = 1;  // Π_o entries
 
-// Canonical bipartition: per component, the side of the smallest ID is 1.
-std::vector<int> canonical_two_coloring(const Graph& g) {
-  LAD_CHECK_MSG(is_bipartite(g), "running example requires a bipartite graph");
-  const auto comps = connected_components(g);
-  std::vector<int> color(static_cast<std::size_t>(g.n()), 0);
-  for (const auto& members : comps.members) {
-    const int root = *std::min_element(members.begin(), members.end(),
-                                       [&](int a, int b) { return g.id(a) < g.id(b); });
-    const LocalBfs bfs(g, root);
-    for (const int v : members) color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
-  }
-  return color;
-}
-
 }  // namespace
 
 RunningExampleEncoding encode_running_example(const Graph& g,
@@ -38,7 +23,10 @@ RunningExampleEncoding encode_running_example(const Graph& g,
   for (int v = 0; v < g.n(); ++v) {
     LAD_CHECK_MSG(g.degree(v) % 2 == 0, "running example requires even degrees");
   }
-  const auto col = canonical_two_coloring(g);
+  // Canonical bipartition: per component, the side of the smallest ID is 1.
+  const auto canonical = two_coloring(g, g.nodes_by_id());
+  LAD_CHECK_MSG(canonical.has_value(), "running example requires a bipartite graph");
+  const auto& col = *canonical;
 
   RunningExampleEncoding enc;
 

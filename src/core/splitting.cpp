@@ -13,27 +13,15 @@ namespace {
 // depth a gather may reach.
 constexpr int kGatherBound = 1000;
 
-// Canonical bipartition 2-coloring: in each component, the side containing
-// the smallest-ID node gets color 1. Both prover and (for gathered small
-// components) decoder use this rule.
-std::vector<int> canonical_two_coloring(const Graph& g) {
-  LAD_CHECK_MSG(is_bipartite(g), "splitting requires a bipartite graph");
-  const auto comps = connected_components(g);
-  std::vector<int> color(static_cast<std::size_t>(g.n()), 0);
-  for (const auto& members : comps.members) {
-    const int root = *std::min_element(members.begin(), members.end(), [&](int a, int b) {
-      return g.id(a) < g.id(b);
-    });
-    const LocalBfs bfs(g, root);
-    for (const int v : members) color[static_cast<std::size_t>(v)] = 1 + (bfs.dist(v) % 2);
-  }
-  return color;
-}
-
 }  // namespace
 
 SplittingEncoding encode_splitting_advice(const Graph& g) {
-  const auto col = canonical_two_coloring(g);
+  // Canonical bipartition: in each component, the side containing the
+  // smallest-ID node gets color 1. The decoder colors gathered components
+  // by the same rule.
+  const auto canonical = two_coloring(g, g.nodes_by_id());
+  LAD_CHECK_MSG(canonical.has_value(), "splitting requires a bipartite graph");
+  const auto& col = *canonical;
   const TrailSchema s = trail_schema(g, {}, 1);
   for (const auto& t : s.trails) LAD_CHECK_MSG(t.closed, "splitting requires even degrees");
 

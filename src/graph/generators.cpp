@@ -12,6 +12,7 @@ Graph from_edges(int n, const std::vector<std::pair<int, int>>& edges, IdMode mo
   Rng rng(seed);
   const auto ids = assign_ids(n, mode, rng);
   Graph::Builder b;
+  b.reserve(ids.size(), edges.size());
   for (const NodeId id : ids) b.add_node(id);
   for (const auto& [u, v] : edges) b.add_edge(u, v);
   return std::move(b).build();
@@ -76,16 +77,17 @@ Graph make_grid(int w, int h, IdMode mode, std::uint64_t seed) {
 
 Graph make_torus(int w, int h, IdMode mode, std::uint64_t seed) {
   LAD_CHECK(w >= 3 && h >= 3);
+  // With both sides >= 3 the 2wh edges are distinct; the builder orders them.
   auto at = [w](int x, int y) { return y * w + x; };
-  std::set<std::pair<int, int>> e;
+  std::vector<std::pair<int, int>> e;
+  e.reserve(2 * static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
-      auto add = [&](int a, int b) { e.insert({std::min(a, b), std::max(a, b)}); };
-      add(at(x, y), at((x + 1) % w, y));
-      add(at(x, y), at(x, (y + 1) % h));
+      e.emplace_back(at(x, y), at((x + 1) % w, y));
+      e.emplace_back(at(x, y), at(x, (y + 1) % h));
     }
   }
-  return from_edges(w * h, {e.begin(), e.end()}, mode, seed);
+  return from_edges(w * h, e, mode, seed);
 }
 
 Graph make_complete(int n, IdMode mode, std::uint64_t seed) {
@@ -149,7 +151,8 @@ Graph make_complete_bipartite(int a, int b, IdMode mode, std::uint64_t seed) {
 
 Graph make_banded_random(int n, int band, double avg_deg, int max_deg, std::uint64_t seed,
                          IdMode mode) {
-  LAD_CHECK(n >= 3 && band >= 1 && max_deg >= 1);
+  // Offsets are drawn from [2, band]; band < n keeps them off 0 mod n.
+  LAD_CHECK(n >= 3 && band >= 2 && band < n && max_deg >= 1);
   Rng rng(seed);
   std::vector<int> deg(static_cast<std::size_t>(n), 0);
   std::set<std::pair<int, int>> e;

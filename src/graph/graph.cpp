@@ -1,8 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "util/thread_pool.hpp"
@@ -14,46 +15,6 @@ namespace {
 // that must fit. 2m is the CSR arc count, so m gets half the range.
 constexpr std::size_t kMaxNodes = static_cast<std::size_t>(std::numeric_limits<int>::max());
 constexpr std::size_t kMaxEdges = kMaxNodes / 2;
-
-// Below this size the merge tree costs more than it buys.
-constexpr std::size_t kParallelSortCutoff = 1 << 15;
-
-/// Deterministic parallel merge sort: per-chunk std::sort, then a binary
-/// tree of stable std::inplace_merge passes (pairs merged concurrently at
-/// each level). The output equals std::sort's for any thread count as long
-/// as equal elements are bitwise identical — true for every key this file
-/// sorts (full std::pair comparisons; genuinely equal pairs are duplicates
-/// the caller rejects right after).
-template <typename T>
-void pool_sort(std::vector<T>& v, ThreadPool* pool) {
-  const std::size_t size = v.size();
-  const int threads = pool != nullptr ? pool->threads() : 1;
-  if (threads <= 1 || size < kParallelSortCutoff) {
-    std::sort(v.begin(), v.end());
-    return;
-  }
-  const std::size_t chunks = static_cast<std::size_t>(threads);
-  std::vector<std::size_t> bound(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) bound[c] = size * c / chunks;
-  pool->for_each(threads, [&](int c) {
-    const auto uc = static_cast<std::size_t>(c);
-    std::sort(v.begin() + static_cast<std::ptrdiff_t>(bound[uc]),
-              v.begin() + static_cast<std::ptrdiff_t>(bound[uc + 1]));
-  });
-  for (std::size_t width = 1; width < chunks; width *= 2) {
-    std::vector<std::size_t> lo_chunk;
-    for (std::size_t c = 0; c + width < chunks; c += 2 * width) lo_chunk.push_back(c);
-    pool->for_each(static_cast<int>(lo_chunk.size()), [&](int i) {
-      const std::size_t c = lo_chunk[static_cast<std::size_t>(i)];
-      const std::size_t lo = bound[c];
-      const std::size_t mid = bound[c + width];
-      const std::size_t hi = bound[std::min(c + 2 * width, chunks)];
-      std::inplace_merge(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                         v.begin() + static_cast<std::ptrdiff_t>(mid),
-                         v.begin() + static_cast<std::ptrdiff_t>(hi));
-    });
-  }
-}
 
 }  // namespace
 
@@ -68,14 +29,16 @@ void Graph::Builder::add_edge(int u, int v) {
   LAD_CHECK_MSG(u >= 0 && u < n() && v >= 0 && v < n(),
                 "edge endpoint out of range: {" << u << "," << v << "} with n=" << n());
   LAD_CHECK_MSG(u != v, "self-loop at node index " << u);
-  LAD_CHECK_MSG(edges_.size() < kMaxEdges,
+  LAD_CHECK_MSG(lo_.size() < kMaxEdges,
                 "graph too large: edge count exceeds 32-bit arc index (2m must fit an int)");
-  edges_.emplace_back(std::min(u, v), std::max(u, v));
+  lo_.push_back(std::min(u, v));
+  hi_.push_back(std::max(u, v));
 }
 
 void Graph::Builder::reserve(std::size_t nodes, std::size_t edges) {
   ids_.reserve(nodes);
-  edges_.reserve(edges);
+  lo_.reserve(edges);
+  hi_.reserve(edges);
 }
 
 Graph Graph::Builder::build() && {
@@ -86,97 +49,86 @@ Graph Graph::Builder::build(ThreadPool* pool) && {
   // add_node/add_edge guard incrementally; these are the belt-and-braces
   // checks for the 32-bit-index contract before any arithmetic below.
   LAD_CHECK_MSG(ids_.size() <= kMaxNodes, "graph too large: " << ids_.size() << " nodes");
-  LAD_CHECK_MSG(edges_.size() <= kMaxEdges, "graph too large: " << edges_.size() << " edges");
+  LAD_CHECK_MSG(lo_.size() <= kMaxEdges, "graph too large: " << lo_.size() << " edges");
 
   Graph g;
   g.ids_ = std::move(ids_);
-  const int n = static_cast<int>(g.ids_.size());
+  const int n = g.n();
+  const std::size_t m = lo_.size();
+  g.rebuild_id_index();  // throws on duplicate node IDs
 
-  g.rebuild_id_index(pool);  // throws on duplicate node IDs
-
-  // Normalized edges sorted lexicographically; the sorted position is the
-  // edge's identity (edge IDs are a pure function of the edge multiset).
-  pool_sort(edges_, pool);
-  const auto dup = std::adjacent_find(edges_.begin(), edges_.end());
-  LAD_CHECK_MSG(dup == edges_.end(), "parallel edge between indices "
-                                         << (dup == edges_.end() ? -1 : dup->first) << " and "
-                                         << (dup == edges_.end() ? -1 : dup->second));
-
-  const int m = static_cast<int>(edges_.size());
-  g.edge_u_.resize(static_cast<std::size_t>(m));
-  g.edge_v_.resize(static_cast<std::size_t>(m));
-  std::vector<int> deg(static_cast<std::size_t>(n), 0);
-  const bool parallel = pool != nullptr && pool->threads() > 1;
-  if (parallel) {
-    // Degree histogram via relaxed atomic increments: the final counts are
-    // order-independent sums, so the histogram — and everything derived
-    // from it — is byte-identical to the serial loop at any thread count.
-    pool->parallel_for(m, [&](int b, int e, int) {
-      for (int i = b; i < e; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const auto [u, v] = edges_[ui];
-        g.edge_u_[ui] = u;
-        g.edge_v_[ui] = v;
-        std::atomic_ref<int>(deg[static_cast<std::size_t>(u)])
-            .fetch_add(1, std::memory_order_relaxed);
-        std::atomic_ref<int>(deg[static_cast<std::size_t>(v)])
-            .fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  } else {
-    for (int e = 0; e < m; ++e) {
-      const auto ue = static_cast<std::size_t>(e);
-      const auto [u, v] = edges_[ue];
-      g.edge_u_[ue] = u;
-      g.edge_v_[ue] = v;
-      ++deg[static_cast<std::size_t>(u)];
-      ++deg[static_cast<std::size_t>(v)];
-    }
-  }
-
+  // An edge's identity is the rank of its (lo, hi) pair in lexicographic
+  // order, so edge IDs are a pure function of the edge set. Two stable
+  // counting passes, by hi and then by lo, put the edges in that order in
+  // O(n + m) at any degree. adj_ holds the pairs between the passes, before
+  // it gets its own contents below. Every edge is counted once under each
+  // endpoint, so the two histograms add up to the degrees in adj_off_.
   g.adj_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    const auto uv = static_cast<std::size_t>(v);
-    g.adj_off_[uv + 1] = g.adj_off_[uv] + deg[uv];
-  }
-  g.adj_.resize(static_cast<std::size_t>(g.adj_off_[static_cast<std::size_t>(n)]));
-  g.inc_.resize(g.adj_.size());
+  g.adj_.resize(2 * m);
+  g.inc_.resize(2 * m);
+  g.edge_u_.resize(m);
+  g.edge_v_.resize(m);
+  std::vector<int> start(static_cast<std::size_t>(n) + 1);
+  auto counting_pass = [&](std::span<const int> key, std::span<const int> lo,
+                           std::span<const int> hi, std::span<int> out_lo,
+                           std::span<int> out_hi) {
+    std::fill(start.begin(), start.end(), 0);
+    for (const int k : key) ++start[static_cast<std::size_t>(k) + 1];
+    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+      g.adj_off_[v + 1] += start[v + 1];
+      start[v + 1] += start[v];
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto p = static_cast<std::size_t>(start[static_cast<std::size_t>(key[i])]++);
+      out_lo[p] = lo[i];
+      out_hi[p] = hi[i];
+    }
+  };
+  const std::span<int> mid_lo(g.adj_.data(), m);
+  const std::span<int> mid_hi(g.adj_.data() + m, m);
+  counting_pass(hi_, lo_, hi_, mid_lo, mid_hi);
+  counting_pass(mid_lo, mid_lo, mid_hi, g.edge_u_, g.edge_v_);
+  const auto same_as_previous = [&](std::size_t e) {
+    return g.edge_u_[e] == g.edge_u_[e - 1] && g.edge_v_[e] == g.edge_v_[e - 1];
+  };
+  std::size_t dup = 1;
+  while (dup < m && !same_as_previous(dup)) ++dup;
+  LAD_CHECK_MSG(dup >= m, "parallel edge between indices " << g.edge_u_[dup] << " and "
+                                                          << g.edge_v_[dup]);
 
-  // Counting-sort scatter. The serial cursor pass defines slot order (arcs
-  // land in edge order within each node's slice); it is O(m), memory-bound,
-  // and every slice gets re-sorted by neighbor ID below anyway, so this
-  // stays serial rather than buying nondeterminism for a scatter.
-  std::vector<int> cursor(g.adj_off_.begin(), g.adj_off_.end() - 1);
-  for (int e = 0; e < m; ++e) {
-    const auto ue = static_cast<std::size_t>(e);
-    const int u = g.edge_u_[ue], v = g.edge_v_[ue];
-    auto& cu = cursor[static_cast<std::size_t>(u)];
-    auto& cv = cursor[static_cast<std::size_t>(v)];
-    g.adj_[static_cast<std::size_t>(cu)] = v;
-    g.inc_[static_cast<std::size_t>(cu++)] = e;
-    g.adj_[static_cast<std::size_t>(cv)] = u;
-    g.inc_[static_cast<std::size_t>(cv++)] = e;
+  g.max_degree_ = 0;
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    g.max_degree_ = std::max(g.max_degree_, g.adj_off_[v + 1]);
+    g.adj_off_[v + 1] += g.adj_off_[v];
   }
 
-  // Sort each adjacency slice by neighbor ID, carrying incident edge ids
-  // along. Slices are disjoint, so chunking nodes over the pool is a pure
-  // per-slice write; neighbor IDs are unique per slice (simple graph), so
-  // each sorted slice is the unique ascending order.
+  // Scatter the arcs into their slices in edge order, then sort each slice
+  // by neighbor ID, carrying incident edge ids along. Slices are disjoint,
+  // so chunking nodes over the pool is a pure per-slice write; neighbor IDs
+  // are unique per slice (simple graph), so each sorted slice is the unique
+  // ascending order at any thread count.
+  std::copy(g.adj_off_.begin(), g.adj_off_.end() - 1, start.begin());
+  for (std::size_t e = 0; e < m; ++e) {
+    const auto u = static_cast<std::size_t>(g.edge_u_[e]);
+    const auto v = static_cast<std::size_t>(g.edge_v_[e]);
+    const auto cu = static_cast<std::size_t>(start[u]++);
+    const auto cv = static_cast<std::size_t>(start[v]++);
+    g.adj_[cu] = static_cast<int>(v);
+    g.inc_[cu] = static_cast<int>(e);
+    g.adj_[cv] = static_cast<int>(u);
+    g.inc_[cv] = static_cast<int>(e);
+  }
   struct Arc {
     NodeId key;
     int adj;
     int inc;
     bool operator<(const Arc& o) const { return key < o.key; }
   };
-  const int slice_chunks = parallel ? pool->threads() : 1;
-  std::vector<int> chunk_max(static_cast<std::size_t>(slice_chunks), 0);
-  auto sort_slices = [&](int b, int e, int chunk) {
+  auto sort_slices = [&](int b, int e, int) {
     std::vector<Arc> buf;
-    int local_max = 0;
     for (int v = b; v < e; ++v) {
       const auto uv = static_cast<std::size_t>(v);
       const int lo = g.adj_off_[uv], hi = g.adj_off_[uv + 1];
-      local_max = std::max(local_max, hi - lo);
       buf.clear();
       for (int k = lo; k < hi; ++k) {
         const auto uk = static_cast<std::size_t>(k);
@@ -189,30 +141,50 @@ Graph Graph::Builder::build(ThreadPool* pool) && {
         g.inc_[static_cast<std::size_t>(k)] = a.inc;
       }
     }
-    chunk_max[static_cast<std::size_t>(chunk)] = local_max;
   };
-  if (parallel) {
+  if (pool != nullptr && pool->threads() > 1) {
     pool->parallel_for(n, sort_slices);
   } else {
     sort_slices(0, n, 0);
   }
-  g.max_degree_ = *std::max_element(chunk_max.begin(), chunk_max.end());
   return g;
 }
 
-void Graph::rebuild_id_index(ThreadPool* pool) {
-  const std::size_t n = ids_.size();
-  std::vector<std::pair<NodeId, int>> order(n);
-  for (std::size_t v = 0; v < n; ++v) order[v] = {ids_[v], static_cast<int>(v)};
-  pool_sort(order, pool);  // (id, index) is a total order: no ties possible
-  sorted_ids_.resize(n);
+void Graph::rebuild_id_index() {
+  // Stable LSD radix sort of the node indices by ID, in digits of
+  // max(8, bit_width(n)) bits: IDs from {1, ..., poly(n)} take a constant
+  // number of passes, and a permutation of 1..n takes one. Being stable, it
+  // keeps equal IDs in index order, as a sort of (id, index) pairs would,
+  // so the duplicate check below names the smallest duplicated ID.
+  // Precondition: every ID is >= 1 (add_node and from_parts check it).
+  const auto n = static_cast<std::size_t>(this->n());
+  const int digit_bits = std::max(8, static_cast<int>(std::bit_width(n)));
+  const std::uint64_t mask = (std::uint64_t{1} << digit_bits) - 1;
+  std::uint64_t max_id = 0;
+  for (const NodeId id : ids_) max_id = std::max(max_id, static_cast<std::uint64_t>(id));
   by_id_ix_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    sorted_ids_[k] = order[k].first;
-    by_id_ix_[k] = order[k].second;
-    LAD_CHECK_MSG(k == 0 || sorted_ids_[k] != sorted_ids_[k - 1],
-                  "duplicate node ID " << sorted_ids_[k]);
+  std::iota(by_id_ix_.begin(), by_id_ix_.end(), 0);
+  std::vector<int> next(n);
+  std::vector<int> start(static_cast<std::size_t>(mask) + 2);
+  const auto id_bits = static_cast<int>(std::bit_width(max_id));
+  for (int shift = 0; shift < id_bits; shift += digit_bits) {
+    const auto digit = [&](int v) {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(ids_[static_cast<std::size_t>(v)]) >> shift) & mask);
+    };
+    std::fill(start.begin(), start.end(), 0);
+    for (const int v : by_id_ix_) ++start[digit(v) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (const int v : by_id_ix_) next[static_cast<std::size_t>(start[digit(v)]++)] = v;
+    by_id_ix_.swap(next);
   }
+  sorted_ids_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    sorted_ids_[k] = ids_[static_cast<std::size_t>(by_id_ix_[k])];
+  }
+  std::size_t dup = 1;
+  while (dup < n && sorted_ids_[dup] != sorted_ids_[dup - 1]) ++dup;
+  LAD_CHECK_MSG(dup >= n, "duplicate node ID " << sorted_ids_[dup]);
 }
 
 Graph Graph::from_parts(Parts&& parts) {
@@ -271,10 +243,10 @@ Graph Graph::from_parts(Parts&& parts) {
                     "parts: adjacency of node " << v << " not sorted by neighbor ID");
     }
   }
-  g.rebuild_id_index(nullptr);  // checks ID uniqueness; add_node checked >= 1
   for (std::size_t v = 0; v < n; ++v) {
     LAD_CHECK_MSG(g.ids_[v] >= 1, "parts: LOCAL identifiers must be positive");
   }
+  g.rebuild_id_index();  // checks ID uniqueness
   return g;
 }
 

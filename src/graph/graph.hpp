@@ -15,6 +15,7 @@
 // could silently truncate (2m must fit an int). The ID index is a sorted
 // array (binary search), not a hash map: half the memory, deterministic
 // iteration order for free (`nodes_by_id()`), and no per-node heap nodes.
+// IDs come from {1, ..., poly(n)}, so a radix sort builds it in O(n).
 #pragma once
 
 #include <cstdint>
@@ -106,26 +107,28 @@ class Graph {
     /// Serial construction — identical to build(nullptr).
     Graph build() &&;
 
-    /// Parallel counting-sort construction of the CSR arrays: edges are
-    /// merge-sorted in parallel, deduplicated (parallel edges and
-    /// duplicate IDs still throw), scattered through a degree histogram,
-    /// and each adjacency slice is sorted by neighbor ID on the pool.
-    /// Output is byte-identical to the serial path at any thread count
-    /// (the §8 determinism contract): every sort key is a total order, so
-    /// the sorted sequences are unique, and all parallel writes are
-    /// per-index or per-slice.
+    /// Linear-time construction of the CSR arrays: a radix sort of the
+    /// node indices by ID builds the ID index, two stable counting passes
+    /// put the edges in (lo, hi) order (parallel edges and duplicate IDs
+    /// still throw), and the arcs are scattered into their slices. Only the
+    /// last step, sorting each adjacency slice by neighbor ID, runs on the
+    /// pool. Output is byte-identical at any thread count (the §8
+    /// determinism contract): the serial passes are the same at every pool
+    /// size, and each slice's sorted order is unique and written only by
+    /// the chunk that owns the slice.
     Graph build(ThreadPool* pool) &&;
 
    private:
     std::vector<NodeId> ids_;
-    std::vector<std::pair<int, int>> edges_;
+    std::vector<int> lo_, hi_;  // edge endpoints, lo_[e] < hi_[e]
   };
 
   /// Raw CSR parts for direct adoption (the `.ladg` mmap loader in
-  /// graph/io.* materializes these without re-running Builder's sorts).
+  /// graph/io.* materializes these without re-running Builder's passes).
   /// `from_parts` validates structure — offsets monotone, endpoints in
-  /// range, adjacency sorted by neighbor ID, incident edges aligned —
-  /// and throws ContractViolation otherwise.
+  /// range, adjacency sorted by neighbor ID, incident edges aligned, IDs
+  /// positive and unique — builds the ID index, and throws
+  /// ContractViolation on any violation.
   struct Parts {
     std::vector<NodeId> ids;
     std::vector<int> adj_off;  // size n+1
@@ -212,7 +215,7 @@ class Graph {
  private:
   friend class Builder;
 
-  void rebuild_id_index(ThreadPool* pool);
+  void rebuild_id_index();
 
   std::vector<NodeId> ids_;
   std::vector<NodeId> sorted_ids_;  // ids_ in ascending order

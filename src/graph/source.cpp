@@ -1,5 +1,6 @@
 #include "graph/source.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <fstream>
 #include <sstream>
@@ -13,26 +14,26 @@ namespace {
 
 struct FamilySpec {
   const char* name;
-  std::size_t min_params;
-  std::size_t max_params;
   const char* shape;  // for error messages
+  std::size_t max_params;
+  long long defaults[4];  // of every parameter, in order
 };
 
 // Parameter vocabularies mirror `lad gen` (defaults included), plus the
 // families the fault campaigns use (torus) and a few zoo members.
 constexpr FamilySpec kFamilies[] = {
-    {"cycle", 0, 1, "cycle:N"},
-    {"path", 0, 1, "path:N"},
-    {"grid", 0, 2, "grid:WxH"},
-    {"torus", 0, 2, "torus:WxH"},
-    {"ladder", 0, 1, "ladder:M"},
-    {"regular", 0, 2, "regular:NxD"},
-    {"banded", 0, 4, "banded:NxBANDxAVGxMAX"},
-    {"twocycles", 0, 2, "twocycles:N1xN2"},
-    {"complete", 0, 1, "complete:N"},
-    {"star", 0, 1, "star:N"},
-    {"hypercube", 0, 1, "hypercube:D"},
-    {"tree", 0, 2, "tree:NxMAXDEG"},
+    {"cycle", "cycle:N", 1, {100}},
+    {"path", "path:N", 1, {100}},
+    {"grid", "grid:WxH", 2, {10, 10}},
+    {"torus", "torus:WxH", 2, {10, 10}},
+    {"ladder", "ladder:M", 1, {100}},
+    {"regular", "regular:NxD", 2, {100, 4}},
+    {"banded", "banded:NxBANDxAVGxMAX", 4, {500, 5, 3, 6}},
+    {"twocycles", "twocycles:N1xN2", 2, {400, 24}},
+    {"complete", "complete:N", 1, {10}},
+    {"star", "star:N", 1, {10}},
+    {"hypercube", "hypercube:D", 1, {4}},
+    {"tree", "tree:NxMAXDEG", 2, {100, 3}},
 };
 
 const FamilySpec* find_family(const std::string& name) {
@@ -72,8 +73,78 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-long long param_or(const GraphSource& src, std::size_t i, long long dflt) {
-  return i < src.params.size() ? src.params[i] : dflt;
+// Every parameter of a family spec, defaults filled in; a grid's or
+// torus's H defaults to its W.
+std::vector<long long> resolved_params(const GraphSource& src, const FamilySpec& fam) {
+  std::vector<long long> p(fam.defaults, fam.defaults + fam.max_params);
+  std::copy(src.params.begin(), src.params.end(), p.begin());
+  if (src.params.size() == 1 && (src.family == "grid" || src.family == "torus")) {
+    p[1] = p[0];
+  }
+  return p;
+}
+
+// The generator's preconditions on the resolved parameters, and the 32-bit
+// index limits on the instance's n and 2m (DESIGN.md §12). Returns "" when
+// the spec is admissible, else the requirement it fails.
+std::string family_requirement(const std::string& f, const std::vector<long long>& p) {
+  constexpr long long kMaxIndex = 0x7fffffff;
+  for (const long long v : p) {
+    if (v > kMaxIndex) return "every parameter <= " + std::to_string(kMaxIndex);
+  }
+  // n and an upper bound on m; each product stays below 2^63.
+  long long n = p[0], m = 0;
+  if (f == "cycle") {
+    if (n < 3) return "N >= 3";
+    m = n;
+  } else if (f == "path" || f == "star") {
+    if (n < 1) return "N >= 1";
+    m = n - 1;
+  } else if (f == "grid") {
+    if (p[0] < 1 || p[1] < 1) return "W >= 1 and H >= 1";
+    n = p[0] * p[1];
+    m = (p[0] - 1) * p[1] + p[0] * (p[1] - 1);
+  } else if (f == "torus") {
+    if (p[0] < 3 || p[1] < 3) return "W >= 3 and H >= 3";
+    n = p[0] * p[1];
+    m = 2 * n;
+  } else if (f == "ladder") {
+    if (p[0] < 3) return "M >= 3";
+    n = 2 * p[0];
+    m = 3 * p[0];
+  } else if (f == "regular") {
+    if (n < 2 || p[1] < 1 || p[1] >= n || n * p[1] % 2 != 0) {
+      return "N >= 2, 1 <= D < N and N*D even";
+    }
+    m = n * p[1] / 2;
+  } else if (f == "banded") {
+    // Random edges join nodes 2..BAND apart on the ring; BAND = N would
+    // join a node to itself.
+    if (n < 3 || p[1] < 2 || p[1] >= n || p[3] < 1) return "N >= 3, 2 <= BAND < N and MAX >= 1";
+    m = std::max(n, std::min(p[2] * n / 2, n * p[3] / 2));
+  } else if (f == "twocycles") {
+    if (p[0] < 3 || p[1] < 3) return "N1 >= 3 and N2 >= 3";
+    n = m = p[0] + p[1];
+  } else if (f == "complete") {
+    if (n < 1) return "N >= 1";
+    m = n * (n - 1) / 2;
+  } else if (f == "hypercube") {
+    if (p[0] > 20) return "D <= 20";
+    n = 1LL << p[0];
+    m = p[0] * n / 2;
+  } else if (f == "tree") {
+    if (n < 1 || p[1] < 2) return "N >= 1 and MAXDEG >= 2";
+    m = n - 1;
+  }
+  if (n > kMaxIndex) {
+    return "n <= " + std::to_string(kMaxIndex) + " (32-bit node index), got n = " +
+           std::to_string(n);
+  }
+  if (2 * m > kMaxIndex) {
+    return "2m <= " + std::to_string(kMaxIndex) + " (32-bit arc index), got m = " +
+           std::to_string(m);
+  }
+  return {};
 }
 
 }  // namespace
@@ -144,8 +215,13 @@ std::optional<GraphSource> parse_graph_source(const std::string& spec, std::stri
       if (x == params.size()) break;
     }
   }
-  if (src.params.size() < fam->min_params || src.params.size() > fam->max_params) {
+  if (src.params.size() > fam->max_params) {
     set_error(error, "unknown graph source '" + spec + "': expected " + fam->shape);
+    return std::nullopt;
+  }
+  const std::string need = family_requirement(src.family, resolved_params(src, *fam));
+  if (!need.empty()) {
+    set_error(error, "graph source '" + spec + "': " + fam->shape + " needs " + need);
     return std::nullopt;
   }
   return src;
@@ -172,38 +248,37 @@ LoadedGraph load_graph_source(const GraphSource& src, std::uint64_t seed) {
     case GraphSource::Kind::kFamily: {
       const std::uint64_t s = src.seed.value_or(seed);
       const auto& f = src.family;
-      const auto p = [&](std::size_t i, long long dflt) { return param_or(src, i, dflt); };
-      const auto pi = [&](std::size_t i, long long dflt) {
-        const long long v = p(i, dflt);
-        LAD_CHECK_MSG(v <= 0x7fffffffLL, "graph source parameter out of int range");
-        return static_cast<int>(v);
-      };
+      const FamilySpec* fam = find_family(f);
+      LAD_CHECK_MSG(fam != nullptr, "unknown graph source family '" << f << "'");
+      const auto p = resolved_params(src, *fam);
+      const std::string need = family_requirement(f, p);
+      LAD_CHECK_MSG(need.empty(), "graph source '" << src.spec << "' needs " << need);
+      const auto at = [&](std::size_t i) { return static_cast<int>(p[i]); };
       Graph g;
       if (f == "cycle") {
-        g = make_cycle(pi(0, 100), IdMode::kRandomDense, s);
+        g = make_cycle(at(0), IdMode::kRandomDense, s);
       } else if (f == "path") {
-        g = make_path(pi(0, 100), IdMode::kRandomDense, s);
+        g = make_path(at(0), IdMode::kRandomDense, s);
       } else if (f == "grid") {
-        g = make_grid(pi(0, 10), pi(1, p(0, 10)), IdMode::kRandomDense, s);
+        g = make_grid(at(0), at(1), IdMode::kRandomDense, s);
       } else if (f == "torus") {
-        g = make_torus(pi(0, 10), pi(1, p(0, 10)), IdMode::kRandomDense, s);
+        g = make_torus(at(0), at(1), IdMode::kRandomDense, s);
       } else if (f == "ladder") {
-        g = make_circular_ladder(pi(0, 100), IdMode::kRandomDense, s);
+        g = make_circular_ladder(at(0), IdMode::kRandomDense, s);
       } else if (f == "regular") {
-        g = make_random_regular(pi(0, 100), pi(1, 4), s);
+        g = make_random_regular(at(0), at(1), s);
       } else if (f == "banded") {
-        g = make_banded_random(pi(0, 500), pi(1, 5), static_cast<double>(p(2, 3)), pi(3, 6), s);
+        g = make_banded_random(at(0), at(1), static_cast<double>(p[2]), at(3), s);
       } else if (f == "twocycles") {
-        g = disjoint_union({make_cycle(pi(0, 400)), make_cycle(pi(1, 24))},
-                           IdMode::kRandomDense, s);
+        g = disjoint_union({make_cycle(at(0)), make_cycle(at(1))}, IdMode::kRandomDense, s);
       } else if (f == "complete") {
-        g = make_complete(pi(0, 10), IdMode::kRandomDense, s);
+        g = make_complete(at(0), IdMode::kRandomDense, s);
       } else if (f == "star") {
-        g = make_star(pi(0, 10), IdMode::kRandomDense, s);
+        g = make_star(at(0), IdMode::kRandomDense, s);
       } else if (f == "hypercube") {
-        g = make_hypercube(pi(0, 4), IdMode::kRandomDense, s);
+        g = make_hypercube(at(0), IdMode::kRandomDense, s);
       } else if (f == "tree") {
-        g = make_bounded_degree_tree(pi(0, 100), pi(1, 3), s);
+        g = make_bounded_degree_tree(at(0), at(1), s);
       } else {
         LAD_UNREACHABLE("family accepted by parse_graph_source but not loadable");
       }

@@ -6,6 +6,8 @@
 #   * unknown sources, truncated files, and bad magic exit 2 naming the
 #     offender (bad-version rejection is pinned in test_ladg.cpp, which
 #     can patch single binary bytes)
+#   * specs outside a family's parameter range or the 32-bit index exit 2
+#     naming the spec and the requirement, on every verb
 #
 # Usage: cmake -DLAD_CLI=<path> -DOUT_DIR=<dir> -P cli_graph_source.cmake
 if(NOT LAD_CLI OR NOT OUT_DIR)
@@ -102,3 +104,30 @@ expect_exit(2 audit ${OUT_DIR}/cli_source_badmagic.ladg orientation)
 # A positive sweep through the migrated verbs, from one shared .ladg.
 expect_exit(0 audit ${ladg} orientation)
 expect_exit(0 dot ${ladg})
+
+# Specs outside a family's parameter range, or whose n or 2m overflows the
+# 32-bit index, are rejected by the parser: exit 2 naming the spec and the
+# requirement, before any generator runs.
+foreach(pair
+    "cycle:2|N >= 3" "torus:2x5|W >= 3 and H >= 3" "ladder:2|M >= 3"
+    "regular:5x3|N\\*D even" "regular:3x3|1 <= D < N" "hypercube:21|D <= 20"
+    "tree:5x1|MAXDEG >= 2" "banded:2x1x3x6|N >= 3, 2 <= BAND < N"
+    "banded:10x10x3x6|2 <= BAND < N" "twocycles:2x2|N1 >= 3"
+    "cycle:3000000000|every parameter <= 2147483647"
+    "grid:46341x46341|n <= 2147483647 \\(32-bit node index\\)"
+    "complete:46342|2m <= 2147483647 \\(32-bit arc index\\)")
+  string(REPLACE "|" ";" parts "${pair}")
+  list(GET parts 0 spec)
+  list(GET parts 1 need)
+  run_lad(rc out gen ${spec})
+  if(NOT rc EQUAL 2 OR NOT out MATCHES "'${spec}'" OR NOT out MATCHES "${need}")
+    message(FATAL_ERROR "gen ${spec} must exit 2 naming the spec and '${need}', got ${rc}:\n${out}")
+  endif()
+endforeach()
+foreach(verb_args "bench;--graph;cycle:2" "profile;orientation;--graph;torus:2x5"
+                  "audit;hypercube:21;orientation")
+  run_lad(rc out ${verb_args})
+  if(NOT rc EQUAL 2 OR NOT out MATCHES "needs")
+    message(FATAL_ERROR "`lad ${verb_args}` must exit 2 naming the requirement, got ${rc}:\n${out}")
+  endif()
+endforeach()

@@ -1,6 +1,7 @@
 // The .ladg binary graph format (graph/io.hpp, DESIGN.md §12): round-trip
-// byte-identity through the digest, corruption rejection, and the parallel
-// CSR-construction determinism contract the format's digest footer pins.
+// byte-identity through the digest, and corruption rejection. Construction
+// at every pool size, through a .ladg round trip too, is checked against
+// the frozen builder in test_graph_oracle.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,6 @@
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lad {
 namespace {
@@ -122,27 +122,6 @@ TEST(Ladg, PayloadCorruptionFailsDigestFooter) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
   dump(path, bytes);
   EXPECT_THROW(read_ladg(path), GraphIoError);
-}
-
-// The determinism contract of the parallel builder: byte-identical CSR
-// (hence digest) at any thread count, including through a .ladg round-trip.
-TEST(Ladg, ParallelBuildByteIdentity) {
-  const Graph serial = make_torus(40, 50, IdMode::kRandomDense, 9);
-  const std::uint64_t want = graph_digest(serial);
-
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    Graph::Builder b;
-    b.reserve(static_cast<std::size_t>(serial.n()), static_cast<std::size_t>(serial.m()));
-    for (int v = 0; v < serial.n(); ++v) b.add_node(serial.id(v));
-    for (int e = 0; e < serial.m(); ++e) b.add_edge(serial.edge_u(e), serial.edge_v(e));
-    const Graph parallel = std::move(b).build(&pool);
-    EXPECT_EQ(graph_digest(parallel), want) << "threads=" << threads;
-
-    const std::string path = temp_path("ladg_parallel_" + std::to_string(threads) + ".ladg");
-    write_ladg(path, parallel);
-    EXPECT_EQ(graph_digest(read_ladg(path)), want) << "threads=" << threads;
-  }
 }
 
 }  // namespace
