@@ -44,8 +44,9 @@ Labeling witness_or_reject(const Pipeline& pl, const Graph& g, const LclProblem&
 
 // Witness for the coloring pipelines: BFS parity where the instance is
 // bipartite (the standard campaign families), the exact solver otherwise.
+// One sweep both tests bipartiteness and yields the parity coloring.
 std::vector<int> coloring_witness(const Pipeline& pl, const Graph& g, int colors) {
-  if (is_bipartite(g)) return parity_witness(g);
+  if (auto parity = two_coloring(g, g.nodes())) return std::move(*parity);
   return witness_or_reject(pl, g, VertexColoringLcl(colors)).node_labels;
 }
 
@@ -588,12 +589,6 @@ Graph even_grid(int n, std::uint64_t seed, bool torus) {
   h += h % 2;
   return torus ? make_torus(w, h, IdMode::kRandomDense, seed)
                : make_grid(w, h, IdMode::kRandomDense, seed);
-}
-
-std::vector<int> parity_witness(const Graph& g) {
-  auto col = two_coloring(g, g.nodes());
-  LAD_CHECK_MSG(col.has_value(), "parity witness requires a bipartite graph");
-  return std::move(*col);
 }
 
 std::vector<char> hashed_edge_membership(const Graph& g, std::uint64_t seed, double density) {

@@ -226,10 +226,6 @@ const LclProblem& subexp_demo_lcl();
 Graph even_cycle(int n, std::uint64_t seed);
 Graph even_grid(int n, std::uint64_t seed, bool torus);
 
-/// Proper 2-coloring by BFS parity, the standard witness on the bipartite
-/// instance families (colors 1/2; requires bipartiteness, checked).
-std::vector<int> parity_witness(const Graph& g);
-
 /// §1.5 hashed membership instance: in_x[e] is a pure function of
 /// (seed, edge endpoint IDs, density), so it can be regenerated for
 /// verification on any subgraph that preserves node IDs.

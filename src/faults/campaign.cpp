@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "graph/io.hpp"
@@ -86,12 +88,20 @@ namespace {
 // What one port of the echo has received: the number of copies and the
 // first copy, kept exactly (up to 8 bytes inline, longer ones on the heap)
 // in 16 bytes, so the per-port state of a million-node echo stays small.
+// Trivial on purpose: the echo allocates its ports uninitialized, and each
+// node sets up its own in its first step, which runs on the engine's pool,
+// and releases them when it halts.
 class PortCopies {
  public:
-  PortCopies() = default;
+  PortCopies() = default;  // leaves the port uninitialized: see set_empty()
   PortCopies(const PortCopies&) = delete;
   PortCopies& operator=(const PortCopies&) = delete;
-  ~PortCopies() { clear(); }
+
+  /// Makes an uninitialized port empty (no copy, nothing to free).
+  void set_empty() {
+    len_ = 0;
+    count_ = 0;
+  }
 
   int count() const { return static_cast<int>(count_); }
 
@@ -105,10 +115,10 @@ class PortCopies {
     return true;
   }
 
+  /// Frees a heap copy and makes the port empty.
   void clear() {
     if (len_ > sizeof inline_) delete[] heap_;
-    len_ = 0;
-    count_ = 0;
+    set_empty();
   }
 
  private:
@@ -118,65 +128,102 @@ class PortCopies {
     char inline_[8];
     char* heap_;
   };
-  std::uint32_t len_ = 0;
-  std::uint32_t count_ = 0;
+  std::uint32_t len_;
+  std::uint32_t count_;
 };
+static_assert(std::is_trivially_default_constructible_v<PortCopies> &&
+              std::is_trivially_destructible_v<PortCopies>);
 
 // Distributed verification echo: every node broadcasts its output digest
 // for `rounds` rounds; a receiver that misses a copy (drop / crashed
 // neighbor) or sees differing copies (corruption) cannot certify and
 // outputs "unverified". Crashed nodes never halt at all. Per-port state is
-// flat over the graph's port slots (CSR adjacency offsets).
+// flat over the graph's port slots (CSR adjacency offsets); each node owns
+// its own ports from its first step to its halt, so the only serial per-run
+// work is the per-node state byte.
 class EchoVerify final : public SyncAlgorithm {
  public:
   EchoVerify(const std::vector<std::string>& digests, int rounds)
       : digests_(digests), rounds_(rounds) {}
+  EchoVerify(const EchoVerify&) = delete;
+  EchoVerify& operator=(const EchoVerify&) = delete;
+
+  ~EchoVerify() override {
+    // Halted nodes freed their ports when they halted, and a node that
+    // never stepped has none: only nodes still listening (down at the end,
+    // or cut off by max_rounds) hold copies.
+    for (std::size_t v = 0; v < state_.size(); ++v) {
+      if (state_[v] == kClean || state_[v] == kDirty) clear_ports(static_cast<int>(v));
+    }
+  }
 
   void init(const Graph& g) override {
     off_ = g.raw_adj_off();
     const auto slots = static_cast<std::size_t>(off_[static_cast<std::size_t>(g.n())]);
-    ports_ = std::vector<PortCopies>(slots);
-    ok_.assign(static_cast<std::size_t>(g.n()), 1);
+    ports_ = std::make_unique_for_overwrite<PortCopies[]>(slots);
+    state_.assign(static_cast<std::size_t>(g.n()), kUnstarted);
   }
 
   void round(NodeCtx& ctx) override {
     const int v = ctx.node();
     const int r = ctx.round_number();
     if (r <= rounds_) ctx.broadcast(digests_[static_cast<std::size_t>(v)]);
-    PortCopies* ports = ports_.data() + off_[static_cast<std::size_t>(v)];
-    char& ok = ok_[static_cast<std::size_t>(v)];
+    PortCopies* ports = ports_.get() + off_[static_cast<std::size_t>(v)];
+    char& state = state_[static_cast<std::size_t>(v)];
     const int deg = ctx.degree();
+    if (state == kUnstarted) {
+      // First step: round 1, or the first after a crash-recovery rejoin.
+      for (int p = 0; p < deg; ++p) ports[p].set_empty();
+      state = kClean;
+    }
     if (r >= 2) {
       for (int p = 0; p < deg; ++p) {
         if (!ctx.has_message(p)) continue;
-        if (!ports[p].record(ctx.received(p))) ok = 0;  // corrupted copy
+        if (!ports[p].record(ctx.received(p))) state = kDirty;  // corrupted copy
       }
     }
     if (r == rounds_ + 1) {
       for (int p = 0; p < deg; ++p) {
-        if (ports[p].count() != rounds_) ok = 0;  // missing copy
+        if (ports[p].count() != rounds_) state = kDirty;  // missing copy
+        ports[p].clear();
       }
-      ctx.halt(ok != 0 ? "ok" : "unverified");
+      const bool ok = state == kClean;
+      ctx.halt(ok ? "ok" : "unverified");
+      state = ok ? kCertified : kRejected;
     }
   }
 
   void on_recover(const Graph& /*g*/, int v) override {
     // Blank state for a crash-recovery rejoin: the node restarts the echo
-    // protocol. The copies it missed while down keep it from certifying
-    // (counted as a detection), exactly like a crash-stop victim.
+    // protocol and sets up fresh ports in its next step. The copies it
+    // missed while down keep it from certifying (counted as a detection),
+    // exactly like a crash-stop victim. A node down since round 1 never
+    // stepped, so it has no ports to free.
+    if (state_[static_cast<std::size_t>(v)] != kUnstarted) clear_ports(v);
+    state_[static_cast<std::size_t>(v)] = kUnstarted;
+  }
+
+  /// True iff node v halted with "ok": the verdict, without reading the
+  /// output strings.
+  bool certified(int v) const { return state_[static_cast<std::size_t>(v)] == kCertified; }
+
+ private:
+  // A node's progress. kClean and kDirty nodes are listening: their ports
+  // are set up and may hold heap copies.
+  enum State : char { kUnstarted, kClean, kDirty, kCertified, kRejected };
+
+  void clear_ports(int v) {
     for (int s = off_[static_cast<std::size_t>(v)]; s < off_[static_cast<std::size_t>(v) + 1];
          ++s) {
       ports_[static_cast<std::size_t>(s)].clear();
     }
-    ok_[static_cast<std::size_t>(v)] = 1;
   }
 
- private:
   const std::vector<std::string>& digests_;
   int rounds_;
   std::span<const int> off_;
-  std::vector<PortCopies> ports_;  // per port slot
-  std::vector<char> ok_;
+  std::unique_ptr<PortCopies[]> ports_;  // per port slot, set up by its node
+  std::vector<char> state_;              // per node, a State
 };
 
 }  // namespace
@@ -192,7 +239,7 @@ EchoResult run_verification_echo(const Graph& g, const std::vector<std::string>&
   const auto run = eng.run(echo, echo_rounds + 2);
   EchoResult res;
   for (int v = 0; v < g.n(); ++v) {
-    if (run.outputs[static_cast<std::size_t>(v)] != "ok") res.unverified_nodes.push_back(v);
+    if (!echo.certified(v)) res.unverified_nodes.push_back(v);
   }
   res.messages = run.messages;
   res.bytes = run.bytes;

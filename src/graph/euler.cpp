@@ -75,24 +75,29 @@ std::vector<Trail> euler_partition(const Graph& g) {
 
 namespace {
 
-std::vector<NodeId> id_sequence(const Graph& g, const std::vector<int>& nodes) {
-  std::vector<NodeId> ids;
-  ids.reserve(nodes.size());
-  for (const int v : nodes) ids.push_back(g.id(v));
-  return ids;
-}
-
-// Lexicographically smallest rotation of a cyclic sequence (O(L^2); only
-// called on short trails).
-std::vector<NodeId> min_rotation(const std::vector<NodeId>& seq) {
-  std::vector<NodeId> best = seq;
-  const std::size_t L = seq.size();
-  std::vector<NodeId> rot(L);
-  for (std::size_t s = 1; s < L; ++s) {
-    for (std::size_t i = 0; i < L; ++i) rot[i] = seq[(s + i) % L];
-    if (rot < best) best = rot;
+// Start of the lexicographically least rotation of the cyclic sequence
+// at(0), ..., at(L - 1), L >= 1: the two-pointer scan. Candidates i and j
+// agree on their first k entries; when entry k differs, the candidate with
+// the larger entry cannot start a least rotation, and neither can the k
+// positions after it, so it jumps past them. O(L) steps, no allocation.
+template <typename At>
+std::size_t least_rotation(std::size_t L, const At& at) {
+  const auto wrap = [L](std::size_t x) { return x < L ? x : x - L; };
+  std::size_t i = 0;
+  std::size_t j = 1;
+  std::size_t k = 0;
+  while (i < L && j < L && k < L) {
+    const NodeId a = at(wrap(i + k));
+    const NodeId b = at(wrap(j + k));
+    if (a == b) {
+      ++k;
+      continue;
+    }
+    (a > b ? i : j) += k + 1;
+    if (i == j) ++j;
+    k = 0;
   }
-  return best;
+  return std::min(i, j);
 }
 
 }  // namespace
@@ -101,9 +106,21 @@ bool canonical_trail_direction(const Graph& g, const Trail& t) {
   if (!t.closed) {
     return g.id(t.nodes.front()) < g.id(t.nodes.back());
   }
-  const auto fwd = id_sequence(g, t.nodes);
-  std::vector<NodeId> bwd(fwd.rbegin(), fwd.rend());
-  return min_rotation(fwd) <= min_rotation(bwd);
+  // Compare the least rotation of the trail's ID sequence with that of the
+  // reversed sequence, both read in place; ties (a trail that reads the
+  // same both ways) go to the as-given direction. O(L) on any trail.
+  const std::size_t L = t.nodes.size();
+  if (L == 0) return true;
+  const auto fwd = [&](std::size_t x) { return g.id(t.nodes[x]); };
+  const auto bwd = [&](std::size_t x) { return g.id(t.nodes[L - 1 - x]); };
+  const std::size_t f = least_rotation(L, fwd);
+  const std::size_t b = least_rotation(L, bwd);
+  for (std::size_t x = 0; x < L; ++x) {
+    const NodeId a = fwd(f + x < L ? f + x : f + x - L);
+    const NodeId c = bwd(b + x < L ? b + x : b + x - L);
+    if (a != c) return a < c;
+  }
+  return true;
 }
 
 void orient_trail(const Graph& g, const Trail& t, int direction, Orientation& o) {

@@ -217,17 +217,18 @@ void Engine::build_twins() {
   }
 }
 
-void Engine::step_chunk(SyncAlgorithm& alg, int round, int begin, int end, int c,
-                        bool& active) {
+void Engine::step_chunk(SyncAlgorithm& alg, int round, int begin, int end, int c) {
   // The arena this chunk sends into last served round - 2, whose messages
   // were all read in round - 1.
   arenas_[send_arena(round, c)].clear();
+  bool active = false;
   for (int v = begin; v < end; ++v) {
     if (halted_[v] || crashed_[v]) continue;
     active = true;
     NodeCtx ctx(*this, v, round, c);
     alg.round(ctx);
   }
+  chunk_state_[static_cast<std::size_t>(c)].active = active;
 }
 
 void Engine::hold(Chunk& ck, int due, int slot, const MsgRef& msg, const MsgRef& tag) {
@@ -423,25 +424,23 @@ RunResult Engine::run(SyncAlgorithm& alg, int max_rounds) {
     // the executing node, and its payloads in its chunk's send arena, so the
     // steps may fan out over a thread pool with byte-identical results. The
     // pool's static partition keeps the chunk -> node mapping deterministic.
-    bool any_active = false;
     {
       // Phase span for the profiler: node-step compute time on the caller's
       // thread; pool dispatch additionally shows up as pool.chunk spans on
       // the executing workers.
       LAD_TM_SPAN(compute_span, "engine.compute", "engine");
       if (pool != nullptr) {
-        std::vector<char> chunk_active(static_cast<std::size_t>(chunks_), 0);
-        pool->parallel_for(n, [&](int begin, int end, int c) {
-          bool active = false;
-          step_chunk(alg, round, begin, end, c, active);
-          chunk_active[static_cast<std::size_t>(c)] = active ? 1 : 0;
-        });
-        for (const char a : chunk_active) any_active = any_active || a != 0;
+        pool->parallel_for(
+            n, [&](int begin, int end, int c) { step_chunk(alg, round, begin, end, c); });
       } else {
-        step_chunk(alg, round, 0, n, 0, any_active);
+        step_chunk(alg, round, 0, n, 0);
       }
     }
-    if (!any_active) break;
+    // A chunk the partition left empty (n < chunks) keeps active == false.
+    if (std::none_of(chunk_state_.begin(), chunk_state_.end(),
+                     [](const Chunk& ck) { return ck.active; })) {
+      break;
+    }
     res.rounds = round;
     if (audit_) audit_round(round);
 

@@ -28,6 +28,7 @@
 // indistinguishability audit that catches algorithms bypassing this API.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -281,9 +282,16 @@ class Engine {
     std::uint64_t off() const { return bits & kOffMask; }
   };
 
+  /// Bytes per cache line. Per-chunk state that the hot loops write (an
+  /// arena's size on every send, a chunk's counters on every delivery) is
+  /// aligned to it, so no two chunks ever write the same line (DESIGN.md
+  /// §8.1). A named constant: GCC warns (-Winterference-size) when
+  /// std::hardware_destructive_interference_size is used in a header.
+  static constexpr std::size_t kCacheLine = 64;
+
   /// Append-only byte buffer, reused across rounds: clear() keeps the
   /// capacity, and growth copies only the bytes in use (nothing is zeroed).
-  class Arena {
+  class alignas(kCacheLine) Arena {
    public:
     const char* data() const { return data_.get(); }
     std::uint64_t size() const { return size_; }
@@ -307,10 +315,12 @@ class Engine {
     std::uint64_t off = 0;
   };
 
-  /// Per-chunk state of the delivery pass: the pending list (in send order)
-  /// with its record store, a scratch payload for the corruption hook, and
-  /// the counters the pass folds in chunk order.
-  struct Chunk {
+  /// Per-chunk state of a round: whether the compute phase stepped any
+  /// node, and for the delivery pass the pending list (in send order) with
+  /// its record store, a scratch payload for the corruption hook, and the
+  /// counters the pass folds in chunk order.
+  struct alignas(kCacheLine) Chunk {
+    bool active = false;
     std::vector<Pending> pending;
     Arena store;
     Arena store_next;
@@ -351,7 +361,7 @@ class Engine {
   void merge_provenance(int v, const MsgRef& tag);
   void reset_provenance(int v);
   void build_twins();
-  void step_chunk(SyncAlgorithm& alg, int round, int begin, int end, int c, bool& active);
+  void step_chunk(SyncAlgorithm& alg, int round, int begin, int end, int c);
   void deliver_chunk(int round, int begin, int end, int c);
   void hold(Chunk& ck, int due, int slot, const MsgRef& msg, const MsgRef& tag);
   void replay_pending(Chunk& ck, int round, int c);

@@ -41,5 +41,22 @@ TEST(Components, ComponentMask) {
   EXPECT_EQ(covered, static_cast<int>(c.members[0].size()));
 }
 
+TEST(Components, TwoColoringIsProperOnBipartiteFamilies) {
+  // The coloring pipelines' witness on bipartite instances: one sweep that
+  // yields colors 1/2, proper on every edge, or nullopt on an odd cycle.
+  for (const Graph& g : {make_grid(6, 8, IdMode::kRandomDense, 4),
+                         disjoint_union({make_cycle(10), make_path(5)})}) {
+    const auto col = two_coloring(g, g.nodes());
+    ASSERT_TRUE(col.has_value());
+    for (const int c : *col) EXPECT_TRUE(c == 1 || c == 2);
+    for (int e = 0; e < g.m(); ++e) {
+      EXPECT_NE((*col)[static_cast<std::size_t>(g.edge_u(e))],
+                (*col)[static_cast<std::size_t>(g.edge_v(e))]);
+    }
+  }
+  const Graph odd = make_cycle(9);
+  EXPECT_FALSE(two_coloring(odd, odd.nodes()).has_value());
+}
+
 }  // namespace
 }  // namespace lad

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "graph/euler.hpp"
 #include "graph/generators.hpp"
+#include "graph/source.hpp"
+#include "reference_euler.hpp"
 
 namespace lad {
 namespace {
@@ -106,6 +112,75 @@ TEST(Euler, CanonicalDirectionFlipsOnReversal) {
   std::reverse(rev.nodes.begin(), rev.nodes.end());
   std::reverse(rev.edges.begin(), rev.edges.end());
   EXPECT_NE(canonical_trail_direction(g, rev), canonical_trail_direction(g, trails[0]));
+}
+
+// The linear least-rotation scan against the frozen O(L^2) rule, on every
+// trail of every GraphSource family (three seeds each, random IDs) and of
+// longer cycles and tori, each trail as given and reversed.
+TEST(Euler, CanonicalDirectionMatchesReferenceOnEveryFamilyTrail) {
+  std::vector<std::string> specs;
+  for (const auto& family : graph_source_families()) {
+    for (const char* seed : {"@1", "@2", "@3"}) specs.push_back(family + seed);
+  }
+  for (const char* spec : {"cycle:1000@4", "torus:24x24@5", "regular:600x6@6", "grid:30x20@7"}) {
+    specs.emplace_back(spec);
+  }
+  int trails_checked = 0;
+  for (const auto& spec : specs) {
+    const auto src = parse_graph_source(spec, nullptr);
+    ASSERT_TRUE(src.has_value()) << spec;
+    const Graph g = load_graph_source(*src).graph;
+    for (const Trail& t : euler_partition(g)) {
+      Trail rev = t;
+      std::reverse(rev.nodes.begin(), rev.nodes.end());
+      std::reverse(rev.edges.begin(), rev.edges.end());
+      EXPECT_EQ(canonical_trail_direction(g, t), reference::canonical_trail_direction(g, t))
+          << spec << " trail of " << t.positions();
+      EXPECT_EQ(canonical_trail_direction(g, rev), reference::canonical_trail_direction(g, rev))
+          << spec << " reversed trail of " << t.positions();
+      ++trails_checked;
+    }
+  }
+  EXPECT_GT(trails_checked, 1000);
+}
+
+// Every closed ID sequence over {1, 2, 3} of length 1 to 9: periodic ones
+// such as 1212, palindromic ones such as 12321, and sequences that read the
+// same both ways, where the tie must go to the as-given direction.
+TEST(Euler, CanonicalDirectionMatchesReferenceOnEveryShortSequence) {
+  const Graph g = make_path(3, IdMode::kSequential);
+  int ties = 0;
+  for (int len = 1; len <= 9; ++len) {
+    int count = 1;
+    for (int i = 0; i < len; ++i) count *= 3;
+    for (int code = 0; code < count; ++code) {
+      Trail t;
+      t.closed = true;
+      for (int i = 0, c = code; i < len; ++i, c /= 3) t.nodes.push_back(c % 3);
+      const bool want = reference::canonical_trail_direction(g, t);
+      ASSERT_EQ(canonical_trail_direction(g, t), want) << "length " << len << " code " << code;
+      Trail rev = t;
+      std::reverse(rev.nodes.begin(), rev.nodes.end());
+      if (want && reference::canonical_trail_direction(g, rev)) ++ties;
+    }
+  }
+  EXPECT_GT(ties, 100);  // the <= tie is exercised, not just reachable
+}
+
+TEST(Euler, CanonicalDirectionOnPeriodicLongTrail) {
+  // A period-3 sequence and a palindromic period-4 one, each repeated 300
+  // times: the rotations tie in many places, and the reversal of the
+  // second reads the same as the original.
+  const Graph g = make_path(4, IdMode::kRandomDense, 9);
+  for (const std::vector<int>& period : {std::vector<int>{0, 1, 2}, std::vector<int>{0, 1, 2, 1}}) {
+    Trail t;
+    t.closed = true;
+    for (int r = 0; r < 300; ++r) t.nodes.insert(t.nodes.end(), period.begin(), period.end());
+    EXPECT_EQ(canonical_trail_direction(g, t), reference::canonical_trail_direction(g, t));
+    Trail rev = t;
+    std::reverse(rev.nodes.begin(), rev.nodes.end());
+    EXPECT_EQ(canonical_trail_direction(g, rev), reference::canonical_trail_direction(g, rev));
+  }
 }
 
 }  // namespace

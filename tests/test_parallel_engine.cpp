@@ -4,8 +4,10 @@
 // tests pin that down by direct comparison at 1, 2, and 8 threads.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/campaign.hpp"
@@ -230,6 +232,147 @@ TEST(ParallelCampaign, ReportsByteIdenticalAcrossThreadCounts) {
       cfg.threads = t;
       EXPECT_EQ(campaign_signature(faults::run_fault_campaign(cfg)), want)
           << pipeline(setup.decoder).name() << " threads=" << t;
+    }
+  }
+}
+
+// --- The pooled verification echo ------------------------------------------
+//
+// run_verification_echo on a pool against the serial echo: every EchoResult
+// field, at 1, 2, 3 and 8 threads, under each engine fault kind alone, all
+// of them mixed, and crash-recovery of nodes that never stepped.
+
+std::string echo_signature(const faults::EchoResult& r) {
+  std::ostringstream os;
+  os << r.messages << '/' << r.bytes << '/' << r.rounds << '/' << r.dropped << '/' << r.corrupted
+     << '/' << r.duplicated << '/' << r.delayed << '/' << r.crashed << '/' << r.recovered << ':';
+  for (const int v : r.unverified_nodes) os << v << ',';
+  return os.str();
+}
+
+// Digests of 0 to 20 bytes, distinct per node: the echo keeps a copy of up
+// to 8 bytes inline in its port state and a longer one on the heap.
+std::vector<std::string> varied_digests(const Graph& g) {
+  std::vector<std::string> digests(static_cast<std::size_t>(g.n()));
+  for (int v = 0; v < g.n(); ++v) {
+    auto& d = digests[static_cast<std::size_t>(v)];
+    for (int i = 0; i < v % 21; ++i) d += static_cast<char>('a' + (g.id(v) + i) % 26);
+  }
+  return digests;
+}
+
+std::vector<Graph> echo_families() {
+  std::vector<Graph> gs;
+  gs.push_back(make_cycle(200, IdMode::kRandomDense, 31));
+  gs.push_back(make_torus(12, 12, IdMode::kRandomDense, 32));
+  // A path with an isolated node in the middle of the index range: it has
+  // no ports, sends nothing and certifies vacuously.
+  Graph::Builder b;
+  for (int v = 0; v < 61; ++v) b.add_node(1000 - 7 * v);
+  for (int v = 0; v + 1 < 30; ++v) b.add_edge(v, v + 1);
+  for (int v = 31; v + 1 < 61; ++v) b.add_edge(v, v + 1);
+  gs.push_back(std::move(b).build());
+  return gs;
+}
+
+// Crash-recovery at fixed rounds (the echo runs rounds 1-5 and halts in
+// round 4), by node index mod 6: down in round 1 only, or in rounds 1-2, so
+// the node rejoins without ever having stepped; down in round 3 while
+// holding copies; down from round 4 on, never halting; down in round 4,
+// rejoining for one step; never down.
+class ScriptedCrashes final : public EngineFaultModel {
+ public:
+  bool crashed(int round, int v) const override {
+    switch (v % 6) {
+      case 0:
+        return round == 1;
+      case 1:
+        return round <= 2;
+      case 2:
+        return round == 3;
+      case 3:
+        return round >= 4;
+      case 4:
+        return round == 4;
+      default:
+        return false;
+    }
+  }
+};
+
+TEST(ParallelEcho, EveryFieldMatchesSerialUnderEachFaultKind) {
+  struct Kind {
+    const char* name;
+    faults::EngineFaultSpec spec;
+  };
+  std::vector<Kind> kinds(7);
+  kinds[0].name = "drop";
+  kinds[0].spec.message_drop_prob = 0.1;
+  kinds[1].name = "corrupt";
+  kinds[1].spec.message_corrupt_prob = 0.1;
+  kinds[2].name = "delay";
+  kinds[2].spec.message_delay_prob = 0.2;
+  kinds[3].name = "duplicate";
+  kinds[3].spec.message_duplicate_prob = 0.2;
+  kinds[4].name = "crash-stop";
+  kinds[4].spec.crash_fraction = 0.1;
+  kinds[5].name = "mixed";
+  kinds[5].spec.message_drop_prob = 0.05;
+  kinds[5].spec.message_corrupt_prob = 0.05;
+  kinds[5].spec.message_delay_prob = 0.1;
+  kinds[5].spec.message_duplicate_prob = 0.1;
+  kinds[5].spec.crash_fraction = 0.05;
+  kinds[6].name = "mixed crash-recovery";
+  kinds[6].spec = kinds[5].spec;
+  kinds[6].spec.crash_fraction = 0.2;
+  kinds[6].spec.crash_recovery_rounds = 1;
+
+  std::vector<std::unique_ptr<faults::HashedEngineFaults>> hashed;
+  std::vector<std::pair<std::string, const EngineFaultModel*>> models = {{"fault-free", nullptr}};
+  for (const auto& k : kinds) {
+    hashed.push_back(std::make_unique<faults::HashedEngineFaults>(77, k.spec));
+    models.emplace_back(k.name, hashed.back().get());
+  }
+  const ScriptedCrashes scripted;
+  models.emplace_back("scripted crash-recovery", &scripted);
+
+  for (const auto& g : echo_families()) {
+    const auto digests = varied_digests(g);
+    for (const auto& [name, model] : models) {
+      const auto serial = faults::run_verification_echo(g, digests, faults::kEchoRounds, model);
+      const long long applied = serial.dropped + serial.corrupted + serial.duplicated +
+                                serial.delayed + serial.crashed;
+      EXPECT_EQ(applied > 0, model != nullptr) << name << " n=" << g.n();
+      if (model == nullptr) {
+        EXPECT_TRUE(serial.unverified_nodes.empty()) << "n=" << g.n();
+      }
+      const auto want = echo_signature(serial);
+      for (const int t : {1, 2, 3, 8}) {
+        ThreadPool pool(t);
+        const auto got =
+            faults::run_verification_echo(g, digests, faults::kEchoRounds, model, &pool);
+        EXPECT_EQ(echo_signature(got), want) << name << " n=" << g.n() << " threads=" << t;
+      }
+    }
+  }
+}
+
+TEST(ParallelEcho, ScriptedCrashesRejoinWithoutHavingStepped) {
+  // The scripted model's cases do what the parity test above relies on:
+  // every node but the never-down sixth crashes, four of those five cases
+  // rejoin (cases 0 and 1 before their first step), and none of them can
+  // certify.
+  const Graph g = make_cycle(60, IdMode::kRandomDense, 33);
+  const ScriptedCrashes scripted;
+  const auto res = faults::run_verification_echo(g, varied_digests(g), faults::kEchoRounds,
+                                                 &scripted);
+  EXPECT_EQ(res.crashed, 50);    // every node but the never-down sixth
+  EXPECT_EQ(res.recovered, 40);  // cases 0, 1, 2 and 4
+  std::vector<char> unverified(static_cast<std::size_t>(g.n()), 0);
+  for (const int v : res.unverified_nodes) unverified[static_cast<std::size_t>(v)] = 1;
+  for (int v = 0; v < g.n(); ++v) {
+    if (v % 6 < 5) {
+      EXPECT_TRUE(unverified[static_cast<std::size_t>(v)]) << v;
     }
   }
 }

@@ -144,11 +144,6 @@ TEST(PipelineAdmission, RejectsOutsideTheTheoremAndDerivesUnsetKnobs) {
   EXPECT_EQ(delta_repair_cap(3), 6);
 }
 
-TEST(PipelineHelpers, ParityWitnessIsProperOnBipartiteFamilies) {
-  const auto col = parity_witness(make_grid(6, 8, IdMode::kRandomDense, 4));
-  for (const int c : col) EXPECT_TRUE(c == 1 || c == 2);
-}
-
 TEST(PipelineHelpers, HashedMembershipIsIdKeyedAndDensityBounded) {
   const Graph g = make_cycle(400, IdMode::kRandomDense, 9);
   const auto a = hashed_edge_membership(g, 7, 0.5);

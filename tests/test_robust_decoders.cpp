@@ -17,6 +17,7 @@
 #include "core/three_coloring.hpp"
 #include "faults/campaign.hpp"
 #include "faults/robust.hpp"
+#include "graph/euler.hpp"
 #include "graph/generators.hpp"
 #include "graph/source.hpp"
 
@@ -169,6 +170,31 @@ TEST(RobustDecoders, TrailFallbackIsChargedTheWholeTrail) {
   const auto s = robust::guarded_decode(pipeline(PipelineId::kSplitting), g, zeros, cfg);
   EXPECT_EQ(o.report.rounds, longest);
   EXPECT_EQ(s.report.rounds, longest);
+}
+
+TEST(RobustDecoders, LongCycleWithoutMarkersTakesTheCanonicalFallback) {
+  // One closed trail of 65536 positions and all-zero advice: no marker
+  // decodes, so the whole trail falls back to its advice-free canonical
+  // direction, read in one linear scan (a quadratic rule took minutes
+  // here). Every edge is oriented, and along the trail.
+  const auto src = parse_graph_source("cycle:65536", nullptr);
+  ASSERT_TRUE(src.has_value());
+  const Graph g = load_graph_source(*src).graph;
+  const PipelineAdvice zeros = uniform_bits(std::vector<char>(static_cast<std::size_t>(g.n()), 0));
+  const auto o = robust::guarded_decode(pipeline(PipelineId::kOrientation), g, zeros, {});
+  EXPECT_EQ(o.report.detected_violations, 1);
+  EXPECT_EQ(o.report.rounds, g.n());  // the fallback is charged the whole trail
+  EXPECT_EQ(static_cast<int>(o.report.repaired_nodes.size()), g.n());
+  EXPECT_TRUE(o.report.output_valid);
+  EXPECT_FALSE(o.report.silent_corruption);
+
+  const auto trails = euler_partition(g);
+  ASSERT_EQ(trails.size(), 1u);
+  Orientation want(static_cast<std::size_t>(g.m()), EdgeDir::kUnset);
+  orient_trail(g, trails[0], canonical_trail_direction(g, trails[0]) ? +1 : -1, want);
+  EXPECT_EQ(std::count(o.output.orientation.begin(), o.output.orientation.end(), EdgeDir::kUnset),
+            0);
+  EXPECT_EQ(o.output.orientation, want);
 }
 
 }  // namespace
