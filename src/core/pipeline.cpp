@@ -593,10 +593,11 @@ Graph even_grid(int n, std::uint64_t seed, bool torus) {
 
 std::vector<char> hashed_edge_membership(const Graph& g, std::uint64_t seed, double density) {
   std::vector<char> in_x(static_cast<std::size_t>(g.m()), 0);
+  const HashStream membership(seed, kTagMembership);
   for (int e = 0; e < g.m(); ++e) {
     const auto a = static_cast<std::uint64_t>(g.id(g.edge_u(e)));
     const auto b = static_cast<std::uint64_t>(g.id(g.edge_v(e)));
-    const auto h = hash4(seed, kTagMembership, std::min(a, b), std::max(a, b));
+    const auto h = membership(std::min(a, b), std::max(a, b));
     in_x[static_cast<std::size_t>(e)] = unit_from_hash(h) < density ? 1 : 0;
   }
   return in_x;

@@ -1,7 +1,6 @@
 #include "core/splitting.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "graph/components.hpp"
 #include "graph/distance.hpp"
@@ -149,7 +148,7 @@ EdgeColoringResult edge_color_bipartite_regular(const Graph& g) {
   // color-prefix accumulated so far. Edge colors are the binary strings of
   // red/blue decisions plus one.
   struct Piece {
-    std::vector<int> edges;  // parent edge ids
+    std::vector<int> edges;  // parent edge ids, ascending
   };
   std::vector<Piece> pieces = {{[&] {
     std::vector<int> all(static_cast<std::size_t>(g.m()));
@@ -162,18 +161,9 @@ EdgeColoringResult edge_color_bipartite_regular(const Graph& g) {
     std::vector<Piece> next;
     int level_rounds = 0;
     for (const auto& piece : pieces) {
-      // Build the subgraph on the full node set with this edge subset.
-      Graph::Builder b;
-      for (int v = 0; v < g.n(); ++v) b.add_node(g.id(v));
-      for (const int e : piece.edges) b.add_edge(g.edge_u(e), g.edge_v(e));
-      Graph sub = std::move(b).build();
-      // Map subgraph edges back to parent edge ids.
-      std::vector<int> to_parent(static_cast<std::size_t>(sub.m()));
-      for (const int e : piece.edges) {
-        const int se = sub.edge_between(g.edge_u(e), g.edge_v(e));
-        LAD_CHECK(se >= 0);
-        to_parent[static_cast<std::size_t>(se)] = e;
-      }
+      // The subgraph on the full node set with this edge subset; its edge
+      // se is parent edge piece.edges[se].
+      const Graph sub = g.edge_subgraph(piece.edges);
 
       const auto enc = encode_splitting_advice(sub);
       const auto dec = decode_splitting(sub, enc.bits);
@@ -185,7 +175,7 @@ EdgeColoringResult edge_color_bipartite_regular(const Graph& g) {
 
       Piece red, blue;
       for (int se = 0; se < sub.m(); ++se) {
-        const int pe = to_parent[static_cast<std::size_t>(se)];
+        const int pe = piece.edges[static_cast<std::size_t>(se)];
         if (dec.edge_color[static_cast<std::size_t>(se)] == 1) {
           red.edges.push_back(pe);
         } else {

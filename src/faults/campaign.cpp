@@ -382,14 +382,26 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
     FaultInjector inj(plan);
 
     std::optional<Graph> faulted;
-    if (plan.any_graph_faults()) faulted = inj.apply_graph_faults(g0);
+    if (plan.any_graph_faults()) {
+      LAD_TM_SPAN(graph_span, "inject.graph", "campaign");
+      faulted = inj.apply_graph_faults(g0);
+    }
     const Graph& g = faulted.has_value() ? *faulted : g0;
 
-    PipelineAdvice adv = base_adv;
-    if (plan.any_advice_faults()) corrupt_pipeline_advice(inj, g, adv);
+    PipelineAdvice adv;
+    {
+      LAD_TM_SPAN(advice_span, "inject.advice", "campaign");
+      adv = base_adv;
+      if (plan.any_advice_faults()) corrupt_pipeline_advice(inj, g, adv);
+    }
     robust::GuardedOutcome res = robust::guarded_decode(p, g, adv, pcfg, config.policy);
-    const bool silent = silent_corruption(p.id(), g, res, pcfg);
-    const auto digests = p.node_digests(g, res.output);
+    bool silent = false;
+    std::vector<std::string> digests;
+    {
+      LAD_TM_SPAN(checks_span, "campaign.checks", "campaign");
+      silent = silent_corruption(p.id(), g, res, pcfg);
+      digests = p.node_digests(g, res.output);
+    }
     robust::RobustnessReport rep = std::move(res.report);
 
     // Fault accounting from the injector.
@@ -417,10 +429,13 @@ CampaignSummary run_fault_campaign(const CampaignConfig& config) {
     }
 
     // Blast radius: how far from a fault site did repair / flagging reach.
-    std::vector<int> touched = rep.repaired_nodes;
-    merge_sorted_unique(touched, rep.degraded_nodes);
-    merge_sorted_unique(touched, rep.flagged_nodes);
-    rep.blast_radius = robust::blast_radius(g, inj.fault_site_nodes(g), touched);
+    {
+      LAD_TM_SPAN(blast_span, "campaign.checks", "campaign");
+      std::vector<int> touched = rep.repaired_nodes;
+      merge_sorted_unique(touched, rep.degraded_nodes);
+      merge_sorted_unique(touched, rep.flagged_nodes);
+      rep.blast_radius = robust::blast_radius(g, inj.fault_site_nodes(g), touched);
+    }
 
     // Every node lands in exactly one DegradeStatus bucket (§11); the echo
     // rejections above are already merged, so this is the final word.

@@ -37,6 +37,11 @@ std::uint64_t pack_pair(int a, int b) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(b));
 }
 
+// A per-message draw: hash4(seed, tag, round, (from, to)).
+std::uint64_t draw(const HashStream& s, int round, int from, int to) {
+  return s(static_cast<std::uint64_t>(round), pack_pair(from, to));
+}
+
 BitString garbage_bits(std::uint64_t h, int len) {
   BitString out;
   for (int i = 0; i < len; ++i) {
@@ -85,17 +90,27 @@ const char* to_string(FaultLayer layer) {
   LAD_UNREACHABLE("bad FaultLayer");
 }
 
+HashedEngineFaults::HashedEngineFaults(std::uint64_t seed, EngineFaultSpec spec)
+    : spec_(spec),
+      drop_(seed, kTagDrop),
+      corrupt_sel_(seed, kTagCorruptSel),
+      corrupt_pos_(seed, kTagCorruptPos),
+      dup_(seed, kTagDup),
+      delay_sel_(seed, kTagDelaySel),
+      delay_len_(seed, kTagDelayLen),
+      crash_sel_(seed, kTagCrashSel),
+      crash_round_(seed, kTagCrashRound) {}
+
 bool HashedEngineFaults::crash_selected(int v) const {
   if (spec_.crash_fraction <= 0.0) return false;
-  return unit_from_hash(hash3(seed_, kTagCrashSel, static_cast<std::uint64_t>(v))) <
-         spec_.crash_fraction;
+  return unit_from_hash(crash_sel_(static_cast<std::uint64_t>(v))) < spec_.crash_fraction;
 }
 
 bool HashedEngineFaults::crashed(int round, int v) const {
   if (!crash_selected(v)) return false;
   const int window = std::max(1, spec_.crash_round_window);
   const int crash_round =
-      1 + static_cast<int>(hash3(seed_, kTagCrashRound, static_cast<std::uint64_t>(v)) %
+      1 + static_cast<int>(crash_round_(static_cast<std::uint64_t>(v)) %
                            static_cast<std::uint64_t>(window));
   if (round < crash_round) return false;
   // crash_recovery_rounds == 0: crash-stop, down forever. k > 0: down for
@@ -106,19 +121,16 @@ bool HashedEngineFaults::crashed(int round, int v) const {
 
 bool HashedEngineFaults::drop_message(int round, int from, int to) const {
   if (spec_.message_drop_prob <= 0.0) return false;
-  const std::uint64_t h =
-      hash4(seed_, kTagDrop, static_cast<std::uint64_t>(round), pack_pair(from, to));
-  return unit_from_hash(h) < spec_.message_drop_prob;
+  return unit_from_hash(draw(drop_, round, from, to)) < spec_.message_drop_prob;
 }
 
 bool HashedEngineFaults::corrupt_message(int round, int from, int to,
                                          std::string& payload) const {
   if (spec_.message_corrupt_prob <= 0.0) return false;
-  const std::uint64_t h =
-      hash4(seed_, kTagCorruptSel, static_cast<std::uint64_t>(round), pack_pair(from, to));
-  if (unit_from_hash(h) >= spec_.message_corrupt_prob) return false;
-  const std::uint64_t p =
-      hash4(seed_, kTagCorruptPos, static_cast<std::uint64_t>(round), pack_pair(from, to));
+  if (unit_from_hash(draw(corrupt_sel_, round, from, to)) >= spec_.message_corrupt_prob) {
+    return false;
+  }
+  const std::uint64_t p = draw(corrupt_pos_, round, from, to);
   if (payload.empty()) {
     payload.push_back(static_cast<char>(p & 0xff));
   } else {
@@ -131,29 +143,18 @@ bool HashedEngineFaults::corrupt_message(int round, int from, int to,
 
 bool HashedEngineFaults::duplicate_message(int round, int from, int to) const {
   if (spec_.message_duplicate_prob <= 0.0) return false;
-  const std::uint64_t h =
-      hash4(seed_, kTagDup, static_cast<std::uint64_t>(round), pack_pair(from, to));
-  return unit_from_hash(h) < spec_.message_duplicate_prob;
+  return unit_from_hash(draw(dup_, round, from, to)) < spec_.message_duplicate_prob;
 }
 
 int HashedEngineFaults::delay_rounds(int round, int from, int to) const {
   if (spec_.message_delay_prob <= 0.0 || spec_.max_delay_rounds <= 0) return 0;
-  const std::uint64_t h =
-      hash4(seed_, kTagDelaySel, static_cast<std::uint64_t>(round), pack_pair(from, to));
-  if (unit_from_hash(h) >= spec_.message_delay_prob) return 0;
-  const std::uint64_t len =
-      hash4(seed_, kTagDelayLen, static_cast<std::uint64_t>(round), pack_pair(from, to));
-  return 1 + static_cast<int>(len % static_cast<std::uint64_t>(spec_.max_delay_rounds));
+  if (unit_from_hash(draw(delay_sel_, round, from, to)) >= spec_.message_delay_prob) return 0;
+  return 1 + static_cast<int>(draw(delay_len_, round, from, to) %
+                              static_cast<std::uint64_t>(spec_.max_delay_rounds));
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan)
-    : plan_(plan), engine_model_(hash2(plan.seed, 0xE6u), plan.engine) {}
-
-bool FaultInjector::node_targeted(std::uint64_t layer_seed, NodeId id, double fraction) const {
-  if (fraction <= 0.0) return false;
-  return unit_from_hash(hash3(layer_seed, kTagTarget, static_cast<std::uint64_t>(id))) <
-         fraction;
-}
+    : plan_(plan), engine_model_(engine_seed(), plan.engine) {}
 
 std::vector<char> FaultInjector::advice_target_mask(const Graph& g) const {
   std::vector<char> mask(static_cast<std::size_t>(g.n()), 0);
@@ -162,8 +163,9 @@ std::vector<char> FaultInjector::advice_target_mask(const Graph& g) const {
 
   if (plan_.advice.targeting == AdviceTargeting::kUniform) {
     // The legacy oblivious adversary: independent per-node hash.
+    const HashStream target(advice_seed(), kTagTarget);
     for (int v = 0; v < g.n(); ++v) {
-      if (node_targeted(advice_seed(), g.id(v), fraction)) {
+      if (unit_from_hash(target(static_cast<std::uint64_t>(g.id(v)))) < fraction) {
         mask[static_cast<std::size_t>(v)] = 1;
       }
     }
@@ -174,9 +176,8 @@ std::vector<char> FaultInjector::advice_target_mask(const Graph& g) const {
   const int budget = std::clamp(
       static_cast<int>(std::llround(fraction * g.n())), 0, g.n());
   if (budget == 0) return mask;
-  const auto rank = [&](int v) {
-    return hash3(advice_seed(), kTagTargetRank, static_cast<std::uint64_t>(g.id(v)));
-  };
+  const HashStream target_rank(advice_seed(), kTagTargetRank);
+  const auto rank = [&](int v) { return target_rank(static_cast<std::uint64_t>(g.id(v))); };
   std::vector<int> order(static_cast<std::size_t>(g.n()));
   for (int v = 0; v < g.n(); ++v) order[static_cast<std::size_t>(v)] = v;
 
@@ -231,11 +232,10 @@ std::vector<char> FaultInjector::advice_target_mask(const Graph& g) const {
   return mask;
 }
 
-AdviceFaultKind FaultInjector::kind_for(NodeId id) const {
+AdviceFaultKind FaultInjector::kind_for(const HashStream& kind, NodeId id) const {
   const auto& kinds = plan_.advice.kinds;
   LAD_ASSERT(!kinds.empty());
-  const std::uint64_t h = hash3(advice_seed(), kTagKind, static_cast<std::uint64_t>(id));
-  return kinds[static_cast<std::size_t>(h % kinds.size())];
+  return kinds[static_cast<std::size_t>(kind(static_cast<std::uint64_t>(id)) % kinds.size())];
 }
 
 void FaultInjector::corrupt_advice(const Graph& g, Advice& advice) {
@@ -243,11 +243,16 @@ void FaultInjector::corrupt_advice(const Graph& g, Advice& advice) {
                 "corrupt_advice: advice size " << advice.size() << " != n " << g.n());
   if (!plan_.any_advice_faults()) return;
   const std::vector<char> targeted = advice_target_mask(g);
+  const std::uint64_t seed = advice_seed();
+  const HashStream kind_of(seed, kTagKind), flip_count(seed, kTagFlipCount),
+      flip_pos(seed, kTagFlipPos), byz_len(seed, kTagByzLen), byz_bit(seed, kTagByzBit),
+      trunc_len(seed, kTagTruncLen);
   for (int v = 0; v < g.n(); ++v) {
     const NodeId id = g.id(v);
     if (!targeted[static_cast<std::size_t>(v)]) continue;
+    const auto uid = static_cast<std::uint64_t>(id);
     BitString& label = advice[static_cast<std::size_t>(v)];
-    const AdviceFaultKind kind = kind_for(id);
+    const AdviceFaultKind kind = kind_for(kind_of, id);
     FaultEvent ev;
     ev.layer = FaultLayer::kAdvice;
     ev.advice_kind = kind;
@@ -256,15 +261,12 @@ void FaultInjector::corrupt_advice(const Graph& g, Advice& advice) {
     switch (kind) {
       case AdviceFaultKind::kBitFlip: {
         if (label.empty()) continue;  // nothing to flip
-        const int flips =
-            1 + static_cast<int>(
-                    hash3(advice_seed(), kTagFlipCount, static_cast<std::uint64_t>(id)) %
-                    static_cast<std::uint64_t>(std::max(1, plan_.advice.max_flips_per_label)));
+        const auto max_flips = static_cast<std::uint64_t>(
+            std::max(1, plan_.advice.max_flips_per_label));
+        const int flips = 1 + static_cast<int>(flip_count(uid) % max_flips);
         for (int i = 0; i < flips; ++i) {
-          const int pos = static_cast<int>(
-              hash4(advice_seed(), kTagFlipPos, static_cast<std::uint64_t>(id),
-                    static_cast<std::uint64_t>(i)) %
-              static_cast<std::uint64_t>(label.size()));
+          const int pos = static_cast<int>(flip_pos(uid, static_cast<std::uint64_t>(i)) %
+                                           static_cast<std::uint64_t>(label.size()));
           label.set_bit(pos, !label.bit(pos));
         }
         detail << "flipped " << flips << " bit(s)";
@@ -277,20 +279,16 @@ void FaultInjector::corrupt_advice(const Graph& g, Advice& advice) {
         break;
       }
       case AdviceFaultKind::kByzantine: {
-        const std::uint64_t h =
-            hash3(advice_seed(), kTagByzLen, static_cast<std::uint64_t>(id));
-        const int len =
-            1 + static_cast<int>(h % static_cast<std::uint64_t>(2 * std::max(label.size(), 1) + 4));
-        label = garbage_bits(hash3(advice_seed(), kTagByzBit, static_cast<std::uint64_t>(id)),
-                             len);
+        const auto range = static_cast<std::uint64_t>(2 * std::max(label.size(), 1) + 4);
+        const int len = 1 + static_cast<int>(byz_len(uid) % range);
+        label = garbage_bits(byz_bit(uid), len);
         detail << "rewrote label to " << len << " adversarial bit(s)";
         break;
       }
       case AdviceFaultKind::kTruncate: {
         if (label.empty()) continue;
-        const int keep = static_cast<int>(
-            hash3(advice_seed(), kTagTruncLen, static_cast<std::uint64_t>(id)) %
-            static_cast<std::uint64_t>(label.size()));
+        const int keep =
+            static_cast<int>(trunc_len(uid) % static_cast<std::uint64_t>(label.size()));
         detail << "truncated " << label.size() << " -> " << keep << " bit(s)";
         label.truncate(keep);
         break;
@@ -328,12 +326,17 @@ void FaultInjector::corrupt_var_advice(const Graph& g, VarAdvice& advice) {
     storage_nodes.push_back(node);
   }
   const std::vector<char> targeted = advice_target_mask(g);
+  const std::uint64_t seed = advice_seed();
+  const HashStream kind_of(seed, kTagKind), entry_pick(seed, kTagEntryPick),
+      flip_pos(seed, kTagFlipPos), anchor(seed, kTagAnchor), byz_bit(seed, kTagByzBit),
+      trunc_len(seed, kTagTruncLen);
   for (const int s : storage_nodes) {
     LAD_CHECK_MSG(s >= 0 && s < g.n(), "corrupt_var_advice: storage node out of range");
     const NodeId id = g.id(s);
     if (!targeted[static_cast<std::size_t>(s)]) continue;
+    const auto uid = static_cast<std::uint64_t>(id);
     auto& entries = advice[s];
-    const AdviceFaultKind kind = kind_for(id);
+    const AdviceFaultKind kind = kind_for(kind_of, id);
     FaultEvent ev;
     ev.layer = FaultLayer::kAdvice;
     ev.advice_kind = kind;
@@ -347,24 +350,18 @@ void FaultInjector::corrupt_var_advice(const Graph& g, VarAdvice& advice) {
       }
       case AdviceFaultKind::kBitFlip: {
         if (entries.empty()) continue;
-        auto& entry = entries[static_cast<std::size_t>(
-            hash3(advice_seed(), kTagEntryPick, static_cast<std::uint64_t>(id)) %
-            entries.size())];
+        auto& entry = entries[static_cast<std::size_t>(entry_pick(uid) % entries.size())];
         if (entry.payload.empty()) continue;
-        const int pos = static_cast<int>(
-            hash3(advice_seed(), kTagFlipPos, static_cast<std::uint64_t>(id)) %
-            static_cast<std::uint64_t>(entry.payload.size()));
+        const int pos = static_cast<int>(flip_pos(uid) %
+                                         static_cast<std::uint64_t>(entry.payload.size()));
         entry.payload.set_bit(pos, !entry.payload.bit(pos));
         detail << "flipped payload bit " << pos << " of one entry";
         break;
       }
       case AdviceFaultKind::kByzantine: {
         if (entries.empty()) continue;
-        auto& entry = entries[static_cast<std::size_t>(
-            hash3(advice_seed(), kTagEntryPick, static_cast<std::uint64_t>(id)) %
-            entries.size())];
-        const std::uint64_t h =
-            hash3(advice_seed(), kTagAnchor, static_cast<std::uint64_t>(id));
+        auto& entry = entries[static_cast<std::size_t>(entry_pick(uid) % entries.size())];
+        const std::uint64_t h = anchor(uid);
         if ((h & 1) != 0) {
           // Re-anchor to a valid-but-wrong node: the nastiest rewrite,
           // because every field still parses.
@@ -372,16 +369,14 @@ void FaultInjector::corrupt_var_advice(const Graph& g, VarAdvice& advice) {
           detail << "re-anchored one entry to node id " << entry.anchor_id;
         } else {
           const int len = 1 + static_cast<int>((h >> 1) % 9);
-          entry.payload =
-              garbage_bits(hash3(advice_seed(), kTagByzBit, static_cast<std::uint64_t>(id)), len);
+          entry.payload = garbage_bits(byz_bit(uid), len);
           detail << "rewrote one payload to " << len << " adversarial bit(s)";
         }
         break;
       }
       case AdviceFaultKind::kTruncate: {
         if (entries.empty()) continue;
-        const std::uint64_t h =
-            hash3(advice_seed(), kTagTruncLen, static_cast<std::uint64_t>(id));
+        const std::uint64_t h = trunc_len(uid);
         if (entries.size() > 1) {
           const std::size_t keep = static_cast<std::size_t>(h % entries.size());
           detail << "dropped " << (entries.size() - keep) << " of " << entries.size()
@@ -411,11 +406,10 @@ Graph FaultInjector::apply_graph_faults(const Graph& g) {
   // of an epicenter. Edges with both endpoints marked are deleted.
   std::vector<char> in_burst;
   if (plan_.graph.burst_count > 0 && g.n() > 0) {
+    const HashStream burst_pick(graph_seed(), kTagBurstPick);
     std::vector<int> order(static_cast<std::size_t>(g.n()));
     for (int v = 0; v < g.n(); ++v) order[static_cast<std::size_t>(v)] = v;
-    const auto rank = [&](int v) {
-      return hash3(graph_seed(), kTagBurstPick, static_cast<std::uint64_t>(g.id(v)));
-    };
+    const auto rank = [&](int v) { return burst_pick(static_cast<std::uint64_t>(g.id(v))); };
     std::sort(order.begin(), order.end(), [&](int a, int b) {
       if (rank(a) != rank(b)) return rank(a) < rank(b);
       return a < b;
@@ -443,8 +437,10 @@ Graph FaultInjector::apply_graph_faults(const Graph& g) {
     }
   }
 
-  Graph::Builder builder;
-  for (int v = 0; v < g.n(); ++v) builder.add_node(g.id(v));
+  // The survivors, in edge order: their subgraph is a copy, not a rebuild.
+  const HashStream edge_del(graph_seed(), kTagEdgeDel);
+  std::vector<int> kept;
+  kept.reserve(static_cast<std::size_t>(g.m()));
   for (int e = 0; e < g.m(); ++e) {
     const int u = g.edge_u(e);
     const int v = g.edge_v(e);
@@ -454,8 +450,7 @@ Graph FaultInjector::apply_graph_faults(const Graph& g) {
     const NodeId b = std::max(g.id(u), g.id(v));
     const bool burst_hit = !in_burst.empty() && in_burst[static_cast<std::size_t>(u)] &&
                            in_burst[static_cast<std::size_t>(v)];
-    const std::uint64_t h = hash4(graph_seed(), kTagEdgeDel, static_cast<std::uint64_t>(a),
-                                  static_cast<std::uint64_t>(b));
+    const std::uint64_t h = edge_del(static_cast<std::uint64_t>(a), static_cast<std::uint64_t>(b));
     if (burst_hit || unit_from_hash(h) < plan_.graph.edge_delete_fraction) {
       FaultEvent ev;
       ev.layer = FaultLayer::kGraph;
@@ -468,9 +463,9 @@ Graph FaultInjector::apply_graph_faults(const Graph& g) {
       events_.push_back(std::move(ev));
       continue;
     }
-    builder.add_edge(u, v);
+    kept.push_back(e);
   }
-  return std::move(builder).build();
+  return g.edge_subgraph(kept);
 }
 
 std::vector<int> FaultInjector::fault_site_nodes(const Graph& g) const {

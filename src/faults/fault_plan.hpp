@@ -145,11 +145,11 @@ struct FaultEvent {
 /// With crash_recovery_rounds == 0 crash decisions are monotone in the
 /// round (crash-stop); with k > 0 each victim is down for exactly the
 /// interval [crash_round, crash_round + k) and then rejoins (crash-
-/// recovery). Either way every answer is a pure function of (seed, site).
+/// recovery). Either way every answer is a pure function of (seed, site):
+/// each decision stream is keyed from (seed, tag) once, at construction.
 class HashedEngineFaults final : public EngineFaultModel {
  public:
-  HashedEngineFaults() = default;
-  HashedEngineFaults(std::uint64_t seed, EngineFaultSpec spec) : seed_(seed), spec_(spec) {}
+  HashedEngineFaults(std::uint64_t seed, EngineFaultSpec spec);
 
   bool crashed(int round, int v) const override;
   bool drop_message(int round, int from, int to) const override;
@@ -161,8 +161,9 @@ class HashedEngineFaults final : public EngineFaultModel {
   bool crash_selected(int v) const;
 
  private:
-  std::uint64_t seed_ = 0;
   EngineFaultSpec spec_;
+  HashStream drop_, corrupt_sel_, corrupt_pos_, dup_, delay_sel_, delay_len_;  // per message
+  HashStream crash_sel_, crash_round_;                                        // per node
 };
 
 /// Applies a FaultPlan. Each layer draws from its own derived sub-seed, so
@@ -210,8 +211,7 @@ class FaultInjector {
   std::uint64_t graph_seed() const { return hash2(plan_.seed, 0x6EAFu); }
   std::uint64_t engine_seed() const { return hash2(plan_.seed, 0xE6u); }
 
-  bool node_targeted(std::uint64_t layer_seed, NodeId id, double fraction) const;
-  AdviceFaultKind kind_for(NodeId id) const;
+  AdviceFaultKind kind_for(const HashStream& kind, NodeId id) const;
 
   FaultPlan plan_;
   HashedEngineFaults engine_model_;

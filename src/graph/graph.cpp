@@ -250,6 +250,46 @@ Graph Graph::from_parts(Parts&& parts) {
   return g;
 }
 
+Graph Graph::edge_subgraph(std::span<const int> kept) const {
+  Graph sub;
+  sub.ids_ = ids_;
+  sub.sorted_ids_ = sorted_ids_;
+  sub.by_id_ix_ = by_id_ix_;
+  const std::size_t n = ids_.size();
+  const std::size_t sub_m = kept.size();
+  std::vector<int> sub_edge(edge_u_.size(), -1);  // parent edge -> sub edge, or -1
+  sub.edge_u_.resize(sub_m);
+  sub.edge_v_.resize(sub_m);
+  for (std::size_t i = 0; i < sub_m; ++i) {
+    const int e = kept[i];
+    LAD_CHECK_MSG(e >= 0 && e < m() && (i == 0 || kept[i - 1] < e),
+                  "edge_subgraph: kept edge ids must be strictly ascending in [0, "
+                      << m() << "), got " << e << " at position " << i);
+    const auto ue = static_cast<std::size_t>(e);
+    sub_edge[ue] = static_cast<int>(i);
+    sub.edge_u_[i] = edge_u_[ue];
+    sub.edge_v_[i] = edge_v_[ue];
+  }
+  sub.adj_off_.resize(n + 1);
+  sub.adj_.resize(2 * sub_m);
+  sub.inc_.resize(2 * sub_m);
+  std::size_t arcs = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto lo = static_cast<std::size_t>(adj_off_[v]);
+    const auto hi = static_cast<std::size_t>(adj_off_[v + 1]);
+    for (std::size_t k = lo; k < hi; ++k) {
+      const int se = sub_edge[static_cast<std::size_t>(inc_[k])];
+      if (se < 0) continue;
+      sub.adj_[arcs] = adj_[k];
+      sub.inc_[arcs] = se;
+      ++arcs;
+    }
+    sub.adj_off_[v + 1] = static_cast<int>(arcs);
+    sub.max_degree_ = std::max(sub.max_degree_, sub.adj_off_[v + 1] - sub.adj_off_[v]);
+  }
+  return sub;
+}
+
 std::optional<int> Graph::find_index(NodeId id) const {
   const auto it = std::lower_bound(sorted_ids_.begin(), sorted_ids_.end(), id);
   if (it == sorted_ids_.end() || *it != id) return std::nullopt;

@@ -141,6 +141,14 @@ class Graph {
 
   Graph() = default;
 
+  /// The spanning subgraph with only the edges `kept` (edge ids, strictly
+  /// ascending): sub edge i is edge kept[i]. A copy in O(n + m), with no
+  /// sort: nodes, IDs and the ID index stay as they are, and each
+  /// adjacency slice keeps its port order minus the dropped edges. Edges
+  /// are ordered by (lo, hi) and ports by neighbor ID, so the result is
+  /// exactly Builder's graph of the same nodes and kept edges.
+  Graph edge_subgraph(std::span<const int> kept) const;
+
   int n() const { return static_cast<int>(ids_.size()); }
   int m() const { return static_cast<int>(edge_u_.size()); }
 

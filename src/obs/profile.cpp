@@ -174,8 +174,9 @@ std::string phase_of_span(const std::string& span_name) {
     return "compute";
   }
   if (span_name == "engine.deliver") return "message-exchange";
-  if (span_name == "engine.faults") return "fault-transition";
-  if (has_prefix(span_name, "pipeline.verify/") || has_prefix(span_name, "guarded.decode/")) {
+  if (span_name == "engine.faults" || has_prefix(span_name, "inject.")) return "fault-transition";
+  if (has_prefix(span_name, "pipeline.verify/") || has_prefix(span_name, "guarded.decode/") ||
+      span_name == "campaign.checks") {
     return "verify";
   }
   return "other";

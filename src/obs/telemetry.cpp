@@ -237,6 +237,7 @@ const std::vector<std::string>& span_name_catalog() {
       "engine.run",        "engine.round",      "engine.faults",
       "engine.compute",    "engine.deliver",    "gather.balls",
       "gather.views",      "pool.chunk",        "campaign.trial",
+      "campaign.checks",   "inject.graph",      "inject.advice",
       "chaos.cell",        "guarded.decode/",   "pipeline.encode/",
       "pipeline.decode/",  "pipeline.verify/",
   };

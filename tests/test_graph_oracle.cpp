@@ -4,6 +4,8 @@
 // adjacency, incident edges, the edge list and the ID index. So must the
 // same graph after a .ladg round trip through Graph::from_parts. On bad
 // input both builders must throw the same exception with the same message.
+// Graph::edge_subgraph, the third construction path, must equal the
+// library builder on the kept edge set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,6 +280,58 @@ TEST(GraphBuildOracle, FromPartsRejectsBadIds) {
   }
   EXPECT_NE(thrown([&] { Graph::from_parts(parts_with_id(6)); }).find("duplicate node ID 6"),
             std::string::npos);
+}
+
+// Graph::edge_subgraph copies the CSR of a kept edge set; it must equal the
+// builders' graph of the same nodes and edges, in every array and digest.
+void check_edge_subgraph(const Graph& g, const std::vector<int>& kept, const std::string& what) {
+  Input in{what + ", " + std::to_string(kept.size()) + " of " + std::to_string(g.m()) +
+               " edges kept",
+           {g.raw_ids().begin(), g.raw_ids().end()},
+           {}};
+  SCOPED_TRACE(in.name);
+  for (const int e : kept) in.edges.emplace_back(g.edge_u(e), g.edge_v(e));
+  const Graph sub = g.edge_subgraph(kept);
+  expect_matches(sub, reference_build(in));
+  EXPECT_EQ(graph_digest(sub), graph_digest(library_build(in, nullptr)));
+}
+
+TEST(EdgeSubgraph, EqualsTheBuilderOnEveryGraphSourceFamily) {
+  const char* specs[] = {
+      "cycle:100",  "path:50",      "grid:7x9",        "torus:12x10",   "ladder:40",
+      "regular:200x5", "banded:300x5x3x6", "twocycles:60x8", "complete:9", "star:30",
+      "hypercube:6", "tree:200x4",
+  };
+  Rng rng(11);
+  for (const char* spec : specs) {
+    for (const char* seed : {"@1", "@2"}) {
+      std::string err;
+      const auto lg = load_graph_source(std::string(spec) + seed, &err);
+      ASSERT_TRUE(lg.has_value()) << err;
+      const Graph& g = lg->graph;
+      std::vector<int> all(static_cast<std::size_t>(g.m()));
+      for (int e = 0; e < g.m(); ++e) all[static_cast<std::size_t>(e)] = e;
+      check_edge_subgraph(g, {}, lg->spec + " empty");
+      check_edge_subgraph(g, all, lg->spec + " full");
+      for (const double p : {0.1, 0.5, 0.9}) {
+        std::vector<int> kept;
+        for (const int e : all) {
+          if (rng.flip(p)) kept.push_back(e);
+        }
+        check_edge_subgraph(g, kept, lg->spec + " random");
+      }
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EdgeSubgraph, RejectsUnsortedOrOutOfRangeEdges) {
+  const Graph g = make_cycle(6, IdMode::kSequential, 1);
+  const std::vector<std::vector<int>> bad_sets = {{2, 1}, {0, 0}, {-1}, {6}};
+  for (const std::vector<int>& bad : bad_sets) {
+    EXPECT_NE(thrown([&] { (void)g.edge_subgraph(bad); }).find("strictly ascending"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

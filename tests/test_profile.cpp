@@ -71,8 +71,11 @@ TEST(Profile, ExplicitSpanMappings) {
   EXPECT_EQ(obs::phase_of_span("pipeline.decode/decompress"), "compute");
   EXPECT_EQ(obs::phase_of_span("engine.deliver"), "message-exchange");
   EXPECT_EQ(obs::phase_of_span("engine.faults"), "fault-transition");
+  EXPECT_EQ(obs::phase_of_span("inject.graph"), "fault-transition");
+  EXPECT_EQ(obs::phase_of_span("inject.advice"), "fault-transition");
   EXPECT_EQ(obs::phase_of_span("pipeline.verify/orientation"), "verify");
   EXPECT_EQ(obs::phase_of_span("guarded.decode/orientation"), "verify");
+  EXPECT_EQ(obs::phase_of_span("campaign.checks"), "verify");
   EXPECT_EQ(obs::phase_of_span("engine.run"), "other");
   EXPECT_EQ(obs::phase_of_span("campaign.trial"), "other");
   EXPECT_EQ(obs::phase_of_span("no.such.span"), "other");
